@@ -14,11 +14,7 @@ import json
 import sys
 
 from kasteleyn.families import FamilySpec, build_family_graph
-from kasteleyn.graphs import (
-    GuardExceeded,
-    dump_graph,
-    enumerate_matchings,
-)
+from kasteleyn.graphs import dump_graph, enumerate_matchings
 from kasteleyn.harness import (
     ReportRecord,
     conjecture_suite,
@@ -33,7 +29,7 @@ from kasteleyn.matrices import (
     smith_report,
     write_matrix,
 )
-from kasteleyn.rings import DomainError
+from kasteleyn.rings import DomainError, GuardExceeded
 
 
 def _parse_partition(text):

@@ -14,17 +14,19 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from kasteleyn.matrices import ExactMatrix
-from kasteleyn.rings import DomainError, LaurentPoly, format_laurent, parse_laurent
+from kasteleyn.rings import (
+    DomainError,
+    GuardExceeded,
+    LaurentPoly,
+    format_laurent,
+    parse_laurent,
+)
 
 MONO = "mono"
 ODD = "odd"
 EVEN = "even"
 
 _KINDS = (MONO, ODD, EVEN)
-
-
-class GuardExceeded(DomainError):
-    pass
 
 
 class Vertex:

@@ -23,7 +23,6 @@ from kasteleyn.families import (
     family_matrix,
 )
 from kasteleyn.graphs import (
-    GuardExceeded,
     MONO,
     adjacency_matrix,
     enumerate_matchings,
@@ -39,11 +38,11 @@ from kasteleyn.matrices import (
     laurent_smith_attempt,
     pfaffian,
     ring_adapter,
-    smith_normal_form,
     stable_invariants,
 )
 from kasteleyn.rings import (
     DomainError,
+    GuardExceeded,
     LaurentPoly,
     RationalPoly,
     factor_q_round,
@@ -249,6 +248,7 @@ def run_report(spec, ring, q0=-1, guard=None):
     guard = oracle_guard() if guard is None else guard
     M, kind, G = family_matrix_for_ring(spec, ring, q0)
     notes = {}
+    form = None
     if ring == "laurent":
         attempt = laurent_smith_attempt(M)
         if not attempt.success:
@@ -259,9 +259,8 @@ def run_report(spec, ring, q0=-1, guard=None):
                 {"normal_form": attempt.outcome,
                  "witness": [str(w) for w in (attempt.witness or ())]},
             )
-        inv = stable_invariants(M)
-    else:
-        inv = stable_invariants(M)
+        form = attempt.smith
+    inv = stable_invariants(M, form)
     bound = _bound_for(spec)
     diags = []
     round_v = "holds"

@@ -19,15 +19,12 @@ from math import gcd
 from kasteleyn.rings import (
     DomainError,
     ExactDivisionError,
+    GuardExceeded,
     LaurentPoly,
     RationalPoly,
     format_laurent,
     parse_laurent,
 )
-
-
-class GuardExceeded(DomainError):
-    """A configurable size guard refused the computation."""
 
 
 class NormalFormFailure(RuntimeError):
@@ -490,35 +487,31 @@ def parse_matrix(text):
 
 
 class _Workspace:
-    """Mutable copy of a matrix plus row/column transforms L, R with
-    L * original * R = current, and optional running inverses."""
+    """Mutable copy of a matrix.  With transforms=True it also carries the
+    row/column transforms L, R with L * original * R = current; without,
+    L and R are None and only the current matrix is updated."""
 
-    def __init__(self, M, track_inverse=False):
+    def __init__(self, M, transforms=True):
         self.ring = M.ring
         self.ad = ring_adapter(M.ring)
         self.m, self.n = M.rows, M.cols
         self.A = M.to_lists()
-        one, zero = self.ad.one, self.ad.zero
-        self.L = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
-        self.R = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
-        self.Linv = None
-        self.Rinv = None
-        if track_inverse:
-            self.Linv = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
-            self.Rinv = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
+        self.L = self.R = None
+        if transforms:
+            one, zero = self.ad.one, self.ad.zero
+            self.L = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
+            self.R = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
         self.ops = 0
 
-    # row ops: current <- E * current, L <- E * L, Linv <- Linv * E^-1
+    # row ops: current <- E * current, L <- E * L
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.ops += 1
         self.A[i], self.A[j] = self.A[j], self.A[i]
-        self.L[i], self.L[j] = self.L[j], self.L[i]
-        if self.Linv is not None:
-            for r in self.Linv:
-                r[i], r[j] = r[j], r[i]
+        if self.L is not None:
+            self.L[i], self.L[j] = self.L[j], self.L[i]
 
     def swap_cols(self, i, j):
         if i == j:
@@ -526,59 +519,42 @@ class _Workspace:
         self.ops += 1
         for r in self.A:
             r[i], r[j] = r[j], r[i]
-        for r in self.R:
-            r[i], r[j] = r[j], r[i]
-        if self.Rinv is not None:
-            self.Rinv[i], self.Rinv[j] = self.Rinv[j], self.Rinv[i]
+        if self.R is not None:
+            for r in self.R:
+                r[i], r[j] = r[j], r[i]
 
     def scale_row(self, i, u):
         """Multiply row i by a unit u."""
         self.ops += 1
-        inv = self.ad.unit_inverse(u)
         self.A[i] = [u * x for x in self.A[i]]
-        self.L[i] = [u * x for x in self.L[i]]
-        if self.Linv is not None:
-            for r in self.Linv:
-                r[i] = r[i] * inv
-
-    def scale_col(self, j, u):
-        self.ops += 1
-        inv = self.ad.unit_inverse(u)
-        for r in self.A:
-            r[j] = r[j] * u
-        for r in self.R:
-            r[j] = r[j] * u
-        if self.Rinv is not None:
-            self.Rinv[j] = [inv * x for x in self.Rinv[j]]
+        if self.L is not None:
+            self.L[i] = [u * x for x in self.L[i]]
 
     def addmul_row(self, i, j, c):
         """row_i += c * row_j."""
         self.ops += 1
+        is_zero = self.ad.is_zero
         Ai, Aj = self.A[i], self.A[j]
         for k in range(self.n):
-            if not self.ad.is_zero(Aj[k]):
+            if not is_zero(Aj[k]):
                 Ai[k] = Ai[k] + c * Aj[k]
-        Li, Lj = self.L[i], self.L[j]
-        for k in range(self.m):
-            if not self.ad.is_zero(Lj[k]):
-                Li[k] = Li[k] + c * Lj[k]
-        if self.Linv is not None:
-            for r in self.Linv:
-                r[j] = r[j] - c * r[i]
+        if self.L is not None:
+            Li, Lj = self.L[i], self.L[j]
+            for k in range(self.m):
+                if not is_zero(Lj[k]):
+                    Li[k] = Li[k] + c * Lj[k]
 
     def addmul_col(self, j, i, c):
         """col_j += c * col_i."""
         self.ops += 1
+        is_zero = self.ad.is_zero
         for r in self.A:
-            if not self.ad.is_zero(r[i]):
+            if not is_zero(r[i]):
                 r[j] = r[j] + c * r[i]
-        for r in self.R:
-            if not self.ad.is_zero(r[i]):
-                r[j] = r[j] + c * r[i]
-        if self.Rinv is not None:
-            ri, rj = self.Rinv[i], self.Rinv[j]
-            for k in range(self.n):
-                ri[k] = ri[k] - c * rj[k]
+        if self.R is not None:
+            for r in self.R:
+                if not is_zero(r[i]):
+                    r[j] = r[j] + c * r[i]
 
     def mix_rows(self, i, j, x, y, u, v):
         """rows (i, j) <- (x ri + y rj, u ri + v rj); xv - yu must be a unit."""
@@ -586,15 +562,8 @@ class _Workspace:
         def mix(a, b):
             return [x * p + y * q for p, q in zip(a, b)], [u * p + v * q for p, q in zip(a, b)]
         self.A[i], self.A[j] = mix(self.A[i], self.A[j])
-        self.L[i], self.L[j] = mix(self.L[i], self.L[j])
-        if self.Linv is not None:
-            # inverse of [[x, y], [u, v]] is [[v, -y], [-u, x]] / det; det unit
-            det = x * v - y * u
-            dinv = self.ad.unit_inverse(det)
-            for r in self.Linv:
-                a, b = r[i], r[j]
-                r[i] = (a * v - b * u) * dinv
-                r[j] = (b * x - a * y) * dinv
+        if self.L is not None:
+            self.L[i], self.L[j] = mix(self.L[i], self.L[j])
 
     def mix_cols(self, i, j, x, y, u, v):
         """cols (i, j) <- (x ci + y cj, u ci + v cj)."""
@@ -602,15 +571,10 @@ class _Workspace:
         for r in self.A:
             p, q = r[i], r[j]
             r[i], r[j] = x * p + y * q, u * p + v * q
-        for r in self.R:
-            p, q = r[i], r[j]
-            r[i], r[j] = x * p + y * q, u * p + v * q
-        if self.Rinv is not None:
-            det = x * v - y * u
-            dinv = self.ad.unit_inverse(det)
-            a, b = self.Rinv[i], self.Rinv[j]
-            self.Rinv[i] = [(p * v - q * u) * dinv for p, q in zip(a, b)]
-            self.Rinv[j] = [(q * x - p * y) * dinv for p, q in zip(a, b)]
+        if self.R is not None:
+            for r in self.R:
+                p, q = r[i], r[j]
+                r[i], r[j] = x * p + y * q, u * p + v * q
 
     def matrices(self):
         L = ExactMatrix(self.m, self.m, self.ring, self.L)
@@ -638,15 +602,6 @@ class SmithForm:
         ad = ring_adapter(self.ring)
         return sum(0 if ad.is_zero(d) else 1 for d in self.diagonal)
 
-    def nonunit_factors(self):
-        ad = ring_adapter(self.ring)
-        out = []
-        for d in self.diagonal:
-            if ad.is_zero(d) or ad.is_unit(d):
-                continue
-            out.append(d)
-        return tuple(out)
-
     def diagonal_matrix(self):
         return ExactMatrix.diagonal(self.diagonal, self.ring, shape=self.shape)
 
@@ -673,7 +628,7 @@ class SmithForm:
 
 def _clear_cross(ws, k, ring):
     """Make row k and column k zero outside (k, k); pivot may shrink to the
-    gcd of what it meets. Returns when both are clear."""
+    gcd of what it meets. Returns after a pass that met no nonzero entry."""
     m, n, A = ws.m, ws.n, ws.A
     while True:
         dirty = False
@@ -706,40 +661,53 @@ def _clear_cross(ws, k, ring):
                 bp = ring.try_div(b, g)
                 ws.mix_cols(k, j, x, y, -bp, ap)
         if not dirty:
-            cols_clear = all(ring.is_zero(A[i][k]) for i in range(k + 1, m))
-            rows_clear = all(ring.is_zero(A[k][j]) for j in range(k + 1, n))
-            if cols_clear and rows_clear:
-                return
+            return
 
 
-def smith_normal_form(M, verify=False):
-    """Smith normal form over a PID ring tag ("z" or "qpoly"), with
-    unit-determinant transforms.  Pivots are chosen minimal in the ring's
-    size order, first in row-major order; the cross of the pivot is cleared
-    with exact quotients and determinant-1 Bezout mixes; an interior entry
-    that the pivot fails to divide is pulled into the pivot row and mixed in.
-    """
+def _pick_pivot(ring, A, k):
+    """(i, j) of the pivot in the block A[k:][k:]: the first unit in
+    row-major order, else the first entry of least size; None when the block
+    is zero.  Over "z" a unit is an entry of least size, so both rules pick
+    the same entry there."""
+    best = None
+    for i in range(k, len(A)):
+        row = A[i]
+        for j in range(k, len(row)):
+            a = row[j]
+            if ring.is_zero(a):
+                continue
+            if ring.is_unit(a):
+                return i, j
+            key = ring.size_key(a)
+            if best is None or key < best[0]:
+                best = (key, i, j)
+    return None if best is None else best[1:]
+
+
+def _pid_smith(M, transforms):
+    """The Smith elimination over a PID shared by `smith_normal_form` and
+    `_smith_diagonal`; returns the finished workspace, diagonal in place.
+
+    The cross of the pivot is cleared with exact quotients and determinant-1
+    Bezout mixes; an interior entry that the pivot fails to divide is pulled
+    into the pivot row and mixed in.  A unit pivot divides everything, so
+    that interior scan is skipped."""
     if M.ring == "laurent":
         raise DomainError("laurent matrices go through laurent_smith_attempt")
     ring = ring_adapter(M.ring)
-    ws = _Workspace(M)
+    ws = _Workspace(M, transforms)
     m, n, A = ws.m, ws.n, ws.A
     k = 0
     while k < min(m, n):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if ring.is_zero(A[i][j]):
-                    continue
-                key = ring.size_key(A[i][j])
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        if best is None:
+        pivot = _pick_pivot(ring, A, k)
+        if pivot is None:
             break
-        ws.swap_rows(k, best[1])
-        ws.swap_cols(k, best[2])
+        ws.swap_rows(k, pivot[0])
+        ws.swap_cols(k, pivot[1])
         while True:
             _clear_cross(ws, k, ring)
+            if ring.is_unit(A[k][k]):
+                break
             bad = None
             for i in range(k + 1, m):
                 for j in range(k + 1, n):
@@ -755,12 +723,27 @@ def smith_normal_form(M, verify=False):
         if not ring.is_zero(A[k][k]) and A[k][k] != normal:
             ws.scale_row(k, ring.unit_inverse(u))
         k += 1
+    return ws
+
+
+def smith_normal_form(M, verify=False):
+    """Smith normal form over a PID ring tag ("z" or "qpoly"), with
+    unit-determinant witness transforms L, R (L * M * R = diagonal).  Only
+    callers that read L or R need this; `cokernel_of` and `stable_invariants`
+    run the same elimination without building them."""
+    ws = _pid_smith(M, transforms=True)
     Afinal, L, R = ws.matrices()
-    diag = [Afinal[i, i] for i in range(min(m, n))]
-    form = SmithForm(M.ring, (m, n), diag, L, R)
+    diag = [Afinal[i, i] for i in range(min(ws.m, ws.n))]
+    form = SmithForm(M.ring, (ws.m, ws.n), diag, L, R)
     if verify:
         form.verify(M)
     return form
+
+
+def _smith_diagonal(M):
+    """The Smith diagonal of `smith_normal_form(M)`, without building L, R."""
+    ws = _pid_smith(M, transforms=False)
+    return tuple(ws.A[i][i] for i in range(min(ws.m, ws.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -1282,12 +1265,11 @@ class CokernelDescriptor:
 
 def cokernel_of(M):
     """Cokernel of an integer matrix: free rank = rows - rank, torsion =
-    non-unit invariant factors (positive)."""
+    non-unit invariant factors (positive).  Builds no witness transforms."""
     if M.ring != "z":
         raise DomainError("cokernel_of expects an integer matrix")
-    form = smith_normal_form(M)
-    torsion = [abs(d) for d in form.diagonal if d != 0 and abs(d) != 1]
-    return CokernelDescriptor(M.rows - form.rank, torsion)
+    diag = [abs(d) for d in _smith_diagonal(M) if d != 0]
+    return CokernelDescriptor(M.rows - len(diag), [d for d in diag if d != 1])
 
 
 class StableInvariants:
@@ -1335,24 +1317,34 @@ def _normalize_factor(d, ring_tag):
     raise DomainError(f"unknown ring {ring_tag}")
 
 
-def stable_invariants(M):
-    """Unit-free invariant description used for stable-equivalence checks."""
-    if M.ring == "laurent":
-        attempt = laurent_smith_attempt(M)
-        if not attempt.success:
-            raise NormalFormFailure(attempt)
-        form = attempt.smith
+def _laurent_form(M):
+    """The Laurent normal form of M; NormalFormFailure when the attempt fails."""
+    attempt = laurent_smith_attempt(M)
+    if not attempt.success:
+        raise NormalFormFailure(attempt)
+    return attempt.smith
+
+
+def stable_invariants(M, form=None):
+    """Unit-free invariant description used for stable-equivalence checks.
+
+    `form` is a finished normal form of M, reused as is.  Without one, the
+    Laurent ring runs `laurent_smith_attempt` and the PIDs ("z", "qpoly")
+    compute the Smith diagonal alone, with no witness transforms."""
+    if form is not None:
+        diagonal = form.diagonal
+    elif M.ring == "laurent":
+        diagonal = _laurent_form(M).diagonal
     else:
-        form = smith_normal_form(M)
+        diagonal = _smith_diagonal(M)
     ad = ring_adapter(M.ring)
+    nonzero = [d for d in diagonal if not ad.is_zero(d)]
     factors = []
-    for d in form.diagonal:
-        if ad.is_zero(d):
-            continue
+    for d in nonzero:
         f = _normalize_factor(d, M.ring)
         if f is not None:
             factors.append(f)
-    return StableInvariants(M.ring, M.rows - form.rank, factors)
+    return StableInvariants(M.ring, M.rows - len(nonzero), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1627,17 +1619,13 @@ def unitarity_defect(U):
 
 
 def smith_report(M, form=None, include_transforms=False):
-    """SmithForm / cokernel JSON-ready report."""
-    if form is None:
-        if M.ring == "laurent":
-            attempt = laurent_smith_attempt(M)
-            if not attempt.success:
-                raise NormalFormFailure(attempt)
-            form = attempt.smith
-        else:
-            form = smith_normal_form(M)
+    """SmithForm / cokernel JSON-ready report.  Witness transforms are built
+    only for include_transforms, and the invariants are read off that same
+    form; otherwise `stable_invariants` alone runs."""
+    if include_transforms and form is None:
+        form = _laurent_form(M) if M.ring == "laurent" else smith_normal_form(M)
     ad = ring_adapter(M.ring)
-    inv = stable_invariants(M)
+    inv = stable_invariants(M, form)
     report = {
         "schema_version": 1,
         "ring": M.ring,

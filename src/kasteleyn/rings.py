@@ -18,6 +18,10 @@ class DomainError(ValueError):
     """Input outside an operation's stated domain."""
 
 
+class GuardExceeded(DomainError):
+    """A configurable size guard refused the computation."""
+
+
 class ExactDivisionError(ArithmeticError):
     """Division requested between elements that do not divide exactly."""
 

@@ -1,5 +1,6 @@
 import pytest
 
+import kasteleyn
 from kasteleyn.families import (
     FamilySpec,
     GVGraph,
@@ -32,6 +33,11 @@ def test_stable_invariants_propagates_laurent_failure():
     M = ExactMatrix.diagonal([parse_laurent("2"), parse_laurent("-1 + q")], "laurent")
     with pytest.raises(NormalFormFailure):
         stable_invariants(M)
+
+
+def test_oracle_guard_is_the_package_guard_exceeded():
+    with pytest.raises(kasteleyn.GuardExceeded):
+        kasteleyn.enumerate_matchings(build_aztec_graph(3), count_guard=10)
 
 
 def test_adjacency_missing_decorations():

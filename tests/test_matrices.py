@@ -1,13 +1,15 @@
 import random
-from math import prod
+from math import comb, prod
 
 import pytest
 
+from kasteleyn.families import FamilySpec, family_matrix, jacobi_trudi
 from kasteleyn.matrices import (
     DomainError,
     ExactMatrix,
     GuardExceeded,
     NormalFormFailure,
+    _smith_diagonal,
     alternating_smith_form,
     cokernel_of,
     deleted_pivot,
@@ -91,6 +93,47 @@ class TestSmithNormalForm:
     def test_laurent_rejected(self):
         with pytest.raises(DomainError):
             smith_normal_form(LQ([["q"]]))
+
+
+def signed_box(d, seed):
+    M, _ = family_matrix(FamilySpec("ppbox", d, d, d))
+    rng = random.Random(seed)
+    rs = [rng.choice((1, -1)) for _ in range(M.rows)]
+    cs = [rng.choice((1, -1)) for _ in range(M.cols)]
+    return Z([[rs[i] * cs[j] * M[i, j] for j in range(M.cols)] for i in range(M.rows)])
+
+
+def shuffled_binomial(n, seed):
+    """[C(2n, n-i+j)] with rows and columns in a fixed random order."""
+    rng = random.Random(seed)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return Z([[comb(2 * n, n - i + j) if 0 <= n - i + j <= 2 * n else 0 for j in cols]
+              for i in rows])
+
+
+class TestSmithDiagonal:
+    """`_smith_diagonal` runs the witness elimination without L and R."""
+
+    def cases(self):
+        singular = Z([[2, 4, 6, 8], [1, 3, 5, 7], [3, 7, 11, 15]])
+        jt = jacobi_trudi((4, 3, 2), (1,), 3).to_qpoly()
+        return [signed_box(4, 1), shuffled_binomial(10, 0), singular, jt]
+
+    def test_matches_witness_diagonal(self):
+        for M in self.cases():
+            assert _smith_diagonal(M) == smith_normal_form(M).diagonal
+
+    def test_witness_verifies_after_unit_pivot_shortcut(self):
+        assert smith_normal_form(shuffled_binomial(10, 0), verify=True)
+
+    def test_stable_invariants_reuses_form(self):
+        laurent = ExactMatrix.diagonal([q_integer(2), q_integer(2) * q_integer(3)], "laurent")
+        for M in self.cases():
+            assert stable_invariants(M, smith_normal_form(M)) == stable_invariants(M)
+        form = laurent_smith_attempt(laurent).smith
+        assert stable_invariants(laurent, form) == stable_invariants(laurent)
 
 
 class TestCokernel:
@@ -405,6 +448,9 @@ class TestTextFormat:
         assert rep["free_rank"] == 0
         assert rep["ring"] == "z"
         assert "schema_version" in rep
+        full = smith_report(Z([[2, 4], [6, 2]]), include_transforms=True)
+        assert full["invariant_factors"] == ["2", "10"]
+        assert full["left"] and full["right"]
 
 
 class TestKronAndHelpers:
