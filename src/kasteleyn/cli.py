@@ -134,7 +134,7 @@ def build_parser():
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--ceiling", type=int, default=None)
 
-    p = sub.add_parser("oracle", help="brute-force matching count")
+    p = sub.add_parser("oracle", help="matching count (frontier dynamic program)")
     _add_family_args(p)
     _add_common(p)
     return ap

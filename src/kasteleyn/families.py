@@ -355,22 +355,6 @@ def pt_map_tau(a, b):
     return lambda p: (2 * b - p[0], p[0] + p[1] - b)
 
 
-def tri_map_kappa_tau(a, b):
-    A = a + 2 * b
-
-    def f(tri):
-        k, x, y = tri
-        if k == "U":
-            return ("U", x, A - x - y - 1)
-        return ("D", x, A - x - y - 2)
-    return f
-
-
-def pt_map_kappa_tau(a, b):
-    A = a + 2 * b
-    return lambda p: (p[0], A - p[0] - p[1])
-
-
 def _compose(f, g):
     return lambda t: f(g(t))
 

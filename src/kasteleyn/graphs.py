@@ -723,11 +723,27 @@ class MatchingSet:
 
 
 def enumerate_matchings(G, count_guard=64, list_guard=28):
-    """Exhaustive backtracking over edges honoring vertex-kind parity rules.
+    """Count, weigh and (on small graphs) list the generalized matchings of G.
 
     Monogamous vertices are covered exactly once, odd-polygamous an odd
     number of times, even-polygamous an even number of times.  Self-loops
-    never participate.
+    never participate.  The result does not depend on edge signs.
+
+    Frontier dynamic program over a fixed vertex order (monogamous ids
+    sorted, then polygamous ids sorted); each non-loop edge belongs to its
+    earlier end.  After a vertex is processed, the state is the frozenset of
+    later vertices whose degree bit is 1: "covered" for a monogamous vertex,
+    the degree parity for a polygamous one.  Processing v picks a subset of
+    its forward edges whose size completes v's rule and which touches no
+    covered monogamous vertex.  Each state carries [count, total weight,
+    partial listings or None]; states that meet are merged, so the cost
+    grows with the number of boundary states, not with the number of
+    matchings.  `total_weight` is the weighted count (a generating function
+    for q-weighted graphs).
+
+    Raises GuardExceeded above `count_guard` vertices.  `matchings` (edge-id
+    frozensets) and `weights` are listed only up to `list_guard` vertices,
+    and are None above it.
     """
     if G.n_vertices > count_guard:
         raise GuardExceeded(
@@ -745,62 +761,63 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
             continue
         a, b = (e.u, e.v) if rank[e.u] < rank[e.v] else (e.v, e.u)
         forward[a].append(e)
-    ring = G.ring()
-    one = LaurentPoly.one() if ring == "laurent" else 1
+    laurent = G.ring() == "laurent"
+    one = LaurentPoly.one() if laurent else 1
 
     def wt(e):
-        return LaurentPoly.coerce(e.weight) if ring == "laurent" else e.weight
+        return LaurentPoly.coerce(e.weight) if laurent else e.weight
 
-    deg = {v: 0 for v in order}
-    chosen = []
-    results = {"count": 0, "total": LaurentPoly.zero() if ring == "laurent" else 0,
-               "matchings": [] if listing else None,
-               "weights": [] if listing else None}
-
-    def admissible_sizes(v):
-        d = deg[v]
+    def moves(v, bit):
+        """(edge ids, monogamous ends, toggled ends, weight) per admissible subset."""
         fwd = forward[v]
-        k = kind[v]
-        if k == MONO:
-            need = 1 - d
-            return [need] if 0 <= need <= len(fwd) else []
-        par = (1 - d) % 2 if k == ODD else (0 - d) % 2
-        return [s for s in range(len(fwd) + 1) if s % 2 == par]
-
-    def rec(i, weight):
-        if i == len(order):
-            results["count"] += 1
-            results["total"] = results["total"] + weight
-            if listing:
-                results["matchings"].append(frozenset(e.id for e in chosen))
-                results["weights"].append(weight)
-            return
-        v = order[i]
-        fwd = forward[v]
-        for size in admissible_sizes(v):
+        if kind[v] == MONO:
+            sizes = [1 - bit]
+        else:
+            par = (1 - bit) % 2 if kind[v] == ODD else bit
+            sizes = range(par, len(fwd) + 1, 2)
+        out = []
+        for size in sizes:
             for combo in combinations(fwd, size):
-                ok = True
-                for e in combo:
-                    w = e.other(v)
-                    if kind[w] == MONO and deg[w] >= 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                total = weight
-                for e in combo:
-                    deg[e.other(v)] += 1
-                    total = total * wt(e)
-                    chosen.append(e)
-                rec(i + 1, total)
-                for e in combo:
-                    deg[e.other(v)] -= 1
-                    chosen.pop()
-        return
+                ends = [e.other(v) for e in combo]
+                # monogamous vertices come first in the order, so only a
+                # monogamous v, which takes at most one edge, reaches one
+                covers = frozenset(w for w in ends if kind[w] == MONO)
+                flips = set()
+                weight = one
+                for e, w in zip(combo, ends):
+                    flips ^= {w}
+                    weight = weight * wt(e)
+                out.append((tuple(e.id for e in combo), covers,
+                            frozenset(flips), weight))
+        return out
 
-    rec(0, one)
-    return MatchingSet(results["count"], results["total"],
-                       results["matchings"], results["weights"])
+    states = {frozenset(): [1, one, [((), one)] if listing else None]}
+    for v in order:
+        options = (moves(v, 0), moves(v, 1))
+        nxt = {}
+        for state, (count, total, partial) in states.items():
+            bit = v in state
+            rest = state - {v} if bit else state
+            for eids, covers, flips, weight in options[bit]:
+                if covers & rest:
+                    continue
+                key = rest ^ flips
+                ext = None if partial is None else [(m + eids, x * weight) for m, x in partial]
+                slot = nxt.get(key)
+                if slot is None:
+                    nxt[key] = [count, total * weight, ext]
+                else:
+                    slot[0] += count
+                    slot[1] = slot[1] + total * weight
+                    if ext is not None:
+                        slot[2].extend(ext)
+        states = nxt
+    zero = LaurentPoly.zero() if laurent else 0
+    count, total, partial = states.get(frozenset(), [0, zero, [] if listing else None])
+    if not listing:
+        return MatchingSet(count, total)
+    return MatchingSet(count, total, [frozenset(m) for m, _ in partial],
+                       [x for _, x in partial])
 
 
 def is_valid_matching(G, edge_ids):
@@ -913,14 +930,6 @@ class _Surgeon:
             e.v = new
         else:
             raise DomainError("reattach endpoint mismatch")
-
-    def drop_face_index(self, idx):
-        if self.infinite is not None:
-            if self.infinite == idx:
-                raise DomainError("cannot drop the infinite face")
-            if self.infinite > idx:
-                self.infinite -= 1
-        del self.faces[idx]
 
 
 def _resolve_step(s, vid, corners):

@@ -210,7 +210,7 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
 
 
 def _oracle_status(spec, M, kind, G, guard):
-    """(verdict, brute-force count or None)."""
+    """(verdict, matching count or None)."""
     if G is None:
         return "skipped", None
     try:
@@ -244,7 +244,7 @@ def _equal_up_to_unit(f, g):
 
 def run_report(spec, ring, q0=-1, guard=None):
     """Build, decorate, normal-form and cross-check one family instance."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     guard = oracle_guard() if guard is None else guard
     M, kind, G = family_matrix_for_ring(spec, ring, q0)
     notes = {}
@@ -255,7 +255,7 @@ def run_report(spec, ring, q0=-1, guard=None):
             return ReportRecord(
                 spec.to_json(), ring, kind, M.rows, M.cols, -1, [],
                 [], "inconclusive" if attempt.outcome == "inconclusive" else "fails",
-                "inconclusive", "skipped", time.time() - t0, None,
+                "inconclusive", "skipped", time.perf_counter() - t0, None,
                 {"normal_form": attempt.outcome,
                  "witness": [str(w) for w in (attempt.witness or ())]},
             )
@@ -281,7 +281,7 @@ def run_report(spec, ring, q0=-1, guard=None):
     return ReportRecord(
         spec.to_json(), ring, kind, M.rows, M.cols, inv.free_rank,
         list(inv.factor_strings()), diags, round_v, sqfree_v, oracle,
-        time.time() - t0, count, notes,
+        time.perf_counter() - t0, count, notes,
     )
 
 
@@ -325,12 +325,13 @@ def _tau_dims(ceiling):
 
 
 def _partitions_upto(n):
+    """Non-empty partitions of 1, ..., n, by size; each size in reverse
+    lexicographic order: (3,), (2, 1), (1, 1, 1)."""
     out = []
 
     def rec(rest, maxpart, acc):
         if rest == 0:
-            if acc:
-                out.append(tuple(acc))
+            out.append(tuple(acc))
             return
         for p in range(min(rest, maxpart), 0, -1):
             acc.append(p)
@@ -636,27 +637,10 @@ def verify_theorems(which, ceiling=6, guard=None):
     raise DomainError(f"unknown theorem id {which!r}")
 
 
-def _partitions_of_at_most(n):
-    out = []
-
-    def rec(rest, maxpart, acc):
-        if acc:
-            out.append(tuple(acc))
-        if rest == 0:
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            acc.append(p)
-            rec(rest - p, p, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return sorted(set(out), key=lambda t: (sum(t), t))
-
-
 def _verify_jt(ceiling, max_a=4, max_mu=2):
     checked = 0
     failures = []
-    for lam in _partitions_of_at_most(ceiling):
+    for lam in sorted(_partitions_upto(ceiling), key=lambda t: (sum(t), t)):
         for mu in _mu_candidates(lam, max_mu):
             if not Partition(lam).contains(Partition(mu)):
                 continue

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from oracles import macmahon_box_qgen, polys_equal_up_to_unit
+
 from kasteleyn.graphs import (
     EVEN,
     MONO,
@@ -27,6 +29,7 @@ from kasteleyn.graphs import (
     triple_edges,
     verify_flatness,
 )
+from kasteleyn.families import FamilySpec, build_family_graph
 from kasteleyn.matrices import determinant, pfaffian
 from kasteleyn.rings import LaurentPoly
 
@@ -304,6 +307,54 @@ class TestEnumerate:
                 v.color = None
             count = enumerate_matchings(G).count
             assert count == 0 or (count & (count - 1)) == 0
+
+    def test_listing_matches_brute_force_on_random_graphs(self):
+        # mixed vertex kinds, self-loops and parallel edges; the brute force
+        # filters every edge subset through is_valid_matching
+        rng = random.Random(404)
+        q = LaurentPoly.q_power(1)
+        nonempty = 0
+        for trial in range(150):
+            n = rng.randint(1, 7)
+            verts = [Vertex(i, rng.choice([MONO, MONO, ODD, EVEN])) for i in range(n)]
+            edges = []
+            for eid in range(rng.randint(0, 11)):
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.1 else rng.randrange(n)
+                if edges and rng.random() < 0.2:
+                    u, v = edges[-1].u, edges[-1].v
+                weight = rng.choice([1, 2, q, q * q + 1]) if trial % 2 else rng.choice([1, 3])
+                edges.append(Edge(eid, u, v, weight))
+            G = EmbeddedGraph(verts, edges, [])
+            expected = {}
+            for mask in range(1 << len(edges)):
+                ids = [e.id for e in edges if mask >> e.id & 1]
+                if is_valid_matching(G, ids):
+                    weight = LaurentPoly.one() if G.ring() == "laurent" else 1
+                    for eid in ids:
+                        weight = weight * G.edge(eid).weight
+                    expected[frozenset(ids)] = weight
+            ms = enumerate_matchings(G)
+            assert ms.count == len(expected) == len(ms.matchings)
+            assert dict(zip(ms.matchings, ms.weights)) == expected
+            zero = LaurentPoly.zero() if G.ring() == "laurent" else 0
+            assert ms.total_weight == sum(expected.values(), zero)
+            nonempty += bool(expected)
+        assert nonempty >= 30
+
+    def test_no_listing_above_list_guard(self):
+        G = grid_graph(6, 5)                       # 30 vertices > 28
+        ms = enumerate_matchings(G)
+        assert ms.count == 1183                    # domino tilings of 5 x 6
+        assert ms.matchings is None and ms.weights is None
+        small = enumerate_matchings(square_cycle(), list_guard=3)
+        assert small.count == 2 and small.matchings is None and small.weights is None
+
+    @pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 3)])
+    def test_q_weighted_box_is_macmahon_product(self, dims):
+        G = build_family_graph(FamilySpec("ppbox", *dims, q_mode="cube"))
+        assert polys_equal_up_to_unit(enumerate_matchings(G).total_weight,
+                                      macmahon_box_qgen(*dims))
 
 
 class TestRotation:
