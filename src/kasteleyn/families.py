@@ -23,7 +23,6 @@ from kasteleyn.graphs import (
     Edge,
     EmbeddedGraph,
     Vertex,
-    enumerate_matchings,
     kasteleyn_orient,
     kasteleyn_percus_sign,
     monogamous_resolution,

@@ -20,7 +20,6 @@ from kasteleyn.families import (
     build_aztec_graph,
     build_skew_graph,
     jacobi_trudi,
-    family_matrix,
 )
 from kasteleyn.graphs import (
     MONO,
@@ -31,13 +30,10 @@ from kasteleyn.graphs import (
     monogamous_resolution,
 )
 from kasteleyn.matrices import (
-    ExactMatrix,
     NormalFormFailure,
-    cokernel_of,
     determinant,
     laurent_smith_attempt,
     pfaffian,
-    ring_adapter,
     stable_invariants,
 )
 from kasteleyn.rings import (
@@ -421,29 +417,6 @@ def _round_instances(ceiling):
     return out
 
 
-def _sqfree_instances(ceiling):
-    out = []
-    for (a, b, c) in _ordered_triples(ceiling):
-        out.append((f"M({a},{b},{c};q)",
-                    FamilySpec(variant="ppbox", a=a, b=b, c=c, q_mode="cube"),
-                    "laurent"))
-    for a in range(1, ceiling // 3 + 1):
-        out.append((f"M_rho({a},{a},{a};q)",
-                    FamilySpec(variant="ppbox-quotient", a=a, b=a, c=a,
-                               group="rho", q_mode="cube"), "laurent"))
-    for dims in _tau_dims(ceiling):
-        a, b, _ = dims
-        for mode, tilde in (("cube", ""), ("orbit", "~")):
-            out.append((f"{tilde}A_tau({a},{b},{b};q)",
-                        FamilySpec(variant="ppbox-quotient", a=a, b=b, c=b,
-                                   group="tau", q_mode=mode), "laurent"))
-    for a in range(1, ceiling // 3 + 1):
-        out.append((f"~A_tau,rho({a},{a},{a};q)",
-                    FamilySpec(variant="ppbox-quotient", a=a, b=a, c=a,
-                               group="tau,rho", q_mode="orbit"), "laurent"))
-    return out
-
-
 def conjecture_suite(which, ceiling=8, guard=None):
     guard = oracle_guard() if guard is None else guard
     if which == "round":
@@ -482,7 +455,9 @@ def _run_round(ceiling, guard):
 
 def _run_sqfree(ceiling, guard):
     out = []
-    for label, spec, ring in _sqfree_instances(ceiling):
+    for label, spec, ring in _round_instances(ceiling):
+        if ring != "laurent" or spec.variant not in ("ppbox", "ppbox-quotient"):
+            continue
         inst = {"label": label, "spec": spec.to_json(), "ring": ring}
         try:
             rep = run_report(spec, ring, guard=guard)

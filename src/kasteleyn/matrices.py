@@ -1,9 +1,12 @@
 """Dense exact matrices and their normal forms.
 
 Rings are tagged: "z" (integers), "laurent" (Z[q, q^-1]), "qpoly" (Q[q]).
-Smith normal form is computed constructively over the two PIDs ("z",
-"qpoly"); over the Laurent ring a heuristic reduction either succeeds,
-exhibits a blocking pair, or gives up at an iteration limit.
+One Smith elimination driver serves all three; each ring adapter supplies
+the `reduce` step of an entry against the pivot.  Over the two PIDs ("z",
+"qpoly") a remainder is resolved by a Bezout step and the Smith normal form
+is computed constructively; over the Laurent ring, which is not a PID, the
+centered reduction makes it a heuristic that either succeeds, exhibits a
+blocking pair, or gives up at an iteration limit.
 
 Everything is exact; the Fourier duality matrix is the single
 floating-point surface and returns complex entries.
@@ -41,6 +44,7 @@ class NormalFormFailure(RuntimeError):
 
 class _IntRing:
     tag = "z"
+    pid = True
     zero = 0
     one = 1
 
@@ -75,6 +79,12 @@ class _IntRing:
         return q if r == 0 else None
 
     @staticmethod
+    def reduce(b, a):
+        """(t, r) with r = b - t * a: the exact quotient, else t = 0, r = b."""
+        q, r = divmod(b, a)
+        return (q, 0) if r == 0 else (0, b)
+
+    @staticmethod
     def gcdext(a, b):
         """(g, x, y) with g = xa + yb, g > 0."""
         old_r, r = a, b
@@ -104,6 +114,7 @@ class _IntRing:
 
 class _QPolyRing:
     tag = "qpoly"
+    pid = True
     zero = RationalPoly.zero()
     one = RationalPoly.one()
 
@@ -134,6 +145,12 @@ class _QPolyRing:
     @staticmethod
     def try_div(a, b):
         return a.try_divide(b)
+
+    @staticmethod
+    def reduce(b, a):
+        """(t, r) with r = b - t * a: the exact quotient, else t = 0, r = b."""
+        t = b.try_divide(a)
+        return (RationalPoly.zero(), b) if t is None else (t, RationalPoly.zero())
 
     @staticmethod
     def gcdext(a, b):
@@ -218,6 +235,7 @@ def _parse_qpoly_term(raw):
 
 class _LaurentRing:
     tag = "laurent"
+    pid = False
     zero = LaurentPoly.zero()
     one = LaurentPoly.one()
 
@@ -248,6 +266,11 @@ class _LaurentRing:
     @staticmethod
     def try_div(a, b):
         return a.try_divide(b)
+
+    @staticmethod
+    def reduce(b, a):
+        """(t, r) with r = b - t * a, by centered reduction."""
+        return _laurent_reduce(b, a)
 
     @staticmethod
     def size_key(a):
@@ -584,7 +607,7 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over a PID
+# Smith normal form: one elimination driver for every ring
 
 
 class SmithForm:
@@ -626,49 +649,11 @@ class SmithForm:
         return f"<SmithForm {self.shape} diag={[ad.to_str(d) for d in self.diagonal]}>"
 
 
-def _clear_cross(ws, k, ring):
-    """Make row k and column k zero outside (k, k); pivot may shrink to the
-    gcd of what it meets. Returns after a pass that met no nonzero entry."""
-    m, n, A = ws.m, ws.n, ws.A
-    while True:
-        dirty = False
-        for i in range(k + 1, m):
-            b = A[i][k]
-            if ring.is_zero(b):
-                continue
-            dirty = True
-            a = A[k][k]
-            q = ring.try_div(b, a)
-            if q is not None:
-                ws.addmul_row(i, k, -q)
-            else:
-                g, x, y = ring.gcdext(a, b)
-                ap = ring.try_div(a, g)
-                bp = ring.try_div(b, g)
-                ws.mix_rows(k, i, x, y, -bp, ap)
-        for j in range(k + 1, n):
-            b = A[k][j]
-            if ring.is_zero(b):
-                continue
-            dirty = True
-            a = A[k][k]
-            q = ring.try_div(b, a)
-            if q is not None:
-                ws.addmul_col(j, k, -q)
-            else:
-                g, x, y = ring.gcdext(a, b)
-                ap = ring.try_div(a, g)
-                bp = ring.try_div(b, g)
-                ws.mix_cols(k, j, x, y, -bp, ap)
-        if not dirty:
-            return
-
-
 def _pick_pivot(ring, A, k):
     """(i, j) of the pivot in the block A[k:][k:]: the first unit in
     row-major order, else the first entry of least size; None when the block
-    is zero.  Over "z" a unit is an entry of least size, so both rules pick
-    the same entry there."""
+    is zero.  Over "z" and "laurent" the units are exactly the entries of
+    least size, so this is the first of the block's (size, row, col) order."""
     best = None
     for i in range(k, len(A)):
         row = A[i]
@@ -684,45 +669,119 @@ def _pick_pivot(ring, A, k):
     return None if best is None else best[1:]
 
 
-def _pid_smith(M, transforms):
-    """The Smith elimination over a PID shared by `smith_normal_form` and
-    `_smith_diagonal`; returns the finished workspace, diagonal in place.
+def _smith(ws, max_steps=None):
+    """The Smith elimination for every ring tag, in place on `ws` (with or
+    without its transforms).  Returns None when the diagonal is reached,
+    else (outcome, pair, k) for the pivot k where it stopped: "witnessed"
+    with the stuck pair (pivot, r) once every candidate pivot got stuck, or
+    "inconclusive" with pair None past `max_steps` operations.
 
-    The cross of the pivot is cleared with exact quotients and determinant-1
-    Bezout mixes; an interior entry that the pivot fails to divide is pulled
-    into the pivot row and mixed in.  A unit pivot divides everything, so
-    that interior scan is skipped."""
-    if M.ring == "laurent":
-        raise DomainError("laurent matrices go through laurent_smith_attempt")
-    ring = ring_adapter(M.ring)
-    ws = _Workspace(M, transforms)
-    m, n, A = ws.m, ws.n, ws.A
-    k = 0
-    while k < min(m, n):
+    Each pivot is unit-normalized once its cross is clear and it divides the
+    rest of its block.  When a pivot gets stuck (only over the Laurent ring),
+    the later candidates are tried in (size, row, col) order."""
+    ring, A = ws.ad, ws.A
+    for k in range(min(ws.m, ws.n)):
         pivot = _pick_pivot(ring, A, k)
         if pivot is None:
             break
-        ws.swap_rows(k, pivot[0])
-        ws.swap_cols(k, pivot[1])
+        tried = 0
         while True:
-            _clear_cross(ws, k, ring)
-            if ring.is_unit(A[k][k]):
+            ws.swap_rows(k, pivot[0])
+            ws.swap_cols(k, pivot[1])
+            failure = _clear_pivot(ws, ring, k, max_steps)
+            if failure is None or failure[0] == "inconclusive":
                 break
-            bad = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if not ring.is_zero(A[i][j]) and ring.try_div(A[i][j], A[k][k]) is None:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+            tried += 1
+            candidates = sorted(
+                (ring.size_key(A[i][j]), i, j)
+                for i in range(k, ws.m)
+                for j in range(k, ws.n)
+                if not ring.is_zero(A[i][j])
+            )
+            if tried >= len(candidates):
                 break
-            ws.addmul_row(k, bad, ring.one)
+            pivot = candidates[tried][1:]
+        if failure is not None:
+            return failure + (k,)
         u, normal = ring.unit_and_normal(A[k][k])
-        if not ring.is_zero(A[k][k]) and A[k][k] != normal:
+        if A[k][k] != normal:
             ws.scale_row(k, ring.unit_inverse(u))
-        k += 1
+    return None
+
+
+def _clear_pivot(ws, ring, k, max_steps):
+    """Pass over row k and column k until they are zero outside the pivot
+    (k, k) and the pivot divides every entry below and right of it.  Once
+    the cross is clear, an interior entry the pivot fails to divide is added
+    into the pivot row and the passes go on; a unit pivot divides
+    everything, so that scan is skipped.  Returns None when done,
+    ("witnessed", (pivot, r)) after a pass that applied no operation, or
+    ("inconclusive", None) past max_steps operations."""
+    m, n, A = ws.m, ws.n, ws.A
+    while True:
+        if max_steps is not None and ws.ops > max_steps:
+            return "inconclusive", None
+        ops = ws.ops
+        stuck = None
+        for i in range(k + 1, m):
+            if not ring.is_zero(A[i][k]):
+                stuck = _reduce_entry(
+                    ws, ring, k, i, A[i][k], ws.addmul_row, ws.mix_rows, ws.swap_rows
+                ) or stuck
+        for j in range(k + 1, n):
+            if not ring.is_zero(A[k][j]):
+                stuck = _reduce_entry(
+                    ws, ring, k, j, A[k][j], ws.addmul_col, ws.mix_cols, ws.swap_cols
+                ) or stuck
+        if all(ring.is_zero(A[i][k]) for i in range(k + 1, m)) and all(
+            ring.is_zero(A[k][j]) for j in range(k + 1, n)
+        ):
+            p = A[k][k]
+            if ring.is_unit(p):
+                return None
+            bad = next(
+                (i for i in range(k + 1, m) if any(
+                    not ring.is_zero(x) and ring.try_div(x, p) is None
+                    for x in A[i][k + 1:]
+                )),
+                None,
+            )
+            if bad is None:
+                return None
+            ws.addmul_row(k, bad, ring.one)
+        if ws.ops == ops:
+            return "witnessed", stuck
+
+
+def _reduce_entry(ws, ring, k, i, b, addmul, mix, swap):
+    """Reduce the nonzero entry b at (i, k) against the pivot p at (k, k):
+    subtract t * pivot row with (t, r) = ring.reduce(b, p), then resolve a
+    nonzero remainder r.  Over a PID a determinant-1 Bezout mix puts
+    gcd(p, r) at (k, k); over the Laurent ring r is swapped in as the pivot
+    when it is smaller, and otherwise (p, r) is returned as stuck.  Called
+    with the column operations, b sits at (k, i) instead."""
+    p = ws.A[k][k]
+    t, r = ring.reduce(b, p)
+    if not ring.is_zero(t):
+        addmul(i, k, -t)
+    if ring.is_zero(r):
+        return None
+    if ring.pid:
+        g, x, y = ring.gcdext(p, r)
+        mix(k, i, x, y, -ring.try_div(r, g), ring.try_div(p, g))
+    elif ring.size_key(r) < ring.size_key(p):
+        swap(k, i)
+    else:
+        return p, r
+    return None
+
+
+def _pid_smith(M, transforms):
+    """`_smith` over a PID ("z" or "qpoly"); returns the finished workspace."""
+    if M.ring == "laurent":
+        raise DomainError("laurent matrices go through laurent_smith_attempt")
+    ws = _Workspace(M, transforms)
+    _smith(ws)
     return ws
 
 
@@ -959,14 +1018,14 @@ class NormalFormAttempt:
 
 
 def _laurent_reduce(b, p):
-    """Reduce b modulo ring multiples of p; returns (remainder, multiplier)
+    """Reduce b modulo ring multiples of p; returns (multiplier, remainder)
     with remainder = b - multiplier * p, multiplier in Z[q, q^-1]."""
     t = LaurentPoly.zero()
     r = b
     while not r.is_zero():
         full = r.try_divide(p)
         if full is not None:
-            return LaurentPoly.zero(), t + full
+            return t + full, LaurentPoly.zero()
         if p.span == 0:
             # p is c * q^k; reduce every coefficient of r mod |c|
             c = abs(p.trailing_coeff())
@@ -980,7 +1039,7 @@ def _laurent_reduce(b, p):
                 if qq:
                     step[e - k] = qq * psign
             if not step:
-                return r, t
+                return t, r
             mono = LaurentPoly(step)
             t = t + mono
             r = r - mono * p
@@ -1007,7 +1066,7 @@ def _laurent_reduce(b, p):
             if best is None:
                 step = _lattice_step(r, p)
                 if step is None:
-                    return r, t
+                    return t, r
                 t = t + step[0]
                 r = step[1]
                 continue
@@ -1016,10 +1075,10 @@ def _laurent_reduce(b, p):
             continue
         step = _lattice_step(r, p)
         if step is None:
-            return r, t
+            return t, r
         t = t + step[0]
         r = step[1]
-    return r, t
+    return t, r
 
 
 def _centered_quotient(a, b):
@@ -1062,166 +1121,34 @@ def _laurent_size(f):
 
 
 def laurent_smith_attempt(M, max_steps=10000):
-    """Heuristic Smith reduction over Z[q, q^-1]: unit-normalize, then
-    alternate exact divisions, degree reduction and integer-content
-    reduction; succeed with a divisibility-chained diagonal, or stop with a
-    blocking 2x2 witness, or give up at the step limit."""
+    """Heuristic Smith reduction over Z[q, q^-1]: unit-normalize the rows,
+    then run the shared elimination with centered reductions (exact
+    division, degree reduction and integer-content reduction); succeed with
+    a divisibility-chained diagonal, or stop with a blocking 2x2 witness, or
+    give up at the step limit."""
     if M.ring != "laurent":
         M = M.map_ring("laurent", LaurentPoly.coerce)
     ring = ring_adapter("laurent")
     ws = _Workspace(M)
-    m, n, A = ws.m, ws.n, ws.A
-
-    def fail(outcome, witness=None, k=0):
-        _, L, R = ws.matrices()
-        res = None
-        if k < min(m, n):
-            res = ExactMatrix.from_rows(
-                [[A[i][j] for j in range(k, n)] for i in range(k, m)], "laurent"
-            )
-        return NormalFormAttempt(outcome, witness=witness, residual=res,
-                                 left=L, right=R, iterations=ws.ops)
-
-    # initial unit normalization of rows
+    m, n = ws.m, ws.n
     for i in range(m):
-        for x in A[i]:
+        for x in ws.A[i]:
             if not x.is_zero():
                 u, _ = ring.unit_and_normal(x)
                 if not u.is_one():
                     ws.scale_row(i, ring.unit_inverse(u))
                 break
-
-    def clear_cross(k):
-        """Try to clear row/column k around the pivot at (k, k).  Returns
-        None on success, ("witnessed", pair) when a full pass cannot move,
-        ("inconclusive", None) at the step limit."""
-        while True:
-            if ws.ops > max_steps:
-                return ("inconclusive", None)
-            moved = False
-            stuck = None
-            for i in range(k + 1, m):
-                b = A[i][k]
-                if b.is_zero():
-                    continue
-                p = A[k][k]
-                r, t = _laurent_reduce(b, p)
-                if not t.is_zero():
-                    ws.addmul_row(i, k, -t)
-                    moved = True
-                if r.is_zero():
-                    continue
-                if ring.size_key(r) < ring.size_key(p):
-                    ws.swap_rows(k, i)
-                    moved = True
-                else:
-                    stuck = (p, r)
-            for j in range(k + 1, n):
-                b = A[k][j]
-                if b.is_zero():
-                    continue
-                p = A[k][k]
-                r, t = _laurent_reduce(b, p)
-                if not t.is_zero():
-                    ws.addmul_col(j, k, -t)
-                    moved = True
-                if r.is_zero():
-                    continue
-                if ring.size_key(r) < ring.size_key(p):
-                    ws.swap_cols(k, j)
-                    moved = True
-                else:
-                    stuck = (p, r)
-            cross_clear = all(A[i][k].is_zero() for i in range(k + 1, m)) and all(
-                A[k][j].is_zero() for j in range(k + 1, n)
-            )
-            if cross_clear:
-                bad = None
-                for i in range(k + 1, m):
-                    for j in range(k + 1, n):
-                        if not A[i][j].is_zero() and A[i][j].try_divide(A[k][k]) is None:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    return None
-                ws.addmul_row(k, bad, LaurentPoly.one())
-                moved = True
-            if not moved:
-                p, r = stuck if stuck else (A[k][k], None)
-                witness = (p.normal(), r.normal()) if r is not None else (p.normal(),)
-                return ("witnessed", witness)
-
-    def diagonalize(start):
-        """Reduce the submatrix at (start, start) onward to diagonal form.
-        Returns None, or ("witnessed", pair, k) / ("inconclusive", None, k).
-        A stuck pivot is retried with every other candidate entry before a
-        witness is reported."""
-        k = start
-        while k < min(m, n):
-            candidates = sorted(
-                (ring.size_key(A[i][j]), i, j)
-                for i in range(k, m)
-                for j in range(k, n)
-                if not A[i][j].is_zero()
-            )
-            if not candidates:
-                break
-            outcome = None
-            tried = 0
-            while True:
-                candidates = sorted(
-                    (ring.size_key(A[i][j]), i, j)
-                    for i in range(k, m)
-                    for j in range(k, n)
-                    if not A[i][j].is_zero()
-                )
-                if tried >= len(candidates):
-                    break
-                _, bi, bj = candidates[tried]
-                ws.swap_rows(k, bi)
-                ws.swap_cols(k, bj)
-                outcome = clear_cross(k)
-                if outcome is None or outcome[0] == "inconclusive":
-                    break
-                tried += 1
-            if outcome is not None:
-                return (outcome[0], outcome[1], k)
-            u, _ = ring.unit_and_normal(A[k][k])
-            if not u.is_one():
-                ws.scale_row(k, ring.unit_inverse(u))
-            k += 1
-        return None
-
-    outcome = diagonalize(0)
-    if outcome is not None:
-        return fail(outcome[0], witness=outcome[1], k=outcome[2])
-
-    # divisibility chain repair: pull a violating later entry into the
-    # earlier row and re-diagonalize from there
-    while True:
-        broken = None
-        for i in range(min(m, n) - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a.is_zero() or b.is_zero():
-                continue
-            if b.try_divide(a) is None:
-                broken = i
-                break
-        if broken is None:
-            break
-        if ws.ops > max_steps:
-            return fail("inconclusive", k=broken)
-        ws.addmul_row(broken, broken + 1, LaurentPoly.one())
-        outcome = diagonalize(broken)
-        if outcome is not None:
-            return fail(outcome[0], witness=outcome[1], k=outcome[2])
-
-    Afin, L, R = ws.matrices()
-    diag = [Afin[i, i] for i in range(min(m, n))]
-    form = SmithForm("laurent", (m, n), diag, L, R)
-    return NormalFormAttempt("success", smith=form, iterations=ws.ops)
+    failure = _smith(ws, max_steps)
+    A, L, R = ws.matrices()
+    if failure is None:
+        diag = [A[i, i] for i in range(min(m, n))]
+        form = SmithForm("laurent", (m, n), diag, L, R)
+        return NormalFormAttempt("success", smith=form, iterations=ws.ops)
+    outcome, pair, k = failure
+    witness = None if pair is None else tuple(x.normal() for x in pair)
+    residual = ExactMatrix.from_rows([row[k:] for row in ws.A[k:]], "laurent")
+    return NormalFormAttempt(outcome, witness=witness, residual=residual,
+                             left=L, right=R, iterations=ws.ops)
 
 
 # ---------------------------------------------------------------------------

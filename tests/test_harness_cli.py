@@ -70,6 +70,14 @@ class TestConjectureSuites:
         b = [(v.instance["label"], v.verdict) for v in conjecture_suite("round", 4)]
         assert a == b
 
+    def test_sqfree_instances(self):
+        labels = [v.instance["label"] for v in conjecture_suite("sqfree", 4)]
+        assert labels == [
+            "M(1,1,1;q)", "M(1,1,2;q)", "M_rho(1,1,1;q)", "A_tau(1,1,1;q)",
+            "~A_tau(1,1,1;q)", "A_tau(2,1,1;q)", "~A_tau(2,1,1;q)",
+            "~A_tau,rho(1,1,1;q)",
+        ]
+
     def test_qm1_covers_every_tuple(self):
         verdicts = conjecture_suite("q-minus-one", 4)
         assert verdicts

@@ -372,8 +372,23 @@ class TestLaurentAttempt:
             if out.success:
                 out.smith.verify(M)
 
+    def test_integer_matrices_match_pid_invariants(self):
+        # constant entries take the span-0 reduction and the swap-if-smaller
+        # step; the result must agree with the Smith form over Z
+        rng = random.Random(23)
+        for _ in range(300):
+            M = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            ML = M.map_ring("laurent", LaurentPoly.coerce)
+            out = laurent_smith_attempt(ML)
+            assert out.success, M.entries
+            got = stable_invariants(ML, out.smith)
+            want = stable_invariants(M)
+            assert got.free_rank == want.free_rank, M.entries
+            assert list(got.factors) == [LaurentPoly.coerce(f) for f in want.factors], M.entries
+
     def test_iteration_limit(self):
-        # broken chain forces repair work, which the tiny budget cannot afford
+        # the pivot (2)_q does not divide (3)_q: the interior absorb and the
+        # reductions after it take 8 operations, which the tiny budget cannot afford
         M = ExactMatrix.diagonal([q_integer(3), q_integer(2)], "laurent")
         out = laurent_smith_attempt(M, max_steps=1)
         assert out.outcome == "inconclusive"
