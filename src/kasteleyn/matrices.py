@@ -18,6 +18,7 @@ import cmath
 import math
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from kasteleyn.rings import (
     DomainError,
@@ -274,8 +275,9 @@ class _LaurentRing:
 
     @staticmethod
     def size_key(a):
-        f = a.normal()
-        return (f.span, f.num_terms(), max(abs(c) for _, c in f.items()))
+        # invariant under units +-q^k, so read off a itself, not a.normal()
+        t = a._terms
+        return (max(t) - min(t), len(t), max(abs(c) for c in t.values()))
 
     @staticmethod
     def to_str(a, compact=False):
@@ -1049,19 +1051,20 @@ def _laurent_reduce(b, p):
             # quotients (halved remainders control coefficient growth);
             # pick whichever end shrinks the entry more
             best = None
+            base = _laurent_size(r)
             q_top = _centered_quotient(r.leading_coeff(), p.leading_coeff())
             if q_top:
                 f = LaurentPoly.q_power(r.max_exp - p.max_exp, q_top)
                 r2 = r - f * p
                 s2 = _laurent_size(r2)
-                if s2 < _laurent_size(r):
+                if s2 < base:
                     best = (s2, f, r2)
             q_bot = _centered_quotient(r.trailing_coeff(), p.trailing_coeff())
             if q_bot:
                 f = LaurentPoly.q_power(r.min_exp - p.min_exp, q_bot)
                 r2 = r - f * p
                 s2 = _laurent_size(r2)
-                if s2 < _laurent_size(r) and (best is None or s2 < best[0]):
+                if s2 < base and (best is None or s2 < best[0]):
                     best = (s2, f, r2)
             if best is None:
                 step = _lattice_step(r, p)
@@ -1092,32 +1095,65 @@ def _centered_quotient(a, b):
 def _lattice_step(r, p):
     """Size-reduction against monomial multiples of p: find c * q^s with
     r - c q^s p strictly smaller (projection with a centered coefficient);
-    None when no shift helps."""
-    pp = sum(c * c for _, c in p.items())
-    base = _laurent_size(r)
+    None when no shift helps.
+
+    Works on the coefficient lists: a candidate changes r only in the
+    window where c q^s p lands, so its size is r's size updated over that
+    window, and only the winner is built as a polynomial."""
+    lo_r, R = r._dense()
+    lo_p, P = p._dense()
+    nr, np_ = len(R), len(P)
+    pp = sum(map(mul, P, P))
+    l1 = sum(map(abs, R))
+    base = (nr - 1, abs(R[-1]), abs(R[0]), l1)
     best = None
-    for s in range(r.min_exp - p.max_exp, r.max_exp - p.min_exp + 1):
-        dot = 0
-        for e, c in p.items():
-            dot += c * r.coeff(e + s)
-        c0 = _centered_quotient(dot, pp)
+    # o = index in R where P[0] lands, i.e. the shift s = o + lo_r - lo_p
+    for o in range(1 - np_, nr):
+        lo, hi = max(o, 0), min(o + np_, nr)
+        overlap = R[lo:hi]
+        c0 = _centered_quotient(sum(map(mul, P[lo - o:hi - o], overlap)), pp)
+        rest = l1 - sum(map(abs, overlap))
         for c in {c0, c0 + 1, c0 - 1} - {0}:
-            f = LaurentPoly.q_power(s, c)
-            r2 = r - f * p
-            s2 = _laurent_size(r2)
+            win = [-c * x for x in P]
+            for i in range(lo, hi):
+                win[i - o] += R[i]
+            s2 = _window_size(R, o, win, rest)
             if s2 < base and (best is None or s2 < best[0]):
-                best = (s2, f, r2)
+                best = (s2, o, c)
     if best is None:
         return None
-    return best[1], best[2]
+    f = LaurentPoly.q_power(best[1] + lo_r - lo_p, best[2])
+    return f, r - f * p
+
+
+def _window_size(R, o, win, rest):
+    """_laurent_size of the coefficient list R with the entries from index o
+    on replaced by win, where win overlaps R and may overhang either end;
+    rest is the L1 norm of R outside the window."""
+    l1 = rest + sum(map(abs, win))
+    if not l1:
+        return (-1, 0, 0, 0)
+    end = o + len(win)
+
+    def at(i):
+        return win[i - o] if o <= i < end else R[i]
+
+    top = max(len(R), end) - 1
+    while not at(top):
+        top -= 1
+    bot = min(0, o)
+    while not at(bot):
+        bot += 1
+    return (top - bot, abs(at(top)), abs(at(bot)), l1)
 
 
 def _laurent_size(f):
+    # invariant under units +-q^k, so read off f itself, not f.normal()
     if f.is_zero():
         return (-1, 0, 0, 0)
-    g = f.normal()
-    return (g.span, abs(g.leading_coeff()), abs(g.trailing_coeff()),
-            sum(abs(c) for _, c in g.items()))
+    t = f._terms
+    lo, hi = min(t), max(t)
+    return (hi - lo, abs(t[hi]), abs(t[lo]), sum(abs(c) for c in t.values()))
 
 
 def laurent_smith_attempt(M, max_steps=10000):
@@ -1326,23 +1362,36 @@ def determinant(M):
     if n == 0:
         return ring.one
     A = M.to_lists()
+    is_zero = ring.is_zero
     sign = 1
     prev = ring.one
     for k in range(n - 1):
-        if ring.is_zero(A[k][k]):
-            piv = next((i for i in range(k + 1, n) if not ring.is_zero(A[i][k])), None)
+        if is_zero(A[k][k]):
+            piv = next((i for i in range(k + 1, n) if not is_zero(A[i][k])), None)
             if piv is None:
                 return ring.zero
             A[k], A[piv] = A[piv], A[k]
             sign = -sign
+        pivot, row_k = A[k][k], A[k]
+        zero_k = [is_zero(x) for x in row_k]
         for i in range(k + 1, n):
+            row = A[i]
+            a_ik = row[k]
+            zero_ik = is_zero(a_ik)
             for j in range(k + 1, n):
-                num = A[i][j] * A[k][k] - A[i][k] * A[k][j]
+                cross = not (zero_ik or zero_k[j])
+                # without the cross term a zero entry stays 0 * pivot / prev = 0
+                # (Kasteleyn matrices are sparse, so most updates are skipped)
+                if not cross and is_zero(row[j]):
+                    continue
+                num = row[j] * pivot
+                if cross:
+                    num = num - a_ik * row_k[j]
                 q = ring.try_div(num, prev)
                 if q is None:
                     raise ExactDivisionError("Bareiss division failed")
-                A[i][j] = q
-            A[i][k] = ring.zero
+                row[j] = q
+            row[k] = ring.zero
         prev = A[k][k]
     d = A[n - 1][n - 1]
     return -d if sign < 0 else d

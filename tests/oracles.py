@@ -1,8 +1,9 @@
 """Independent brute-force oracles used across the test suite: plane
-partitions as cube sets, symmetry actions on cubes, skew tableaux, and
-Schur specializations."""
+partitions as cube sets, symmetry actions on cubes, skew tableaux,
+Schur specializations, the permutation expansion of a determinant and a
+candidate-by-candidate Laurent lattice step."""
 
-from itertools import product
+from itertools import permutations, product
 
 from kasteleyn.rings import LaurentPoly, q_integer
 
@@ -190,3 +191,51 @@ def skew_tableaux_qgen(lam, mu, a):
 
     rec(0, {}, 0)
     return total
+
+
+def permutation_det(grid):
+    """Leibniz expansion of the determinant of a square grid; exact for
+    int and Fraction entries."""
+    n = len(grid)
+    total = 0
+    for perm in permutations(range(n)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = (-1) ** inv
+        for i in range(n):
+            term *= grid[i][perm[i]]
+        total += term
+    return total
+
+
+def lattice_step_reference(r, p):
+    """The Laurent lattice step, building every candidate polynomial: over
+    the shifts s that overlap r, take the centered projection c0 of r on
+    q^s p and try r - c q^s p for c in {c0, c0 + 1, c0 - 1} - {0}; return
+    (c q^s, r - c q^s p) for the first strictly smallest candidate by
+    (span, |lead|, |trail|, L1 norm) if it is smaller than r, else None."""
+
+    def size(f):
+        if f.is_zero():
+            return (-1, 0, 0, 0)
+        g = f.normal()
+        return (g.span, abs(g.leading_coeff()), abs(g.trailing_coeff()),
+                sum(abs(c) for _, c in g.items()))
+
+    def centered(a, b):
+        q, rem = divmod(a, b)
+        if 2 * abs(rem) > abs(b):
+            q += 1 if b > 0 else -1
+        return q
+
+    pp = sum(c * c for _, c in p.items())
+    base = size(r)
+    best = None
+    for s in range(r.min_exp - p.max_exp, r.max_exp - p.min_exp + 1):
+        c0 = centered(sum(c * r.coeff(e + s) for e, c in p.items()), pp)
+        for c in {c0, c0 + 1, c0 - 1} - {0}:
+            f = LaurentPoly.q_power(s, c)
+            r2 = r - f * p
+            s2 = size(r2)
+            if s2 < base and (best is None or s2 < best[0]):
+                best = (s2, f, r2)
+    return None if best is None else (best[1], best[2])

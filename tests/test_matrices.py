@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from math import comb, prod
 
 import pytest
+
+from oracles import lattice_step_reference, permutation_det
 
 from kasteleyn.families import FamilySpec, family_matrix, jacobi_trudi
 from kasteleyn.matrices import (
@@ -9,6 +12,7 @@ from kasteleyn.matrices import (
     ExactMatrix,
     GuardExceeded,
     NormalFormFailure,
+    _lattice_step,
     _smith_diagonal,
     alternating_smith_form,
     cokernel_of,
@@ -230,22 +234,11 @@ class TestDeterminant:
         assert determinant(M) == q_integer(2) * q_integer(5)
 
     def test_against_permutation_expansion(self):
-        from itertools import permutations
-
         rng = random.Random(6)
         for _ in range(25):
             n = rng.randint(1, 4)
             M = random_int_matrix(rng, n, n, -5, 5)
-            brute = 0
-            for perm in permutations(range(n)):
-                inv = sum(
-                    1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-                )
-                term = (-1) ** inv
-                for i in range(n):
-                    term *= M[i, perm[i]]
-                brute += term
-            assert determinant(M) == brute
+            assert determinant(M) == permutation_det(M.to_lists())
 
     def test_laurent_determinant_exact(self):
         rng = random.Random(8)
@@ -259,16 +252,53 @@ class TestDeterminant:
                 for _ in range(n)
             ]
             M = ExactMatrix.from_rows(grid, "laurent")
-            # oracle: evaluate at q = 2 exactly and compare with integer det
-            at2 = ExactMatrix.from_rows(
-                [[x.evaluate(2) * 2 ** 8 // 2 ** 8 for x in row] for row in grid], "z"
-            ) if all(
-                not isinstance(x.evaluate(2), float) and x.evaluate(2) == int(x.evaluate(2))
-                for row in grid for x in row
-            ) else None
-            d = determinant(M)
-            if at2 is not None:
-                assert d.evaluate(2) == determinant(at2)
+            # oracle: evaluate at q = 2 exactly (entries may be Fractions)
+            at2 = [[Fraction(x.evaluate(2)) for x in row] for row in grid]
+            assert determinant(M).evaluate(2) == permutation_det(at2)
+
+    def test_sparse_against_permutation_expansion(self):
+        # about two thirds of the entries zero: most Bareiss updates have a
+        # zero target and a zero factor, and are skipped
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            grid = [[rng.randint(-5, 5) if rng.random() < 1 / 3 else 0
+                     for _ in range(n)] for _ in range(n)]
+            assert determinant(Z(grid)) == permutation_det(grid)
+
+    def test_sparse_row_swap_and_singular(self):
+        # zero leading entry: the first pivot comes from a row swap, after
+        # which the zero target (3, 2) has two nonzero factors and turns -5
+        grid = [[0, 3, 0, 0], [2, 0, 1, 0], [0, 0, 0, 4], [5, 0, 0, 1]]
+        assert determinant(Z(grid)) == permutation_det(grid) == -60
+        # the zero target (2, 1) turns nonzero because (2, 0) and (0, 1) are not
+        grid = [[1, 2, 0], [0, 1, 1], [3, 0, 1]]
+        assert determinant(Z(grid)) == permutation_det(grid) == 7
+        singular = [
+            [[0, 2, 0], [0, 0, 3], [0, 1, 0]],
+            [[1, 0, 2, 0], [0, 0, 0, 0], [3, 0, 1, 0], [0, 4, 0, 5]],
+            [[0, 1, 0, 0], [2, 0, 0, 4], [0, 3, 0, 0], [1, 0, 0, 2]],
+        ]
+        for grid in singular:
+            assert permutation_det(grid) == 0
+            assert determinant(Z(grid)) == 0
+
+    def test_sparse_laurent_determinant(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            grid = [
+                [
+                    LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3),
+                                 rng.randint(-2, 2): rng.randint(-3, 3)})
+                    if rng.random() < 1 / 3 else LaurentPoly.zero()
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            d = determinant(ExactMatrix.from_rows(grid, "laurent"))
+            at2 = [[Fraction(x.evaluate(2)) for x in row] for row in grid]
+            assert d.evaluate(2) == permutation_det(at2)
 
 
 class TestPfaffian:
@@ -371,6 +401,37 @@ class TestLaurentAttempt:
             out = laurent_smith_attempt(M)
             if out.success:
                 out.smith.verify(M)
+
+    def test_lattice_step_matches_reference(self):
+        rng = random.Random(41)
+
+        def poly():
+            # small coefficients make ties between candidates likely
+            lo, bound = rng.randint(-4, 4), rng.choice((2, 20))
+            terms = {lo + e: rng.randint(-bound, bound) for e in range(rng.randint(0, 8) + 1)}
+            terms[lo] = terms[lo] or 1
+            terms[max(terms)] = terms[max(terms)] or -1
+            return LaurentPoly(terms)
+
+        found = 0
+        for _ in range(400):
+            r, p = poly(), poly()
+            want = lattice_step_reference(r, p)
+            assert _lattice_step(r, p) == want
+            found += want is not None
+        assert 100 < found < 400
+
+    def test_box_333_witness_pinned(self):
+        M, _ = family_matrix(FamilySpec("ppbox", 3, 3, 3, q_mode="cube"))
+        out = laurent_smith_attempt(M)
+        assert out.outcome == "witnessed"
+        assert out.iterations == 173
+        assert [str(w) for w in out.witness] == [
+            "-52 - 23*q - 22*q^2 - 20*q^3 - 45*q^4 + 10*q^5 + 10*q^6 + 62*q^7"
+            " + 33*q^8 + 32*q^9 + 30*q^10 + 55*q^11",
+            "25 - 28*q - 28*q^2 - 28*q^3 - 28*q^4 - 80*q^5 - 53*q^6 - 77*q^7"
+            " - 24*q^8 - 24*q^9 - 24*q^10 - 24*q^11 + 28*q^12 + q^13",
+        ]
 
     def test_integer_matrices_match_pid_invariants(self):
         # constant entries take the span-0 reduction and the swap-if-smaller
