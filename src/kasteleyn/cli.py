@@ -69,9 +69,15 @@ def _add_family_args(p):
 
 
 def _add_common(p):
-    p.add_argument("--format", default="json", choices=["json", "csv", "text"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+
+
+def _add_format(p):
+    p.add_argument("--format", default="json", choices=["json", "csv", "text"])
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _emit(args, text):
@@ -101,12 +107,14 @@ def build_parser():
     p = sub.add_parser("matrix", help="emit the family matrix in text form")
     _add_family_args(p)
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--ring", default="z", choices=["z", "laurent", "qpoly", "z@q0"])
     p.add_argument("--q0", type=int, default=-1)
 
     p = sub.add_parser("snf", help="Smith normal form report")
     _add_family_args(p)
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--ring", default="z", choices=["z", "laurent", "qpoly", "z@q0"])
     p.add_argument("--q0", type=int, default=-1)
     p.add_argument("--transforms", action="store_true")
@@ -114,22 +122,26 @@ def build_parser():
     p = sub.add_parser("coker", help="cokernel of the integer family matrix")
     _add_family_args(p)
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--q0", type=int, default=-1)
     p.add_argument("--ring", default="z", choices=["z", "z@q0"])
 
     p = sub.add_parser("report", help="full report record for one instance")
     _add_family_args(p)
     _add_common(p)
+    _add_format(p)
     p.add_argument("--ring", default="z", choices=["z", "laurent", "qpoly", "z@q0"])
     p.add_argument("--q0", type=int, default=-1)
 
     p = sub.add_parser("conjecture", help="run a conjecture probe suite")
     _add_common(p)
+    _add_format(p)
     p.add_argument("--id", required=True, choices=["round", "sqfree", "q-minus-one"])
     p.add_argument("--ceiling", type=int, default=8)
 
     p = sub.add_parser("verify", help="verify a theorem suite")
     _add_common(p)
+    _add_format(p)
     p.add_argument("--which", required=True, choices=["jt", "aztec"])
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--ceiling", type=int, default=None)
@@ -137,6 +149,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="matching count (frontier dynamic program)")
     _add_family_args(p)
     _add_common(p)
+    _add_format(p)
     return ap
 
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from functools import reduce
 
 from kasteleyn.graphs import (
-    EVEN,
     MONO,
-    ODD,
     Edge,
     EmbeddedGraph,
     Vertex,
@@ -30,6 +29,8 @@ from kasteleyn.graphs import (
     rotation_at,
     trace_faces,
     _corner_map,
+    _cut_and_tie,
+    _cut_components,
     _insert_entries,
     _Surgeon,
 )
@@ -99,18 +100,22 @@ _VARIANTS = (
     "delannoy",
 )
 
-_GROUPS = (
-    "1",
-    "rho",
-    "tau",
-    "kappa",
-    "rho,kappa",
-    "kappa-tau",
-    "kappa-tau,rho",
-    "tau,kappa",
-    "tau,rho",
-    "tau,rho,kappa",
-)
+# The ten symmetry groups, each listed as its elements in a fixed order
+# (identity first), spelled as words over the generators r = rho (rotation
+# by a third of a turn), k = kappa (complementation, the half-turn) and
+# t = tau (transposition, a reflection); the rightmost letter acts first.
+_GROUPS = {
+    "1": ("",),
+    "rho": ("", "r", "rr"),
+    "tau": ("", "t"),
+    "kappa": ("", "k"),
+    "rho,kappa": ("", "r", "rr", "k", "kr", "krr"),
+    "kappa-tau": ("", "kt"),
+    "kappa-tau,rho": ("", "r", "rr", "kt", "ktr", "ktrr"),
+    "tau,kappa": ("", "t", "k", "kt"),
+    "tau,rho": ("", "r", "rr", "t", "tr", "trr"),
+    "tau,rho,kappa": ("", "r", "rr", "k", "kr", "krr", "t", "tr", "trr", "tk", "tkr", "tkrr"),
+}
 
 
 @dataclass
@@ -139,8 +144,6 @@ class FamilySpec:
         self.mu = tuple(self.mu)
         if min(self.a, self.b, self.c, self.n, 0) < 0:
             raise DomainError("parameters must be nonnegative")
-        if "rho" in self.group.split(",") or self.group.startswith("kappa-tau,rho"):
-            pass
         if _needs_rho(self.group) and not (self.a == self.b == self.c):
             raise DomainError(f"group {self.group} needs a = b = c")
         if _needs_tau(self.group) and self.b != self.c:
@@ -155,11 +158,11 @@ class FamilySpec:
 
 
 def _needs_rho(group):
-    return group in ("rho", "rho,kappa", "kappa-tau,rho", "tau,rho", "tau,rho,kappa")
+    return any("r" in word for word in _GROUPS[group])
 
 
 def _needs_tau(group):
-    return group in ("tau", "kappa-tau", "kappa-tau,rho", "tau,kappa", "tau,rho", "tau,rho,kappa")
+    return any("t" in word for word in _GROUPS[group])
 
 
 # ---------------------------------------------------------------------------
@@ -358,76 +361,36 @@ def _compose(f, g):
     return lambda t: f(g(t))
 
 
+def _word_maps(words, rho, kappa, tau):
+    """The maps spelled by words over r = rho, k = kappa and t = tau; the
+    rightmost letter acts first."""
+    gens = {"r": rho, "k": kappa, "t": tau}
+    return [reduce(_compose, [gens[g] for g in w]) if w else (lambda x: x) for w in words]
+
+
+def _group_words(group):
+    if group not in _GROUPS:
+        raise DomainError(f"unknown group {group!r}")
+    return _GROUPS[group]
+
+
 def group_tri_maps(group, a, b, c):
     """All elements of the symmetry group as triangle maps (identity first)."""
-    ident = lambda t: t
-    if group == "1":
-        return [ident]
-    rho = tri_map_rho(a)
-    kappa = tri_map_kappa(a, b, c)
-    tau = tri_map_tau(a, b)
-    rho2 = _compose(rho, rho)
-    if group == "rho":
-        return [ident, rho, rho2]
-    if group == "kappa":
-        return [ident, kappa]
-    if group == "rho,kappa":
-        els = [ident, rho, rho2]
-        return els + [_compose(kappa, g) for g in els]
-    if group == "tau":
-        return [ident, tau]
-    if group == "kappa-tau":
-        return [ident, _compose(kappa, tau)]
-    if group == "kappa-tau,rho":
-        kt = _compose(kappa, tau)
-        els = [ident, rho, rho2]
-        return els + [_compose(kt, g) for g in els]
-    if group == "tau,kappa":
-        kt = _compose(kappa, tau)
-        return [ident, tau, kappa, kt]
-    if group == "tau,rho":
-        els = [ident, rho, rho2]
-        return els + [_compose(tau, g) for g in els]
-    if group == "tau,rho,kappa":
-        els = [ident, rho, rho2]
-        rots = els + [_compose(kappa, g) for g in els]
-        return rots + [_compose(tau, g) for g in rots]
-    raise DomainError(f"unknown group {group!r}")
+    return _word_maps(_group_words(group), tri_map_rho(a), tri_map_kappa(a, b, c),
+                      tri_map_tau(a, b))
 
 
 def group_pt_maps(group, a, b, c):
-    ident = lambda p: p
-    if group == "1":
-        return [ident]
-    rho = pt_map_rho(a)
-    kappa = pt_map_kappa(a, b, c)
-    tau = pt_map_tau(a, b)
-    rho2 = _compose(rho, rho)
-    if group == "rho":
-        return [ident, rho, rho2]
-    if group == "kappa":
-        return [ident, kappa]
-    if group == "rho,kappa":
-        els = [ident, rho, rho2]
-        return els + [_compose(kappa, g) for g in els]
-    if group == "tau":
-        return [ident, tau]
-    if group == "kappa-tau":
-        return [ident, _compose(kappa, tau)]
-    if group == "kappa-tau,rho":
-        kt = _compose(kappa, tau)
-        els = [ident, rho, rho2]
-        return els + [_compose(kt, g) for g in els]
-    if group == "tau,kappa":
-        return [ident, tau, kappa, _compose(kappa, tau)]
-    if group == "tau,rho":
-        els = [ident, rho, rho2]
-        return els + [_compose(tau, g) for g in els]
-    if group == "tau,rho,kappa":
-        els = [ident, rho, rho2]
-        rots = els + [_compose(kappa, g) for g in els]
-        return rots + [_compose(tau, g) for g in rots]
-    raise DomainError(f"unknown group {group!r}")
+    """The elements of group_tri_maps, in the same order, as lattice-point maps."""
+    return _word_maps(_group_words(group), pt_map_rho(a), pt_map_kappa(a, b, c),
+                      pt_map_tau(a, b))
+
+
+def _tau_conjugates(group, a, b, c):
+    """The reflections of the group whose axes bisect edges: tau, and for
+    groups with rho also its two conjugates by rho."""
+    words = ("t", "rtrr", "rrtr") if _needs_rho(group) else ("t",)
+    return _word_maps(words, tri_map_rho(a), tri_map_kappa(a, b, c), tri_map_tau(a, b))
 
 
 def _vertex_perm_from_tri_map(G, tri_map):
@@ -583,111 +546,12 @@ def tie_quotient(G, bisected, wrong_parity=False):
     vertex id, and tie its cut stubs to one polygamous vertex (parity per the
     even-total rule, flipped by wrong_parity)."""
     bis = set(bisected)
-    comp = {}
-    for start in sorted(v.id for v in G.vertices):
-        if start in comp:
-            continue
-        comp[start] = start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in G.incident(x):
-                if eid in bis:
-                    continue
-                y = G.edge(eid).other(x)
-                if y not in comp:
-                    comp[y] = start
-                    stack.append(y)
+    comp = _cut_components(G, bis)
     kept_root = min(comp.values())
     kept = {v for v, r in comp.items() if r == kept_root}
-
-    verts = [G.vertex(v).clone() for v in sorted(kept)]
-    omega_id = max(v.id for v in G.vertices) + 1
-    n_mono = sum(1 for v in verts if v.kind == MONO)
-    n_odd = sum(1 for v in verts if v.kind == ODD)
-    omega_kind = ODD if (n_mono + n_odd) % 2 == 1 else EVEN
-    if wrong_parity:
-        omega_kind = EVEN if omega_kind == ODD else ODD
-    stub_colors = set()
-    edges = []
-    stubs = []
-    for e in G.edges:
-        if e.id in bis:
-            if (e.u in kept) != (e.v in kept):
-                k = e.u if e.u in kept else e.v
-                stub_colors.add(G.vertex(k).color)
-                edges.append(Edge(e.id, k, omega_id, e.weight))
-                stubs.append(e.id)
-        elif e.u in kept and e.v in kept:
-            edges.append(Edge(e.id, e.u, e.v, e.weight))
-    if not stubs:
+    if all((G.edge(eid).u in kept) == (G.edge(eid).v in kept) for eid in bis):
         raise DomainError("tie quotient found no cut stubs on the kept side")
-    omega_color = None
-    if len(stub_colors) == 1 and None not in stub_colors:
-        from kasteleyn.graphs import _opposite
-
-        omega_color = _opposite(next(iter(stub_colors)))
-    verts.append(Vertex(omega_id, omega_kind, omega_color, "omega"))
-    stub_set = set(stubs)
-
-    faces = []
-    points = []
-    src_points = G.flags.get("face_points")
-    infinite = None
-    for fi, walk in enumerate(G.faces):
-        bpos = [p for p, (eid, _) in enumerate(walk) if eid in bis]
-        if not bpos:
-            vs = set(G.walk_vertices(walk))
-            if vs <= kept:
-                faces.append(list(walk))
-                if fi == G.infinite_face:
-                    infinite = len(faces) - 1
-                if src_points is not None:
-                    points.append(src_points[fi])
-            continue
-        L = len(walk)
-        kept_arcs = []
-        for idx in range(len(bpos)):
-            p_in = bpos[idx]
-            p_out = bpos[(idx + 1) % len(bpos)]
-            arc = []
-            t = (p_in + 1) % L
-            while t != p_out:
-                arc.append(walk[t])
-                t = (t + 1) % L
-            # vertices on this arc: tails of arc entries plus the final head
-            vset = set()
-            for eid, fwd in arc:
-                e = G.edge(eid)
-                vset.add(e.u if fwd else e.v)
-            last = walk[p_out]
-            e_out = G.edge(last[0])
-            vset.add(e_out.u if last[1] else e_out.v)
-            if vset <= kept:
-                kept_arcs.append((p_in, p_out, arc))
-        if not kept_arcs:
-            continue
-        if len(kept_arcs) != 1:
-            raise DomainError("crossed face has multiple kept arcs")
-        p_in, p_out, arc = kept_arcs[0]
-        ein = walk[p_in][0]
-        eout = walk[p_out][0]
-        if ein not in stub_set or eout not in stub_set:
-            raise DomainError("crossed face boundary stub missing from the kept side")
-        new_walk = [(ein, False)] + arc + [(eout, True)]
-        faces.append(new_walk)
-        if fi == G.infinite_face:
-            infinite = len(faces) - 1
-        if src_points is not None:
-            points.append(src_points[fi])
-    out = EmbeddedGraph(verts, edges, faces, "sphere", infinite)
-    out.flags["face_points"] = points if src_points is not None else None
-    if "triangles" in G.flags:
-        out.flags["triangles"] = {
-            v.id: G.flags["triangles"][v.id] for v in verts if v.id in G.flags["triangles"]
-        }
-    out.validate()
-    return out
+    return _cut_and_tie(G, kept, bis, wrong_parity)
 
 
 def _fixed_edges(G, tri_map):
@@ -731,6 +595,25 @@ def _keep_component(tris, dropped):
     return comp
 
 
+def _kappa_quotient(Z, a, b, c, flipped):
+    """The half-turn quotient Z_kappa.  Around a central edge it deletes the
+    edge's two triangles when exactly one dimension is even and the edge
+    alone otherwise; flipped swaps the two conventions (Z'_kappa), so that
+    the vertex count comes out odd."""
+    central = _central_edge(Z, a, b, c)
+    if central is None:
+        return quotient_by_rotations(Z, group_tri_maps("kappa", a, b, c))
+    tri_of = Z.flags["triangles"]
+    e = Z.edge(central)
+    pair = (tri_of[e.u], tri_of[e.v])
+    one_even = sum(1 for t in (a, b, c) if t % 2 == 0) == 1
+    if one_even != flipped:
+        sub = triangle_region_graph(hexagon_tris(a, b, c) - set(pair))
+    else:
+        sub = triangle_region_graph(hexagon_tris(a, b, c), exclude_edges=[pair])
+    return quotient_by_rotations(sub, group_tri_maps("kappa", a, b, c))
+
+
 def symmetry_quotient(spec):
     """The modified quotient graph Z_G(a,b,c), case by case."""
     a, b, c, g = spec.a, spec.b, spec.c, spec.group
@@ -739,62 +622,26 @@ def symmetry_quotient(spec):
     Z = build_hexagon_graph(a, b, c)
     if g == "1":
         return Z
-    if g == "rho":
-        return quotient_by_rotations(Z, group_tri_maps("rho", a, b, c))
-    if g == "rho,kappa":
-        return quotient_by_rotations(Z, group_tri_maps("rho,kappa", a, b, c))
+    if g in ("rho", "rho,kappa"):
+        return quotient_by_rotations(Z, group_tri_maps(g, a, b, c))
     if g == "kappa":
-        central = _central_edge(Z, a, b, c)
-        evens = sum(1 for t in (a, b, c) if t % 2 == 0)
-        if central is None:
-            return quotient_by_rotations(Z, group_tri_maps("kappa", a, b, c))
-        tri_of = Z.flags["triangles"]
-        e = Z.edge(central)
-        pair = (tri_of[e.u], tri_of[e.v])
-        if evens == 1:
-            tris = hexagon_tris(a, b, c) - set(pair)
-            sub = triangle_region_graph(tris)
-        else:
-            sub = triangle_region_graph(hexagon_tris(a, b, c), exclude_edges=[pair])
-        return quotient_by_rotations(sub, [lambda t: t, tri_map_kappa(a, b, c)])
-    if g in ("kappa-tau", "kappa-tau,rho"):
-        maps = group_tri_maps(g, a, b, c)
-        fixed = set()
-        for f in maps[1:]:
-            fixed.update(Z.flags["triangles"][v] for v in _fixed_vertices(Z, f))
-        tris = _keep_component(hexagon_tris(a, b, c), fixed)
-        return triangle_region_graph(tris)
+        return _kappa_quotient(Z, a, b, c, flipped=False)
     if g in ("tau", "tau,rho"):
-        if g == "tau":
-            reflections = [tri_map_tau(a, b)]
-            base = Z
-        else:
-            rho = tri_map_rho(a)
-            rho2 = _compose(rho, rho)
-            tau = tri_map_tau(a, b)
-            reflections = [tau, _compose(rho, _compose(tau, rho2)), _compose(rho2, _compose(tau, rho))]
-            base = Z
         bis = set()
-        for f in reflections:
-            bis.update(_fixed_edges(base, f))
-        return tie_quotient(base, bis, spec.wrong_parity)
-    if g in ("tau,kappa", "tau,rho,kappa"):
-        h_group = "kappa-tau" if g == "tau,kappa" else "kappa-tau,rho"
-        maps = group_tri_maps(h_group, a, b, c)
+        for f in _tau_conjugates(g, a, b, c):
+            bis.update(_fixed_edges(Z, f))
+        return tie_quotient(Z, bis, spec.wrong_parity)
+    if g in ("kappa-tau", "kappa-tau,rho", "tau,kappa", "tau,rho,kappa"):
+        # cut along the points fixed by the kappa-tau elements; keep a sector
+        h_group = "kappa-tau,rho" if _needs_rho(g) else "kappa-tau"
         fixed = set()
-        for f in maps[1:]:
-            fv = _fixed_vertices(Z, f)
-            fixed.update(Z.flags["triangles"][v] for v in fv)
-        tris = _keep_component(hexagon_tris(a, b, c), fixed)
-        sub = triangle_region_graph(tris)
+        for f in group_tri_maps(h_group, a, b, c)[1:]:
+            fixed.update(Z.flags["triangles"][v] for v in _fixed_vertices(Z, f))
+        sub = triangle_region_graph(_keep_component(hexagon_tris(a, b, c), fixed))
+        if g == h_group:
+            return sub
         # the kept sector is bisected by exactly one conjugate of tau
-        rho = tri_map_rho(a)
-        rho2 = _compose(rho, rho)
-        tau = tri_map_tau(a, b)
-        candidates = [tau]
-        if g == "tau,rho,kappa":
-            candidates += [_compose(rho, _compose(tau, rho2)), _compose(rho2, _compose(tau, rho))]
-        for cand in candidates:
+        for cand in _tau_conjugates(g, a, b, c):
             try:
                 bis = _fixed_edges(sub, cand)
             except DomainError:
@@ -815,23 +662,10 @@ def impossible_variant(spec):
             raise DomainError("d = e is the possible variant, not an impossible one")
         return build_hex_minus_triangle(a, b, c, spec.d, spec.e)
     if g == "kappa":
-        Z = build_hexagon_graph(a, b, c)
-        central = _central_edge(Z, a, b, c)
-        if central is None:
-            # all dimensions odd (or even): the plain quotient; all-odd has
-            # odd vertex count, the impossible enumeration
-            return quotient_by_rotations(Z, group_tri_maps("kappa", a, b, c))
-        evens = sum(1 for t in (a, b, c) if t % 2 == 0)
-        tri_of = Z.flags["triangles"]
-        e = Z.edge(central)
-        pair = (tri_of[e.u], tri_of[e.v])
-        # Z' flips the deletion convention of Z_kappa so the vertex count
-        # comes out odd
-        if evens == 1:
-            sub = triangle_region_graph(hexagon_tris(a, b, c), exclude_edges=[pair])
-        else:
-            sub = triangle_region_graph(hexagon_tris(a, b, c) - set(pair))
-        return quotient_by_rotations(sub, [lambda t: t, tri_map_kappa(a, b, c)])
+        # without a central edge (all dimensions odd, or all even) this is
+        # the plain quotient; all-odd has odd vertex count, the impossible
+        # enumeration
+        return _kappa_quotient(build_hexagon_graph(a, b, c), a, b, c, flipped=True)
     if g == "rho,kappa":
         Z = build_hexagon_graph(a, b, c)
         return quotient_by_rotations(Z, group_tri_maps("rho,kappa", a, b, c))
@@ -856,8 +690,6 @@ def apply_q_weights(Z, spec, mode):
     if mode not in ("cube", "orbit"):
         raise DomainError(f"unknown q-weight mode {mode!r}")
     if spec.group == "1":
-        return _weight_plain_box(Z)
-    if mode == "orbit" and spec.group == "1":
         return _weight_plain_box(Z)
     return _weight_by_face_system(Z, spec, mode)
 
@@ -1497,14 +1329,18 @@ def family_matrix(spec):
     (matrix, kind) with kind "M" or "A"."""
     if spec.variant == "delannoy":
         return delannoy_matrix(spec.n), "M"
-    G = build_family_graph(spec)
+    M, kind, _ = _decorated_matrix(build_family_graph(spec), spec.variant)
+    return M, kind
+
+
+def _decorated_matrix(G, variant, tree_seed=0):
+    """Resolve polygamy, then sign (bipartite) or orient G along the dual
+    spanning tree chosen by tree_seed; returns (matrix, kind, resolved G)."""
     if any(v.kind != MONO for v in G.vertices):
         G = monogamous_resolution(G)
-    if spec.variant == "skew-shape":
+    if variant == "skew-shape":
         # the transit-free resolution already carries a flat signing
-        return adjacency_matrix(G, "bipartite"), "M"
+        return adjacency_matrix(G, "bipartite"), "M", G
     if G.is_bipartite_colored():
-        signed = kasteleyn_percus_sign(G)
-        return adjacency_matrix(signed, "bipartite"), "M"
-    oriented = kasteleyn_orient(G)
-    return adjacency_matrix(oriented, "alternating"), "A"
+        return adjacency_matrix(kasteleyn_percus_sign(G, tree_seed), "bipartite"), "M", G
+    return adjacency_matrix(kasteleyn_orient(G, tree_seed), "alternating"), "A", G

@@ -974,7 +974,7 @@ def _resolve_step(s, vid, corners):
     if d == 2 and v.kind == ODD:
         v.kind = MONO
         return
-    rot = rotation_at_surgeon(s, vid, corners)
+    rot = rotation_at(None, vid, corners)
     if d == 2 and v.kind == EVEN:
         e1, e2 = rot
         v.kind = MONO
@@ -1069,19 +1069,6 @@ def _split_vertex(s, vid, e1, e2, ed, corners):
     s.reattach(e2, vid, va)
 
 
-def rotation_at_surgeon(s, vid, corners):
-    cm = corners[vid]
-    start = min(cm)
-    cycle = [start]
-    cur = cm[start][0]
-    while cur != start:
-        cycle.append(cur)
-        cur = cm[cur][0]
-    if len(cycle) != len(cm):
-        raise DomainError(f"rotation at vertex {vid} is not a single cycle")
-    return cycle
-
-
 def monogamous_resolution(G):
     """Replace polygamous vertices by monogamous gadgets; matchings are
     preserved bijectively and the sphere embedding is maintained."""
@@ -1144,7 +1131,109 @@ def triple_edges(G):
 
 
 # ---------------------------------------------------------------------------
-# reflection quotient
+# cut-and-tie quotients (reflections with bisected edges)
+
+
+def _cut_components(G, bisected):
+    """Component root (its smallest vertex id) of every vertex of G minus
+    the bisected edges."""
+    bis = set(bisected)
+    comp = {}
+    for start in sorted(v.id for v in G.vertices):
+        if start in comp:
+            continue
+        comp[start] = start
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for eid in G.incident(x):
+                if eid in bis:
+                    continue
+                y = G.edge(eid).other(x)
+                if y not in comp:
+                    comp[y] = start
+                    stack.append(y)
+    return comp
+
+
+def _cut_and_tie(G, kept, bisected, wrong_parity=False):
+    """Keep the vertices in `kept`, tie every bisected edge with exactly one
+    kept end to one new polygamous vertex omega (added only when there are
+    such stubs), and splice each crossed face walk through omega along its
+    one kept arc.  Omega's parity makes (odd-polygamous + monogamous) even,
+    unless wrong_parity deliberately flips it.  Face points and triangles
+    are carried when G has them."""
+    bis = set(bisected)
+    verts = [G.vertex(v).clone() for v in sorted(kept)]
+    omega_id = max(v.id for v in G.vertices) + 1
+    odd_total = sum(1 for v in verts if v.kind in (MONO, ODD)) % 2 == 1
+    omega_kind = ODD if odd_total != wrong_parity else EVEN
+    stub_colors = set()
+    stubs = set()
+    edges = []
+    for e in G.edges:
+        if e.id in bis:
+            if (e.u in kept) != (e.v in kept):
+                k = e.u if e.u in kept else e.v
+                stub_colors.add(G.vertex(k).color)
+                stubs.add(e.id)
+                edges.append(Edge(e.id, k, omega_id, e.weight))
+        elif e.u in kept and e.v in kept:
+            edges.append(Edge(e.id, e.u, e.v, e.weight))
+    if stubs:
+        omega_color = _opposite(stub_colors.pop()) if len(stub_colors) == 1 else None
+        verts.append(Vertex(omega_id, omega_kind, omega_color, "omega"))
+
+    faces = []
+    points = []
+    src_points = G.flags.get("face_points")
+    infinite = None
+    for fi, walk in enumerate(G.faces):
+        bpos = [p for p, (eid, _) in enumerate(walk) if eid in bis]
+        if not bpos:
+            if not walk or not set(G.walk_vertices(walk)) <= kept:
+                continue
+            new_walk = list(walk)
+        else:
+            L = len(walk)
+            arcs = []
+            for p_in, p_out in zip(bpos, bpos[1:] + bpos[:1]):
+                arc = [walk[t % L] for t in range(p_in + 1, p_out + L * (p_out <= p_in))]
+                # the arc's vertices are the tails of its entries and of the exit
+                if set(G.walk_vertices(arc + [walk[p_out]])) <= kept:
+                    arcs.append((walk[p_in][0], arc, walk[p_out][0]))
+            if not arcs:
+                continue
+            if len(arcs) != 1:
+                raise DomainError(f"crossed face {fi} has {len(arcs)} kept arcs")
+            ein, arc, eout = arcs[0]
+            if ein not in stubs or eout not in stubs:
+                raise DomainError("crossed face boundary stub missing from the kept side")
+            # stub edges are stored (kept, omega): entering the kept side
+            # is omega -> kept (backward), leaving is kept -> omega
+            new_walk = [(ein, False)] + arc + [(eout, True)]
+        if fi == G.infinite_face:
+            infinite = len(faces)
+        faces.append(new_walk)
+        if src_points is not None:
+            points.append(src_points[fi])
+
+    # isolated vertices each carry exactly one empty walk
+    touched = {e.u for e in edges} | {e.v for e in edges}
+    for v in verts:
+        if v.id not in touched:
+            faces.append([])
+            points.append(None)
+    if infinite is None and faces:
+        infinite = 0
+    out = EmbeddedGraph(verts, edges, faces, "sphere", infinite)
+    if src_points is not None:
+        out.flags["face_points"] = points
+    if "triangles" in G.flags:
+        tri_of = G.flags["triangles"]
+        out.flags["triangles"] = {v.id: tri_of[v.id] for v in verts if v.id in tri_of}
+    out.validate()
+    return out
 
 
 def reflection_quotient(G, vertex_map, edge_map, bisected, wrong_parity=False):
@@ -1168,115 +1257,14 @@ def reflection_quotient(G, vertex_map, edge_map, bisected, wrong_parity=False):
         if {vertex_map[e.u], vertex_map[e.v]} != {img.u, img.v}:
             raise DomainError("edge map does not follow the vertex map")
 
-    # components of G minus the bisected edges pair up under the reflection
-    comp = {}
-    for start in sorted(v.id for v in G.vertices):
-        if start in comp:
-            continue
-        comp[start] = start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in G.incident(x):
-                if eid in bis:
-                    continue
-                y = G.edge(eid).other(x)
-                if y not in comp:
-                    comp[y] = start
-                    stack.append(y)
-    reps = sorted(set(comp.values()))
-    kept = set()
-    seen = set()
-    for r in reps:
-        if r in seen:
-            continue
+    # components of G minus the bisected edges pair up under the reflection;
+    # keep the one with the smaller root of each pair
+    comp = _cut_components(G, bis)
+    kept_roots = set()
+    for r in set(comp.values()):
         mirror = comp[vertex_map[r]]
         if mirror == r:
             raise DomainError("a component is fixed by the reflection")
-        seen.add(r)
-        seen.add(mirror)
-        kept.add(min(r, mirror))
-    kept_vertices = {v for v, root in comp.items() if root in kept}
-
-    verts = [G.vertex(v).clone() for v in sorted(kept_vertices)]
-    omega_id = max(v.id for v in G.vertices) + 1
-    n_mono = sum(1 for v in verts if v.kind == MONO)
-    odd_count = sum(1 for v in verts if v.kind == ODD)
-    parity_now = (n_mono + odd_count) % 2
-    omega_kind = ODD if parity_now == 1 else EVEN
-    if wrong_parity:
-        omega_kind = EVEN if omega_kind == ODD else ODD
-    stub_colors = set()
-    edges = []
-    for e in G.edges:
-        if e.id in bis:
-            k = e.u if e.u in kept_vertices else e.v
-            stub_colors.add(G.vertex(k).color)
-            edges.append(Edge(e.id, k, omega_id, e.weight))
-        elif e.u in kept_vertices and e.v in kept_vertices:
-            edges.append(Edge(e.id, e.u, e.v, e.weight))
-    if bis:
-        omega_color = None
-        if len(stub_colors) == 1 and None not in stub_colors:
-            omega_color = _opposite(stub_colors.pop())
-        verts.append(Vertex(omega_id, omega_kind, omega_color, "omega"))
-
-    faces = []
-    infinite = None
-    for fi, walk in enumerate(G.faces):
-        bcount = sum(1 for eid, _ in walk if eid in bis)
-        if bcount == 0:
-            vs = set(G.walk_vertices(walk))
-            if vs <= kept_vertices:
-                faces.append(list(walk))
-                if fi == G.infinite_face:
-                    infinite = len(faces) - 1
-            continue
-        if bcount != 2:
-            raise DomainError(f"crossed face {fi} has {bcount} bisected edges, expected 2")
-        L = len(walk)
-        bpos = [p for p, (eid, _) in enumerate(walk) if eid in bis]
-        p1, p2 = bpos
-        arc_a = [walk[(p1 + 1 + t) % L] for t in range((p2 - p1 - 1) % L)]
-        arc_b = [walk[(p2 + 1 + t) % L] for t in range((p1 - p2 - 1) % L)]
-        for arc, enter_pos, exit_pos in ((arc_a, p1, p2), (arc_b, p2, p1)):
-            vs = set()
-            for eid, fwd in arc:
-                e = G.edge(eid)
-                vs.update((e.u, e.v))
-            if not arc:
-                # two bisected edges bound the face directly; arc vertices
-                # come from the shared endpoints of the bisected entries
-                eid_in, _ = walk[enter_pos]
-                e_in = G.edge(eid_in)
-                vs.update(x for x in (e_in.u, e_in.v) if x in kept_vertices)
-            if vs and vs <= kept_vertices:
-                eid_in, _ = walk[enter_pos]
-                eid_out, _ = walk[exit_pos]
-                new_walk = [(eid_in, False)] + list(arc) + [(eid_out, True)]
-                # stub edges are stored (kept, omega): entering the kept side
-                # is omega -> kept (backward), leaving is kept -> omega
-                faces.append(new_walk)
-                if fi == G.infinite_face:
-                    infinite = len(faces) - 1
-                break
-        else:
-            raise DomainError(f"crossed face {fi} has no kept-side arc")
-
-    # isolated vertices each carry exactly one empty walk
-    nonempty = [w for w in faces if w]
-    if len(nonempty) != len(faces):
-        if infinite is not None and faces[infinite]:
-            infinite = nonempty.index(faces[infinite])
-        else:
-            infinite = None
-        faces = nonempty
-    touched = {e.u for e in edges} | {e.v for e in edges}
-    for v in verts:
-        if v.id not in touched:
-            faces.append([])
-    if infinite is None and faces:
-        infinite = 0
-    out = EmbeddedGraph(verts, edges, faces, "sphere", infinite)
-    out.validate()
-    return out
+        kept_roots.add(min(r, mirror))
+    kept = {v for v, root in comp.items() if root in kept_roots}
+    return _cut_and_tie(G, kept, bis, wrong_parity)

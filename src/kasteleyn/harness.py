@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from kasteleyn.families import (
     FamilySpec,
     Partition,
+    _decorated_matrix,
     build_family_graph,
     delannoy_matrix,
     aztec_matrix_closed_form,
@@ -22,12 +23,9 @@ from kasteleyn.families import (
     jacobi_trudi,
 )
 from kasteleyn.graphs import (
-    MONO,
     adjacency_matrix,
     enumerate_matchings,
-    kasteleyn_orient,
     kasteleyn_percus_sign,
-    monogamous_resolution,
 )
 from kasteleyn.matrices import (
     NormalFormFailure,
@@ -183,15 +181,7 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
         spec2 = FamilySpec(**{**spec.to_json(), "q_mode": "cube"})
     if not wants_q and spec.q_mode != "none":
         spec2 = FamilySpec(**{**spec.to_json(), "q_mode": "none"})
-    G = build_family_graph(spec2)
-    if any(v.kind != MONO for v in G.vertices):
-        G = monogamous_resolution(G)
-    if spec2.variant == "skew-shape":
-        M, kind = adjacency_matrix(G, "bipartite"), "M"
-    elif G.is_bipartite_colored():
-        M, kind = adjacency_matrix(kasteleyn_percus_sign(G, tree_seed), "bipartite"), "M"
-    else:
-        M, kind = adjacency_matrix(kasteleyn_orient(G, tree_seed), "alternating"), "A"
+    M, kind, G = _decorated_matrix(build_family_graph(spec2), spec2.variant, tree_seed)
     if ring == "z" and M.ring == "laurent":
         M = M.specialize_q(1)
     elif ring == "z@q0":
@@ -205,7 +195,7 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
     return M, kind, G
 
 
-def _oracle_status(spec, M, kind, G, guard):
+def _oracle_status(M, kind, G, guard):
     """(verdict, matching count or None)."""
     if G is None:
         return "skipped", None
@@ -273,7 +263,7 @@ def run_report(spec, ring, q0=-1, guard=None):
         sq = squarefree_of_factor(f, "z" if inv.ring == "z" else "laurent")
         if sq == "fails":
             sqfree_v = "fails"
-    oracle, count = _oracle_status(spec, M, kind, G, guard)
+    oracle, count = _oracle_status(M, kind, G, guard)
     return ReportRecord(
         spec.to_json(), ring, kind, M.rows, M.cols, inv.free_rank,
         list(inv.factor_strings()), diags, round_v, sqfree_v, oracle,

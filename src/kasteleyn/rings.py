@@ -501,9 +501,6 @@ def factor_q_round(f):
                 g = quot
             if g.span == 0:
                 break
-    if g.span == 0 and not g.is_one():
-        # leftover integer content is not q-round by itself; report it
-        pass
     return QRoundFactorization(sign, exp, factors, g)
 
 
@@ -803,7 +800,7 @@ class RationalPoly:
         return f"RationalPoly({self})"
 
 
-def integer_squarefree(n, bound=None):
+def integer_squarefree(n):
     """True if |n| has no repeated prime factor; exhaustive small-factor
     search (trial division to sqrt), adequate at desk scale."""
     n = abs(n)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import (
@@ -45,6 +47,7 @@ from kasteleyn.families import (
 from kasteleyn.graphs import (
     MONO,
     adjacency_matrix,
+    dump_graph,
     enumerate_matchings,
     kasteleyn_orient,
     kasteleyn_percus_sign,
@@ -61,6 +64,7 @@ from kasteleyn.matrices import (
     smith_normal_form,
     stable_invariants,
 )
+from kasteleyn.harness import _round_instances
 from kasteleyn.rings import DomainError, LaurentPoly, q_integer, specialize
 
 
@@ -236,6 +240,16 @@ class TestQuotients:
             Q = impossible_variant(spec)
             assert Q.n_vertices % 2 == 1
             assert enumerate_matchings(Q).count == 0
+
+    def test_quotient_layout_pinned(self):
+        # the Laurent normal form depends on vertex, edge and face order, and
+        # bench/data/conjecture_q.json is frozen against that order
+        specs = [spec for _, spec, _ in _round_instances(8)
+                 if spec.variant in ("ppbox-quotient", "ppbox-impossible")]
+        assert len(specs) == 109
+        text = "\n".join(dump_graph(build_family_graph(spec)) for spec in specs)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e04e92fbe04466298429b47078507e36336d9979cd90ed3c863f32cb3d8304b6")
 
 
 class TestQuotientQWeights:
@@ -528,6 +542,23 @@ class TestAztec:
             if n == 3:
                 n_mono = sum(1 for v in Q.vertices if v.kind == MONO)
                 assert n_mono == 12 and Q.n_vertices == 13
+
+    def test_aztec_wrong_parity_quotient_is_matchless(self):
+        Z = build_aztec_graph(3)
+        vmap, emap, bisected = aztec_reflection_maps(Z)
+        Q = reflection_quotient(Z, vmap, emap, bisected, wrong_parity=True)
+        assert enumerate_matchings(Q).count == 0
+
+    def test_tie_quotient_is_the_reflection_quotient(self):
+        # both keep the side of the smallest vertex id on the Aztec diamond
+        for n in (1, 2, 3):
+            Z = build_aztec_graph(n)
+            vmap, emap, bisected = aztec_reflection_maps(Z)
+            for wrong_parity in (False, True):
+                assert dump_graph(tie_quotient(Z, bisected, wrong_parity)) == dump_graph(
+                    reflection_quotient(Z, vmap, emap, bisected, wrong_parity))
+        with pytest.raises(DomainError):
+            tie_quotient(build_aztec_graph(2), [])
 
 
 class TestDelannoy:

@@ -149,6 +149,15 @@ class TestCli:
         code, _, _ = run_cli(["snf", "--ring", "bogus"], capsys)
         assert code == 2
 
+    def test_options_only_where_read(self, capsys):
+        # snf ignores --format and report ignores --seed, so neither takes it
+        box = ["--family", "ppbox", "--a", "1", "--b", "1", "--c", "1"]
+        for argv in (["snf", *box, "--format", "csv"], ["report", *box, "--seed", "1"]):
+            assert run_cli(argv[:-2], capsys)[0] == 0
+            code, _, err = run_cli(argv, capsys)
+            assert code == 2
+            assert "unrecognized arguments" in err
+
     def test_domain_error_exit_two(self, capsys):
         code, _, err = run_cli(
             ["build", "--family", "ppbox", "--a", "0", "--b", "1", "--c", "1"],
