@@ -72,8 +72,9 @@ def _add_common(p):
     p.add_argument("--out", default=None)
 
 
-def _add_format(p):
-    p.add_argument("--format", default="json", choices=["json", "csv", "text"])
+def _add_format(p, with_csv=False):
+    choices = ["json", "csv", "text"] if with_csv else ["json", "text"]
+    p.add_argument("--format", default="json", choices=choices)
 
 
 def _add_seed(p):
@@ -129,13 +130,13 @@ def build_parser():
     p = sub.add_parser("report", help="full report record for one instance")
     _add_family_args(p)
     _add_common(p)
-    _add_format(p)
+    _add_format(p, with_csv=True)
     p.add_argument("--ring", default="z", choices=["z", "laurent", "qpoly", "z@q0"])
     p.add_argument("--q0", type=int, default=-1)
 
     p = sub.add_parser("conjecture", help="run a conjecture probe suite")
     _add_common(p)
-    _add_format(p)
+    _add_format(p, with_csv=True)
     p.add_argument("--id", required=True, choices=["round", "sqfree", "q-minus-one"])
     p.add_argument("--ceiling", type=int, default=8)
 

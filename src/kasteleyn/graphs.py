@@ -1242,6 +1242,12 @@ def reflection_quotient(G, vertex_map, edge_map, bisected, wrong_parity=False):
     parity makes (odd-polygamous + monogamous) even, unless wrong_parity
     deliberately flips it."""
     bis = set(bisected)
+    if set(vertex_map) != {v.id for v in G.vertices}:
+        raise DomainError("vertex map does not cover exactly the graph's vertices")
+    if set(edge_map) != {e.id for e in G.edges}:
+        raise DomainError("edge map does not cover exactly the graph's edges")
+    if not bis <= set(edge_map):
+        raise DomainError("a bisected edge is not an edge of the graph")
     for v, w in vertex_map.items():
         if vertex_map.get(w) != v:
             raise DomainError("vertex map is not an involution")

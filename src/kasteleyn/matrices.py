@@ -141,7 +141,7 @@ class _QPolyRing:
 
     @staticmethod
     def unit_inverse(u):
-        return RationalPoly.const(1 / u.coeffs[0])
+        return RationalPoly.const(Fraction(1) / u.coeffs[0])
 
     @staticmethod
     def try_div(a, b):

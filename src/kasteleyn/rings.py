@@ -56,6 +56,14 @@ class LaurentPoly:
     # -- constructors
 
     @staticmethod
+    def _from_terms(terms):
+        """Wrap a map exponent -> nonzero int as is, without re-checking."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @staticmethod
     def zero():
         return LaurentPoly()
 
@@ -139,18 +147,12 @@ class LaurentPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        out._hash = None
-        return out
+        return LaurentPoly._from_terms(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._from_terms({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-LaurentPoly.coerce(other))
@@ -171,10 +173,7 @@ class LaurentPoly:
                     terms[e] = s
                 else:
                     del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        out._hash = None
-        return out
+        return LaurentPoly._from_terms(terms)
 
     __rmul__ = __mul__
 
@@ -192,10 +191,7 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by q^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._from_terms({e + k: c for e, c in self._terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -232,6 +228,15 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
+        if len(other._terms) == 1:
+            # by a monomial c0 q^e0: divide term by term and shift
+            ((e0, c0),) = other._terms.items()
+            terms = {}
+            for e, c in self._terms.items():
+                if c % c0:
+                    return None
+                terms[e - e0] = c // c0
+            return LaurentPoly._from_terms(terms)
         lo_n, num = self._dense()
         lo_d, den = other._dense()
         # long division from the top; abort as soon as a step is inexact
@@ -251,7 +256,7 @@ class LaurentPoly:
                 num[i + j] -= f * d
         if any(num):
             return None
-        return LaurentPoly(
+        return LaurentPoly._from_terms(
             {i + lo_n - lo_d: c for i, c in enumerate(quot) if c}
         )
 
@@ -269,10 +274,8 @@ class LaurentPoly:
             return 1, 0, self
         k = self.min_exp
         sign = 1 if self.leading_coeff() > 0 else -1
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e - k: sign * c for e, c in self._terms.items()}
-        out._hash = None
-        return sign, k, out
+        return sign, k, LaurentPoly._from_terms(
+            {e - k: sign * c for e, c in self._terms.items()})
 
     def normal(self):
         return self.unit_normalize()[2]
@@ -566,16 +569,45 @@ def specialize(f, q0):
 # Dense polynomials over Q (the Euclidean-domain fallback for q-matrices)
 
 
+def _exact_quotient(a, b):
+    """a / b for int or Fraction a, b: an int when exact, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    f = a / b   # one of them is a Fraction, so this is exact
+    return f.numerator if f.denominator == 1 else f
+
+
+def _integral(cs):
+    """cs with every integral Fraction replaced by its int."""
+    return [c if type(c) is int or c.denominator != 1 else c.numerator for c in cs]
+
+
 class RationalPoly:
-    """Polynomial in q with Fraction coefficients, dense ascending storage."""
+    """Polynomial in q with rational coefficients, dense ascending storage.
+
+    An integral coefficient is stored as an int and any other as a Fraction
+    (denominator > 1), so the common integral case runs on plain ints.
+    Fraction(n) == n and hash(Fraction(n)) == hash(n), so == and hash are
+    structural either way."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_integral(cs))
+
+    @staticmethod
+    def _trimmed(cs):
+        """The polynomial of the list cs, already in stored form (ints and
+        non-integral Fractions); trailing zeros are dropped, in place."""
+        while cs and not cs[-1]:
+            cs.pop()
+        out = RationalPoly.__new__(RationalPoly)
+        out.coeffs = tuple(cs)
+        return out
 
     @staticmethod
     def zero():
@@ -587,7 +619,7 @@ class RationalPoly:
 
     @staticmethod
     def const(c):
-        return RationalPoly((Fraction(c),))
+        return RationalPoly((c,))
 
     @staticmethod
     def coerce(x):
@@ -602,13 +634,13 @@ class RationalPoly:
     @staticmethod
     def from_laurent(f):
         if f.is_zero():
-            return RationalPoly()
+            return RationalPoly._trimmed([])
         if f.min_exp < 0:
             raise DomainError("negative exponents do not embed in Q[q]")
         coeffs = [0] * (f.max_exp + 1)
-        for e, c in f.items():
+        for e, c in f._terms.items():
             coeffs[e] = c
-        return RationalPoly(coeffs)
+        return RationalPoly._trimmed(coeffs)
 
     def to_laurent(self):
         """Exact conversion when all coefficients are integers."""
@@ -637,7 +669,7 @@ class RationalPoly:
         return len(self.coeffs) == 1
 
     def is_one(self):
-        return self.coeffs == (Fraction(1),)
+        return self.coeffs == (1,)
 
     def __eq__(self, other):
         if not isinstance(other, RationalPoly):
@@ -651,20 +683,18 @@ class RationalPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        other = RationalPoly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        a, b = self.coeffs, RationalPoly.coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RationalPoly._trimmed(_integral(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly([-c for c in self.coeffs])
+        return RationalPoly._trimmed([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-RationalPoly.coerce(other))
@@ -676,13 +706,13 @@ class RationalPoly:
         other = RationalPoly.coerce(other)
         if not self.coeffs or not other.coeffs:
             return RationalPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(out)
+            for j, b in enumerate(other.coeffs, i):
+                out[j] += a * b
+        return RationalPoly._trimmed(_integral(out))
 
     __rmul__ = __mul__
 
@@ -690,21 +720,22 @@ class RationalPoly:
         other = RationalPoly.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        den = other.coeffs
         rem = list(self.coeffs)
-        dn = len(other.coeffs)
+        dn = len(den)
         if len(rem) < dn:
             return RationalPoly(), self
-        quot = [Fraction(0)] * (len(rem) - dn + 1)
-        lead = other.coeffs[-1]
+        quot = [0] * (len(rem) - dn + 1)
+        lead = den[-1]
         for i in range(len(rem) - dn, -1, -1):
             c = rem[i + dn - 1]
             if not c:
                 continue
-            f = c / lead
+            f = _exact_quotient(c, lead)
             quot[i] = f
-            for j, d in enumerate(other.coeffs):
-                rem[i + j] -= f * d
-        return RationalPoly(quot), RationalPoly(rem)
+            for j, d in enumerate(den, i):
+                rem[j] -= f * d
+        return RationalPoly._trimmed(quot), RationalPoly._trimmed(_integral(rem))
 
     def divide(self, other):
         q, r = self.divmod(other)
@@ -725,7 +756,9 @@ class RationalPoly:
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
-        return RationalPoly([c / lead for c in self.coeffs])
+        if lead == 1:
+            return self
+        return RationalPoly._trimmed([_exact_quotient(c, lead) for c in self.coeffs])
 
     def derivative(self):
         return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -750,7 +783,7 @@ class RationalPoly:
         if r0.is_zero():
             return r0, x0, y0
         lead = r0.coeffs[-1]
-        inv = RationalPoly.const(1 / lead)
+        inv = RationalPoly.const(_exact_quotient(1, lead))
         return r0.monic(), inv * x0, inv * y0
 
     def primitive_integer_form(self):

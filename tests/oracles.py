@@ -1,7 +1,7 @@
 """Independent brute-force oracles used across the test suite: plane
 partitions as cube sets, symmetry actions on cubes, skew tableaux,
-Schur specializations, the permutation expansion of a determinant and a
-candidate-by-candidate Laurent lattice step."""
+Schur specializations, the permutation expansion of a determinant, a
+candidate-by-candidate Laurent lattice step and Laurent long division."""
 
 from itertools import permutations, product
 
@@ -239,3 +239,28 @@ def lattice_step_reference(r, p):
             if s2 < base and (best is None or s2 < best[0]):
                 best = (s2, f, r2)
     return None if best is None else (best[1], best[2])
+
+
+def laurent_divide_reference(f, g):
+    """The exact quotient f / g in Z[q, q^-1] by schoolbook long division
+    from the top term, or None when g does not divide f."""
+    if f.is_zero():
+        return LaurentPoly.zero()
+    top, lead = g.max_exp, g.leading_coeff()
+    lowest = f.min_exp - g.min_exp   # lowest exponent an exact quotient can have
+    rem = dict(f.items())
+    quot = {}
+    while rem:
+        e = max(rem)
+        c = rem[e]
+        s = e - top
+        if c % lead or s < lowest:
+            return None
+        quot[s] = c // lead
+        for d, cd in g.items():
+            v = rem.get(d + s, 0) - quot[s] * cd
+            if v:
+                rem[d + s] = v
+            else:
+                rem.pop(d + s, None)
+    return LaurentPoly(quot)

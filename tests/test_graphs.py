@@ -471,6 +471,15 @@ class TestReflectionQuotient:
         assert out.n_vertices == 1
         assert all(v.kind == MONO for v in out.vertices)
 
+    @pytest.mark.parametrize("vmap, emap, bisected", [
+        ({0: 1, 1: 0, 2: 3, 3: 2}, {0: 0, 2: 2}, [0, 2]),        # edges 1, 3 missing
+        ({0: 1, 1: 0}, {0: 0, 1: 3, 2: 2, 3: 1}, [0]),           # vertices 2, 3 missing
+        ({0: 1, 1: 0, 2: 3, 3: 2}, {0: 0, 1: 3, 2: 2, 3: 1}, [0, 7]),  # no edge 7
+    ])
+    def test_partial_maps_are_domain_errors(self, vmap, emap, bisected):
+        with pytest.raises(DomainError):
+            reflection_quotient(square_cycle(colors=False), vmap, emap, bisected)
+
 
 class TestJson:
     def test_roundtrip(self):

@@ -157,6 +157,16 @@ class TestCli:
             code, _, err = run_cli(argv, capsys)
             assert code == 2
             assert "unrecognized arguments" in err
+        # only report and conjecture write CSV; oracle and verify refuse it
+        for argv in (["oracle", "--family", "aztec", "--n", "2"],
+                     ["verify", "--which", "aztec", "--max-n", "2"]):
+            assert run_cli(argv + ["--format", "text"], capsys)[0] == 0
+            code, _, err = run_cli(argv + ["--format", "csv"], capsys)
+            assert code == 2
+            assert "invalid choice" in err
+        code, out, _ = run_cli(["report", *box, "--format", "csv"], capsys)
+        assert code == 0
+        assert out.startswith("variant,")
 
     def test_domain_error_exit_two(self, capsys):
         code, _, err = run_cli(

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import lattice_step_reference, permutation_det
 
+from kasteleyn import harness
 from kasteleyn.families import FamilySpec, family_matrix, jacobi_trudi
 from kasteleyn.matrices import (
     DomainError,
@@ -299,6 +300,28 @@ class TestDeterminant:
             d = determinant(ExactMatrix.from_rows(grid, "laurent"))
             at2 = [[Fraction(x.evaluate(2)) for x in row] for row in grid]
             assert d.evaluate(2) == permutation_det(at2)
+
+    def test_qpoly_determinant_matches_laurent_on_jt_suite(self, monkeypatch):
+        # every J, D and M whose determinant verify_theorems("jt", 4) takes;
+        # the Q[q] Bareiss quotients are integral, so no Fraction survives
+        seen = []
+
+        def recording(X):
+            seen.append(X)
+            return determinant(X)
+
+        monkeypatch.setattr(harness, "determinant", recording)
+        summary, _ = harness.verify_theorems("jt", 4)
+        # three matrices per check, less the three that are 0 x 0
+        assert summary == {"which": "jt", "checked": 144, "failed": 0}
+        assert len(seen) == 3 * 144 - 3
+        for X in seen:
+            dq = list(determinant(X.to_qpoly()).coeffs)
+            assert all(type(c) is int for c in dq)
+            while dq and dq[0] == 0:
+                dq.pop(0)   # the q-power that normal() strips
+            dl = RationalPoly.from_laurent(LaurentPoly.coerce(determinant(X)).normal())
+            assert RationalPoly(dq).monic() == dl.monic()
 
 
 class TestPfaffian:

@@ -4,6 +4,9 @@ from math import comb
 
 import pytest
 
+from oracles import laurent_divide_reference
+
+from kasteleyn.matrices import ring_adapter
 from kasteleyn.rings import (
     DomainError,
     ExactDivisionError,
@@ -99,6 +102,28 @@ class TestLaurentArithmetic:
             f = g * h
             assert f.divide(g) * g == f
             checked += 1
+
+    def test_try_divide_against_long_division(self):
+        # one-term divisors c0 q^e0 take the shift path; the rest long division
+        rng = random.Random(20261018)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            c0 = rng.choice((1, -1, 2, -2, 3, -3))
+            g = random_laurent(rng)
+            for d in (LaurentPoly({rng.randint(-6, 6): c0}), g):
+                if d.is_zero():
+                    continue
+                for f in (random_laurent(rng), d * random_laurent(rng), LaurentPoly.zero()):
+                    want = laurent_divide_reference(f, d)
+                    assert f.try_divide(d) == want
+                    outcomes[want is None] += 1
+        assert min(outcomes.values()) > 100
+
+    def test_monomial_division(self):
+        assert L("4*q^-2 + 6*q").try_divide(L("-2*q^-1")) == L("-2*q^-1 - 3*q^2")
+        assert L("3*q^-2 + 4*q").try_divide(L("2*q^-1")) is None
+        assert L("0").try_divide(L("3*q^5")).is_zero()
+        assert L("q^-3 - q").try_divide(L("-q^-3")) == L("-1 + q^4")
 
     def test_division_abort(self):
         assert L("q + 2").try_divide(L("2")) is None
@@ -249,7 +274,49 @@ class TestSmoothFactor:
             smooth_factor(0, 10)
 
 
+def assert_stored_form(p):
+    """Integral coefficients are ints, the others Fractions; never a float."""
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 class TestRationalPoly:
+    def test_integral_coefficients_are_ints(self):
+        p = RationalPoly((Fraction(4, 2), Fraction(1, 3)))
+        assert p.coeffs == (2, Fraction(1, 3))
+        assert [type(c) for c in p.coeffs] == [int, Fraction]
+        m = RationalPoly((1, 2, 4)).monic()
+        assert m.coeffs == (Fraction(1, 4), Fraction(1, 2), 1)
+        a, b = RationalPoly((1, 2, 3)), RationalPoly((1, 2))
+        q, r = a.divmod(b)
+        assert q.coeffs == (Fraction(1, 4), Fraction(3, 2))
+        assert r.coeffs == (Fraction(3, 4),)
+        assert q * b + r == a
+        # gcd 3q + 3 before normalization: the cofactors carry 1/3 exactly
+        a, b = RationalPoly((3, 3)), RationalPoly((4, 6, 2))
+        g, x, y = a.gcdext(b)
+        assert g == RationalPoly((1, 1))
+        assert x * a + y * b == g
+        inverse = ring_adapter("qpoly").unit_inverse
+        third, two = inverse(RationalPoly.const(3)), inverse(RationalPoly.const(Fraction(1, 2)))
+        assert third.coeffs == (Fraction(1, 3),) and two.coeffs == (2,)
+        for f in (p, m, q, r, g, x, y, third, two, q * b + r):
+            assert_stored_form(f)
+
+    def test_int_and_fraction_inputs_equal_and_hash_equal(self):
+        pairs = [
+            (RationalPoly((2, 0, -1)), RationalPoly((Fraction(2), Fraction(0), Fraction(-1)))),
+            (RationalPoly((1, Fraction(1, 3))), RationalPoly((Fraction(3, 3), Fraction(2, 6)))),
+            (RationalPoly((0, 0)), RationalPoly((Fraction(0),))),
+            (RationalPoly.from_laurent(L("1 + 2*q")), RationalPoly((Fraction(1), Fraction(2)))),
+            (RationalPoly.const(Fraction(5, 1)), RationalPoly.const(5)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert [type(c) for c in a.coeffs] == [type(c) for c in b.coeffs]
+            assert_stored_form(a)
+        assert RationalPoly.one().is_one() and RationalPoly((Fraction(2, 2),)).is_one()
+
     def test_divmod_and_gcd(self):
         a = RationalPoly((2, 3, 1))   # (q+1)(q+2)
         b = RationalPoly((1, 1))      # q+1
