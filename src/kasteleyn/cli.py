@@ -144,8 +144,7 @@ def build_parser():
     _add_common(p)
     _add_format(p)
     p.add_argument("--which", required=True, choices=["jt", "aztec"])
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p.add_argument("--ceiling", type=int, default=None)
+    p.add_argument("--ceiling", "--max-n", dest="ceiling", type=int, default=None)
 
     p = sub.add_parser("oracle", help="matching count (frontier dynamic program)")
     _add_family_args(p)
@@ -228,7 +227,7 @@ def run(args):
                                    sort_keys=True))
         return 0
     if args.command == "verify":
-        ceiling = args.ceiling if args.ceiling is not None else args.max_n
+        ceiling = args.ceiling
         if ceiling is None:
             ceiling = 4 if args.which == "aztec" else 6
         summary, failures = verify_theorems(args.which, ceiling)

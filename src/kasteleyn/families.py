@@ -26,12 +26,11 @@ from kasteleyn.graphs import (
     kasteleyn_percus_sign,
     monogamous_resolution,
     adjacency_matrix,
-    rotation_at,
     trace_faces,
-    _corner_map,
+    _corners_at,
     _cut_and_tie,
     _cut_components,
-    _insert_entries,
+    _rotation,
     _Surgeon,
 )
 from kasteleyn.matrices import ExactMatrix
@@ -242,9 +241,9 @@ def triangle_region_graph(tris, exclude_edges=()):
     return G
 
 
-def hexagon_tris(a, b, c):
-    """Triangles of the (a, b, c) semiregular hexagon."""
-    X, Y, S1, S2 = b + c, a + c, c, a + b + c
+def _band_tris(X, Y, S1, S2):
+    """Triangles of the box 0 <= x <= X, 0 <= y <= Y whose corners all lie
+    in the band S1 <= x + y <= S2."""
     tris = set()
     for x in range(X):
         for y in range(Y):
@@ -253,6 +252,11 @@ def hexagon_tris(a, b, c):
             if S1 - 1 <= x + y <= S2 - 2:
                 tris.add(("D", x, y))
     return tris
+
+
+def hexagon_tris(a, b, c):
+    """Triangles of the (a, b, c) semiregular hexagon."""
+    return _band_tris(b + c, a + c, c, a + b + c)
 
 
 def build_hexagon_graph(a, b, c):
@@ -268,13 +272,7 @@ def hexagon_minus_triangle_tris(a, b, c, d, e):
     if min(a, b, c) < 1 or d < 0:
         raise DomainError("bad hexagon-minus-triangle parameters")
     X, Y, S1, S2 = a + b + d, b + c + d, b, a + b + c + d
-    tris = set()
-    for x in range(X):
-        for y in range(Y):
-            if S1 <= x + y <= S2 - 1:
-                tris.add(("U", x, y))
-            if S1 - 1 <= x + y <= S2 - 2:
-                tris.add(("D", x, y))
+    tris = _band_tris(X, Y, S1, S2)
     if e == 0:
         return tris
     cx = Fraction(S1 + S2 + 2 * X - Y, 6)
@@ -933,11 +931,9 @@ def transit_free_resolution(g):
     transit = sorted(v for v in verts if indeg[v] > 0 and outdeg[v] > 0)
     s = _Surgeon(base)
     source_copies = []
-    minus_edges = []
     for p in transit:
-        gcur = s.graph()
-        corners = _corner_map(gcur)
-        rot = rotation_at(gcur, p, corners)
+        corners = _corners_at(s.edges, s.faces, p)
+        rot = _rotation(corners, p)
         is_out = [direction[eid][0] == p for eid in rot]
         k = len(rot)
         starts = [i for i in range(k) if is_out[i] and not is_out[i - 1]]
@@ -949,29 +945,15 @@ def transit_free_resolution(g):
         while is_out[i % k]:
             out_run.append(rot[i % k])
             i += 1
-        last_in = rot[(st - 1) % k]
-        first_out = out_run[0]
-        last_out = out_run[-1]
-        r = s.new_vertex(MONO, None, label=f"src({p})")
-        m = s.new_edge(p, r)
-        minus_edges.append(m)
+        r, m = s.split_off(p, corners, rot[st - 1], out_run, MONO, f"src({p})")
         source_copies.append(r)
-        c1 = corners[p][last_in]    # corner (last_in -> first_out)
-        c2 = corners[p][last_out]   # corner (last_out -> first_in)
-        inserts = [
-            (c1[1], c1[2], (m, True)),   # p(q) -> r before the first_out entry
-            (c2[1], c2[2], (m, False)),  # r -> p(q) before the first_in entry
-        ]
-        _insert_entries(s, inserts)
-        for eid in out_run:
-            s.reattach(eid, p, r)
-        direction[m] = (r, p)
         weight[m] = -1
     resolved = s.graph()
 
-    sources = [v for v in lefts] + source_copies
-    sinks = [v for v in rights] + transit
-    if set(sources) | set(sinks) != {v.id for v in resolved.vertices}:
+    sources = lefts + source_copies
+    sinks = rights + transit
+    source_set = set(sources)
+    if source_set | set(sinks) != {v.id for v in resolved.vertices}:
         raise DomainError("source/sink classification missed a vertex")
     new_id = {}
     for i, v in enumerate(sources):
@@ -980,7 +962,7 @@ def transit_free_resolution(g):
         new_id[v] = len(sources) + j
     verts_out = []
     for v in resolved.vertices:
-        color = "black" if v.id in set(sources) else "white"
+        color = "black" if v.id in source_set else "white"
         verts_out.append(Vertex(new_id[v.id], MONO, color, v.label))
     edges_out = []
     for e in resolved.edges:
@@ -989,11 +971,8 @@ def transit_free_resolution(g):
         if isinstance(w, int) and w < 0:
             sign, w = -1, -w
         edges_out.append(Edge(e.id, new_id[e.u], new_id[e.v], w, sign))
-    faces_out = []
-    for walk in resolved.faces:
-        faces_out.append(list(walk))
     out = EmbeddedGraph(
-        verts_out, edges_out, faces_out, "sphere", resolved.infinite_face,
+        verts_out, edges_out, resolved.faces, "sphere", resolved.infinite_face,
         {new_id[v]: resolved.coords[v] for v in resolved.coords if v in new_id},
     )
     out.flags["n_endpoints"] = len(lefts)

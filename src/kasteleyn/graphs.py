@@ -843,42 +843,44 @@ def is_valid_matching(G, edge_ids):
 # rotation/corner machinery for surgeries
 
 
-def _corner_map(G):
-    """corners[v] = dict arriving-edge-id -> (departing-edge-id, face index,
-    position of the departing entry in the face walk)."""
-    corners = {v.id: {} for v in G.vertices}
-    for fi, walk in enumerate(G.faces):
+def _corners_at(edges, faces, vid):
+    """Corners at vid: arriving-edge-id -> (departing-edge-id, face index,
+    position of the departing entry in the face walk); edges maps ids to
+    edges."""
+    corners = {}
+    for fi, walk in enumerate(faces):
         L = len(walk)
-        for pos in range(L):
-            eid, fwd = walk[pos]
-            e = G.edge(eid)
-            head = e.v if fwd else e.u
+        for pos, (eid, fwd) in enumerate(walk):
+            e = edges[eid]
+            if (e.v if fwd else e.u) != vid:
+                continue
             nxt_pos = (pos + 1) % L
             nid, nfwd = walk[nxt_pos]
-            ne = G.edge(nid)
-            tail = ne.u if nfwd else ne.v
-            if tail != head:
+            ne = edges[nid]
+            if (ne.u if nfwd else ne.v) != vid:
                 raise DomainError("face walk corner mismatch")
-            corners[head][eid] = (nid, fi, nxt_pos)
+            corners[eid] = (nid, fi, nxt_pos)
     return corners
 
 
-def rotation_at(G, vid, corners=None):
-    """Cyclic edge order around a vertex recovered from the face corners."""
-    if corners is None:
-        corners = _corner_map(G)
-    cm = corners[vid]
-    if not cm:
+def _rotation(corners, vid):
+    """Cyclic edge order at vid, following its corners from the least edge."""
+    if not corners:
         return []
-    start = min(cm)
+    start = min(corners)
     cycle = [start]
-    cur = cm[start][0]
+    cur = corners[start][0]
     while cur != start:
         cycle.append(cur)
-        cur = cm[cur][0]
-    if len(cycle) != len(cm):
+        cur = corners[cur][0]
+    if len(cycle) != len(corners):
         raise DomainError(f"rotation at vertex {vid} is not a single cycle")
     return cycle
+
+
+def rotation_at(G, vid):
+    """Cyclic edge order around a vertex recovered from the face corners."""
+    return _rotation(_corners_at(G._emap, G.faces, vid), vid)
 
 
 # ---------------------------------------------------------------------------
@@ -931,10 +933,24 @@ class _Surgeon:
         else:
             raise DomainError("reattach endpoint mismatch")
 
+    def split_off(self, vid, corners, before, run, kind, label):
+        """Move the rotation run `run` at vid (entered from the corner
+        before -> run[0]) onto a new vertex w, joined to vid by a new edge m
+        spliced into the two cut corners; returns (w, m)."""
+        self.verts[vid].color = None
+        w = self.new_vertex(kind, None, label)
+        m = self.new_edge(vid, w)
+        _insert_entries(self, [
+            corners[before][1:] + ((m, True),),    # vid -> w before run[0]
+            corners[run[-1]][1:] + ((m, False),),  # w -> vid after run[-1]
+        ])
+        for eid in run:
+            self.reattach(eid, vid, w)
+        return w, m
 
-def _resolve_step(s, vid, corners):
-    """Apply one monogamy move at polygamous vertex vid; corners must be
-    fresh for the current graph."""
+
+def _resolve_step(s, vid):
+    """Apply one monogamy move at polygamous vertex vid."""
     v = s.verts[vid]
     inc = [e for e in s.edges.values() if vid in (e.u, e.v)]
     if any(e.is_loop() for e in inc):
@@ -974,38 +990,14 @@ def _resolve_step(s, vid, corners):
     if d == 2 and v.kind == ODD:
         v.kind = MONO
         return
-    rot = rotation_at(None, vid, corners)
-    if d == 2 and v.kind == EVEN:
-        e1, e2 = rot
-        v.kind = MONO
-        v.color = None
-        v2 = s.new_vertex(MONO, None, label=f"{v.label}+" if v.label else None)
-        m = s.new_edge(vid, v2)
-        # corner (e1 -> e2) and corner (e2 -> e1)
-        c12 = corners[vid][e1]
-        c21 = corners[vid][e2]
-        inserts = [
-            (c12[1], c12[2], (m, True)),   # v -> v2 before the e2 entry
-            (c21[1], c21[2], (m, False)),  # v2 -> v before the e1 entry
-        ]
-        _insert_entries(s, inserts)
-        s.reattach(e2, vid, v2)
-        return
-    if d == 3 and v.kind == EVEN:
-        e1, e2, e3 = rot
-        v.kind = ODD
-        v.color = None
-        vb = s.new_vertex(ODD, None, label=f"{v.label}+" if v.label else None)
-        m = s.new_edge(vid, vb)
-        c_e1 = corners[vid][e1]   # corner e1 -> e2
-        c_e3 = corners[vid][e3]   # corner e3 -> e1
-        inserts = [
-            (c_e1[1], c_e1[2], (m, True)),   # v -> vb before the e2 entry
-            (c_e3[1], c_e3[2], (m, False)),  # vb -> v before the e1 entry
-        ]
-        _insert_entries(s, inserts)
-        s.reattach(e2, vid, vb)
-        s.reattach(e3, vid, vb)
+    corners = _corners_at(s.edges, s.faces, vid)
+    rot = _rotation(corners, vid)
+    if d <= 3 and v.kind == EVEN:
+        # degree 2 becomes a monogamous path; degree 3 keeps one edge on vid
+        # and moves two onto a new odd vertex joined back by a fresh edge
+        v.kind = MONO if d == 2 else ODD
+        s.split_off(vid, corners, rot[0], rot[1:], v.kind,
+                    f"{v.label}+" if v.label else None)
         return
     if d == 3 and v.kind == ODD:
         e1, e2, e3 = rot
@@ -1016,15 +1008,11 @@ def _resolve_step(s, vid, corners):
         t12 = s.new_edge(vid, v2)
         t23 = s.new_edge(v2, v3)
         t31 = s.new_edge(v3, vid)
-        c_e1 = corners[vid][e1]   # e1 -> e2
-        c_e2 = corners[vid][e2]   # e2 -> e3
-        c_e3 = corners[vid][e3]   # e3 -> e1
-        inserts = [
-            (c_e1[1], c_e1[2], (t12, True)),
-            (c_e2[1], c_e2[2], (t23, True)),
-            (c_e3[1], c_e3[2], (t31, True)),
-        ]
-        _insert_entries(s, inserts)
+        _insert_entries(s, [
+            corners[e1][1:] + ((t12, True),),   # corner e1 -> e2
+            corners[e2][1:] + ((t23, True),),   # corner e2 -> e3
+            corners[e3][1:] + ((t31, True),),   # corner e3 -> e1
+        ])
         s.reattach(e2, vid, v2)
         s.reattach(e3, vid, v3)
         s.faces.append([(t12, False), (t31, False), (t23, False)])
@@ -1032,8 +1020,8 @@ def _resolve_step(s, vid, corners):
     # d >= 4: move two rotation-consecutive edges onto a new even-polygamous
     # vertex joined back by a fresh edge (the connecting edge makes the
     # matching sets bijective and the total parity work out)
-    e1, e2, ed = rot[0], rot[1], rot[-1]
-    _split_vertex(s, vid, e1, e2, ed, corners)
+    s.split_off(vid, corners, rot[-1], rot[:2], EVEN,
+                f"{v.label}*" if v.label else None)
 
 
 def _opposite(color):
@@ -1050,25 +1038,6 @@ def _insert_entries(s, inserts):
         s.faces[fi].insert(pos, entry)
 
 
-def _split_vertex(s, vid, e1, e2, ed, corners):
-    """Detach rotation-consecutive edges e1, e2 from vid onto a new
-    even-polygamous vertex va, joined to vid by a fresh connecting edge
-    spliced into the two cut corners."""
-    v = s.verts[vid]
-    v.color = None
-    va = s.new_vertex(EVEN, None, label=f"{v.label}*" if v.label else None)
-    m = s.new_edge(vid, va)
-    cx = corners[vid][e2]   # corner e2 -> e3: enters va, crosses to vid
-    cy = corners[vid][ed]   # corner ed -> e1: enters vid, crosses to va
-    inserts = [
-        (cx[1], cx[2], (m, False)),  # va -> vid before the e3 entry
-        (cy[1], cy[2], (m, True)),   # vid -> va before the e1 entry
-    ]
-    _insert_entries(s, inserts)
-    s.reattach(e1, vid, va)
-    s.reattach(e2, vid, va)
-
-
 def monogamous_resolution(G):
     """Replace polygamous vertices by monogamous gadgets; matchings are
     preserved bijectively and the sphere embedding is maintained."""
@@ -1079,9 +1048,7 @@ def monogamous_resolution(G):
         poly = sorted(v for v, rec in s.verts.items() if rec.kind != MONO)
         if not poly:
             break
-        g = s.graph()
-        corners = _corner_map(g)
-        _resolve_step(s, poly[0], corners)
+        _resolve_step(s, poly[0])
     out = s.graph()
     out.validate()
     return out

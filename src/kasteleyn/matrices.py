@@ -1231,8 +1231,8 @@ def cokernel_of(M):
     non-unit invariant factors (positive).  Builds no witness transforms."""
     if M.ring != "z":
         raise DomainError("cokernel_of expects an integer matrix")
-    diag = [abs(d) for d in _smith_diagonal(M) if d != 0]
-    return CokernelDescriptor(M.rows - len(diag), [d for d in diag if d != 1])
+    inv = stable_invariants(M)
+    return CokernelDescriptor(inv.free_rank, inv.factors)
 
 
 class StableInvariants:

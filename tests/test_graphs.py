@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -61,7 +62,8 @@ def path_graph(n):
     return build_from_coords(coords, [(i, i + 1) for i in range(n - 1)], colors=cols)
 
 
-def grid_graph(w, h):
+def grid_graph(w, h, tail=False):
+    """w x h grid; with tail, a pendant vertex hangs west of corner 0."""
     coords = {}
     ids = {}
     k = 0
@@ -78,6 +80,10 @@ def grid_graph(w, h):
             if y + 1 < h:
                 edges.append((ids[x, y], ids[x, y + 1]))
     cols = {ids[x, y]: ("black" if (x + y) % 2 == 0 else "white") for x, y in ids}
+    if tail:
+        coords[k] = (-2, 0)
+        edges.append((k, 0))
+        cols[k] = "white"
     return build_from_coords(coords, edges, colors=cols)
 
 
@@ -368,6 +374,8 @@ class TestRotation:
         center = 4
         rot = rotation_at(G, center)
         assert len(rot) == 4
+        # from the least edge id: south (to 1), west, north, east (to 5)
+        assert rot == [3, 5, 8, 7]
 
 
 class TestResolution:
@@ -402,6 +410,22 @@ class TestResolution:
             assert all(v.kind == MONO for v in out.vertices)
             out.validate()
             assert enumerate_matchings(out).count == before
+
+    def test_layout_pinned_random_kinds(self):
+        # pendant, even degree 2 and 3, odd degree 3 and degree >= 4 steps all
+        # occur; the digest pins vertex, edge and face order of the output
+        rng = random.Random(29)
+        dumps = []
+        for _ in range(40):
+            w, h = rng.choice([(2, 2), (3, 2), (2, 3), (3, 3)])
+            G = grid_graph(w, h, tail=rng.random() < 0.5)
+            for v in G.vertices:
+                v.color = None
+                if rng.random() < 0.5:
+                    v.kind = rng.choice([ODD, EVEN])
+            dumps.append(dump_graph(monogamous_resolution(G)))
+        assert hashlib.sha256("\n".join(dumps).encode()).hexdigest() == (
+            "96c1ee6137bec5444e6fbec91697f658d2e1ea08611ac51f7765ff6026034b2c")
 
     def test_high_valence_split(self):
         # 6-star with odd-polygamous center

@@ -145,6 +145,13 @@ class TestCli:
             capsys)
         assert code == 0
 
+    def test_verify_max_n_spells_ceiling(self, capsys):
+        outs = [run_cli(["verify", "--which", "aztec", flag, "2"], capsys)
+                for flag in ("--ceiling", "--max-n")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+        assert json.loads(outs[0][1])["summary"]["checked"] == 2
+
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run_cli(["snf", "--ring", "bogus"], capsys)
         assert code == 2
