@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from kasteleyn.families import (
     FamilySpec,
@@ -195,8 +196,11 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
     return M, kind, G
 
 
-def _oracle_status(M, kind, G, guard):
-    """(verdict, matching count or None)."""
+def _oracle_status(M, kind, G, guard, q0=None):
+    """(verdict, matching count or None).  An integer matrix specialized at
+    q = q0 is checked against the weighted matching total at q0, up to the
+    unit +-q0^k it inherits from the Laurent matrix; without q0 it is checked
+    against the plain count."""
     if G is None:
         return "skipped", None
     try:
@@ -206,11 +210,18 @@ def _oracle_status(M, kind, G, guard):
     if M.rows != M.cols:
         return ("holds" if ms.count == 0 else "fails"), ms.count
     if M.ring == "z":
+        if q0 == 0:
+            return "skipped", ms.count
+        if q0 is None:
+            target, q0 = ms.count, 1
+        else:
+            total = ms.total_weight
+            target = total.evaluate(q0) if isinstance(total, LaurentPoly) else total
         if kind == "M":
-            return ("holds" if abs(determinant(M)) == ms.count else "fails"), ms.count
-        if M.rows % 2 == 1:
-            return ("holds" if ms.count == 0 else "fails"), ms.count
-        return ("holds" if abs(pfaffian(M)) == ms.count else "fails"), ms.count
+            value = determinant(M)
+        else:
+            value = 0 if M.rows % 2 == 1 else pfaffian(M)
+        return ("holds" if _equal_up_to_power(value, target, q0) else "fails"), ms.count
     if M.ring == "laurent":
         det = determinant(M)
         total = ms.total_weight
@@ -218,6 +229,21 @@ def _oracle_status(M, kind, G, guard):
             return ("holds" if _equal_up_to_unit(det, total) else "fails"), ms.count
         return ("holds" if _equal_up_to_unit(det, total * total) else "fails"), ms.count
     return "skipped", ms.count
+
+
+def _equal_up_to_power(a, b, q0):
+    """a = +-q0^k * b for some integer k; a and b are rationals, q0 a nonzero int."""
+    if not a or not b:
+        return a == b
+    r = abs(Fraction(a) / b)
+    if r.numerator != 1 and r.denominator != 1:
+        return False
+    x = r.numerator * r.denominator
+    base = abs(q0)
+    if base > 1:
+        while x % base == 0:
+            x //= base
+    return x == 1
 
 
 def _equal_up_to_unit(f, g):
@@ -263,7 +289,7 @@ def run_report(spec, ring, q0=-1, guard=None):
         sq = squarefree_of_factor(f, "z" if inv.ring == "z" else "laurent")
         if sq == "fails":
             sqfree_v = "fails"
-    oracle, count = _oracle_status(M, kind, G, guard)
+    oracle, count = _oracle_status(M, kind, G, guard, q0 if ring == "z@q0" else None)
     return ReportRecord(
         spec.to_json(), ring, kind, M.rows, M.cols, inv.free_rank,
         list(inv.factor_strings()), diags, round_v, sqfree_v, oracle,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from kasteleyn.rings import (
@@ -1353,48 +1353,126 @@ def deleted_pivot(M, i, j):
     return ExactMatrix(M.rows - 1, M.cols - 1, M.ring, out)
 
 
-def determinant(M):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise DomainError("determinant of a non-square matrix")
-    ring = ring_adapter(M.ring)
-    n = M.rows
+def _int_bareiss(rows):
+    """Determinant of a square integer matrix, given as a list of row lists
+    that the elimination overwrites, by fraction-free (Bareiss) elimination."""
+    n = len(rows)
     if n == 0:
-        return ring.one
-    A = M.to_lists()
-    is_zero = ring.is_zero
+        return 1
     sign = 1
-    prev = ring.one
+    prev = 1
     for k in range(n - 1):
-        if is_zero(A[k][k]):
-            piv = next((i for i in range(k + 1, n) if not is_zero(A[i][k])), None)
+        if not rows[k][k]:
+            piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if piv is None:
-                return ring.zero
-            A[k], A[piv] = A[piv], A[k]
+                return 0
+            rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
-        pivot, row_k = A[k][k], A[k]
-        zero_k = [is_zero(x) for x in row_k]
-        for i in range(k + 1, n):
-            row = A[i]
+        row_k = rows[k]
+        pivot = row_k[k]
+        cols = range(k + 1, n)
+        for i in cols:
+            row = rows[i]
             a_ik = row[k]
-            zero_ik = is_zero(a_ik)
-            for j in range(k + 1, n):
-                cross = not (zero_ik or zero_k[j])
+            for j in cols:
+                b = row_k[j]
                 # without the cross term a zero entry stays 0 * pivot / prev = 0
                 # (Kasteleyn matrices are sparse, so most updates are skipped)
-                if not cross and is_zero(row[j]):
+                if a_ik and b:
+                    num = row[j] * pivot - a_ik * b
+                elif row[j]:
+                    num = row[j] * pivot
+                else:
                     continue
-                num = row[j] * pivot
-                if cross:
-                    num = num - a_ik * row_k[j]
-                q = ring.try_div(num, prev)
-                if q is None:
+                q, r = divmod(num, prev)
+                if r:
                     raise ExactDivisionError("Bareiss division failed")
                 row[j] = q
-            row[k] = ring.zero
-        prev = A[k][k]
-    d = A[n - 1][n - 1]
+        prev = pivot
+    d = rows[n - 1][n - 1]
     return -d if sign < 0 else d
+
+
+def _kronecker_det(rows):
+    """Determinant of a square matrix of integer polynomials, each entry a
+    map exponent -> nonzero int, returned as such a map.
+
+    Each row is shifted to start at q^0 and every entry is packed into one
+    integer, its value at q = 2^b, so a single integer Bareiss elimination
+    gives det(2^b).  The coefficients of det are bounded in absolute value
+    by its L1 norm, which is at most the product of the row (or column) L1
+    norms of the entries; b leaves room for that bound and a sign, so det
+    is read back as signed base-2^b digits."""
+    n = len(rows)
+    shifts = []
+    row_norms = []
+    col_norms = [0] * n
+    for row in rows:
+        lo = None
+        norm = 0
+        for j, t in enumerate(row):
+            if t:
+                m = min(t)
+                if lo is None or m < lo:
+                    lo = m
+                s = sum(abs(c) for c in t.values())
+                norm += s
+                col_norms[j] += s
+        if lo is None:
+            return {}
+        shifts.append(lo)
+        row_norms.append(norm)
+    b = min(prod(row_norms), prod(col_norms)).bit_length() + 1
+    packed = []
+    for row, lo in zip(rows, shifts):
+        out = []
+        for t in row:
+            v = 0
+            for e, c in t.items():
+                v += c << (b * (e - lo))
+            out.append(v)
+        packed.append(out)
+    value = _int_bareiss(packed)
+    full = 1 << b
+    half = full >> 1
+    mask = full - 1
+    terms = {}
+    e = sum(shifts)
+    while value:
+        d = value & mask
+        value >>= b
+        if d >= half:
+            d -= full
+            value += 1
+        if d:
+            terms[e] = d
+        e += 1
+    return terms
+
+
+def determinant(M):
+    """Exact determinant by fraction-free (Bareiss) elimination over the
+    integers; Laurent and Q[q] entries go through Kronecker substitution."""
+    if M.rows != M.cols:
+        raise DomainError("determinant of a non-square matrix")
+    if M.ring == "z":
+        return _int_bareiss(M.to_lists())
+    if M.ring == "laurent":
+        return LaurentPoly._from_terms(
+            _kronecker_det([[f._terms for f in row] for row in M.entries]))
+    # Q[q]: clear each row's denominators, then divide their product out
+    rows = []
+    scale = 1
+    for row in M.entries:
+        s = math.lcm(*(c.denominator for f in row for c in f.coeffs))
+        scale *= s
+        rows.append([{e: int(c * s) for e, c in enumerate(f.coeffs) if c} for f in row])
+    terms = _kronecker_det(rows)
+    coeffs = [0] * (max(terms) + 1 if terms else 0)
+    for e, c in terms.items():
+        q, r = divmod(c, scale)
+        coeffs[e] = Fraction(c, scale) if r else q
+    return RationalPoly._trimmed(coeffs)
 
 
 def _pfaffian_expand(M):

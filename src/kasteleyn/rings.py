@@ -284,6 +284,16 @@ class LaurentPoly:
         """Exact evaluation; returns int when integral, Fraction otherwise."""
         if isinstance(q0, float):
             raise TypeError("exact evaluation only; pass int or Fraction")
+        t = self._terms
+        if isinstance(q0, int):
+            lo = min(min(t, default=0), 0)
+            if lo and not q0:
+                raise DomainError("cannot evaluate negative exponents at q = 0")
+            # q0^-lo * f(q0) is an integer; divide once at the end
+            num = sum(c * q0 ** (e - lo) for e, c in t.items())
+            den = q0 ** -lo
+            quot, rem = divmod(num, den)
+            return Fraction(num, den) if rem else quot
         q0 = Fraction(q0)
         if q0 == 0 and not self.is_zero() and self.min_exp < 0:
             raise DomainError("cannot evaluate negative exponents at q = 0")

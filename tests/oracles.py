@@ -1,11 +1,13 @@
 """Independent brute-force oracles used across the test suite: plane
 partitions as cube sets, symmetry actions on cubes, skew tableaux,
 Schur specializations, the permutation expansion of a determinant, a
-candidate-by-candidate Laurent lattice step and Laurent long division."""
+ring-generic Bareiss determinant, a candidate-by-candidate Laurent lattice
+step and Laurent long division."""
 
 from itertools import permutations, product
 
-from kasteleyn.rings import LaurentPoly, q_integer
+from kasteleyn.matrices import ring_adapter
+from kasteleyn.rings import ExactDivisionError, LaurentPoly, q_integer
 
 
 def plane_partitions(a, b, c):
@@ -205,6 +207,49 @@ def permutation_det(grid):
             term *= grid[i][perm[i]]
         total += term
     return total
+
+
+def bareiss_reference(M):
+    """The determinant of a square ExactMatrix by fraction-free (Bareiss)
+    elimination in its own ring: one ring product and one exact ring
+    division per update, with the row swap and the skip of updates that
+    stay zero of the library kernel."""
+    ring = ring_adapter(M.ring)
+    n = M.rows
+    if n == 0:
+        return ring.one
+    A = M.to_lists()
+    is_zero = ring.is_zero
+    sign = 1
+    prev = ring.one
+    for k in range(n - 1):
+        if is_zero(A[k][k]):
+            piv = next((i for i in range(k + 1, n) if not is_zero(A[i][k])), None)
+            if piv is None:
+                return ring.zero
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        pivot, row_k = A[k][k], A[k]
+        zero_k = [is_zero(x) for x in row_k]
+        for i in range(k + 1, n):
+            row = A[i]
+            a_ik = row[k]
+            zero_ik = is_zero(a_ik)
+            for j in range(k + 1, n):
+                cross = not (zero_ik or zero_k[j])
+                if not cross and is_zero(row[j]):
+                    continue
+                num = row[j] * pivot
+                if cross:
+                    num = num - a_ik * row_k[j]
+                q = ring.try_div(num, prev)
+                if q is None:
+                    raise ExactDivisionError("Bareiss division failed")
+                row[j] = q
+            row[k] = ring.zero
+        prev = A[k][k]
+    d = A[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
 def lattice_step_reference(r, p):

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+from kasteleyn import harness
 from kasteleyn.cli import main
 from kasteleyn.families import FamilySpec
 from kasteleyn.harness import (
@@ -49,6 +51,32 @@ class TestRunReport:
     def test_q0_specialization(self):
         rec = run_report(FamilySpec(variant="ppbox", a=2, b=2, c=2), "z@q0", q0=-1)
         assert rec.invariant_factors == ["2", "2"]
+
+    def test_q0_oracle_uses_weighted_total(self):
+        # det M(q0) (the Pfaffian for the tau quotient) against the weighted
+        # matching total at q0, not the plain count
+        box222 = FamilySpec(variant="ppbox", a=2, b=2, c=2, q_mode="cube")
+        box123 = FamilySpec(variant="ppbox", a=1, b=2, c=3, q_mode="cube")
+        tau222 = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="tau")
+        cases = [(box222, -1, 20), (box222, 2, 20), (box222, 3, 20),
+                 (box123, -1, 10), (box123, 2, 10), (box123, 3, 10),
+                 (tau222, -1, 10)]
+        for spec, q0, count in cases:
+            rec = run_report(spec, "z@q0", q0=q0)
+            assert (rec.oracle_check, rec.oracle_count) == ("holds", count), (spec, q0)
+        assert run_report(box222, "z@q0", q0=0).oracle_check == "skipped"
+
+    def test_q0_oracle_equality_up_to_a_power(self):
+        # a = +-q0^k * b; at q0 = +-1 that is |a| == |b|
+        assert harness._equal_up_to_power(3100, 3100, 2)
+        assert harness._equal_up_to_power(-3100 * 8, 3100, 2)
+        assert harness._equal_up_to_power(3100, Fraction(3100, 16), -2)
+        assert harness._equal_up_to_power(-4, 4, -1)
+        assert harness._equal_up_to_power(0, 0, 2)
+        assert not harness._equal_up_to_power(3100, Fraction(6200, 3), 2)
+        assert not harness._equal_up_to_power(3100, 3100 * 3, 2)
+        assert not harness._equal_up_to_power(4, 20, -1)
+        assert not harness._equal_up_to_power(0, 20, 2)
 
     def test_qpoly_ring(self):
         rec = run_report(FamilySpec(variant="ppbox", a=1, b=1, c=2), "qpoly")

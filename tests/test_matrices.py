@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from oracles import lattice_step_reference, permutation_det
+from oracles import bareiss_reference, lattice_step_reference, permutation_det
 
 from kasteleyn import harness
 from kasteleyn.families import FamilySpec, family_matrix, jacobi_trudi
@@ -322,6 +322,88 @@ class TestDeterminant:
                 dq.pop(0)   # the q-power that normal() strips
             dl = RationalPoly.from_laurent(LaurentPoly.coerce(determinant(X)).normal())
             assert RationalPoly(dq).monic() == dl.monic()
+
+
+class TestKroneckerDeterminant:
+    """The integer Bareiss kernel, with Laurent and Q[q] entries packed by
+    Kronecker substitution, against the ring-generic Bareiss loop."""
+
+    @staticmethod
+    def laurent(rng, bits, terms=3, lo=-4, hi=4):
+        return LaurentPoly({rng.randint(lo, hi): rng.randint(-(1 << bits), 1 << bits)
+                            for _ in range(rng.randint(1, terms))})
+
+    def check(self, M):
+        got, want = determinant(M), bareiss_reference(M)
+        assert type(got) is type(want)
+        assert got == want
+        if M.ring == "qpoly":
+            assert got.coeffs == want.coeffs   # same int / Fraction stored form
+        return got
+
+    def test_laurent_seeded(self):
+        rng = random.Random(1010)
+        zeros = 0
+        for trial in range(60):
+            n = rng.randint(1, 6)
+            bits = rng.choice((2, 20, 80))
+            density = rng.choice((0.3, 0.7, 1.0))
+            grid = [[self.laurent(rng, bits) if rng.random() < density
+                     else LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
+            if trial % 5 == 1:
+                grid[rng.randrange(n)] = [LaurentPoly.zero()] * n
+            if trial % 5 == 2:
+                j = rng.randrange(n)
+                for row in grid:
+                    row[j] = LaurentPoly.zero()
+            if self.check(LQ(grid)).is_zero():
+                zeros += 1
+        assert zeros >= 24
+
+    def test_laurent_dense_8x8(self):
+        rng = random.Random(1011)
+        for bits in (3, 80):
+            grid = [[self.laurent(rng, bits) for _ in range(8)] for _ in range(8)]
+            assert not self.check(LQ(grid)).is_zero()
+
+    def test_laurent_singular(self):
+        rng = random.Random(1012)
+        for n in (3, 5, 8):
+            grid = [[self.laurent(rng, 40) for _ in range(n)] for _ in range(n)]
+            f, g = self.laurent(rng, 5), self.laurent(rng, 5)
+            # the last row is a Z[q, q^-1] combination of the first two
+            grid[-1] = [f * x + g * y for x, y in zip(grid[0], grid[1])]
+            assert self.check(LQ(grid)).is_zero()
+            # a repeated column
+            grid = [row[:-1] + [row[0]] for row in grid]
+            assert self.check(LQ(grid)).is_zero()
+
+    def test_laurent_small_sizes(self):
+        assert self.check(LQ([])) == LaurentPoly.one()
+        for f in (LaurentPoly.zero(), parse_laurent("-3*q^-5"),
+                  LaurentPoly({-2: 1, 0: -7, 3: 1 << 80})):
+            assert self.check(LQ([[f]])) == f
+
+    def test_qpoly_with_fractions(self):
+        rng = random.Random(1013)
+        fractional = 0
+        for _ in range(40):
+            n = rng.randint(0, 5)
+            grid = [[RationalPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                   for _ in range(rng.randint(0, 3))])
+                     for _ in range(n)] for _ in range(n)]
+            d = self.check(ExactMatrix(n, n, "qpoly", grid))
+            fractional += any(type(c) is Fraction for c in d.coeffs)
+        assert fractional >= 10
+
+    def test_integers(self):
+        rng = random.Random(1014)
+        for _ in range(80):
+            n = rng.randint(0, 8)
+            bound = 1 << rng.choice((3, 80))
+            grid = [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0
+                     for _ in range(n)] for _ in range(n)]
+            self.check(ExactMatrix(n, n, "z", grid))
 
 
 class TestPfaffian:

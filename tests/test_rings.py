@@ -160,6 +160,32 @@ class TestSpecialize:
     def test_rational_point(self):
         assert specialize(L("q^-1 + q"), Fraction(1, 2)) == Fraction(5, 2)
 
+    def test_integer_point_matches_fraction_formula(self):
+        # evaluation at an integer runs on ints; the value and its type
+        # (int when integral, else Fraction) are those of the term-by-term
+        # Fraction sum
+        def by_fractions(f, q0):
+            total = sum((c * Fraction(q0) ** e for e, c in f.items()), Fraction(0))
+            return int(total) if total.denominator == 1 else total
+
+        rng = random.Random(1015)
+        fractional = 0
+        for _ in range(300):
+            f = LaurentPoly({rng.randint(-6, 6): rng.randint(-(1 << 70), 1 << 70)
+                             for _ in range(rng.randint(0, 5))})
+            for q0 in (-3, -2, -1, 1, 2, 5, Fraction(-2), Fraction(2, 3)):
+                got, want = f.evaluate(q0), by_fractions(f, q0)
+                assert type(got) is type(want) and got == want
+                fractional += type(got) is Fraction
+            if f.is_zero() or f.min_exp >= 0:
+                assert f.evaluate(0) == f.coeff(0)
+            else:
+                with pytest.raises(DomainError):
+                    f.evaluate(0)
+        assert fractional > 300
+        with pytest.raises(TypeError):
+            L("q^-1 + q").evaluate(2.0)
+
 
 class TestParsePrint:
     def test_examples_roundtrip(self):
