@@ -29,6 +29,7 @@ from kasteleyn.graphs import (
     kasteleyn_percus_sign,
 )
 from kasteleyn.matrices import (
+    ExactMatrix,
     NormalFormFailure,
     determinant,
     laurent_smith_attempt,
@@ -188,12 +189,33 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
     elif ring == "z@q0":
         if M.ring != "laurent":
             raise DomainError("q-specialization needs a q-weighted family")
+        if abs(q0) != 1:
+            # q0^-1 is no integer: clear the negative exponents first
+            M = _without_negative_exponents(M, kind)
         M = M.specialize_q(q0)
     elif ring == "qpoly":
+        if M.ring == "laurent":
+            M = _without_negative_exponents(M, kind)
         M = M.to_qpoly()
     elif ring == "laurent" and M.ring != "laurent":
         M = M.map_ring("laurent", LaurentPoly.coerce)
     return M, kind, G
+
+
+def _without_negative_exponents(M, kind):
+    """The Laurent matrix M with each row i whose lowest q-exponent lo_i is
+    negative multiplied by q^-lo_i, and for an alternating matrix (kind "A")
+    column i too, so it stays alternating.  Over Z[q, q^-1] that is a unit
+    change: the invariants stay, det and the Pfaffian gain a factor q^k.
+    Rows without negative exponents are left alone."""
+    shifts = [max(0, -min((x.min_exp for x in row if not x.is_zero()), default=0))
+              for row in M.entries]
+    if not any(shifts):
+        return M
+    rows = [[x.shift(k) for x in row] for row, k in zip(M.entries, shifts)]
+    if kind == "A":
+        rows = [[x.shift(k) for x, k in zip(row, shifts)] for row in rows]
+    return ExactMatrix.from_rows(rows, "laurent")
 
 
 def _oracle_status(M, kind, G, guard, q0=None):
@@ -262,7 +284,7 @@ def run_report(spec, ring, q0=-1, guard=None):
     notes = {}
     form = None
     if ring == "laurent":
-        attempt = laurent_smith_attempt(M)
+        attempt = laurent_smith_attempt(M, transforms=False)
         if not attempt.success:
             return ReportRecord(
                 spec.to_json(), ring, kind, M.rows, M.cols, -1, [],

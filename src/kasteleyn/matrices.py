@@ -18,7 +18,7 @@ import cmath
 import math
 from fractions import Fraction
 from math import gcd, prod
-from operator import mul
+from operator import add, mul
 
 from kasteleyn.rings import (
     DomainError,
@@ -601,11 +601,15 @@ class _Workspace:
                 p, q = r[i], r[j]
                 r[i], r[j] = x * p + y * q, u * p + v * q
 
-    def matrices(self):
-        L = ExactMatrix(self.m, self.m, self.ring, self.L)
-        R = ExactMatrix(self.n, self.n, self.ring, self.R)
-        A = ExactMatrix(self.m, self.n, self.ring, self.A)
-        return A, L, R
+    def diagonal(self):
+        return [self.A[i][i] for i in range(min(self.m, self.n))]
+
+    def transforms(self):
+        """(L, R) as matrices, or (None, None) when they were not carried."""
+        if self.L is None:
+            return None, None
+        return (ExactMatrix(self.m, self.m, self.ring, self.L),
+                ExactMatrix(self.n, self.n, self.ring, self.R))
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +617,8 @@ class _Workspace:
 
 
 class SmithForm:
-    """Diagonal normal form with witness transforms: left * M * right = diag."""
+    """Diagonal normal form with witness transforms: left * M * right = diag.
+    `left` and `right` are None when the form was computed without them."""
 
     def __init__(self, ring, shape, diagonal, left, right):
         self.ring = ring
@@ -793,9 +798,7 @@ def smith_normal_form(M, verify=False):
     callers that read L or R need this; `cokernel_of` and `stable_invariants`
     run the same elimination without building them."""
     ws = _pid_smith(M, transforms=True)
-    Afinal, L, R = ws.matrices()
-    diag = [Afinal[i, i] for i in range(min(ws.m, ws.n))]
-    form = SmithForm(M.ring, (ws.m, ws.n), diag, L, R)
+    form = SmithForm(M.ring, (ws.m, ws.n), ws.diagonal(), *ws.transforms())
     if verify:
         form.verify(M)
     return form
@@ -803,8 +806,7 @@ def smith_normal_form(M, verify=False):
 
 def _smith_diagonal(M):
     """The Smith diagonal of `smith_normal_form(M)`, without building L, R."""
-    ws = _pid_smith(M, transforms=False)
-    return tuple(ws.A[i][i] for i in range(min(ws.m, ws.n)))
+    return tuple(_pid_smith(M, transforms=False).diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +996,9 @@ class NormalFormAttempt:
     witnessed failure `witness` is the blocking pair (p, b): neither divides
     the other and no elementary reduction shrinks them, so the entry ideal
     (p, b) is (heuristically) non-principal; `residual` carries the submatrix
-    where reduction stopped, `left`/`right` the partial transforms.
+    where reduction stopped, `left`/`right` the partial transforms.  A run
+    with transforms=False builds no transforms: `left`/`right` (and the
+    `smith` form's) are None, everything else is the same.
     """
 
     def __init__(self, outcome, smith=None, witness=None, residual=None,
@@ -1107,17 +1111,40 @@ def _lattice_step(r, p):
     l1 = sum(map(abs, R))
     base = (nr - 1, abs(R[-1]), abs(R[0]), l1)
     best = None
-    # o = index in R where P[0] lands, i.e. the shift s = o + lo_r - lo_p
+    # o = index in R where P[0] lands, i.e. the shift s = o + lo_r - lo_p;
+    # the window covers indices o .. end - 1, so the top of the result is
+    # r's (R[-1]) unless end >= nr, and its bottom r's (R[0]) unless o <= 0
     for o in range(1 - np_, nr):
-        lo, hi = max(o, 0), min(o + np_, nr)
+        end = o + np_
+        if (o < 0 and end != nr) or (o > 0 and end > nr):
+            # the window's overhang is a new nonzero end of the result and
+            # the other end of r stays, so the span grows: never smaller
+            continue
+        lo, hi = max(o, 0), min(end, nr)
         overlap = R[lo:hi]
-        c0 = _centered_quotient(sum(map(mul, P[lo - o:hi - o], overlap)), pp)
+        head, mid, tail = P[:lo - o], P[lo - o:hi - o], P[hi - o:]
+        c0 = _centered_quotient(sum(map(mul, mid, overlap)), pp)
         rest = l1 - sum(map(abs, overlap))
         for c in {c0, c0 + 1, c0 - 1} - {0}:
-            win = [-c * x for x in P]
-            for i in range(lo, hi):
-                win[i - o] += R[i]
-            s2 = _window_size(R, o, win, rest)
+            scale = (-c).__mul__
+            win = [*map(scale, head), *map(add, overlap, map(scale, mid)), *map(scale, tail)]
+            size = rest + sum(map(abs, win))
+            if not size:
+                s2 = (-1, 0, 0, 0)
+            else:
+                if end < nr:
+                    top = nr - 1
+                else:
+                    j = _last_nonzero(win)
+                    top = o + j if j >= 0 else _last_nonzero(R[:o])
+                if o > 0:
+                    bot = 0
+                else:
+                    j = _first_nonzero(win)
+                    bot = o + j if j < np_ else end + _first_nonzero(R[end:])
+                at_top = win[top - o] if o <= top < end else R[top]
+                at_bot = win[bot - o] if o <= bot < end else R[bot]
+                s2 = (top - bot, abs(at_top), abs(at_bot), size)
             if s2 < base and (best is None or s2 < best[0]):
                 best = (s2, o, c)
     if best is None:
@@ -1126,25 +1153,20 @@ def _lattice_step(r, p):
     return f, r - f * p
 
 
-def _window_size(R, o, win, rest):
-    """_laurent_size of the coefficient list R with the entries from index o
-    on replaced by win, where win overlaps R and may overhang either end;
-    rest is the L1 norm of R outside the window."""
-    l1 = rest + sum(map(abs, win))
-    if not l1:
-        return (-1, 0, 0, 0)
-    end = o + len(win)
+def _last_nonzero(xs):
+    """Index of the last nonzero entry of xs, -1 if there is none."""
+    i = len(xs) - 1
+    while i >= 0 and not xs[i]:
+        i -= 1
+    return i
 
-    def at(i):
-        return win[i - o] if o <= i < end else R[i]
 
-    top = max(len(R), end) - 1
-    while not at(top):
-        top -= 1
-    bot = min(0, o)
-    while not at(bot):
-        bot += 1
-    return (top - bot, abs(at(top)), abs(at(bot)), l1)
+def _first_nonzero(xs):
+    """Index of the first nonzero entry of xs, len(xs) if there is none."""
+    i = 0
+    while i < len(xs) and not xs[i]:
+        i += 1
+    return i
 
 
 def _laurent_size(f):
@@ -1156,16 +1178,18 @@ def _laurent_size(f):
     return (hi - lo, abs(t[hi]), abs(t[lo]), sum(abs(c) for c in t.values()))
 
 
-def laurent_smith_attempt(M, max_steps=10000):
+def laurent_smith_attempt(M, max_steps=10000, transforms=True):
     """Heuristic Smith reduction over Z[q, q^-1]: unit-normalize the rows,
     then run the shared elimination with centered reductions (exact
     division, degree reduction and integer-content reduction); succeed with
     a divisibility-chained diagonal, or stop with a blocking 2x2 witness, or
-    give up at the step limit."""
+    give up at the step limit.  With transforms=False the witness
+    transforms L, R are not built; the outcome, diagonal, witness, residual
+    and iteration count do not depend on them."""
     if M.ring != "laurent":
         M = M.map_ring("laurent", LaurentPoly.coerce)
     ring = ring_adapter("laurent")
-    ws = _Workspace(M)
+    ws = _Workspace(M, transforms)
     m, n = ws.m, ws.n
     for i in range(m):
         for x in ws.A[i]:
@@ -1175,10 +1199,9 @@ def laurent_smith_attempt(M, max_steps=10000):
                     ws.scale_row(i, ring.unit_inverse(u))
                 break
     failure = _smith(ws, max_steps)
-    A, L, R = ws.matrices()
+    L, R = ws.transforms()
     if failure is None:
-        diag = [A[i, i] for i in range(min(m, n))]
-        form = SmithForm("laurent", (m, n), diag, L, R)
+        form = SmithForm("laurent", (m, n), ws.diagonal(), L, R)
         return NormalFormAttempt("success", smith=form, iterations=ws.ops)
     outcome, pair, k = failure
     witness = None if pair is None else tuple(x.normal() for x in pair)
@@ -1280,9 +1303,10 @@ def _normalize_factor(d, ring_tag):
     raise DomainError(f"unknown ring {ring_tag}")
 
 
-def _laurent_form(M):
-    """The Laurent normal form of M; NormalFormFailure when the attempt fails."""
-    attempt = laurent_smith_attempt(M)
+def _laurent_form(M, transforms=False):
+    """The Laurent normal form of M, with its transforms only if asked for;
+    NormalFormFailure when the attempt fails."""
+    attempt = laurent_smith_attempt(M, transforms=transforms)
     if not attempt.success:
         raise NormalFormFailure(attempt)
     return attempt.smith
@@ -1293,7 +1317,7 @@ def stable_invariants(M, form=None):
 
     `form` is a finished normal form of M, reused as is.  Without one, the
     Laurent ring runs `laurent_smith_attempt` and the PIDs ("z", "qpoly")
-    compute the Smith diagonal alone, with no witness transforms."""
+    compute the Smith diagonal alone; neither builds witness transforms."""
     if form is not None:
         diagonal = form.diagonal
     elif M.ring == "laurent":
@@ -1674,10 +1698,12 @@ def unitarity_defect(U):
 
 def smith_report(M, form=None, include_transforms=False):
     """SmithForm / cokernel JSON-ready report.  Witness transforms are built
-    only for include_transforms, and the invariants are read off that same
-    form; otherwise `stable_invariants` alone runs."""
-    if include_transforms and form is None:
-        form = _laurent_form(M) if M.ring == "laurent" else smith_normal_form(M)
+    only for include_transforms (unless `form` carries them), and the
+    invariants are read off that same form; otherwise `stable_invariants`
+    alone runs."""
+    if include_transforms and (form is None or form.left is None):
+        form = (_laurent_form(M, transforms=True) if M.ring == "laurent"
+                else smith_normal_form(M))
     ad = ring_adapter(M.ring)
     inv = stable_invariants(M, form)
     report = {

@@ -14,7 +14,7 @@ from kasteleyn.harness import (
     verify_theorems,
 )
 from kasteleyn.graphs import load_graph
-from kasteleyn.matrices import parse_matrix
+from kasteleyn.matrices import ExactMatrix, parse_matrix
 from kasteleyn.rings import parse_laurent, q_integer
 
 
@@ -65,6 +65,36 @@ class TestRunReport:
             rec = run_report(spec, "z@q0", q0=q0)
             assert (rec.oracle_check, rec.oracle_count) == ("holds", count), (spec, q0)
         assert run_report(box222, "z@q0", q0=0).oracle_check == "skipped"
+
+    def test_negative_exponents_reach_q0_and_qpoly(self):
+        # the tau quotient's Laurent matrix has negative exponents; its rows
+        # (and, as it is alternating, its columns) are shifted up first
+        tau222 = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="tau")
+        for q0 in (0, 2, 3):
+            rec = run_report(tau222, "z@q0", q0=q0)
+            want = "skipped" if q0 == 0 else "holds"
+            assert (rec.oracle_check, rec.oracle_count) == (want, 10), q0
+        laurent = run_report(tau222, "laurent")
+        qpoly = run_report(tau222, "qpoly")
+        assert qpoly.free_rank == laurent.free_rank == 0
+        assert [parse_laurent(f) for f in qpoly.invariant_factors] == [
+            parse_laurent(f) for f in laurent.invariant_factors]
+        M, kind, _ = family_matrix_for_ring(tau222, "qpoly")
+        assert kind == "A" and M.is_alternating()
+
+    def test_negative_exponent_shift(self):
+        def LQ(rows):
+            return ExactMatrix.from_rows([[parse_laurent(x) for x in r] for r in rows], "laurent")
+
+        shift = harness._without_negative_exponents
+        M = LQ([["q^-1", "1"], ["1", "q"]])
+        assert shift(M, "M") == LQ([["1", "q"], ["1", "q"]])
+        A = LQ([["0", "q^-2", "1"], ["-q^-2", "0", "q^-1"], ["-1", "-q^-1", "0"]])
+        # rows and columns 0, 1, 2 gain q^2, q^2, q^1
+        assert shift(A, "A") == LQ([["0", "q^2", "q^3"], ["-q^2", "0", "q^2"], ["-q^3", "-q^2", "0"]])
+        box222 = FamilySpec(variant="ppbox", a=2, b=2, c=2, q_mode="cube")
+        M, kind, _ = family_matrix_for_ring(box222, "laurent")
+        assert shift(M, kind) is M
 
     def test_q0_oracle_equality_up_to_a_power(self):
         # a = +-q0^k * b; at q0 = +-1 that is |a| == |b|

@@ -526,6 +526,59 @@ class TestLaurentAttempt:
             found += want is not None
         assert 100 < found < 400
 
+    def test_lattice_step_matches_reference_at_the_ends(self):
+        rng = random.Random(43)
+
+        def poly(length, bound=3):
+            lo = rng.randint(-6, 6)
+            terms = {lo + e: rng.randint(-bound, bound) for e in range(length)}
+            terms[lo] = terms[lo] or 1
+            terms[max(terms)] = terms[max(terms)] or -1
+            return LaurentPoly(terms)
+
+        def near_multiple(p):
+            # the run of f = c q^s p from one end of f to a cut, plus a
+            # tail on the other side of the cut (or none): the window at
+            # shift s cancels that run, or all it covers when the run is
+            # all of f, and the end of the result lies inside the window or
+            # in r beyond it; p is longer than r when the run is short
+            f = LaurentPoly.q_power(rng.randint(-4, 4), rng.choice((-2, -1, 1, 2))) * p
+            keep = rng.choice((f.span + 1, rng.randint(1, f.span + 1)))
+            tail = poly(rng.randint(1, 4)) if rng.random() < 0.8 else LaurentPoly.zero()
+            if rng.random() < 0.5:
+                cut = f.max_exp - keep + 1
+                run = LaurentPoly({e: c for e, c in f.items() if e >= cut})
+                if not tail.is_zero():
+                    tail = tail.shift(rng.randint(f.min_exp - 12, cut - 1) - tail.max_exp)
+            else:
+                cut = f.min_exp + keep - 1
+                run = LaurentPoly({e: c for e, c in f.items() if e <= cut})
+                if not tail.is_zero():
+                    tail = tail.shift(rng.randint(cut + 1, f.max_exp + 12) - tail.min_exp)
+            return run + tail
+
+        # the window at one end cancels all it covers, past a gap in r; the
+        # window cancelling r's other end must lose to it
+        p = parse_laurent("1 + q")
+        assert _lattice_step(parse_laurent("1 + q + 5*q^3 + q^20 + q^21"), p) == (
+            LaurentPoly.q_power(20), parse_laurent("1 + q + 5*q^3"))
+        assert _lattice_step(parse_laurent("1 + q + 5*q^18 + q^20 + q^21"), p) == (
+            LaurentPoly.one(), parse_laurent("5*q^18 + q^20 + q^21"))
+        cases = []
+        for _ in range(300):
+            # long r, short p
+            cases.append((poly(rng.randint(8, 20), 20), poly(rng.randint(1, 3))))
+        for _ in range(600):
+            p = poly(rng.randint(2, 7))
+            cases.append((near_multiple(p), p))
+        shrunk = longer_p = 0
+        for r, p in cases:
+            want = lattice_step_reference(r, p)
+            assert _lattice_step(r, p) == want, (str(r), str(p))
+            shrunk += want is not None and (want[1].is_zero() or want[1].span < r.span)
+            longer_p += p.span > r.span and want is not None
+        assert shrunk > 400 and longer_p > 20, (shrunk, longer_p)
+
     def test_box_333_witness_pinned(self):
         M, _ = family_matrix(FamilySpec("ppbox", 3, 3, 3, q_mode="cube"))
         out = laurent_smith_attempt(M)
@@ -537,6 +590,54 @@ class TestLaurentAttempt:
             "25 - 28*q - 28*q^2 - 28*q^3 - 28*q^4 - 80*q^5 - 53*q^6 - 77*q^7"
             " - 24*q^8 - 24*q^9 - 24*q^10 - 24*q^11 + 28*q^12 + q^13",
         ]
+
+    def test_tau_impossible_222_witness_pinned(self):
+        spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group="tau",
+                          q_mode="cube", wrong_parity=True)
+        M, _, _ = harness.family_matrix_for_ring(spec, "laurent")
+        out = laurent_smith_attempt(M)
+        assert out.outcome == "witnessed"
+        assert out.iterations == 159
+        assert [str(w) for w in out.witness] == [
+            "2 + 6*q - 4*q^2 + 4*q^3",
+            "-1 - 2*q - 2*q^3 - q^4 + 18*q^5 + 3*q^6 - q^8 + 3*q^9 - q^11"
+            " - q^12 + 2*q^13 - q^14 + 3*q^16 - 2*q^17 + q^18",
+        ]
+
+    def test_transform_free_attempt_matches_full_run(self):
+        def diagonal(out):
+            return None if out.smith is None else out.smith.diagonal
+
+        seen = set()
+        for _, spec, ring in harness._round_instances(6):
+            if ring != "laurent":
+                continue
+            try:
+                M, _, _ = harness.family_matrix_for_ring(spec, ring)
+            except DomainError:
+                continue
+            full = laurent_smith_attempt(M)
+            bare = laurent_smith_attempt(M, transforms=False)
+            assert bare.outcome == full.outcome, spec
+            assert diagonal(bare) == diagonal(full), spec
+            assert bare.witness == full.witness, spec
+            assert bare.residual == full.residual, spec
+            assert bare.iterations == full.iterations, spec
+            assert bare.left is None and bare.right is None
+            if bare.success:
+                assert bare.smith.left is None and bare.smith.right is None
+                assert full.smith.left is not None
+                report = smith_report(M)
+                assert report == smith_report(M, form=full.smith)
+                with_transforms = smith_report(M, include_transforms=True)
+                assert with_transforms == smith_report(
+                    M, form=bare.smith, include_transforms=True)
+                del with_transforms["left"], with_transforms["right"]
+                assert with_transforms == {**report, "witnesses_included": True}
+            else:
+                assert full.left is not None and full.right is not None
+            seen.add(full.outcome)
+        assert seen == {"success", "witnessed"}
 
     def test_integer_matrices_match_pid_invariants(self):
         # constant entries take the span-0 reduction and the swap-if-smaller
