@@ -1,12 +1,21 @@
 """Dense exact matrices and their normal forms.
 
 Rings are tagged: "z" (integers), "laurent" (Z[q, q^-1]), "qpoly" (Q[q]).
-One Smith elimination driver serves all three; each ring adapter supplies
-the `reduce` step of an entry against the pivot.  Over the two PIDs ("z",
-"qpoly") a remainder is resolved by a Bezout step and the Smith normal form
-is computed constructively; over the Laurent ring, which is not a PID, the
-centered reduction makes it a heuristic that either succeeds, exhibits a
+One Smith elimination driver, `_smith`, serves all three; each ring adapter
+supplies the `reduce` step of an entry against the pivot.  Over the two PIDs
+("z", "qpoly") a remainder is resolved by a Bezout step and the Smith normal
+form is computed constructively; over the Laurent ring, which is not a PID,
+the centered reduction makes it a heuristic that either succeeds, exhibits a
 blocking pair, or gives up at an iteration limit.
+
+The driver takes every unit pivot first.  An integer diagonal computed
+without transforms (`cokernel_of`, `stable_invariants`) changes route once
+the remaining block has no unit entry: if that block is square with D =
+|det| != 0, it is finished modulo D (`_finish_modulo_det`), with every
+entry at most D/2 in absolute value, where plain elimination lets the
+entries grow without bound.  A singular or non-square block, and every call
+that builds transforms, stays on the plain elimination.  The route is read
+off the input and the call; there is no option for it.
 
 Everything is exact; the Fourier duality matrix is the single
 floating-point surface and returns complex entries.
@@ -685,12 +694,21 @@ def _smith(ws, max_steps=None):
 
     Each pivot is unit-normalized once its cross is clear and it divides the
     rest of its block.  When a pivot gets stuck (only over the Laurent ring),
-    the later candidates are tried in (size, row, col) order."""
+    the later candidates are tried in (size, row, col) order.
+
+    Over "z" without transforms, the first block A[k:][k:] with no unit
+    entry goes to `_finish_modulo_det`, which finishes it when it is square
+    and nonsingular; otherwise the elimination goes on as above."""
     ring, A = ws.ad, ws.A
+    modular = ring.tag == "z" and ws.L is None
     for k in range(min(ws.m, ws.n)):
         pivot = _pick_pivot(ring, A, k)
         if pivot is None:
             break
+        if modular and not ring.is_unit(A[pivot[0]][pivot[1]]):
+            modular = False
+            if _finish_modulo_det(ws, k):
+                return None
         tried = 0
         while True:
             ws.swap_rows(k, pivot[0])
@@ -783,6 +801,81 @@ def _reduce_entry(ws, ring, k, i, b, addmul, mix, swap):
     return None
 
 
+def _finish_modulo_det(ws, k):
+    """Write the invariant factors of the integer block B = A[k:][k:] on its
+    diagonal, zeros elsewhere, and return True; return False and leave `ws`
+    as it is when B is not square or det B = 0.
+
+    With D = |det B|, B adj(B) = det(B) I puts D Z^n in the column lattice
+    of B, so coker B = Z^n / (B Z^n + D Z^n) and every entry may be kept as
+    a symmetric residue mod D.  Bezout row and column steps diagonalize B
+    mod D; then coker B = sum Z/gcd(a_ii, D), and gcd/lcm swaps turn these
+    orders into a divisibility chain, whose product must be D (Hafner and
+    McCurley 1991; Cohen, GTM 138, Alg. 2.4.14)."""
+    if ws.m != ws.n:
+        return False
+    D = abs(_int_bareiss([row[k:] for row in ws.A[k:]]))
+    if not D:
+        return False
+    half = D // 2
+
+    def residue(x):
+        r = x % D
+        return r - D if r > half else r
+
+    B = [[residue(x) for x in row[k:]] for row in ws.A[k:]]
+    factors = []
+    while B:
+        entries = [(abs(x), i, j) for i, row in enumerate(B) for j, x in enumerate(row) if x]
+        if not entries:
+            factors += [D] * len(B)
+            break
+        _, i, j = min(entries)
+        B[0], B[i] = B[i], B[0]
+        for row in B:
+            row[0], row[j] = row[j], row[0]
+        # clear column 0 by row steps, transpose, and repeat until the
+        # pivot's row and column are both clear (transposing keeps coker's
+        # invariant factors)
+        while any(row[0] for row in B[1:]) or any(B[0][1:]):
+            _clear_first_column(B, residue)
+            B = [list(col) for col in zip(*B)]
+        factors.append(gcd(B[0][0], D))
+        B = [row[1:] for row in B[1:]]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+    if prod(factors) != D:
+        raise ExactDivisionError(f"invariant factors modulo the determinant "
+                                 f"multiply to {prod(factors)}, not |det| = {D}")
+    for i, f in enumerate(factors, k):
+        ws.A[i][k:] = [0] * len(factors)
+        ws.A[i][i] = f
+    return True
+
+
+def _clear_first_column(B, residue):
+    """Zero B[1:][0] by unimodular row steps on the residue matrix B: an
+    exact multiple of the pivot B[0][0] is subtracted, otherwise a Bezout
+    mix puts gcd(pivot, entry) at (0, 0)."""
+    gcdext = _IntRing.gcdext
+    top = B[0]
+    for i in range(1, len(B)):
+        b, row = B[i][0], B[i]
+        if not b:
+            continue
+        t, r = divmod(b, top[0])
+        if not r:
+            B[i] = [residue(d - t * c) for c, d in zip(top, row)]
+            continue
+        g, x, y = gcdext(top[0], b)
+        u, v = -b // g, top[0] // g
+        top, B[i] = ([residue(x * c + y * d) for c, d in zip(top, row)],
+                     [residue(u * c + v * d) for c, d in zip(top, row)])
+    B[0] = top
+
+
 def _pid_smith(M, transforms):
     """`_smith` over a PID ("z" or "qpoly"); returns the finished workspace."""
     if M.ring == "laurent":
@@ -796,7 +889,8 @@ def smith_normal_form(M, verify=False):
     """Smith normal form over a PID ring tag ("z" or "qpoly"), with
     unit-determinant witness transforms L, R (L * M * R = diagonal).  Only
     callers that read L or R need this; `cokernel_of` and `stable_invariants`
-    run the same elimination without building them."""
+    compute the same diagonal without them, over "z" modulo the determinant
+    once the unit pivots run out (`_smith_diagonal`)."""
     ws = _pid_smith(M, transforms=True)
     form = SmithForm(M.ring, (ws.m, ws.n), ws.diagonal(), *ws.transforms())
     if verify:
@@ -805,7 +899,10 @@ def smith_normal_form(M, verify=False):
 
 
 def _smith_diagonal(M):
-    """The Smith diagonal of `smith_normal_form(M)`, without building L, R."""
+    """The Smith diagonal of `smith_normal_form(M)`, without building L, R.
+    Over "z" the unit pivots are taken as there; a square nonsingular block
+    left without units is then finished modulo its determinant
+    (`_finish_modulo_det`), any other block by the same elimination."""
     return tuple(_pid_smith(M, transforms=False).diagonal())
 
 
@@ -1251,7 +1348,10 @@ class CokernelDescriptor:
 
 def cokernel_of(M):
     """Cokernel of an integer matrix: free rank = rows - rank, torsion =
-    non-unit invariant factors (positive).  Builds no witness transforms."""
+    non-unit invariant factors (positive).  Builds no witness transforms:
+    the diagonal is `_smith_diagonal`'s, finished modulo the determinant
+    once the unit pivots run out if the block left is square and
+    nonsingular, by plain elimination otherwise."""
     if M.ring != "z":
         raise DomainError("cokernel_of expects an integer matrix")
     inv = stable_invariants(M)
@@ -1317,7 +1417,9 @@ def stable_invariants(M, form=None):
 
     `form` is a finished normal form of M, reused as is.  Without one, the
     Laurent ring runs `laurent_smith_attempt` and the PIDs ("z", "qpoly")
-    compute the Smith diagonal alone; neither builds witness transforms."""
+    compute the Smith diagonal alone (`_smith_diagonal`: over "z" modulo
+    the determinant once the unit pivots run out, if the block left is
+    square and nonsingular); neither builds witness transforms."""
     if form is not None:
         diagonal = form.diagonal
     elif M.ring == "laurent":
@@ -1499,31 +1601,26 @@ def determinant(M):
     return RationalPoly._trimmed(coeffs)
 
 
-def _pfaffian_expand(M):
-    n = M.rows
-    rows = M.entries
-    ring = ring_adapter(M.ring)
-    idx = tuple(range(n))
-    memo = {}
-
-    def pf(sub):
-        if not sub:
-            return ring.one
-        if sub in memo:
-            return memo[sub]
-        i0 = sub[0]
-        rest = sub[1:]
-        total = ring.zero
-        for pos, j in enumerate(rest):
-            a = rows[i0][j]
-            if not ring.is_zero(a):
-                smaller = tuple(x for x in rest if x != j)
-                term = a * pf(smaller)
-                total = total + (term if pos % 2 == 0 else -term)
-        memo[sub] = total
-        return total
-
-    return pf(idx)
+def _pfaffian_minor(sub, rows, ring, memo):
+    """Pfaffian of the principal submatrix of `rows` on the index tuple
+    `sub`, by expansion along its first row; sub-Pfaffians are kept in
+    `memo`.  A module-level function rather than a closure, so no reference
+    cycle keeps `memo` alive after the call."""
+    if not sub:
+        return ring.one
+    if sub in memo:
+        return memo[sub]
+    i0 = sub[0]
+    rest = sub[1:]
+    total = ring.zero
+    for pos, j in enumerate(rest):
+        a = rows[i0][j]
+        if not ring.is_zero(a):
+            smaller = tuple(x for x in rest if x != j)
+            term = a * _pfaffian_minor(smaller, rows, ring, memo)
+            total = total + (term if pos % 2 == 0 else -term)
+    memo[sub] = total
+    return total
 
 
 def pfaffian(M, expand_limit=12):
@@ -1540,7 +1637,7 @@ def pfaffian(M, expand_limit=12):
     if n == 0:
         return ring_adapter(M.ring).one
     if n <= expand_limit:
-        return _pfaffian_expand(M)
+        return _pfaffian_minor(tuple(range(n)), M.entries, ring_adapter(M.ring), {})
     if M.ring != "z":
         raise DomainError("large Pfaffians implemented over the integers only")
     A = [[Fraction(x) for x in row] for row in M.entries]

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import comb, prod
@@ -6,10 +7,16 @@ import pytest
 
 from oracles import bareiss_reference, lattice_step_reference, permutation_det
 
-from kasteleyn import harness
-from kasteleyn.families import FamilySpec, family_matrix, jacobi_trudi
+from kasteleyn import harness, matrices
+from kasteleyn.families import (
+    FamilySpec,
+    aztec_matrix_closed_form,
+    family_matrix,
+    jacobi_trudi,
+)
 from kasteleyn.matrices import (
     DomainError,
+    ExactDivisionError,
     ExactMatrix,
     GuardExceeded,
     NormalFormFailure,
@@ -139,6 +146,105 @@ class TestSmithDiagonal:
             assert stable_invariants(M, smith_normal_form(M)) == stable_invariants(M)
         form = laurent_smith_attempt(laurent).smith
         assert stable_invariants(laurent, form) == stable_invariants(laurent)
+
+    def modular_cases(self):
+        """Integer matrices whose Smith diagonal is finished modulo the
+        determinant once their unit pivots run out."""
+        yield from (signed_box(d, d) for d in range(3, 7))
+        yield from (shuffled_binomial(n, seed) for n in range(6, 14) for seed in (0, 2, 5))
+        yield from (aztec_matrix_closed_form(n) for n in range(1, 9))
+
+    def test_modular_route_matches_witness_diagonal(self, monkeypatch):
+        finished = spy_modular_route(monkeypatch)
+        cases = list(self.modular_cases())
+        for M in cases:
+            assert _smith_diagonal(M) == smith_normal_form(M).diagonal
+        assert finished.count(True) == len(cases)
+
+    def test_modular_route_recovers_a_known_chain(self, monkeypatch):
+        finished = spy_modular_route(monkeypatch)
+        rng = random.Random(1202)
+        chains = [(2, 2, 2), (3, 3, 9), (1, 2, 2, 12, 12), (1, 1, 2, 6, 6, 30),
+                  (2, 6, 6, 6, 30, 210), (2, 4, 4, 8, 8, 16, 48), (1, 5, 5, 25, 25, 25, 125, 250)]
+        for chain in chains:
+            for _ in range(4):
+                M = chained_product(rng, chain)
+                assert _smith_diagonal(M) == smith_normal_form(M).diagonal == chain
+                assert cokernel_of(M).order() == abs(determinant(M)) == prod(chain)
+        assert finished.count(True) == 2 * 4 * len(chains)
+
+    def test_fallback_on_singular_or_nonsquare_block(self, monkeypatch):
+        finished = spy_modular_route(monkeypatch)
+        singular = Z([[2, 4, 6], [4, 6, 10], [6, 10, 16]])
+        after_units = Z([[1, 2, 3, 4], [0, 2, 4, 6], [0, 4, 6, 10], [0, 6, 10, 16]])
+        wide = Z([[2, 4, 6], [6, 10, 4]])
+        cases = [(singular, 1), (after_units, 1), (wide, 0), (wide.transpose(), 1)]
+        for M, free_rank in cases:
+            assert _smith_diagonal(M) == smith_normal_form(M).diagonal
+            assert stable_invariants(M).free_rank == free_rank
+            assert cokernel_of(M).free_rank == free_rank
+        assert finished == [False] * 3 * len(cases)
+
+    def test_product_check_catches_a_wrong_modulus(self, monkeypatch):
+        bareiss = matrices._int_bareiss
+        monkeypatch.setattr(matrices, "_int_bareiss", lambda rows: 2 * bareiss(rows))
+        with pytest.raises(ExactDivisionError):
+            _smith_diagonal(shuffled_binomial(8, 0))
+
+    def test_transforms_never_take_the_modular_route(self, monkeypatch):
+        finished = spy_modular_route(monkeypatch)
+        M = shuffled_binomial(9, 0)
+        smith_normal_form(M, verify=True)
+        smith_report(M, include_transforms=True)
+        assert finished == []
+
+
+def spy_modular_route(monkeypatch):
+    """Record the result of every `_finish_modulo_det` call."""
+    finish = matrices._finish_modulo_det
+    results = []
+
+    def recording(ws, k):
+        results.append(finish(ws, k))
+        return results[-1]
+
+    monkeypatch.setattr(matrices, "_finish_modulo_det", recording)
+    return results
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary row operations on the identity."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return Z(U)
+
+
+def chained_product(rng, chain):
+    """U * diag(chain) * V with random unimodular U and V."""
+    n = len(chain)
+    return random_unimodular(rng, n) * ExactMatrix.diagonal(chain) * random_unimodular(rng, n)
+
+
+class TestBinomialCokernels:
+    """Cokernels of the Gessel-Viennot matrices [C(2n, n-i+j)], shuffled;
+    the n = 16 and 17 pins were computed by the elimination without the
+    modular route."""
+
+    def test_pinned(self):
+        for n, count, largest in ((16, 16, 909547796190), (17, 14, 89135684026620)):
+            torsion = cokernel_of(shuffled_binomial(n, 0)).torsion
+            assert (len(torsion), torsion[-1]) == (count, largest)
+
+    def test_chain_and_order(self):
+        for n in (16, 17, 18, 20):
+            M = shuffled_binomial(n, 0)
+            c = cokernel_of(M)
+            assert c.free_rank == 0
+            assert all(b % a == 0 for a, b in zip(c.torsion, c.torsion[1:]))
+            assert c.order() == abs(determinant(M))
 
 
 class TestCokernel:
@@ -432,6 +538,16 @@ class TestPfaffian:
         A = random_alternating(rng, 14, -3, 3)
         assert pfaffian(A) ** 2 == determinant(A)
         assert pfaffian(A, expand_limit=14) == pfaffian(A)
+
+    def test_expansion_leaves_no_reference_cycle(self):
+        A = random_alternating(random.Random(45), 10)
+        gc.collect()
+        gc.disable()
+        try:
+            assert pfaffian(A) ** 2 == determinant(A)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
