@@ -18,7 +18,9 @@ that builds transforms, stays on the plain elimination.  The route is read
 off the input and the call; there is no option for it.
 
 Everything is exact; the Fourier duality matrix is the single
-floating-point surface and returns complex entries.
+floating-point surface and returns complex entries.  It needs only the
+Smith diagonal (the same transform-free route as `cokernel_of`): in Smith
+coordinates the pairing of coker M with coker M^T is sum r_i s_i / d_i.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
-from operator import add, mul
+from operator import add, mul, not_
 
 from kasteleyn.rings import (
     DomainError,
@@ -60,15 +63,15 @@ class _IntRing:
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, int):
+        """A plain int: bool and other int subclasses are stored as int, so
+        `is_zero` and `write_matrix` see canonical entries."""
+        if type(x) is int:
             return x
-        if isinstance(x, Fraction) and x.denominator == 1:
+        if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
             return int(x)
         raise TypeError(f"not an integer entry: {x!r}")
 
-    @staticmethod
-    def is_zero(a):
-        return a == 0
+    is_zero = staticmethod(not_)
 
     @staticmethod
     def is_unit(a):
@@ -312,7 +315,10 @@ def ring_adapter(tag):
 
 
 class ExactMatrix:
-    """Immutable dense matrix over a tagged exact ring."""
+    """Immutable dense matrix over a tagged exact ring.  The constructor,
+    `from_rows`, `map_ring` and scalar products coerce every entry; the
+    producers whose entries are ring elements by construction go through
+    `_of_ring_elements`, which does not."""
 
     __slots__ = ("rows", "cols", "ring", "entries")
 
@@ -321,6 +327,18 @@ class ExactMatrix:
         ents = tuple(tuple(ad.coerce(x) for x in row) for row in entries)
         if len(ents) != rows or any(len(r) != cols for r in ents):
             raise DomainError("entry grid does not match declared shape")
+        self._fill(rows, cols, ring, ents)
+
+    @classmethod
+    def _of_ring_elements(cls, rows, cols, ring, entries):
+        """A rows x cols matrix whose entries are already ring elements of
+        `ring` in canonical form (what `coerce` would return); neither they
+        nor the shape are checked."""
+        M = object.__new__(cls)
+        M._fill(rows, cols, ring, tuple(map(tuple, entries)))
+        return M
+
+    def _fill(self, rows, cols, ring, ents):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "ring", ring)
@@ -339,7 +357,7 @@ class ExactMatrix:
     @staticmethod
     def identity(n, ring="z"):
         ad = ring_adapter(ring)
-        return ExactMatrix(
+        return ExactMatrix._of_ring_elements(
             n, n, ring,
             [[ad.one if i == j else ad.zero for j in range(n)] for i in range(n)],
         )
@@ -351,10 +369,12 @@ class ExactMatrix:
         m = n = len(vals)
         if shape:
             m, n = shape
+        if len(vals) > min(m, n):
+            raise DomainError(f"{len(vals)} diagonal values do not fit a {m}x{n} matrix")
         grid = [[ad.zero] * n for _ in range(m)]
         for i, v in enumerate(vals):
             grid[i][i] = v
-        return ExactMatrix(m, n, ring, grid)
+        return ExactMatrix._of_ring_elements(m, n, ring, grid)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -383,13 +403,11 @@ class ExactMatrix:
         return f"<ExactMatrix {self.rows}x{self.cols} over {self.ring}>"
 
     def transpose(self):
-        return ExactMatrix(
-            self.cols, self.rows, self.ring,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        cols = zip(*self.entries) if self.rows else [()] * self.cols
+        return ExactMatrix._of_ring_elements(self.cols, self.rows, self.ring, cols)
 
     def __neg__(self):
-        return ExactMatrix(
+        return ExactMatrix._of_ring_elements(
             self.rows, self.cols, self.ring,
             [[-x for x in row] for row in self.entries],
         )
@@ -398,12 +416,9 @@ class ExactMatrix:
         self._compat(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DomainError("shape mismatch")
-        return ExactMatrix(
+        return ExactMatrix._of_ring_elements(
             self.rows, self.cols, self.ring,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
+            [list(map(add, a, b)) for a, b in zip(self.entries, other.entries)],
         )
 
     def __sub__(self, other):
@@ -418,18 +433,12 @@ class ExactMatrix:
         self._compat(other)
         if self.cols != other.rows:
             raise DomainError("shape mismatch in product")
-        ad = ring_adapter(self.ring)
-        out = []
+        zero = ring_adapter(self.ring).zero
         bt = other.transpose().entries
-        for row in self.entries:
-            out_row = []
-            for col in bt:
-                acc = ad.zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(self.rows, other.cols, self.ring, out)
+        return ExactMatrix._of_ring_elements(
+            self.rows, other.cols, self.ring,
+            [[sum(map(mul, row, col), zero) for col in bt] for row in self.entries],
+        )
 
     def _compat(self, other):
         if self.ring != other.ring:
@@ -446,7 +455,8 @@ class ExactMatrix:
                     for l in range(other.cols):
                         row.append(self.entries[i][j] * other.entries[k][l])
                 out.append(row)
-        return ExactMatrix(self.rows * other.rows, self.cols * other.cols, self.ring, out)
+        return ExactMatrix._of_ring_elements(
+            self.rows * other.rows, self.cols * other.cols, self.ring, out)
 
     def is_alternating(self):
         if self.rows != self.cols:
@@ -617,8 +627,8 @@ class _Workspace:
         """(L, R) as matrices, or (None, None) when they were not carried."""
         if self.L is None:
             return None, None
-        return (ExactMatrix(self.m, self.m, self.ring, self.L),
-                ExactMatrix(self.n, self.n, self.ring, self.R))
+        return (ExactMatrix._of_ring_elements(self.m, self.m, self.ring, self.L),
+                ExactMatrix._of_ring_elements(self.n, self.n, self.ring, self.R))
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +898,10 @@ def _pid_smith(M, transforms):
 def smith_normal_form(M, verify=False):
     """Smith normal form over a PID ring tag ("z" or "qpoly"), with
     unit-determinant witness transforms L, R (L * M * R = diagonal).  Only
-    callers that read L or R need this; `cokernel_of` and `stable_invariants`
-    compute the same diagonal without them, over "z" modulo the determinant
-    once the unit pivots run out (`_smith_diagonal`)."""
+    callers that read L or R need this; `cokernel_of`, `stable_invariants`
+    and `fourier_duality_matrix` compute the same diagonal without them,
+    over "z" modulo the determinant once the unit pivots run out
+    (`_smith_diagonal`)."""
     ws = _pid_smith(M, transforms=True)
     form = SmithForm(M.ring, (ws.m, ws.n), ws.diagonal(), *ws.transforms())
     if verify:
@@ -1710,28 +1721,19 @@ def determinantal_divisors(M, max_dim=6):
 # Fourier duality matrix (the sole floating-point surface)
 
 
-def _fraction_inverse(M):
-    n = M.rows
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise DomainError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        p = A[col][col]
-        A[col] = [x / p for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
 def fourier_duality_matrix(M, guard=64):
     """The discrete-Fourier unitary between coker M and coker M^T for a
-    nonsingular integer matrix: U[x, y] = exp(2 pi i Y^T M^-1 X) / sqrt(|det M|),
-    built by enumerating coset representatives of both cokernels."""
+    nonsingular integer matrix: U[x, y] = exp(2 pi i Y^T M^-1 X) / sqrt(|det M|)
+    over coset representatives X of coker M and Y of coker M^T.
+
+    Both are taken in Smith coordinates.  With L M R = diag(d_1, ..., d_n),
+    r, s run over prod range(d_i) in mixed radix (rows and columns in that
+    order), X = L^-1 r and Y = (R^-1)^T s.  Since R^-1 M^-1 L^-1 = diag(1/d_i),
+    Y^T M^-1 X = sum r_i s_i / d_i, and only the factors d_i > 1 contribute.
+    Every d_i divides the last factor e, so the phase is k / e with
+    k = sum r_i s_i (e / d_i) mod e, and each entry is one of the e values
+    exp(2 pi i k / e) / sqrt(|det M|).  Only the Smith diagonal is computed,
+    never L or R."""
     if M.ring != "z":
         raise DomainError("fourier duality needs an integer matrix")
     if M.rows != M.cols:
@@ -1742,38 +1744,17 @@ def fourier_duality_matrix(M, guard=64):
     D = abs(det)
     if D > guard:
         raise GuardExceeded(f"|det| = {D} exceeds the cokernel enumeration guard {guard}")
-    n = M.rows
-    form = smith_normal_form(M)
-    ds = [abs(d) for d in form.diagonal]
-    # coker M classes live in prod Z/d_i through y -> (L y) mod d; lift X = L^-1 r
-    Linv = _fraction_inverse(form.left)
-    Rinv = _fraction_inverse(form.right)
-    Minv = _fraction_inverse(M)
-
-    def mixed_radix():
-        reps = [[]]
-        for d in ds:
-            reps = [r + [v] for r in reps for v in range(d)]
-        return reps
-
-    reps = mixed_radix()
-    assert len(reps) == D
-    xs = []
-    ys = []
-    for r in reps:
-        xs.append([sum(Linv[i][j] * r[j] for j in range(n)) for i in range(n)])
-        # Y lifts for coker M^T: (R^T)^-1 s = (R^-1)^T s
-        ys.append([sum(Rinv[j][i] * r[j] for j in range(n)) for i in range(n)])
+    ds = [d for d in _smith_diagonal(M) if d > 1]
+    e = ds[-1] if ds else 1
     scale = 1.0 / math.sqrt(D)
+    # int / int rounds correctly, so these are the floats of the fractions k/e
+    phases = [cmath.exp(2j * math.pi * (k / e)) * scale for k in range(e)]
+    weights = [e // d for d in ds]
+    reps = list(product(*map(range, ds)))
     U = []
-    for X in xs:
-        row = []
-        MX = [sum(Minv[i][j] * X[j] for j in range(n)) for i in range(n)]
-        for Y in ys:
-            t = sum(Y[i] * MX[i] for i in range(n))
-            frac = t - math.floor(t)
-            row.append(cmath.exp(2j * math.pi * float(frac)) * scale)
-        U.append(row)
+    for r in reps:
+        w = list(map(mul, r, weights))
+        U.append([phases[sum(map(mul, w, s)) % e] for s in reps])
     return U
 
 

@@ -2,11 +2,15 @@
 partitions as cube sets, symmetry actions on cubes, skew tableaux,
 Schur specializations, the permutation expansion of a determinant, a
 ring-generic Bareiss determinant, a candidate-by-candidate Laurent lattice
-step and Laurent long division."""
+step, Laurent long division, and the Fourier duality matrix built from
+the witness transforms and rational inverses."""
 
+import cmath
+import math
+from fractions import Fraction
 from itertools import permutations, product
 
-from kasteleyn.matrices import ring_adapter
+from kasteleyn.matrices import determinant, ring_adapter, smith_normal_form
 from kasteleyn.rings import ExactDivisionError, LaurentPoly, q_integer
 
 
@@ -309,3 +313,53 @@ def laurent_divide_reference(f, g):
             else:
                 rem.pop(d + s, None)
     return LaurentPoly(quot)
+
+
+def _fraction_inverse(M):
+    """The inverse of a nonsingular integer matrix over Q, by Gauss-Jordan
+    elimination on Fraction entries."""
+    n = M.rows
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M.entries)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        p = A[col][col]
+        A[col] = [x / p for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+def fourier_reference(M):
+    """U[x, y] = exp(2 pi i Y^T M^-1 X) / sqrt(|det M|) for a nonsingular
+    square integer matrix M, with the phase summed term by term in Fraction:
+    X = L^-1 r lifts the classes of coker M and Y = (R^-1)^T s those of
+    coker M^T, for L M R = diag(d) from `smith_normal_form` and r, s in mixed
+    radix over the d_i."""
+    D = abs(determinant(M))
+    n = M.rows
+    form = smith_normal_form(M)
+    ds = [abs(d) for d in form.diagonal]
+    Linv = _fraction_inverse(form.left)
+    Rinv = _fraction_inverse(form.right)
+    Minv = _fraction_inverse(M)
+    reps = [[]]
+    for d in ds:
+        reps = [r + [v] for r in reps for v in range(d)]
+    assert len(reps) == D
+    xs = [[sum(Linv[i][j] * r[j] for j in range(n)) for i in range(n)] for r in reps]
+    ys = [[sum(Rinv[j][i] * r[j] for j in range(n)) for i in range(n)] for r in reps]
+    scale = 1.0 / math.sqrt(D)
+    U = []
+    for X in xs:
+        MX = [sum(Minv[i][j] * X[j] for j in range(n)) for i in range(n)]
+        row = []
+        for Y in ys:
+            t = sum(Y[i] * MX[i] for i in range(n))
+            frac = t - math.floor(t)
+            row.append(cmath.exp(2j * math.pi * float(frac)) * scale)
+        U.append(row)
+    return U

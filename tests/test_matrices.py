@@ -5,7 +5,12 @@ from math import comb, prod
 
 import pytest
 
-from oracles import bareiss_reference, lattice_step_reference, permutation_det
+from oracles import (
+    bareiss_reference,
+    fourier_reference,
+    lattice_step_reference,
+    permutation_det,
+)
 
 from kasteleyn import harness, matrices
 from kasteleyn.families import (
@@ -832,6 +837,61 @@ class TestFourier:
         with pytest.raises(GuardExceeded):
             fourier_duality_matrix(Z([[100]]), guard=64)
 
+    def test_matches_reference_random(self):
+        # exact list equality: the phase k/e and the reference's Fraction
+        # phase round to the same float
+        rng = random.Random(1301)
+        done = 0
+        while done < 120:
+            n = rng.randint(1, 4)
+            M = random_int_matrix(rng, n, n, -6, 6)
+            d = determinant(M)
+            if d == 0 or abs(d) > 64:
+                continue
+            assert fourier_duality_matrix(M) == fourier_reference(M), M.entries
+            done += 1
+
+    def test_matches_reference_signed_and_shuffled_families(self):
+        box2, _ = family_matrix(FamilySpec("ppbox", 2, 2, 2))
+        for X in (aztec_matrix_closed_form(3), box2):
+            for seed in range(3):
+                S = signed_shuffled(X, random.Random(seed))
+                U = fourier_duality_matrix(S)
+                assert len(U) == abs(determinant(S))
+                assert U == fourier_reference(S)
+
+    def test_matches_reference_small_sizes(self):
+        U = fourier_duality_matrix(Z([]))
+        assert U == fourier_reference(Z([])) == [[1 + 0j]]
+        for d in range(1, 13):
+            for sign in (1, -1):
+                M = Z([[sign * d]])
+                assert fourier_duality_matrix(M) == fourier_reference(M)
+
+    def test_builds_no_transforms(self, monkeypatch):
+        flags = []
+
+        class Spy(matrices._Workspace):
+            def __init__(self, M, transforms=True):
+                flags.append(transforms)
+                super().__init__(M, transforms)
+
+        monkeypatch.setattr(matrices, "_Workspace", Spy)
+        fourier_duality_matrix(aztec_matrix_closed_form(3))
+        fourier_duality_matrix(Z([[2, 1], [0, 4]]))
+        assert flags and not any(flags)
+
+
+def signed_shuffled(M, rng):
+    """D1 * P * M * Q * D2 for random signs D1, D2 and permutations P, Q."""
+    r, c = list(range(M.rows)), list(range(M.cols))
+    rng.shuffle(r)
+    rng.shuffle(c)
+    rs = [rng.choice((1, -1)) for _ in r]
+    cs = [rng.choice((1, -1)) for _ in c]
+    return Z([[rs[i] * cs[j] * M[r[i], c[j]] for j in range(M.cols)]
+              for i in range(M.rows)])
+
 
 class TestTextFormat:
     def test_roundtrip(self):
@@ -839,6 +899,12 @@ class TestTextFormat:
         assert parse_matrix(write_matrix(M)) == M
         L = LQ([["1-2*q+q^3", "q^-1+1"], ["0", "5"]])
         assert parse_matrix(write_matrix(L)) == L
+
+    def test_bool_entries_are_stored_as_int(self):
+        M = ExactMatrix.from_rows([[True, 0], [0, False]], "z")
+        assert all(type(x) is int for row in M.entries for x in row)
+        assert write_matrix(M) == "2 2 z\n1 0\n0 0\n"
+        assert parse_matrix(write_matrix(M)) == M == Z([[1, 0], [0, 0]])
 
     def test_report_fields(self):
         rep = smith_report(Z([[2, 0], [0, 6]]))
@@ -862,3 +928,72 @@ class TestKronAndHelpers:
         assert Z([[0, 5], [-5, 0]]).is_alternating()
         assert not Z([[0, 5], [5, 0]]).is_alternating()
         assert not Z([[1, 5], [-5, 0]]).is_alternating()
+
+    def test_diagonal_with_too_many_values(self):
+        with pytest.raises(DomainError):
+            ExactMatrix.diagonal([1, 2, 3], "z", shape=(2, 2))
+        with pytest.raises(DomainError):
+            ExactMatrix.diagonal([1, 2], "z", shape=(3, 1))
+        assert ExactMatrix.diagonal([5], "z", shape=(2, 3)) == Z([[5, 0, 0], [0, 0, 0]])
+
+
+def random_ring_matrix(rng, ring, m, n):
+    """Seeded m x n matrix over `ring` with small entries, about a third zero."""
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if ring == "z":
+            return rng.randint(-9, 9)
+        if ring == "laurent":
+            return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(2)})
+        return RationalPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 3))])
+    return ExactMatrix(m, n, ring, [[entry() for _ in range(n)] for _ in range(m)])
+
+
+def assert_as_validated(P):
+    """P's entries are exactly what the validating constructor makes of them."""
+    assert type(P.entries) is tuple and all(type(r) is tuple for r in P.entries)
+    V = ExactMatrix(P.rows, P.cols, P.ring, P.entries)
+    assert V == P
+    assert [list(map(type, r)) for r in V.entries] == [list(map(type, r)) for r in P.entries]
+
+
+class TestProducersWithoutCoerce:
+    """transpose, negation, sum, product, kron, identity, diagonal and the
+    workspace transforms skip `coerce`; their entries must still be the
+    canonical ring elements the validating constructor gives."""
+
+    @pytest.mark.parametrize("ring", ["z", "laurent", "qpoly"])
+    def test_producers_match_validating_constructor(self, ring):
+        rng = random.Random(1302)
+        ad = matrices.ring_adapter(ring)
+        for _ in range(12):
+            m, k, n = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+            A = random_ring_matrix(rng, ring, m, k)
+            B = random_ring_matrix(rng, ring, k, n)
+            C = random_ring_matrix(rng, ring, m, k)
+            products = [A.transpose(), -A, A + C, A - C, A * B, A.kron(B),
+                        ExactMatrix.identity(m, ring),
+                        ExactMatrix.diagonal([ad.one, ad.zero, A[0, 0] if m and k else 7][:min(m, n)],
+                                             ring, shape=(m, n))]
+            ws = matrices._Workspace(random_ring_matrix(rng, ring, m, m))
+            matrices._smith(ws, max_steps=50)
+            products += ws.transforms()
+            for P in products:
+                assert_as_validated(P)
+            assert A * B == ExactMatrix(m, n, ring, [
+                [sum((A[i, t] * B[t, j] for t in range(k)), ad.zero) for j in range(n)]
+                for i in range(m)])
+            assert A.transpose().transpose() == A
+
+    def test_verify_on_z_and_qpoly(self):
+        rng = random.Random(1303)
+        for ring in ("z", "qpoly"):
+            for _ in range(8):
+                m, n = rng.randint(1, 4), rng.randint(1, 4)
+                M = random_ring_matrix(rng, ring, m, n)
+                form = smith_normal_form(M, verify=True)
+                assert form.verify(M)
+                assert_as_validated(form.left)
+                assert_as_validated(form.right)
