@@ -29,7 +29,7 @@ from kasteleyn.matrices import (
     smith_report,
     write_matrix,
 )
-from kasteleyn.rings import DomainError, GuardExceeded
+from kasteleyn.rings import DomainError
 
 
 def _parse_partition(text):
@@ -262,7 +262,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return run(args)
-    except (DomainError, GuardExceeded, NormalFormFailure, ValueError) as exc:
+    except (NormalFormFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -650,14 +650,22 @@ def verify_theorems(which, ceiling=6, guard=None):
     raise DomainError(f"unknown theorem id {which!r}")
 
 
-def _verify_jt(ceiling, max_a=4, max_mu=2):
+# largest a and |mu| of the Jacobi-Trudi suite; largest Aztec orders checked on
+# the signed geometric graph and, on that same graph, by matching count
+_JT_MAX_A = 4
+_JT_MAX_MU = 2
+_AZTEC_GEOMETRIC_MAX = 5
+_AZTEC_COUNT_MAX = 4
+
+
+def _verify_jt(ceiling):
     checked = 0
     failures = []
     for lam in sorted(_partitions_upto(ceiling), key=lambda t: (sum(t), t)):
-        for mu in _mu_candidates(lam, max_mu):
+        for mu in _mu_candidates(lam, _JT_MAX_MU):
             if not Partition(lam).contains(Partition(mu)):
                 continue
-            for a in range(1, max_a + 1):
+            for a in range(1, _JT_MAX_A + 1):
                 checked += 1
                 inst = {"lam": list(lam), "mu": list(mu), "a": a}
                 J = jacobi_trudi(lam, mu, a)
@@ -686,7 +694,7 @@ def _verify_jt(ceiling, max_a=4, max_mu=2):
     return {"which": "jt", "checked": checked, "failed": len(failures)}, failures
 
 
-def _verify_aztec(max_n, guard, geometric_max=5, count_max=4):
+def _verify_aztec(max_n, guard):
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
@@ -699,15 +707,15 @@ def _verify_aztec(max_n, guard, geometric_max=5, count_max=4):
                              "got": list(inv.factor_strings())})
         if abs(determinant(M)) != 2 ** (n * (n + 1) // 2):
             failures.append({"n": n, "kind": "determinant"})
-        if n <= geometric_max:
-            Z = build_aztec_graph(n)
-            Mg = adjacency_matrix(kasteleyn_percus_sign(Z), "bipartite")
-            invg = stable_invariants(Mg)
-            if invg.factors != expect or invg.free_rank != 0:
-                failures.append({"n": n, "kind": "geometric",
-                                 "got": list(invg.factor_strings())})
-        if n <= count_max:
-            Z = build_aztec_graph(n)
+        if n > _AZTEC_GEOMETRIC_MAX:
+            continue
+        Z = build_aztec_graph(n)
+        Mg = adjacency_matrix(kasteleyn_percus_sign(Z), "bipartite")
+        invg = stable_invariants(Mg)
+        if invg.factors != expect or invg.free_rank != 0:
+            failures.append({"n": n, "kind": "geometric",
+                             "got": list(invg.factor_strings())})
+        if n <= _AZTEC_COUNT_MAX:
             if enumerate_matchings(Z, count_guard=max(guard, 2 * n * (n + 1))).count != 2 ** (n * (n + 1) // 2):
                 failures.append({"n": n, "kind": "count"})
     return {"which": "aztec", "checked": checked, "failed": len(failures)}, failures

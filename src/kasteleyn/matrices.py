@@ -175,75 +175,11 @@ class _QPolyRing:
 
     @staticmethod
     def to_str(a, compact=False):
-        if a.is_zero():
-            return "0"
-        parts = []
-        for e, c in enumerate(a.coeffs):
-            if c:
-                parts.append((e, c))
-        out = []
-        for e, c in parts:
-            cs = str(c)
-            if e == 0:
-                out.append(cs)
-            elif c == 1:
-                out.append("q" if e == 1 else f"q^{e}")
-            elif c == -1:
-                out.append("-q" if e == 1 else f"-q^{e}")
-            else:
-                out.append(f"{cs}*q" if e == 1 else f"{cs}*q^{e}")
-        joined = out[0]
-        for piece in out[1:]:
-            joined += piece if piece.startswith("-") else "+" + piece
-        return joined
+        return a.to_str(compact=True)   # Q[q] text is always compact
 
     @staticmethod
     def parse(s):
-        # fractions allowed as coefficients: a/b*q^e
-        total = RationalPoly.zero()
-        for piece in _split_signed_terms(s):
-            total = total + _parse_qpoly_term(piece)
-        return total
-
-
-def _split_signed_terms(s):
-    terms, buf = [], ""
-    for ch in s.strip():
-        core = buf.strip()
-        if ch in "+-" and core and not core.endswith(("*", "^", "+", "-", "/")):
-            terms.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    terms.append(buf)
-    return terms
-
-
-def _parse_qpoly_term(raw):
-    s = raw.strip()
-    sign = 1
-    while s and s[0] in "+-":
-        if s[0] == "-":
-            sign = -sign
-        s = s[1:].strip()
-    coeff = Fraction(1)
-    if "*" in s:
-        cs, s = s.split("*", 1)
-        coeff = Fraction(cs.strip())
-        s = s.strip()
-    elif not s.startswith("q"):
-        if not s:
-            raise DomainError(f"bad polynomial term {raw!r}")
-        return RationalPoly.const(sign * Fraction(s))
-    if s == "q":
-        e = 1
-    elif s.startswith("q^"):
-        e = int(s[2:])
-    else:
-        raise DomainError(f"bad polynomial term {raw!r}")
-    if e < 0:
-        raise DomainError("negative exponents are not in Q[q]")
-    return RationalPoly([0] * e + [sign * coeff])
+        return RationalPoly.parse(s)
 
 
 class _LaurentRing:

@@ -133,9 +133,6 @@ class LaurentPoly:
     def trailing_coeff(self):
         return self._terms[self.min_exp]
 
-    def num_terms(self):
-        return len(self._terms)
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -317,81 +314,74 @@ class LaurentPoly:
         return f"LaurentPoly({format_laurent(self, compact=True)!r})"
 
 
-def _format_term(c, e, compact):
-    star = "*"
-    if e == 0:
-        return str(c)
-    qpart = "q" if e == 1 else f"q^{e}"
-    if c == 1:
-        return qpart
-    if c == -1:
-        return "-" + qpart
-    return f"{c}{star}{qpart}"
+# ---------------------------------------------------------------------------
+# Text form, one codec for Z[q, q^-1] and Q[q]: signed terms `c`, `c*q^e` and
+# `q^e` in ascending exponent, with c an integer n or a fraction n/d.
+
+
+def _format_terms(pairs, compact=False):
+    """Text of ascending (exponent, nonzero int or Fraction) pairs:
+    `1/2 - 3*q^2`, or `1/2-3*q^2` when compact."""
+    plus, minus = ("+", "-") if compact else (" + ", " - ")
+    out = []
+    for e, c in pairs:
+        c = str(c)
+        if c[0] == "-":
+            c = c[1:]
+            out.append(minus if out else "-")
+        elif out:
+            out.append(plus)
+        if e == 0:
+            out.append(c)
+        else:
+            qpart = "q" if e == 1 else f"q^{e}"
+            out.append(qpart if c == "1" else f"{c}*{qpart}")
+    return "".join(out) or "0"
+
+
+# a term ends before a sign whose nearest non-space left neighbour is a digit
+# or q; `q^-1` stays whole, and so do `1*-q` and `--q`, which then fail below
+_TERM_BREAK = re.compile(r"(?<=[\dq])\s*(?=[-+])", re.ASCII)
+_SIGNED_TERM = re.compile(
+    r"""\s*(?P<sign>[-+]?)\s*
+        (?:(?P<num>\d+)(?:/(?P<den>0*[1-9]\d*))?   # a coefficient, then
+           (?:\s*\*\s*(?=q)|\s*\Z))?                # `*` and q, or the end
+        (?P<q>q(?:\^(?P<exp>-?\d+))?)?\s*""",
+    re.VERBOSE | re.ASCII,
+)
+
+
+def _parse_terms(text):
+    """Exponent -> coefficient of the text form; a coefficient is an int, or
+    a Fraction where it is written n/d (d nonzero).  DomainError on a
+    malformed term."""
+    terms = {}
+    for term in _TERM_BREAK.split(text):
+        m = _SIGNED_TERM.fullmatch(term)
+        if m is None or not (m["num"] or m["q"]):
+            raise DomainError(f"bad polynomial term {term!r} in {text!r}")
+        c = int(m["num"] or 1)
+        if m["den"]:
+            c = Fraction(c, int(m["den"]))
+        if m["sign"] == "-":
+            c = -c
+        e = int(m["exp"] or 1) if m["q"] else 0
+        terms[e] = terms.get(e, 0) + c
+    return terms
 
 
 def format_laurent(f, compact=False):
     """Canonical text form: ascending exponents, terms like c*q^e."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for e, c in f.items():
-        parts.append((c, e))
-    first_c, first_e = parts[0]
-    out = _format_term(first_c, first_e, compact)
-    plus, minus = ("+", "-") if compact else (" + ", " - ")
-    for c, e in parts[1:]:
-        if c > 0:
-            out += plus + _format_term(c, e, compact)
-        else:
-            out += minus + _format_term(-c, e, compact)
-    return out
-
-
-_TERM_RE = re.compile(
-    r"""^\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:(?P<star>\*)\s*(?P<q1>q(?:\^(?P<exp1>-?\d+))?))?
-          | (?P<q2>q(?:\^(?P<exp2>-?\d+))?)
-        )\s*$""",
-    re.VERBOSE,
-)
+    return _format_terms(f.items(), compact)
 
 
 def parse_laurent(text):
-    """Parse the Laurent text syntax (`1 - 2*q + q^3`, `q^-1+1`, ...)."""
-    s = text.strip()
-    if not s:
-        raise DomainError("empty polynomial text")
-    # split into signed terms at top level: +/- not preceded by ^ or *
-    terms = []
-    buf = ""
-    for ch in s:
-        core = buf.strip()
-        if ch in "+-" and core and not core.endswith(("*", "^", "+", "-")):
-            terms.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    terms.append(buf)
-    out = {}
-    for raw in terms:
-        m = _TERM_RE.match(raw)
-        if not m:
-            raise DomainError(f"bad Laurent term: {raw!r} in {text!r}")
-        c = int(m.group("coeff")) if m.group("coeff") is not None else 1
-        if m.group("sign") == "-":
-            c = -c
-        qpart = m.group("q1") or m.group("q2")
-        if qpart:
-            exp = m.group("exp1") if m.group("q1") else m.group("exp2")
-            e = int(exp) if exp is not None else 1
-        else:
-            e = 0
-        if c:
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-    return LaurentPoly(out)
+    """Parse the Laurent text form (`1 - 2*q + q^3`, `q^-1+1`, ...): integer
+    coefficients, exponents of either sign."""
+    terms = _parse_terms(text)
+    if any(type(c) is not int for c in terms.values()):
+        raise DomainError(f"non-integer coefficient in Laurent text {text!r}")
+    return LaurentPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -827,17 +817,20 @@ class RationalPoly:
             total = total * q0 + c
         return int(total) if total.denominator == 1 else total
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        try:
-            return format_laurent(self.to_laurent())
-        except DomainError:
-            parts = []
-            for e, c in enumerate(self.coeffs):
-                if c:
-                    parts.append(f"{c}*q^{e}")
-            return " + ".join(parts)
+    @staticmethod
+    def parse(text):
+        """Parse the text form with n/d coefficients allowed and negative
+        exponents refused (`1/2-3*q^2`, `-3/4*q`, ...)."""
+        terms = _parse_terms(text)
+        if min(terms) < 0:
+            raise DomainError(f"negative exponents are not in Q[q]: {text!r}")
+        return RationalPoly([terms.get(e, 0) for e in range(max(terms) + 1)])
+
+    def to_str(self, compact=False):
+        """Text form, `1/2 - 3*q^2`; `1/2-3*q^2` when compact."""
+        return _format_terms([(e, c) for e, c in enumerate(self.coeffs) if c], compact)
+
+    __str__ = to_str
 
     def __repr__(self):
         return f"RationalPoly({self})"

@@ -19,6 +19,7 @@ from kasteleyn.matrices import (
     ExactMatrix,
     NormalFormFailure,
     determinant,
+    parse_matrix,
     stable_invariants,
 )
 from kasteleyn.rings import DomainError, parse_laurent
@@ -27,6 +28,13 @@ from kasteleyn.rings import DomainError, parse_laurent
 def test_determinant_nonsquare():
     with pytest.raises(DomainError):
         determinant(ExactMatrix.from_rows([[1, 2]], "z"))
+
+
+def test_malformed_matrix_entries_raise_domain_error():
+    for ring in ("laurent", "qpoly"):
+        for bad in ("abc", "2q", "q^", "1/0", "--q"):
+            with pytest.raises(DomainError):
+                parse_matrix(f"1 1 {ring}\n{bad}\n")
 
 
 def test_stable_invariants_propagates_laurent_failure():

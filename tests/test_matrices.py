@@ -900,6 +900,28 @@ class TestTextFormat:
         L = LQ([["1-2*q+q^3", "q^-1+1"], ["0", "5"]])
         assert parse_matrix(write_matrix(L)) == L
 
+    def test_qpoly_roundtrip(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            M = ExactMatrix.from_rows(
+                [[RationalPoly([rng.choice((0, 1, -1, rng.randint(-20, 20),
+                                            Fraction(rng.randint(-20, 20), rng.randint(1, 12))))
+                                for _ in range(rng.randint(0, 5))])
+                  for _ in range(n)] for _ in range(m)],
+                "qpoly")
+            assert parse_matrix(write_matrix(M)) == M
+
+    def test_qpoly_strings(self):
+        # Q[q] entries are written compact, with n/d coefficients
+        M = ExactMatrix.from_rows(
+            [[RationalPoly((Fraction(1, 2), 0, -3)), RationalPoly((0, Fraction(-3, 4)))],
+             [RationalPoly((1, 1)), RationalPoly(())]],
+            "qpoly")
+        text = "2 2 qpoly\n1/2-3*q^2 -3/4*q\n1+q 0\n"
+        assert write_matrix(M) == text
+        assert parse_matrix(text) == M
+
     def test_bool_entries_are_stored_as_int(self):
         M = ExactMatrix.from_rows([[True, 0], [0, False]], "z")
         assert all(type(x) is int for row in M.entries for x in row)

@@ -202,9 +202,39 @@ class TestParsePrint:
             assert parse_laurent(format_laurent(f, compact=True)) == f
 
     def test_rejects_garbage(self):
-        for bad in ("", "q^", "* q", "1 + + q", "x + 1"):
+        garbage = ("", "q^", "* q", "1 + + q", "x + 1",
+                   "abc", "2q", "1/0", "--q", "0.5*q", "1e2", "1 2", "1*-q", "+")
+        for parse in (parse_laurent, ring_adapter("qpoly").parse):
+            for bad in garbage:
+                with pytest.raises(DomainError):
+                    parse(bad)
+
+    def test_ring_rules(self):
+        # one grammar; Laurent refuses n/d coefficients, Q[q] negative exponents
+        for bad in ("1/2", "3 - 2/2*q", "1/2 + 1/2"):
             with pytest.raises(DomainError):
                 parse_laurent(bad)
+        with pytest.raises(DomainError):
+            RationalPoly.parse("1 + q^-1")
+        assert parse_laurent("1 + q^-1") == LaurentPoly({0: 1, -1: 1})
+        assert RationalPoly.parse("2/2 + 1/2*q + 1/2*q") == RationalPoly((1, 1))
+
+    def test_rational_poly_text(self):
+        p = RationalPoly((Fraction(1, 2), 0, -3))
+        assert str(p) == "1/2 - 3*q^2"
+        assert RationalPoly.parse(str(p)) == p
+        assert ring_adapter("qpoly").to_str(p) == "1/2-3*q^2"
+        assert str(RationalPoly((0, Fraction(-3, 4)))) == "-3/4*q"
+        assert str(RationalPoly((1, 1))) == "1 + q" == format_laurent(L("1 + q"))
+
+    def test_rational_poly_roundtrip_randomized(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            p = RationalPoly([rng.choice((0, 1, -1, rng.randint(-9, 9),
+                                          Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+                              for _ in range(rng.randint(0, 6))])
+            assert RationalPoly.parse(str(p)) == p
+            assert RationalPoly.parse(p.to_str(compact=True)) == p
 
 
 class TestFactorQRound:
