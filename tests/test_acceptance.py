@@ -10,6 +10,7 @@ has been corrected: its coefficient of q is 3, but the box has a single
 one-cube plane partition.
 """
 
+import hashlib
 import json
 import pathlib
 import random
@@ -431,5 +432,13 @@ def test_criterion_11_conjecture_harness_smoke():
                 assert (lhs["free_rank"], lhs["factors"]) != (
                     v.witness["rhs"]["free_rank"], v.witness["rhs"]["factors"]
                 )
+    # the suite JSON is pinned byte for byte
+    for verdicts, want in (
+        (round_verdicts, "1ee8c977dd066e39eff039a5a8d91ae07ce6b0ff9fef07f653bea71a8163d100"),
+        (sq_verdicts, "41c075c153ffb31c7daf980cedc29e6aae5ca6e6d52046c26fd0d23b679be756"),
+        (qm, "a73d60a642a9d3060293a326fb81352aba86b541d8ebd49a38f83354676005a4"),
+    ):
+        text = json.dumps([v.to_json() for v in verdicts], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, verdicts[0].conjecture
     _report(f"11 (conjecture harness: {len(round_verdicts)} round, "
             f"{len(sq_verdicts)} sqfree, {len(qm)} q=-1 records)", t0, 300)
