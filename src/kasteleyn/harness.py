@@ -30,7 +30,6 @@ from kasteleyn.graphs import (
 )
 from kasteleyn.matrices import (
     ExactMatrix,
-    NormalFormFailure,
     determinant,
     laurent_smith_attempt,
     pfaffian,
@@ -458,168 +457,114 @@ def _round_instances(ceiling):
 def conjecture_suite(which, ceiling=8, guard=None):
     guard = oracle_guard() if guard is None else guard
     if which == "round":
-        return _run_round(ceiling, guard)
+        return _report_verdicts("round", _round_instances(ceiling),
+                                "round_verdict", _round_witness, guard)
     if which == "sqfree":
-        return _run_sqfree(ceiling, guard)
+        instances = [(label, spec, ring) for label, spec, ring in _round_instances(ceiling)
+                     if ring == "laurent" and spec.variant in ("ppbox", "ppbox-quotient")]
+        return _report_verdicts("sqfree", instances, "squarefree_verdict",
+                                lambda rep: {"factors": rep.invariant_factors}, guard)
     if which == "q-minus-one":
         return _run_q_minus_one(ceiling)
     raise DomainError(f"unknown conjecture id {which!r}")
 
 
-def _run_round(ceiling, guard):
+def _report_verdicts(conjecture, instances, verdict_field, fails_witness, guard):
+    """One verdict per (label, spec, ring) instance, read off the `verdict_field`
+    of its report; a failure carries `fails_witness(report)`."""
     out = []
-    for label, spec, ring in _round_instances(ceiling):
+    for label, spec, ring in instances:
         inst = {"label": label, "spec": spec.to_json(), "ring": ring}
         try:
             rep = run_report(spec, ring, guard=guard)
-        except (DomainError, NormalFormFailure) as exc:
-            out.append(ConjectureVerdict("round", inst, "skipped",
+        except DomainError as exc:
+            out.append(ConjectureVerdict(conjecture, inst, "skipped",
                                          {"reason": str(exc)}))
             continue
-        if rep.round_verdict == "holds":
-            out.append(ConjectureVerdict("round", inst, "holds"))
-        elif rep.round_verdict == "inconclusive":
-            out.append(ConjectureVerdict("round", inst, "inconclusive",
-                                         {"notes": rep.notes}))
+        verdict = getattr(rep, verdict_field)
+        if verdict == "holds":
+            witness = {}
+        elif verdict == "inconclusive":
+            witness = {"notes": rep.notes}
         else:
-            bad = [d for d in rep.factor_diagnostics
-                   if d.get("residual") not in (None, "1") or d.get("residual_cofactor", 1) != 1]
-            witness = {"factors": rep.invariant_factors, "diagnostics": bad}
-            if rep.notes:
-                witness["normal_form"] = rep.notes
-            out.append(ConjectureVerdict("round", inst, "fails", witness))
+            witness = fails_witness(rep)
+        out.append(ConjectureVerdict(conjecture, inst, verdict, witness))
     return out
 
 
-def _run_sqfree(ceiling, guard):
-    out = []
-    for label, spec, ring in _round_instances(ceiling):
-        if ring != "laurent" or spec.variant not in ("ppbox", "ppbox-quotient"):
-            continue
-        inst = {"label": label, "spec": spec.to_json(), "ring": ring}
-        try:
-            rep = run_report(spec, ring, guard=guard)
-        except (DomainError, NormalFormFailure) as exc:
-            out.append(ConjectureVerdict("sqfree", inst, "skipped",
-                                         {"reason": str(exc)}))
-            continue
-        if rep.squarefree_verdict == "holds":
-            out.append(ConjectureVerdict("sqfree", inst, "holds"))
-        elif rep.squarefree_verdict == "inconclusive":
-            out.append(ConjectureVerdict("sqfree", inst, "inconclusive",
-                                         {"notes": rep.notes}))
-        else:
-            out.append(ConjectureVerdict("sqfree", inst, "fails",
-                                         {"factors": rep.invariant_factors}))
-    return out
+def _round_witness(rep):
+    bad = [d for d in rep.factor_diagnostics
+           if d.get("residual") not in (None, "1") or d.get("residual_cofactor", 1) != 1]
+    witness = {"factors": rep.invariant_factors, "diagnostics": bad}
+    if rep.notes:
+        witness["normal_form"] = rep.notes
+    return witness
 
 
-def _invariant_summary(M):
-    inv = stable_invariants(M)
+# Conjecture q-minus-one: (identity, its (G, G') pairs, lhs, rhs, relation).
+# A side is (variant, "G" or "G'", q_mode, ring) of the a x b x c box family;
+# the quotient by the trivial group "1" is the box itself, and ring "z@q0"
+# is q = -1.  The relation is "doubled" (lhs = rhs (+) rhs) or "equal".
+_Q_MINUS_ONE = (
+    # 1: Sm(A_{<G,kappa>}(a,b,c)) = Sm(M_G(a,b,c)_{-1})^2
+    (1, (("1", "kappa"), ("rho", "rho,kappa")),
+     ("ppbox-quotient", "G'", "none", "z"), ("ppbox-quotient", "G", "cube", "z@q0"),
+     "doubled"),
+    # 2: coker A_G(a,b,c)_{-1} = coker M_{G'}(a,b,c) ^ (+)2
+    (2, (("tau", "kappa-tau"), ("tau,rho", "kappa-tau,rho")),
+     ("ppbox-quotient", "G", "cube", "z@q0"), ("ppbox-quotient", "G'", "none", "z"),
+     "doubled"),
+    # 3: coker A_{<G,kappa>}(a,b,c) = coker A'_G(a,b,c)_{-1}
+    (3, (("tau", "tau,kappa"), ("tau,rho", "tau,rho,kappa")),
+     ("ppbox-quotient", "G'", "none", "z"), ("ppbox-impossible", "G", "cube", "z@q0"),
+     "equal"),
+)
+
+
+def _side_summary(side, groups, a, b, c):
+    """(free rank, sorted invariant factor strings) of one side of an identity."""
+    variant, key, q_mode, ring = side
+    group = groups[key]
+    spec = FamilySpec(variant="ppbox" if group == "1" else variant, a=a, b=b, c=c,
+                      group=group, q_mode=q_mode,
+                      wrong_parity=variant == "ppbox-impossible")
+    inv = stable_invariants(family_matrix_for_ring(spec, ring)[0])
     return inv.free_rank, sorted(inv.factor_strings())
 
 
-def _doubled(summary):
-    free, factors = summary
-    doubled = sorted(list(factors) + list(factors))
-    return 2 * free, doubled
-
-
-def _squared_entrywise(summary):
-    free, factors = summary
-    # integer factors as strings; square them numerically
-    return free, sorted(str(int(f) * int(f)) for f in factors)
-
-
-def _try_matrix(spec, ring, q0=-1):
-    M, kind, _ = family_matrix_for_ring(spec, ring, q0)
-    return M
+def _summary_json(summary):
+    return {"free_rank": summary[0], "factors": summary[1]}
 
 
 def _run_q_minus_one(ceiling):
     out = []
-    # identity 1: Sm(A_{<G,kappa>}(a,b,c)) = Sm(M_G(a,b,c)_{-1})^2
-    for g, gk in (("1", "kappa"), ("rho", "rho,kappa")):
-        for (a, b, c) in _ordered_triples(ceiling):
-            if g == "rho" and not a == b == c:
-                continue
-            inst = {"identity": 1, "G": g, "G'": gk, "a": a, "b": b, "c": c}
-            try:
-                if g == "1":
-                    lhs_spec = FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c, group=gk)
-                    rhs_spec = FamilySpec(variant="ppbox", a=a, b=b, c=c, q_mode="cube")
-                else:
-                    lhs_spec = FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c, group=gk)
-                    rhs_spec = FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c,
-                                          group="rho", q_mode="cube")
-                lhs = _invariant_summary(_try_matrix(lhs_spec, "z"))
-                rhs = _invariant_summary(_try_matrix(rhs_spec, "z@q0", q0=-1))
-            except (DomainError, NormalFormFailure) as exc:
-                out.append(ConjectureVerdict("q-minus-one", inst, "skipped",
-                                             {"reason": str(exc)}))
-                continue
-            # primary verdict: multiplicity doubling; the entrywise-squared
-            # comparison is printed alongside so the reading can be audited
-            # (small instances split between the two by parity class)
-            verdict = "holds" if lhs == _doubled(rhs) else "fails"
-            witness = {
-                "lhs": {"free_rank": lhs[0], "factors": lhs[1]},
-                "rhs": {"free_rank": rhs[0], "factors": rhs[1]},
-                "rhs_doubled": {"free_rank": _doubled(rhs)[0], "factors": _doubled(rhs)[1]},
-                "rhs_squared_entrywise": {"free_rank": rhs[0],
-                                          "factors": _squared_entrywise(rhs)[1]},
-                "entrywise_holds": lhs == _squared_entrywise(rhs),
-            }
-            out.append(ConjectureVerdict("q-minus-one", inst, verdict, witness))
-    # identity 2: coker A_G(a,b,c)_{-1} = coker M_{G'}(a,b,c) ^ (+)2
-    for g, gp in (("tau", "kappa-tau"), ("tau,rho", "kappa-tau,rho")):
-        for (a, b, c) in _ordered_triples(ceiling):
-            if b != c:
-                continue
-            if g == "tau,rho" and not a == b == c:
-                continue
-            inst = {"identity": 2, "G": g, "G'": gp, "a": a, "b": b, "c": c}
-            try:
-                lhs_spec = FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c,
-                                      group=g, q_mode="cube")
-                rhs_spec = FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c, group=gp)
-                lhs = _invariant_summary(_try_matrix(lhs_spec, "z@q0", q0=-1))
-                rhs = _invariant_summary(_try_matrix(rhs_spec, "z"))
-            except (DomainError, NormalFormFailure) as exc:
-                out.append(ConjectureVerdict("q-minus-one", inst, "skipped",
-                                             {"reason": str(exc)}))
-                continue
-            verdict = "holds" if lhs == _doubled(rhs) else "fails"
-            witness = {
-                "lhs": {"free_rank": lhs[0], "factors": lhs[1]},
-                "rhs": {"free_rank": rhs[0], "factors": rhs[1]},
-                "rhs_doubled": {"free_rank": _doubled(rhs)[0], "factors": _doubled(rhs)[1]},
-            }
-            out.append(ConjectureVerdict("q-minus-one", inst, verdict, witness))
-    # identity 3: coker A_{<G,kappa>}(a,b,c) = coker A'_G(a,b,c)_{-1}
-    for g, gk in (("tau", "tau,kappa"), ("tau,rho", "tau,rho,kappa")):
-        for (a, b, c) in _ordered_triples(ceiling):
-            if b != c:
-                continue
-            if g == "tau,rho" and not a == b == c:
-                continue
-            inst = {"identity": 3, "G": g, "G'": gk, "a": a, "b": b, "c": c}
-            try:
-                lhs_spec = FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c, group=gk)
-                rhs_spec = FamilySpec(variant="ppbox-impossible", a=a, b=b, c=c,
-                                      group=g, q_mode="cube", wrong_parity=True)
-                lhs = _invariant_summary(_try_matrix(lhs_spec, "z"))
-                rhs = _invariant_summary(_try_matrix(rhs_spec, "z@q0", q0=-1))
-            except (DomainError, NormalFormFailure) as exc:
-                out.append(ConjectureVerdict("q-minus-one", inst, "skipped",
-                                             {"reason": str(exc)}))
-                continue
-            verdict = "holds" if lhs == rhs else "fails"
-            witness = {
-                "lhs": {"free_rank": lhs[0], "factors": lhs[1]},
-                "rhs": {"free_rank": rhs[0], "factors": rhs[1]},
-            }
-            out.append(ConjectureVerdict("q-minus-one", inst, verdict, witness))
+    for identity, pairs, lhs_side, rhs_side, relation in _Q_MINUS_ONE:
+        for g, gp in pairs:
+            for (a, b, c) in _ordered_triples(ceiling):
+                if ("tau" in g and b != c) or ("rho" in g and not a == b == c):
+                    continue
+                inst = {"identity": identity, "G": g, "G'": gp, "a": a, "b": b, "c": c}
+                try:
+                    lhs, rhs = (_side_summary(side, {"G": g, "G'": gp}, a, b, c)
+                                for side in (lhs_side, rhs_side))
+                except DomainError as exc:
+                    out.append(ConjectureVerdict("q-minus-one", inst, "skipped",
+                                                 {"reason": str(exc)}))
+                    continue
+                target = rhs
+                witness = {"lhs": _summary_json(lhs), "rhs": _summary_json(rhs)}
+                if relation == "doubled":
+                    target = 2 * rhs[0], sorted(rhs[1] + rhs[1])
+                    witness["rhs_doubled"] = _summary_json(target)
+                if identity == 1:
+                    # the verdict reads multiplicity doubling; the entrywise
+                    # squares are printed alongside so the reading can be
+                    # audited (small instances split between the two by parity)
+                    squared = rhs[0], sorted(str(int(f) ** 2) for f in rhs[1])
+                    witness["rhs_squared_entrywise"] = _summary_json(squared)
+                    witness["entrywise_holds"] = lhs == squared
+                verdict = "holds" if lhs == target else "fails"
+                out.append(ConjectureVerdict("q-minus-one", inst, verdict, witness))
     return out
 
 

@@ -122,6 +122,11 @@ class _IntRing:
 
     @staticmethod
     def parse(s):
+        """An optional sign and ASCII digits, nothing else: no `1_0`, no
+        non-ASCII digits.  DomainError otherwise."""
+        digits = s[1:] if s[:1] in ("+", "-") else s
+        if not (digits.isascii() and digits.isdigit()):
+            raise DomainError(f"bad integer {s!r}")
         return int(s)
 
 
@@ -452,7 +457,7 @@ def parse_matrix(text):
     head = lines[0].split()
     if len(head) != 3:
         raise DomainError("matrix header must be: rows cols ring")
-    rows, cols, ring = int(head[0]), int(head[1]), head[2]
+    rows, cols, ring = _IntRing.parse(head[0]), _IntRing.parse(head[1]), head[2]
     ad = ring_adapter(ring)
     grid = []
     for ln in lines[1:]:
@@ -1548,45 +1553,18 @@ def determinant(M):
     return RationalPoly._trimmed(coeffs)
 
 
-def _pfaffian_minor(sub, rows, ring, memo):
-    """Pfaffian of the principal submatrix of `rows` on the index tuple
-    `sub`, by expansion along its first row; sub-Pfaffians are kept in
-    `memo`.  A module-level function rather than a closure, so no reference
-    cycle keeps `memo` alive after the call."""
-    if not sub:
-        return ring.one
-    if sub in memo:
-        return memo[sub]
-    i0 = sub[0]
-    rest = sub[1:]
-    total = ring.zero
-    for pos, j in enumerate(rest):
-        a = rows[i0][j]
-        if not ring.is_zero(a):
-            smaller = tuple(x for x in rest if x != j)
-            term = a * _pfaffian_minor(smaller, rows, ring, memo)
-            total = total + (term if pos % 2 == 0 else -term)
-    memo[sub] = total
-    return total
-
-
-def pfaffian(M, expand_limit=12):
-    """Exact Pfaffian of an alternating matrix: division-free expansion with
-    memoization for small n, alternating elimination over the fraction field
-    for larger integer matrices."""
+def pfaffian(M):
+    """Exact Pfaffian of an alternating integer matrix, by alternating
+    elimination over the fraction field."""
     if M.rows != M.cols:
         raise DomainError("pfaffian of a non-square matrix")
     if M.rows % 2 == 1:
         raise DomainError("pfaffian needs even dimension")
+    if M.ring != "z":
+        raise DomainError("pfaffian implemented over the integers only")
     if not M.is_alternating():
         raise DomainError("pfaffian of a non-alternating matrix")
     n = M.rows
-    if n == 0:
-        return ring_adapter(M.ring).one
-    if n <= expand_limit:
-        return _pfaffian_minor(tuple(range(n)), M.entries, ring_adapter(M.ring), {})
-    if M.ring != "z":
-        raise DomainError("large Pfaffians implemented over the integers only")
     A = [[Fraction(x) for x in row] for row in M.entries]
     pf = Fraction(1)
     for k in range(0, n, 2):
@@ -1600,11 +1578,18 @@ def pfaffian(M, expand_limit=12):
             pf = -pf
         a = A[k][k + 1]
         pf *= a
+        row_k, row_k1 = A[k], A[k + 1]
         for i in range(k + 2, n):
+            x, y = row_k[i], row_k1[i]
+            if not (x or y):
+                continue            # row i of the Schur complement is unchanged
+            row = A[i]
             for j2 in range(i + 1, n):
-                val = A[i][j2] - (A[k][i] * A[k + 1][j2] - A[k][j2] * A[k + 1][i]) / a
-                A[i][j2] = val
-                A[j2][i] = -val
+                cross = x * row_k1[j2] - row_k[j2] * y
+                if cross:
+                    val = row[j2] - cross / a
+                    row[j2] = val
+                    A[j2][i] = -val
     assert pf.denominator == 1
     return int(pf)
 
@@ -1710,12 +1695,12 @@ def unitarity_defect(U):
 # JSON report
 
 
-def smith_report(M, form=None, include_transforms=False):
+def smith_report(M, include_transforms=False):
     """SmithForm / cokernel JSON-ready report.  Witness transforms are built
-    only for include_transforms (unless `form` carries them), and the
-    invariants are read off that same form; otherwise `stable_invariants`
-    alone runs."""
-    if include_transforms and (form is None or form.left is None):
+    only for include_transforms, and the invariants are read off that same
+    form; otherwise `stable_invariants` alone runs."""
+    form = None
+    if include_transforms:
         form = (_laurent_form(M, transforms=True) if M.ring == "laurent"
                 else smith_normal_form(M))
     ad = ring_adapter(M.ring)

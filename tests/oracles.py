@@ -1,7 +1,7 @@
 """Independent brute-force oracles used across the test suite: plane
 partitions as cube sets, symmetry actions on cubes, skew tableaux,
 Schur specializations, the permutation expansion of a determinant, a
-ring-generic Bareiss determinant, a candidate-by-candidate Laurent lattice
+ring-generic Bareiss determinant, the row expansion of a Pfaffian, a candidate-by-candidate Laurent lattice
 step, Laurent long division, and the Fourier duality matrix built from
 the witness transforms and rational inverses."""
 
@@ -211,6 +211,29 @@ def permutation_det(grid):
             term *= grid[i][perm[i]]
         total += term
     return total
+
+
+def pfaffian_reference(M):
+    """The Pfaffian of an alternating ExactMatrix by expansion along the
+    first row, sub-Pfaffians memoized on their index tuples; division-free,
+    in the matrix's own ring."""
+    ring = ring_adapter(M.ring)
+    rows = M.entries
+    memo = {(): ring.one}
+
+    def pf(sub):
+        if sub not in memo:
+            i0, rest = sub[0], sub[1:]
+            total = ring.zero
+            for pos, j in enumerate(rest):
+                a = rows[i0][j]
+                if not ring.is_zero(a):
+                    term = a * pf(tuple(x for x in rest if x != j))
+                    total = total + (term if pos % 2 == 0 else -term)
+            memo[sub] = total
+        return memo[sub]
+
+    return pf(tuple(range(M.rows)))
 
 
 def bareiss_reference(M):

@@ -35,6 +35,12 @@ def test_malformed_matrix_entries_raise_domain_error():
         for bad in ("abc", "2q", "q^", "1/0", "--q"):
             with pytest.raises(DomainError):
                 parse_matrix(f"1 1 {ring}\n{bad}\n")
+    for bad in ("1_0", "\u0663", "abc"):
+        with pytest.raises(DomainError):
+            parse_matrix(f"1 1 z\n{bad}\n")
+    with pytest.raises(DomainError):
+        parse_matrix("x 1 z\n1\n")
+    assert parse_matrix("1 2 z\n-3 +4\n").entries == ((-3, 4),)
 
 
 def test_stable_invariants_propagates_laurent_failure():

@@ -1,4 +1,3 @@
-import gc
 import random
 from fractions import Fraction
 from math import comb, prod
@@ -10,6 +9,7 @@ from oracles import (
     fourier_reference,
     lattice_step_reference,
     permutation_det,
+    pfaffian_reference,
 )
 
 from kasteleyn import harness, matrices
@@ -542,23 +542,25 @@ class TestPfaffian:
         rng = random.Random(44)
         A = random_alternating(rng, 14, -3, 3)
         assert pfaffian(A) ** 2 == determinant(A)
-        assert pfaffian(A, expand_limit=14) == pfaffian(A)
+        assert pfaffian(A) == pfaffian_reference(A)
 
-    def test_expansion_leaves_no_reference_cycle(self):
-        A = random_alternating(random.Random(45), 10)
-        gc.collect()
-        gc.disable()
-        try:
-            assert pfaffian(A) ** 2 == determinant(A)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    def test_sign_matches_expansion_reference(self):
+        # pf^2 = det cannot see the sign; the row expansion can
+        rng = random.Random(45)
+        for _ in range(60):
+            n = rng.choice([0, 2, 4, 6, 8, 10])
+            A = random_alternating(rng, n, *rng.choice([(-9, 9), (-1, 1), (0, 1)]))
+            assert pfaffian(A) == pfaffian_reference(A)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             pfaffian(Z([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
         with pytest.raises(DomainError):
             pfaffian(Z([[0, 1], [1, 0]]))
+        with pytest.raises(DomainError):
+            pfaffian(ExactMatrix.from_rows(
+                [[LaurentPoly.zero(), q_integer(2)], [-q_integer(2), LaurentPoly.zero()]],
+                "laurent"))
 
 
 class TestAlternatingSmith:
@@ -749,10 +751,9 @@ class TestLaurentAttempt:
                 assert bare.smith.left is None and bare.smith.right is None
                 assert full.smith.left is not None
                 report = smith_report(M)
-                assert report == smith_report(M, form=full.smith)
                 with_transforms = smith_report(M, include_transforms=True)
-                assert with_transforms == smith_report(
-                    M, form=bare.smith, include_transforms=True)
+                assert len(with_transforms["left"]) == M.rows
+                assert len(with_transforms["right"]) == M.cols
                 del with_transforms["left"], with_transforms["right"]
                 assert with_transforms == {**report, "witnesses_included": True}
             else:
