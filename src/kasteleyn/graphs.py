@@ -13,7 +13,7 @@ import random
 from functools import cmp_to_key
 from itertools import combinations
 
-from kasteleyn.matrices import ExactMatrix
+from kasteleyn.matrices import ExactMatrix, ring_adapter
 from kasteleyn.rings import (
     DomainError,
     GuardExceeded,
@@ -662,11 +662,9 @@ def verify_flatness(G):
 def adjacency_matrix(G, mode):
     """Signed bipartite (black x white) or alternating adjacency matrix."""
     ring = G.ring()
-    zero = LaurentPoly.zero() if ring == "laurent" else 0
-
-    def wt(e):
-        return e.weight if ring == "z" else LaurentPoly.coerce(e.weight)
-
+    ad = ring_adapter(ring)
+    zero, coerce = ad.zero, ad.coerce
+    # each weight is coerced once; sums of canonical entries stay canonical
     if mode == "bipartite":
         if not G.is_bipartite_colored():
             raise DomainError("bipartite matrix needs a properly colored graph")
@@ -681,10 +679,8 @@ def adjacency_matrix(G, mode):
             if e.is_loop():
                 continue
             b, w = (e.u, e.v) if G.vertex(e.u).color == "black" else (e.v, e.u)
-            grid[bi[b]][wi[w]] = grid[bi[b]][wi[w]] + e.sign * wt(e)
-        return ExactMatrix.from_rows(grid, ring) if blacks and whites else ExactMatrix(
-            len(blacks), len(whites), ring, grid
-        )
+            grid[bi[b]][wi[w]] = grid[bi[b]][wi[w]] + e.sign * coerce(e.weight)
+        return ExactMatrix._of_ring_elements(len(blacks), len(whites), ring, grid)
     if mode == "alternating":
         if any(e.orient is None for e in G.edges):
             raise DomainError("alternating matrix needs an orientation")
@@ -696,14 +692,14 @@ def adjacency_matrix(G, mode):
             if e.is_loop():
                 continue
             i, j = pos[e.u], pos[e.v]
-            w = wt(e)
+            w = coerce(e.weight)
             if e.orient == 1:
                 grid[i][j] = grid[i][j] + w
                 grid[j][i] = grid[j][i] - w
             else:
                 grid[j][i] = grid[j][i] + w
                 grid[i][j] = grid[i][j] - w
-        return ExactMatrix(n, n, ring, grid)
+        return ExactMatrix._of_ring_elements(n, n, ring, grid)
     raise DomainError(f"unknown adjacency mode {mode!r}")
 
 

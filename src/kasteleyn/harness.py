@@ -214,7 +214,8 @@ def _without_negative_exponents(M, kind):
     rows = [[x.shift(k) for x in row] for row, k in zip(M.entries, shifts)]
     if kind == "A":
         rows = [[x.shift(k) for x, k in zip(row, shifts)] for row in rows]
-    return ExactMatrix.from_rows(rows, "laurent")
+    # shifts of canonical entries are canonical
+    return ExactMatrix._of_ring_elements(M.rows, M.cols, "laurent", rows)
 
 
 def _oracle_status(M, kind, G, guard, q0=None):
@@ -398,14 +399,13 @@ def _round_instances(ceiling):
                                    group="tau", q_mode=mode, wrong_parity=True),
                         "laurent"))
     for a in range(1, ceiling // 3 + 1):
-        for mode, tilde in (("orbit", "~"),):
-            out.append((f"{tilde}A_tau,rho({a},{a},{a};q)",
-                        FamilySpec(variant="ppbox-quotient", a=a, b=a, c=a,
-                                   group="tau,rho", q_mode=mode), "laurent"))
-            out.append((f"{tilde}A'_tau,rho({a},{a},{a};q)",
-                        FamilySpec(variant="ppbox-impossible", a=a, b=a, c=a,
-                                   group="tau,rho", q_mode=mode,
-                                   wrong_parity=True), "laurent"))
+        out.append((f"~A_tau,rho({a},{a},{a};q)",
+                    FamilySpec(variant="ppbox-quotient", a=a, b=a, c=a,
+                               group="tau,rho", q_mode="orbit"), "laurent"))
+        out.append((f"~A'_tau,rho({a},{a},{a};q)",
+                    FamilySpec(variant="ppbox-impossible", a=a, b=a, c=a,
+                               group="tau,rho", q_mode="orbit",
+                               wrong_parity=True), "laurent"))
     for lam in _partitions_upto(max(ceiling - 2, 1)):
         for a in range(1, ceiling - sum(lam) + 1):
             out.append((f"M({list(lam)};q_{a})",

@@ -8,14 +8,18 @@ form is computed constructively; over the Laurent ring, which is not a PID,
 the centered reduction makes it a heuristic that either succeeds, exhibits a
 blocking pair, or gives up at an iteration limit.
 
-The driver takes every unit pivot first.  An integer diagonal computed
-without transforms (`cokernel_of`, `stable_invariants`) changes route once
-the remaining block has no unit entry: if that block is square with D =
-|det| != 0, it is finished modulo D (`_finish_modulo_det`), with every
-entry at most D/2 in absolute value, where plain elimination lets the
-entries grow without bound.  A singular or non-square block, and every call
-that builds transforms, stays on the plain elimination.  The route is read
-off the input and the call; there is no option for it.
+The driver takes every unit pivot first, for every ring and with or
+without transforms, on sparse rows (`_unit_pivots`): a lozenge Kasteleyn
+matrix has about three nonzeros per row, so nearly every pivot is a unit
+and costs its nonzeros rather than a pass over dense rows.  The block left
+without a unit goes back to dense lists.  An integer diagonal computed
+without transforms (`cokernel_of`, `stable_invariants`) then changes
+route: if that block is square with D = |det| != 0, it is finished modulo
+D (`_finish_modulo_det`), with every entry at most D/2 in absolute value,
+where plain elimination lets the entries grow without bound.  A singular
+or non-square block, and every call that builds transforms, goes on by
+the plain dense elimination.  The route is read off the input and the
+call; there is no option for it.
 
 Everything is exact; the Fourier duality matrix is the single
 floating-point surface and returns complex entries.  It needs only the
@@ -257,9 +261,10 @@ def ring_adapter(tag):
 
 class ExactMatrix:
     """Immutable dense matrix over a tagged exact ring.  The constructor,
-    `from_rows`, `map_ring` and scalar products coerce every entry; the
-    producers whose entries are ring elements by construction go through
-    `_of_ring_elements`, which does not."""
+    `from_rows` and scalar products coerce every entry; `map_ring` coerces
+    the image of each nonzero entry; the producers whose entries are ring
+    elements by construction go through `_of_ring_elements`, which does
+    not."""
 
     __slots__ = ("rows", "cols", "ring", "entries")
 
@@ -412,9 +417,16 @@ class ExactMatrix:
         return True
 
     def map_ring(self, ring, fn):
-        return ExactMatrix(
+        """The entrywise image under `fn`, a ring homomorphism into `ring`
+        (every caller passes one: `to_qpoly`, `specialize_q`,
+        `LaurentPoly.coerce`).  A zero entry maps to the target's zero;
+        only the nonzero entries are mapped, each image coerced once."""
+        is_zero = ring_adapter(self.ring).is_zero
+        ad = ring_adapter(ring)
+        coerce, zero = ad.coerce, ad.zero
+        return ExactMatrix._of_ring_elements(
             self.rows, self.cols, ring,
-            [[fn(x) for x in row] for row in self.entries],
+            [[zero if is_zero(x) else coerce(fn(x)) for x in row] for row in self.entries],
         )
 
     def to_qpoly(self):
@@ -643,16 +655,22 @@ def _smith(ws, max_steps=None):
     with the stuck pair (pivot, r) once every candidate pivot got stuck, or
     "inconclusive" with pair None past `max_steps` operations.
 
-    Each pivot is unit-normalized once its cross is clear and it divides the
+    The unit pivots come first, on sparse rows (`_unit_pivots`); the dense
+    loop below takes over at the first block without a unit entry, so its
+    own pivots are units only where an elimination step made one.  Each
+    pivot is unit-normalized once its cross is clear and it divides the
     rest of its block.  When a pivot gets stuck (only over the Laurent ring),
     the later candidates are tried in (size, row, col) order.
 
     Over "z" without transforms, the first block A[k:][k:] with no unit
     entry goes to `_finish_modulo_det`, which finishes it when it is square
     and nonsingular; otherwise the elimination goes on as above."""
+    start, failure = _unit_pivots(ws, max_steps)
+    if failure is not None:
+        return failure + (start,)
     ring, A = ws.ad, ws.A
     modular = ring.tag == "z" and ws.L is None
-    for k in range(min(ws.m, ws.n)):
+    for k in range(start, min(ws.m, ws.n)):
         pivot = _pick_pivot(ring, A, k)
         if pivot is None:
             break
@@ -683,6 +701,118 @@ def _smith(ws, max_steps=None):
         if A[k][k] != normal:
             ws.scale_row(k, ring.unit_inverse(u))
     return None
+
+
+def _unit_pivots(ws, max_steps):
+    """The unit pivots of `_smith`, taken on sparse rows while the block
+    A[k:][k:] has a unit entry.  Returns (k, failure): the first pivot left
+    to the dense loop, and ("inconclusive", None) past `max_steps`
+    operations, else None.  ws.L and ws.R must be diagonal on entry.
+    ws.A, ws.L and ws.R come back as the dense lists the dense loop would
+    have made, and `ws.ops` as its count.
+
+    A row is a map column -> nonzero entry, each column keeps the set of
+    rows nonzero in it, and swaps are kept as permutations.  The pivot p at
+    (r, c) is the first unit in row-major order of the permuted block, as
+    in `_pick_pivot`; the step limit is checked after its swaps, as in
+    `_clear_pivot`.  Each other row i nonzero in column c takes the Schur
+    update row_i -= (a_ic / p) row_r (so does L), then column operations
+    clear the pivot row (they change R, and nothing else of A)."""
+    ad, m, n = ws.ad, ws.m, ws.n
+    is_zero, is_unit, reduce, zero = ad.is_zero, ad.is_unit, ad.reduce, ad.zero
+    rows = [{j: x for j, x in enumerate(row) if not is_zero(x)} for row in ws.A]
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    L = R = None
+    if ws.L is not None:
+        # diagonal on entry: `_Workspace` makes identities, and
+        # `laurent_smith_attempt` only scales rows by units before `_smith`
+        L = [{i: ws.L[i][i]} for i in range(m)]
+        R = [{j: ws.R[j][j]} for j in range(n)]
+    at_row, at_col, col_at = list(range(m)), list(range(n)), list(range(n))
+    failure = None
+    k = 0
+    while k < min(m, n):
+        pivot = None
+        for i in range(k, m):
+            units = [col_at[j] for j, x in rows[at_row[i]].items() if is_unit(x)]
+            if units:
+                pivot = i, min(units)
+                break
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != k:
+            ws.ops += 1
+            at_row[k], at_row[i] = at_row[i], at_row[k]
+        if j != k:
+            ws.ops += 1
+            at_col[k], at_col[j] = at_col[j], at_col[k]
+            col_at[at_col[k]], col_at[at_col[j]] = k, j
+        if max_steps is not None and ws.ops > max_steps:
+            failure = "inconclusive", None
+            break
+        r, c = at_row[k], at_col[k]
+        p = rows[r][c]
+        for i in [i for i in cols[c] if i != r]:
+            t = -reduce(rows[i][c], p)[0]
+            ws.ops += 1
+            _add_multiple(rows[i], t, rows[r], is_zero, cols, i)
+            if L is not None:
+                _add_multiple(L[i], t, L[r], is_zero)
+        for j, x in rows[r].items():
+            if j != c:
+                ws.ops += 1
+                cols[j].discard(r)
+                if R is not None:
+                    _add_multiple(R[j], -reduce(x, p)[0], R[c], is_zero)
+        rows[r] = {c: p}
+        u, normal = ad.unit_and_normal(p)
+        if p != normal:
+            ws.ops += 1
+            u = ad.unit_inverse(u)
+            rows[r][c] = u * p
+            if L is not None:
+                L[r] = {j: u * x for j, x in L[r].items()}
+        k += 1
+    ws.A = _dense_rows(rows, at_row, col_at, n, zero)
+    if L is not None:
+        ws.L = _dense_rows(L, at_row, range(m), m, zero)
+        ws.R = [list(r) for r in zip(*_dense_rows(R, at_col, range(n), n, zero))]
+    return k, failure
+
+
+def _add_multiple(row, t, src, is_zero, cols=None, i=None):
+    """row += t * src, both maps index -> nonzero entry; with `cols`, keep
+    cols[j] the set of rows i nonzero at j."""
+    for j, x in src.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = t * x
+            if cols is not None:
+                cols[j].add(i)
+        else:
+            y = y + t * x
+            if not is_zero(y):
+                row[j] = y
+            else:
+                del row[j]
+                if cols is not None:
+                    cols[j].discard(i)
+
+
+def _dense_rows(rows, order, at, width, zero):
+    """The maps rows[i] for i in `order` as lists of length `width`, the
+    entry of index j at position at[j]."""
+    out = []
+    for i in order:
+        row = [zero] * width
+        for j, x in rows[i].items():
+            row[at[j]] = x
+        out.append(row)
+    return out
 
 
 def _clear_pivot(ws, ring, k, max_steps):

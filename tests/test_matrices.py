@@ -17,10 +17,14 @@ from oracles import (
 from kasteleyn import harness, matrices
 from kasteleyn.families import (
     FamilySpec,
+    apply_q_weights,
     aztec_matrix_closed_form,
+    build_aztec_graph,
+    build_hexagon_graph,
     family_matrix,
     jacobi_trudi,
 )
+from kasteleyn.graphs import adjacency_matrix, kasteleyn_orient, kasteleyn_percus_sign
 from kasteleyn.matrices import (
     DomainError,
     ExactDivisionError,
@@ -836,6 +840,83 @@ class TestSmithDriverPinned:
             "47bedaed403f0dfd207e4164f8a08eddd431006978615edeba165a3ffecef506")
 
 
+class TestUnitPhase:
+    """The unit pivots `_smith` takes on sparse rows before its dense loop:
+    the pivot search past a row without units, every shape, a zero block
+    left behind, a run that ends on units, and the step limit."""
+
+    def z_cases(self):
+        return [
+            Z([[2, 4, 6], [3, 1, 5], [7, 2, 9]]),           # row 0 has no unit
+            Z([[2, 1, 3, 4], [1, 0, 2, 6]]),                # m < n
+            Z([[2, 3], [1, 5], [4, 1], [6, 2]]),            # m > n
+            ExactMatrix(0, 3, "z", []),
+            ExactMatrix(3, 0, "z", [[], [], []]),
+            Z([[1, 2, 3], [2, 5, 7], [3, 7, 10]]),          # zero block, free rank 1
+            Z([[1, 1, 0], [1, 2, 1], [0, 1, 2]]),           # units to the end
+            Z([[0, -1, 0, 0], [1, 0, 0, 3], [0, 0, 0, -1], [0, 2, 1, 5]]),
+        ]
+
+    def test_z_diagonal_matches_determinantal_divisors(self):
+        for M in self.z_cases():
+            form = smith_normal_form(M, verify=True)
+            assert _smith_diagonal(M) == form.diagonal
+            divisors = determinantal_divisors(M)
+            nonzero = [d for d in form.diagonal if d]
+            assert len(nonzero) == len(divisors), M.entries
+            assert [prod(nonzero[:k]) for k in range(1, len(nonzero) + 1)] == divisors
+            assert all(d > 0 for d in nonzero)
+        assert cokernel_of(self.z_cases()[5]).free_rank == 1
+
+    def test_qpoly(self):
+        one = RationalPoly.one()
+        for M in self.z_cases():
+            Q = M.to_qpoly()
+            form = smith_normal_form(Q, verify=True)
+            rank = len(determinantal_divisors(M))
+            assert form.diagonal == (one,) * rank + (RationalPoly.zero(),) * (
+                min(M.rows, M.cols) - rank)
+        q = RationalPoly((0, 1))
+        for rows, want in [([[one, q], [q, one]], [one, q * q - one]),
+                           ([[q, q * q], [2 * one, q]], [one, q * q]),
+                           ([[q, one, q], [one + q, q, 3 * one]], [one, one])]:
+            form = smith_normal_form(ExactMatrix.from_rows(rows, "qpoly"), verify=True)
+            assert list(form.diagonal) == want
+
+    def test_laurent_step_limit_after_the_swaps(self):
+        # the first unit sits at (1, 1): two swaps come before the limit is
+        # checked, so limits 0 and 1 both stop at pivot 0 after 2 operations
+        M = LQ([["2", "1 + q", "3", "0"],
+                ["1 + q", "q^-1", "0", "2"],
+                ["1", "0", "q", "1 + q"],
+                ["0", "2", "1 + q^2", "-1"]])
+        before = "4 4 laurent\nq^-1 1+q 0 2\n1+q 2 3 0\n0 1 q 1+q\n2 0 1+q^2 -1\n"
+        after = ("3 3 laurent\n1 q 1+q\n2-q-2*q^2-q^3 3 -2*q-2*q^2\n"
+                 "-2*q-2*q^2 1+q^2 -1-4*q\n")
+        for max_steps, iterations, residual in [(0, 2, before), (1, 2, before), (2, 8, after)]:
+            for transforms in (False, True):
+                out = laurent_smith_attempt(M, max_steps=max_steps, transforms=transforms)
+                assert out.outcome == "inconclusive"
+                assert (out.iterations, write_matrix(out.residual)) == (iterations, residual)
+
+    def test_laurent_step_limit_on_a_box(self):
+        M, _ = family_matrix(FamilySpec("ppbox", 2, 2, 2, q_mode="cube"))
+        stops = [(0, 2, "28c28bb4a2070f4f230d63d784884f4cf7f5c6c4be763f8c61494b88c40b9dfe"),
+                 (1, 2, "28c28bb4a2070f4f230d63d784884f4cf7f5c6c4be763f8c61494b88c40b9dfe"),
+                 (2, 5, "25544258a6cc1b78fe87368d0a70fa78f0f7621e5b4af49ed38c135e5f2e3bbf")]
+        for max_steps, iterations, digest in stops:
+            for transforms in (False, True):
+                out = laurent_smith_attempt(M, max_steps=max_steps, transforms=transforms)
+                assert out.outcome == "inconclusive"
+                assert out.iterations == iterations
+                text = write_matrix(out.residual)
+                assert hashlib.sha256(text.encode()).hexdigest() == digest
+                if transforms:
+                    k = M.rows - out.residual.rows
+                    D = out.left * M * out.right
+                    assert [row[k:] for row in D.entries[k:]] == list(out.residual.entries)
+
+
 class TestDeterminantalDivisors:
     def test_examples(self):
         assert determinantal_divisors(Z([[2, 0], [0, 6]])) == [2, 12]
@@ -1030,9 +1111,11 @@ def assert_as_validated(P):
 
 
 class TestProducersWithoutCoerce:
-    """transpose, negation, sum, product, kron, identity, diagonal and the
-    workspace transforms skip `coerce`; their entries must still be the
-    canonical ring elements the validating constructor gives."""
+    """transpose, negation, sum, product, kron, identity, diagonal, the
+    workspace transforms, `map_ring`, the adjacency matrices and the row
+    shifts of `harness._without_negative_exponents` skip `coerce` (or
+    coerce only nonzero images); their entries must still be the canonical
+    ring elements the validating constructor gives."""
 
     @pytest.mark.parametrize("ring", ["z", "laurent", "qpoly"])
     def test_producers_match_validating_constructor(self, ring):
@@ -1050,12 +1133,38 @@ class TestProducersWithoutCoerce:
             ws = matrices._Workspace(random_ring_matrix(rng, ring, m, m))
             matrices._smith(ws, max_steps=50)
             products += ws.transforms()
+            if ring == "z":
+                products += [A.to_qpoly(), A.map_ring("laurent", LaurentPoly.coerce)]
+            elif ring == "laurent":
+                products.append(A.specialize_q(-1))
             for P in products:
                 assert_as_validated(P)
             assert A * B == ExactMatrix(m, n, ring, [
                 [sum((A[i, t] * B[t, j] for t in range(k)), ad.zero) for j in range(n)]
                 for i in range(m)])
             assert A.transpose().transpose() == A
+
+    def test_adjacency_matrices(self):
+        spec = FamilySpec("ppbox", 2, 2, 2)
+        hexagon = build_hexagon_graph(2, 2, 2)
+        weighted = apply_q_weights(hexagon, spec, "cube")
+        for G in (hexagon, weighted):
+            P = adjacency_matrix(kasteleyn_percus_sign(G), "bipartite")
+            assert P.ring == G.ring()
+            assert_as_validated(P)
+        for G in (build_aztec_graph(2), weighted):
+            A = adjacency_matrix(kasteleyn_orient(G), "alternating")
+            assert A.ring == G.ring() and A.is_alternating()
+            assert_as_validated(A)
+
+    def test_rows_without_negative_exponents(self):
+        M = LQ([["q^-2", "1", "0"], ["q", "q^-1 + 2", "3"], ["0", "-q^-1", "1 + q"]])
+        A = LQ([["0", "q^-1", "2"], ["-q^-1", "0", "q"], ["-2", "-q", "0"]])
+        for P, kind in ((M, "M"), (A, "A")):
+            S = harness._without_negative_exponents(P, kind)
+            assert_as_validated(S)
+            assert all(x.is_zero() or x.min_exp >= 0 for row in S.entries for x in row)
+        assert harness._without_negative_exponents(A, "A").is_alternating()
 
     def test_verify_on_z_and_qpoly(self):
         rng = random.Random(1303)
