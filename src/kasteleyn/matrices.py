@@ -122,16 +122,48 @@ class _IntRing:
 
     @staticmethod
     def to_str(a, compact=False):
-        return str(a)
+        """Decimal text of any size (see `_decimal_text`)."""
+        try:
+            return str(a)
+        except ValueError:      # past the interpreter's int -> str digit limit
+            return _decimal_text(a)
 
     @staticmethod
     def parse(s):
         """An optional sign and ASCII digits, nothing else: no `1_0`, no
-        non-ASCII digits.  DomainError otherwise."""
+        non-ASCII digits.  DomainError otherwise.  Any number of digits."""
         digits = s[1:] if s[:1] in ("+", "-") else s
         if not (digits.isascii() and digits.isdigit()):
             raise DomainError(f"bad integer {s!r}")
-        return int(s)
+        value = _decimal_value(digits)
+        return -value if s[0] == "-" else value
+
+
+# CPython 3.10.7+ refuses int <-> str conversions past a digit limit (4300
+# by default, 640 at the least; `sys.set_int_max_str_digits`).  Matrix text
+# stays exact at any size, without touching that process-wide setting, by
+# converting in pieces of at most this many digits.
+_DIGITS = 600
+
+
+def _decimal_text(a):
+    """str(a) for an int a of any size: split at a power of ten near half
+    its digits, each half converted the same way."""
+    if a < 0:
+        return "-" + _decimal_text(-a)
+    half = a.bit_length() * 3 // 20       # about half of log10(a)
+    if half < _DIGITS:
+        return str(a)
+    hi, lo = divmod(a, 10 ** half)
+    return _decimal_text(hi) + _decimal_text(lo).zfill(half)
+
+
+def _decimal_value(digits):
+    """int(digits) for a string of ASCII digits of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _decimal_value(digits[:-half]) * 10 ** half + _decimal_value(digits[-half:])
 
 
 class _QPolyRing:
@@ -379,12 +411,21 @@ class ExactMatrix:
         self._compat(other)
         if self.cols != other.rows:
             raise DomainError("shape mismatch in product")
-        zero = ring_adapter(self.ring).zero
-        bt = other.transpose().entries
-        return ExactMatrix._of_ring_elements(
-            self.rows, other.cols, self.ring,
-            [[sum(map(mul, row, col), zero) for col in bt] for row in self.entries],
-        )
+        # row i of the product is the sum of a_ik * (row k of other) over the
+        # nonzero a_ik, each row k taken at its nonzero entries only
+        ad = ring_adapter(self.ring)
+        is_zero, zero, width = ad.is_zero, ad.zero, other.cols
+        right = [[(j, b) for j, b in enumerate(row) if not is_zero(b)]
+                 for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [zero] * width
+            for a, terms in zip(row, right):
+                if terms and not is_zero(a):
+                    for j, b in terms:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
+        return ExactMatrix._of_ring_elements(self.rows, width, self.ring, out)
 
     def _compat(self, other):
         if self.ring != other.ring:
@@ -454,11 +495,21 @@ class ExactMatrix:
 # matrix text format
 
 
+def _entry_texts(ad, row):
+    """The compact text of each entry of `row`; over "z" plain int text."""
+    if ad is _IntRing:
+        try:
+            return list(map(str, row))
+        except ValueError:      # an entry past the int -> str digit limit
+            pass
+    return [ad.to_str(x, compact=True) for x in row]
+
+
 def write_matrix(M):
     ad = ring_adapter(M.ring)
     lines = [f"{M.rows} {M.cols} {M.ring}"]
     for row in M.entries:
-        lines.append(" ".join(ad.to_str(x, compact=True) for x in row))
+        lines.append(" ".join(_entry_texts(ad, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -486,7 +537,11 @@ def parse_matrix(text):
 class _Workspace:
     """Mutable copy of a matrix.  With transforms=True it also carries the
     row/column transforms L, R with L * original * R = current; without,
-    L and R are None and only the current matrix is updated."""
+    L and R are None and only the current matrix is updated.
+
+    L and R start as identities held as their diagonals, lists of m and n
+    entries, which is all `_unit_pivots` reads; it hands them on as the
+    dense lists that the elementary operations below act on."""
 
     def __init__(self, M, transforms=True):
         self.ring = M.ring
@@ -495,9 +550,7 @@ class _Workspace:
         self.A = M.to_lists()
         self.L = self.R = None
         if transforms:
-            one, zero = self.ad.one, self.ad.zero
-            self.L = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
-            self.R = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
+            self.L, self.R = [self.ad.one] * self.m, [self.ad.one] * self.n
         self.ops = 0
 
     # row ops: current <- E * current, L <- E * L
@@ -608,14 +661,26 @@ class SmithForm:
         return ExactMatrix.diagonal(self.diagonal, self.ring, shape=self.shape)
 
     def verify(self, M):
-        """Exact check of the defining identities; returns True or raises."""
-        prod = self.left * M * self.right
-        if prod != self.diagonal_matrix():
+        """Exact check of the defining identities; returns True or raises
+        AssertionError.
+
+        First L * M * R must equal the diagonal form, entry for entry (the
+        products skip zero entries, so this costs the nonzeros of the
+        factors rather than n^3 multiplications).  Then L and R must be
+        unimodular.  When M is square with det M != 0, taking determinants
+        gives det L * det R = prod(d_i) / det M; in an integral domain both
+        determinants are units iff that exact quotient exists and is a
+        unit, so one determinant of M, whose entries are small, stands in
+        for those of L and R, whose entries can be huge.  A singular or
+        non-square M falls back to determinant(L) and determinant(R).
+        Last, the diagonal must be a divisibility chain."""
+        if self.left * M * self.right != self.diagonal_matrix():
             raise AssertionError("left*M*right is not the diagonal form")
         ad = ring_adapter(self.ring)
-        for T in (self.left, self.right):
-            if not ad.is_unit(determinant(T)):
-                raise AssertionError("transform determinant is not a unit")
+        det_M = determinant(M) if M.rows == M.cols else ad.zero
+        if not _unimodular(ad, det_M, prod(self.diagonal, start=ad.one),
+                           (self.left, self.right)):
+            raise AssertionError("transform determinant is not a unit")
         ds = self.diagonal
         for i in range(len(ds) - 1):
             if not ad.is_zero(ds[i + 1]):
@@ -626,6 +691,18 @@ class SmithForm:
     def __repr__(self):
         ad = ring_adapter(self.ring)
         return f"<SmithForm {self.shape} diag={[ad.to_str(d) for d in self.diagonal]}>"
+
+
+def _unimodular(ad, det_M, det_D, transforms):
+    """Whether every matrix in `transforms` has a unit determinant, given
+    an identity in which their determinants (with multiplicity) times det_M
+    equal det_D.  When det_M != 0 that product is the exact quotient
+    det_D / det_M, a unit iff each factor is one (an integral domain);
+    when det_M = 0 each transform's own determinant is taken."""
+    if ad.is_zero(det_M):
+        return all(ad.is_unit(determinant(T)) for T in transforms)
+    q = ad.try_div(det_D, det_M)
+    return q is not None and ad.is_unit(q)
 
 
 def _pick_pivot(ring, A, k):
@@ -707,9 +784,9 @@ def _unit_pivots(ws, max_steps):
     """The unit pivots of `_smith`, taken on sparse rows while the block
     A[k:][k:] has a unit entry.  Returns (k, failure): the first pivot left
     to the dense loop, and ("inconclusive", None) past `max_steps`
-    operations, else None.  ws.L and ws.R must be diagonal on entry.
-    ws.A, ws.L and ws.R come back as the dense lists the dense loop would
-    have made, and `ws.ops` as its count.
+    operations, else None.  ws.L and ws.R are their diagonals on entry (as
+    `_Workspace` makes them).  ws.A, ws.L and ws.R come back as the dense
+    lists the dense loop would have made, and `ws.ops` as its count.
 
     A row is a map column -> nonzero entry, each column keeps the set of
     rows nonzero in it, and swaps are kept as permutations.  The pivot p at
@@ -727,10 +804,10 @@ def _unit_pivots(ws, max_steps):
             cols[j].add(i)
     L = R = None
     if ws.L is not None:
-        # diagonal on entry: `_Workspace` makes identities, and
-        # `laurent_smith_attempt` only scales rows by units before `_smith`
-        L = [{i: ws.L[i][i]} for i in range(m)]
-        R = [{j: ws.R[j][j]} for j in range(n)]
+        # diagonals on entry: identities, or in `laurent_smith_attempt`
+        # unit row scalings of the identity
+        L = [{i: x} for i, x in enumerate(ws.L)]
+        R = [{j: x} for j, x in enumerate(ws.R)]
     at_row, at_col, col_at = list(range(m)), list(range(n)), list(range(n))
     failure = None
     k = 0
@@ -1011,11 +1088,20 @@ class AltSmithForm:
         return ExactMatrix(self.n, self.n, self.ring, grid)
 
     def verify(self, A):
+        """Exact check of the defining identities; returns True or raises
+        AssertionError.
+
+        First B^T * A * B must equal the block form K (the products skip
+        zero entries).  Then B must be unimodular: det(B)^2 * det A = det K
+        = prod(e_i)^2, so when det A != 0, det B is a unit iff the exact
+        quotient prod(e_i)^2 / det A exists and is a unit.  A singular A
+        (every A of odd size) falls back to determinant(B).  Last, the
+        block entries must be a divisibility chain."""
         B = self.transform
         if B.transpose() * A * B != self.block_matrix():
             raise AssertionError("B^T A B is not the block form")
         ad = ring_adapter(self.ring)
-        if not ad.is_unit(determinant(B)):
+        if not _unimodular(ad, determinant(A), prod(self.block_entries, start=ad.one) ** 2, (B,)):
             raise AssertionError("congruence transform is not unimodular")
         es = self.block_entries
         for i in range(len(es) - 1):
@@ -1375,7 +1461,12 @@ def laurent_smith_attempt(M, max_steps=10000, transforms=True):
             if not x.is_zero():
                 u, _ = ring.unit_and_normal(x)
                 if not u.is_one():
-                    ws.scale_row(i, ring.unit_inverse(u))
+                    # `ws.scale_row`, on L still held as its diagonal
+                    u = ring.unit_inverse(u)
+                    ws.ops += 1
+                    ws.A[i] = [u * y for y in ws.A[i]]
+                    if transforms:
+                        ws.L[i] = u
                 break
     failure = _smith(ws, max_steps)
     L, R = ws.transforms()
@@ -1845,6 +1936,6 @@ def smith_report(M, include_transforms=False):
         "witnesses_included": include_transforms,
     }
     if include_transforms:
-        report["left"] = [[ad.to_str(x, compact=True) for x in row] for row in form.left.entries]
-        report["right"] = [[ad.to_str(x, compact=True) for x in row] for row in form.right.entries]
+        report["left"] = [_entry_texts(ad, row) for row in form.left.entries]
+        report["right"] = [_entry_texts(ad, row) for row in form.right.entries]
     return report

@@ -2,15 +2,17 @@
 partitions as cube sets, symmetry actions on cubes, skew tableaux,
 Schur specializations, the permutation expansion of a determinant, a
 ring-generic Bareiss determinant, the row expansion of a Pfaffian, a candidate-by-candidate Laurent lattice
-step, Laurent long division, and the Fourier duality matrix built from
-the witness transforms and rational inverses."""
+step, Laurent long division, the Fourier duality matrix built from
+the witness transforms and rational inverses, and the dense
+row-by-column matrix product."""
 
 import cmath
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from operator import mul
 
-from kasteleyn.matrices import determinant, ring_adapter, smith_normal_form
+from kasteleyn.matrices import ExactMatrix, determinant, ring_adapter, smith_normal_form
 from kasteleyn.rings import ExactDivisionError, LaurentPoly, q_integer
 
 
@@ -277,6 +279,15 @@ def bareiss_reference(M):
         prev = A[k][k]
     d = A[n - 1][n - 1]
     return -d if sign < 0 else d
+
+
+def dense_product(A, B):
+    """A * B with every entry the row-by-column sum sum(map(mul, row, col),
+    zero) over all k, zero entries included."""
+    zero = ring_adapter(A.ring).zero
+    cols = list(zip(*B.entries)) if B.rows else [()] * B.cols
+    return ExactMatrix(A.rows, B.cols, A.ring,
+                       [[sum(map(mul, row, col), zero) for col in cols] for row in A.entries])
 
 
 def lattice_step_reference(r, p):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, prod
 
@@ -8,6 +9,7 @@ import pytest
 
 from oracles import (
     bareiss_reference,
+    dense_product,
     fourier_reference,
     lattice_step_reference,
     permutation_det,
@@ -31,6 +33,7 @@ from kasteleyn.matrices import (
     ExactMatrix,
     GuardExceeded,
     NormalFormFailure,
+    SmithForm,
     _lattice_step,
     _smith_diagonal,
     alternating_smith_form,
@@ -623,6 +626,19 @@ class TestLaurentAttempt:
         assert any("2" == s for s in w)
         assert out.left is not None and out.right is not None
 
+    def test_unit_row_scalings_land_in_the_transforms(self):
+        # rows led by -q^2, q^-1 and -1 are scaled by units before the
+        # elimination, while L is still held as its diagonal
+        M = LQ([["-q^2", "1 + q"], ["q^-1", "3"], ["0", "-1"]])
+        for transforms in (True, False):
+            out = laurent_smith_attempt(M, transforms=transforms)
+            assert out.success and out.iterations == 7
+        assert out.smith.diagonal == (LaurentPoly.one(), LaurentPoly.one())
+        form = laurent_smith_attempt(M).smith
+        assert write_matrix(form.left) == "3 3 laurent\n-q^-2 0 0\n0 0 -1\nq^-2 q q^-2+q^-1+3*q\n"
+        assert write_matrix(form.right) == "2 2 laurent\n1 q^-2+q^-1\n0 1\n"
+        assert form.verify(M)
+
     def test_transforms_exact_on_success(self):
         rng = random.Random(10)
         for _ in range(25):
@@ -1057,6 +1073,27 @@ class TestTextFormat:
         assert write_matrix(M) == "2 2 z\n1 0\n0 0\n"
         assert parse_matrix(write_matrix(M)) == M == Z([[1, 0], [0, 0]])
 
+    def test_integers_past_the_digit_limit(self):
+        # Decimal converts ints exactly and without the int <-> str limit
+        rng = random.Random(1703)
+        for digits in (1, 599, 600, 601, 1201, 4300, 4301, 20000, 45000):
+            for x in (10 ** (digits - 1), 10 ** digits - 1,
+                      rng.randrange(10 ** (digits - 1), 10 ** digits)):
+                for y in (x, -x):
+                    text = str(Decimal(y))
+                    assert matrices._IntRing.to_str(y) == text
+                    assert matrices._IntRing.parse(text) == y
+        assert matrices._IntRing.parse("+" + "0" * 5000 + "17") == 17
+
+    def test_binomial_transforms_past_the_digit_limit(self):
+        M = Z([[comb(24, 12 - i + j) for j in range(12)] for i in range(12)])
+        form = smith_normal_form(M, verify=True)
+        rep = smith_report(M, include_transforms=True)
+        for T, rows in ((form.left, rep["left"]), (form.right, rep["right"])):
+            assert rows == [[str(Decimal(x)) for x in row] for row in T.entries]
+            assert parse_matrix(write_matrix(T)) == T
+        assert max(abs(x) for row in form.right.entries for x in row).bit_length() > 29000
+
     def test_report_fields(self):
         rep = smith_report(Z([[2, 0], [0, 6]]))
         assert rep["invariant_factors"] == ["2", "6"]
@@ -1176,3 +1213,147 @@ class TestProducersWithoutCoerce:
                 assert form.verify(M)
                 assert_as_validated(form.left)
                 assert_as_validated(form.right)
+
+
+def sparse_ring_matrix(rng, ring, m, n):
+    """Seeded m x n matrix over `ring`, each entry zero with probability 0.6."""
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        if ring == "z":
+            return rng.choice((1, -1, rng.randint(-99, 99), rng.getrandbits(200)))
+        if ring == "laurent":
+            return LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5) for _ in range(3)})
+        return RationalPoly([rng.choice((0, rng.randint(-5, 5),
+                                         Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+                             for _ in range(rng.randint(1, 4))])
+    return ExactMatrix(m, n, ring, [[entry() for _ in range(n)] for _ in range(m)])
+
+
+class TestSparseProduct:
+    """`ExactMatrix.__mul__` adds only the products of nonzero entries; it
+    must agree entry for entry with the dense row-by-column sums."""
+
+    @pytest.mark.parametrize("ring", ["z", "laurent", "qpoly"])
+    def test_matches_dense_product(self, ring):
+        rng = random.Random(1701)
+        shapes = [(0, 3, 4), (3, 4, 0), (2, 0, 3), (0, 0, 0), (1, 1, 1), (1, 5, 1), (5, 1, 5)]
+        shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(25)]
+        zeros = total = 0
+        for m, k, n in shapes:
+            A = sparse_ring_matrix(rng, ring, m, k)
+            B = sparse_ring_matrix(rng, ring, k, n)
+            P = A * B
+            assert (P.rows, P.cols) == (m, n)
+            assert P == dense_product(A, B)
+            assert_as_validated(P)
+            zeros += sum(x == 0 for M in (A, B) for row in M.entries for x in row)
+            total += A.rows * A.cols + B.rows * B.cols
+        assert zeros >= total / 2
+
+
+def forged(form, M, side, c):
+    """`form` with the last row of L (side "left") or the last column of R
+    scaled by c, and its diagonal replaced by that of L' * M * R': the
+    product check passes, while det L' (or det R') is c times a unit."""
+    m, n = form.shape
+    ad = matrices.ring_adapter(form.ring)
+    L, R = form.left, form.right
+    if side == "left":
+        L = ExactMatrix.diagonal([ad.one] * (m - 1) + [c], form.ring) * L
+    else:
+        R = R * ExactMatrix.diagonal([ad.one] * (n - 1) + [c], form.ring)
+    D = L * M * R
+    fake = SmithForm(form.ring, form.shape, [D[i, i] for i in range(min(m, n))], L, R)
+    assert D == fake.diagonal_matrix()
+    return fake
+
+
+def ring_form(M):
+    if M.ring != "laurent":
+        return smith_normal_form(M, verify=True)
+    out = laurent_smith_attempt(M)
+    assert out.success
+    assert out.smith.verify(M)
+    return out.smith
+
+
+# over each ring: a nonsingular square M (the route through det M), a
+# singular square M and two non-square ones (the route through det L and
+# det R), with a factor c that is no unit there (2 is a unit of Q[q]); the
+# qpoly cases are written as Laurent text and mapped by `to_qpoly`
+FORGERY_CASES = {
+    "z": (2, [Z([[2, 1, 0], [1, 3, 1], [0, 1, 4]]),
+              Z([[1, 2, 0], [2, 4, 0], [0, 1, 3]]),
+              Z([[1, 2, 3], [4, 5, 6]]),
+              Z([[1, 2], [3, 4], [5, 7]])]),
+    "qpoly": (RationalPoly((0, 1)), [LQ([["1 + q", "q"], ["2", "q^2"]]),
+                                     LQ([["1", "q"], ["q", "q^2"]]),
+                                     LQ([["q", "1", "0"], ["0", "q", "1 + q"]]),
+                                     LQ([["1"], ["q"]])]),
+    "laurent": (LaurentPoly.const(2), [LQ([["1", "q"], ["q^-1", "2 + q"]]),
+                                       LQ([["1", "q"], ["q^-1", "1"]]),
+                                       LQ([["q", "1", "0"], ["0", "q^-1", "1 + q"]]),
+                                       LQ([["1 + q"], ["q"]])]),
+}
+
+
+class TestForgedWitnesses:
+    """A witness whose L * M * R is the claimed diagonal but whose L or R
+    is not unimodular must be refused, by either route of `verify`."""
+
+    @pytest.mark.parametrize("ring", ["z", "qpoly", "laurent"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_smith_form(self, ring, side):
+        c, cases = FORGERY_CASES[ring]
+        for M in cases:
+            if ring == "qpoly":
+                M = M.to_qpoly()
+            fake = forged(ring_form(M), M, side, c)
+            with pytest.raises(AssertionError, match="not a unit"):
+                fake.verify(M)
+
+    def test_routes(self, monkeypatch):
+        """One determinant, of M, when M is square and nonsingular; else
+        those of L and R (after det M = 0 for a square M)."""
+        seen = []
+        real = matrices.determinant
+        monkeypatch.setattr(matrices, "determinant", lambda X: seen.append(X) or real(X))
+        for M in FORGERY_CASES["z"][1]:
+            form = smith_normal_form(M)
+            seen.clear()
+            assert form.verify(M)
+            if M.rows != M.cols:
+                assert seen == [form.left, form.right]
+            elif real(M) == 0:
+                assert seen == [M, form.left, form.right]
+            else:
+                assert seen == [M]
+
+    def test_alternating_routes(self, monkeypatch):
+        """One determinant, of A, when det A != 0; else also that of B."""
+        seen = []
+        real = matrices.determinant
+        monkeypatch.setattr(matrices, "determinant", lambda X: seen.append(X) or real(X))
+        for A in (Z([[0, 2], [-2, 0]]), Z([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])):
+            form = alternating_smith_form(A)
+            seen.clear()
+            assert form.verify(A)
+            assert seen == ([A] if A.rows == 2 else [A, form.transform])
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_alternating_form(self, size):
+        rng = random.Random(1702 + size)
+        cases = [random_alternating(rng, size)]
+        if size == 4:
+            cases.append(Z([[0, 1, 2, 0], [-1, 0, 3, 0], [-2, -3, 0, 0], [0, 0, 0, 0]]))
+        for A in cases:
+            form = alternating_smith_form(A, verify=True)
+            n = form.n
+            B = form.transform * ExactMatrix.diagonal([1] * (n - 1) + [2], "z")
+            K = B.transpose() * A * B
+            entries = [K[2 * i, 2 * i + 1] for i in range(n // 2)]
+            fake = matrices.AltSmithForm("z", n, entries, B)
+            assert K == fake.block_matrix()
+            with pytest.raises(AssertionError, match="not unimodular"):
+                fake.verify(A)
