@@ -148,12 +148,13 @@ _DIGITS = 600
 
 def _decimal_text(a):
     """str(a) for an int a of any size: split at a power of ten near half
-    its digits, each half converted the same way."""
+    its digits, each half converted the same way.  str() itself only sees
+    ints of at most 3 * _DIGITS bits, which have at most 542 digits."""
     if a < 0:
         return "-" + _decimal_text(-a)
-    half = a.bit_length() * 3 // 20       # about half of log10(a)
-    if half < _DIGITS:
+    if a.bit_length() <= 3 * _DIGITS:
         return str(a)
+    half = a.bit_length() * 3 // 20       # about half of log10(a)
     hi, lo = divmod(a, 10 ** half)
     return _decimal_text(hi) + _decimal_text(lo).zfill(half)
 
@@ -539,19 +540,29 @@ class _Workspace:
     row/column transforms L, R with L * original * R = current; without,
     L and R are None and only the current matrix is updated.
 
-    L and R start as identities held as their diagonals, lists of m and n
-    entries, which is all `_unit_pivots` reads; it hands them on as the
-    dense lists that the elementary operations below act on."""
+    `row_units`, when given, are units u_i by which row i is scaled before
+    anything else (one operation for each u_i != 1), so L starts as
+    diag(u_i); otherwise L and R start as identities.  They are held as
+    their diagonals, lists of m and n entries, which is all `_unit_pivots`
+    (the first step of `_smith`) reads; it hands them on as the dense lists
+    that the elementary operations below act on."""
 
-    def __init__(self, M, transforms=True):
+    def __init__(self, M, transforms=True, row_units=None):
         self.ring = M.ring
         self.ad = ring_adapter(M.ring)
         self.m, self.n = M.rows, M.cols
         self.A = M.to_lists()
+        self.ops = 0
+        one = self.ad.one
+        if row_units is None:
+            row_units = [one] * self.m
+        for i, u in enumerate(row_units):
+            if u != one:
+                self.ops += 1
+                self.A[i] = [u * x for x in self.A[i]]
         self.L = self.R = None
         if transforms:
-            self.L, self.R = [self.ad.one] * self.m, [self.ad.one] * self.n
-        self.ops = 0
+            self.L, self.R = list(row_units), [one] * self.n
 
     # row ops: current <- E * current, L <- E * L
 
@@ -668,18 +679,21 @@ class SmithForm:
         products skip zero entries, so this costs the nonzeros of the
         factors rather than n^3 multiplications).  Then L and R must be
         unimodular.  When M is square with det M != 0, taking determinants
-        gives det L * det R = prod(d_i) / det M; in an integral domain both
+        gives det L * det R = det D / det M, with det D the product of all
+        min(m, n) diagonal entries of D; in an integral domain both
         determinants are units iff that exact quotient exists and is a
         unit, so one determinant of M, whose entries are small, stands in
         for those of L and R, whose entries can be huge.  A singular or
         non-square M falls back to determinant(L) and determinant(R).
         Last, the diagonal must be a divisibility chain."""
-        if self.left * M * self.right != self.diagonal_matrix():
+        D = self.diagonal_matrix()
+        if self.left * M * self.right != D:
             raise AssertionError("left*M*right is not the diagonal form")
         ad = ring_adapter(self.ring)
         det_M = determinant(M) if M.rows == M.cols else ad.zero
-        if not _unimodular(ad, det_M, prod(self.diagonal, start=ad.one),
-                           (self.left, self.right)):
+        # a diagonal shorter than min(m, n) is padded with zeros in D
+        det_D = prod((D[i, i] for i in range(min(self.shape))), start=ad.one)
+        if not _unimodular(ad, det_M, det_D, (self.left, self.right)):
             raise AssertionError("transform determinant is not a unit")
         ds = self.diagonal
         for i in range(len(ds) - 1):
@@ -1092,16 +1106,19 @@ class AltSmithForm:
         AssertionError.
 
         First B^T * A * B must equal the block form K (the products skip
-        zero entries).  Then B must be unimodular: det(B)^2 * det A = det K
-        = prod(e_i)^2, so when det A != 0, det B is a unit iff the exact
-        quotient prod(e_i)^2 / det A exists and is a unit.  A singular A
-        (every A of odd size) falls back to determinant(B).  Last, the
-        block entries must be a divisibility chain."""
-        B = self.transform
-        if B.transpose() * A * B != self.block_matrix():
+        zero entries).  Then B must be unimodular: det(B)^2 * det A = det K,
+        the square of the product of all n // 2 block entries of K, so when
+        det A != 0, det B is a unit iff the exact quotient det K / det A
+        exists and is a unit.  A singular A (every A of odd size) falls
+        back to determinant(B).  Last, the block entries must be a
+        divisibility chain."""
+        B, K = self.transform, self.block_matrix()
+        if B.transpose() * A * B != K:
             raise AssertionError("B^T A B is not the block form")
         ad = ring_adapter(self.ring)
-        if not _unimodular(ad, determinant(A), prod(self.block_entries, start=ad.one) ** 2, (B,)):
+        # blocks past the given entries are zero in K
+        pf_K = prod((K[2 * i, 2 * i + 1] for i in range(self.n // 2)), start=ad.one)
+        if not _unimodular(ad, determinant(A), pf_K ** 2, (B,)):
             raise AssertionError("congruence transform is not unimodular")
         es = self.block_entries
         for i in range(len(es) - 1):
@@ -1454,20 +1471,12 @@ def laurent_smith_attempt(M, max_steps=10000, transforms=True):
     if M.ring != "laurent":
         M = M.map_ring("laurent", LaurentPoly.coerce)
     ring = ring_adapter("laurent")
-    ws = _Workspace(M, transforms)
+    units = []
+    for row in M.entries:
+        lead = next((x for x in row if not x.is_zero()), ring.one)
+        units.append(ring.unit_inverse(ring.unit_and_normal(lead)[0]))
+    ws = _Workspace(M, transforms, row_units=units)
     m, n = ws.m, ws.n
-    for i in range(m):
-        for x in ws.A[i]:
-            if not x.is_zero():
-                u, _ = ring.unit_and_normal(x)
-                if not u.is_one():
-                    # `ws.scale_row`, on L still held as its diagonal
-                    u = ring.unit_inverse(u)
-                    ws.ops += 1
-                    ws.A[i] = [u * y for y in ws.A[i]]
-                    if transforms:
-                        ws.L[i] = u
-                break
     failure = _smith(ws, max_steps)
     L, R = ws.transforms()
     if failure is None:

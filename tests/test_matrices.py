@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, prod
@@ -1085,6 +1086,24 @@ class TestTextFormat:
                     assert matrices._IntRing.parse(text) == y
         assert matrices._IntRing.parse("+" + "0" * 5000 + "17") == 17
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter has no int <-> str digit limit")
+    def test_integers_under_the_least_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rng = random.Random(1704)
+            for digits in (542, 543, 640, 641, 1204, 1205, 45000):
+                x = rng.randrange(10 ** (digits - 1), 10 ** digits)
+                for y in (x, -x):
+                    text = matrices._IntRing.to_str(y)
+                    assert text == str(Decimal(y))
+                    assert matrices._IntRing.parse(text) == y
+            M = Z([[x, 1], [-x, 0]])
+            assert parse_matrix(write_matrix(M)) == M
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_binomial_transforms_past_the_digit_limit(self):
         M = Z([[comb(24, 12 - i + j) for j in range(12)] for i in range(12)])
         form = smith_normal_form(M, verify=True)
@@ -1313,6 +1332,21 @@ class TestForgedWitnesses:
             with pytest.raises(AssertionError, match="not a unit"):
                 fake.verify(M)
 
+    @pytest.mark.parametrize("ring", ["z", "qpoly", "laurent"])
+    def test_short_diagonal(self, ring):
+        """A diagonal shorter than min(m, n) is padded with zeros in the
+        form, so det D = 0 there: with M = I, L = I and R = diag(1, 0),
+        L * M * R is the padded form of (1,), and R is singular."""
+        ad = matrices.ring_adapter(ring)
+        I = ExactMatrix.identity(2, ring)
+        R = ExactMatrix.diagonal([ad.one, ad.zero], ring)
+        fake = SmithForm(ring, (2, 2), [ad.one], I, R)
+        assert I * I * R == fake.diagonal_matrix()
+        with pytest.raises(AssertionError, match="not a unit"):
+            fake.verify(I)
+        # a short diagonal with unimodular transforms still passes
+        assert SmithForm(ring, (2, 2), [ad.one], I, I).verify(R)
+
     def test_routes(self, monkeypatch):
         """One determinant, of M, when M is square and nonsingular; else
         those of L and R (after det M = 0 for a square M)."""
@@ -1357,3 +1391,17 @@ class TestForgedWitnesses:
             assert K == fake.block_matrix()
             with pytest.raises(AssertionError, match="not unimodular"):
                 fake.verify(A)
+
+    def test_alternating_short_blocks(self):
+        """Blocks past the given entries are zero in the form, so det K = 0
+        there: a singular B that meets only the first block is refused."""
+        J = [[0, 1], [-1, 0]]
+        A = Z([J[0] + [0, 0], J[1] + [0, 0], [0, 0] + J[0], [0, 0] + J[1]])
+        B = ExactMatrix.diagonal([1, 1, 0, 0], "z")
+        fake = matrices.AltSmithForm("z", 4, [1], B)
+        assert B.transpose() * A * B == fake.block_matrix()
+        with pytest.raises(AssertionError, match="not unimodular"):
+            fake.verify(A)
+        # short block entries with a unimodular B still pass
+        assert matrices.AltSmithForm("z", 4, [1], ExactMatrix.identity(4, "z")).verify(
+            A * ExactMatrix.diagonal([1, 1, 0, 0], "z"))
