@@ -1,0 +1,129 @@
+"""Records of the Smith driver's outputs, pinned by SHA-256 in
+`test_matrices.py` and in the CI job that runs without pytest: every
+Laurent attempt of the round suite at ceiling 6, the PID normal forms of
+three boxes, and a seeded fuzz of random small matrices over every ring.
+Each builder returns a list of JSON-ready records; `digest` hashes one.
+This module imports nothing from pytest."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+from kasteleyn import FamilySpec, harness
+from kasteleyn.matrices import (
+    DomainError,
+    ExactMatrix,
+    _smith_diagonal,
+    laurent_smith_attempt,
+    smith_normal_form,
+    write_matrix,
+)
+from kasteleyn.rings import LaurentPoly, RationalPoly
+
+LAURENT_ATTEMPTS = (276, "5764ab4fe5d5992990fca66fec9f9033f6b22e7e716993335a75e577dcef8459")
+PID_FORMS = (6, "47bedaed403f0dfd207e4164f8a08eddd431006978615edeba165a3ffecef506")
+FUZZ = (960, "9160f1687a89110bea59627379f88770dd20c632651962e9a13d81e3764ea61d")
+
+
+def digest(records):
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def _attempt_record(out, transforms):
+    """Outcome, iterations, witness, diagonal or residual, and with
+    transforms the text of L and R, of one `laurent_smith_attempt`."""
+    witness = None if out.witness is None else [str(w) for w in out.witness]
+    rest = [str(d) for d in out.smith.diagonal] if out.success else write_matrix(out.residual)
+    record = [out.outcome, out.iterations, witness, rest]
+    if transforms:
+        form = out.smith if out.success else out
+        record.append(write_matrix(form.left) + write_matrix(form.right))
+    return record
+
+
+def laurent_attempt_records():
+    """Every Laurent attempt of the round suite at ceiling 6, at the
+    default and at a tight step limit, with and without transforms."""
+    records = []
+    for label, spec, ring in harness._round_instances(6):
+        if ring != "laurent":
+            continue
+        try:
+            M = harness.family_matrix_for_ring(spec, ring)[0]
+        except DomainError:
+            continue
+        for max_steps in (10000, 50):
+            for transforms in (False, True):
+                out = laurent_smith_attempt(M, max_steps=max_steps, transforms=transforms)
+                records.append([label] + _attempt_record(out, transforms))
+    return records
+
+
+def pid_form_records():
+    """The Smith forms over "z" and "qpoly", with transforms, of two boxes
+    and a tau quotient."""
+    records = []
+    for spec in (FamilySpec("ppbox", 3, 3, 3), FamilySpec("ppbox", 4, 3, 2),
+                 FamilySpec(variant="ppbox-quotient", a=4, b=3, c=3, group="tau")):
+        for ring in ("z", "qpoly"):
+            form = smith_normal_form(harness.family_matrix_for_ring(spec, ring)[0])
+            records.append([ring, [str(d) for d in form.diagonal],
+                            write_matrix(form.left), write_matrix(form.right)])
+    return records
+
+
+def _random_entry(rng, ring, unitless):
+    """A random entry, zero with probability 0.6; never a unit when
+    `unitless`."""
+    if rng.random() < 0.6:
+        return 0
+    if ring == "z":
+        return rng.choice((2, -2, 3, 4, -6) if unitless else (1, -1, 1, 2, -3, 5))
+    if ring == "qpoly":
+        coeffs = [rng.choice((0, 1, -1, 2, Fraction(1, 2))) for _ in range(rng.randint(1, 3))]
+        if unitless or not any(coeffs):
+            coeffs.append(rng.choice((1, -1, 3)))
+        return RationalPoly(coeffs)
+    terms = {rng.randint(-1, 2): rng.choice((1, -1, 2, -3)) for _ in range(rng.randint(1, 2))}
+    f = LaurentPoly(terms)
+    if unitless and f.span == 0 and abs(f.trailing_coeff()) == 1:
+        f = f * 2
+    return f
+
+
+def _random_matrix(rng, ring):
+    """A random m x n matrix, 0 <= m, n <= 6, square about half the time.
+    One in three has no unit entry, one in three none in its lower right
+    block."""
+    m = rng.randint(0, 6)
+    n = m if rng.random() < 0.5 else rng.randint(0, 6)
+    mode = rng.randrange(3)
+    rows = [[_random_entry(rng, ring, mode == 1 or (mode == 2 and 2 * i >= m and 2 * j >= n))
+             for j in range(n)] for i in range(m)]
+    return ExactMatrix(m, n, ring, rows)
+
+
+def fuzz_records(seed=18, count=80):
+    """For `count` random matrices per ring: over "z" and "qpoly" the Smith
+    form with transforms (diagonal, L, R, `verify`) and `_smith_diagonal`;
+    over "laurent" `laurent_smith_attempt` at step limits 0, 1, 2, 50 and
+    10000, with and without transforms."""
+    rng = random.Random(seed)
+    records = []
+    for ring in ("z", "qpoly", "laurent"):
+        for _ in range(count):
+            M = _random_matrix(rng, ring)
+            head = [ring, write_matrix(M)]
+            if ring != "laurent":
+                form = smith_normal_form(M)
+                records.append(head + [[str(d) for d in form.diagonal],
+                                       write_matrix(form.left), write_matrix(form.right),
+                                       form.verify(M),
+                                       [str(d) for d in _smith_diagonal(M)]])
+                continue
+            for max_steps in (0, 1, 2, 50, 10000):
+                for transforms in (False, True):
+                    out = laurent_smith_attempt(M, max_steps=max_steps, transforms=transforms)
+                    records.append(head + [max_steps] + _attempt_record(out, transforms))
+    return records

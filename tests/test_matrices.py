@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 import sys
 from decimal import Decimal
@@ -8,6 +7,7 @@ from math import comb, prod
 
 import pytest
 
+import pinned
 from oracles import (
     bareiss_reference,
     dense_product,
@@ -816,45 +816,24 @@ class TestSmithDriverPinned:
     """The outputs of `_smith`, pinned by SHA-256: every Laurent attempt of
     the round suite at ceiling 6 (outcome, iterations, witness, diagonal or
     residual, and the transforms), at the default and at a tight step
-    limit, and the PID normal forms of three box matrices with their
-    transforms.  The pivot path decides the Laurent verdicts, so a change
-    to the elimination must leave all of these as they are."""
+    limit; the PID normal forms of three box matrices with their
+    transforms; and a seeded fuzz of random matrices of every shape up to
+    6 x 6 over every ring.  The pivot path decides the Laurent verdicts, so
+    a change to the elimination must leave all of these as they are.  The
+    records are built in `pinned.py`, which the CI job without pytest
+    checks too."""
 
     def test_laurent_attempts(self):
-        records = []
-        for label, spec, ring in harness._round_instances(6):
-            if ring != "laurent":
-                continue
-            try:
-                M = harness.family_matrix_for_ring(spec, ring)[0]
-            except DomainError:
-                continue
-            for max_steps in (10000, 50):
-                for transforms in (False, True):
-                    out = laurent_smith_attempt(M, max_steps=max_steps, transforms=transforms)
-                    witness = None if out.witness is None else [str(w) for w in out.witness]
-                    rest = ([str(d) for d in out.smith.diagonal] if out.success
-                            else write_matrix(out.residual))
-                    record = [label, out.outcome, out.iterations, witness, rest]
-                    if transforms:
-                        form = out.smith if out.success else out
-                        record.append(write_matrix(form.left) + write_matrix(form.right))
-                    records.append(record)
-        assert len(records) == 276
-        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
-            "5764ab4fe5d5992990fca66fec9f9033f6b22e7e716993335a75e577dcef8459")
+        records = pinned.laurent_attempt_records()
+        assert (len(records), pinned.digest(records)) == pinned.LAURENT_ATTEMPTS
 
     def test_pid_forms(self):
-        specs = [FamilySpec("ppbox", 3, 3, 3), FamilySpec("ppbox", 4, 3, 2),
-                 FamilySpec(variant="ppbox-quotient", a=4, b=3, c=3, group="tau")]
-        records = []
-        for spec in specs:
-            for ring in ("z", "qpoly"):
-                form = smith_normal_form(harness.family_matrix_for_ring(spec, ring)[0])
-                records.append([ring, [str(d) for d in form.diagonal],
-                                write_matrix(form.left), write_matrix(form.right)])
-        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
-            "47bedaed403f0dfd207e4164f8a08eddd431006978615edeba165a3ffecef506")
+        records = pinned.pid_form_records()
+        assert (len(records), pinned.digest(records)) == pinned.PID_FORMS
+
+    def test_fuzz(self):
+        records = pinned.fuzz_records()
+        assert (len(records), pinned.digest(records)) == pinned.FUZZ
 
 
 class TestUnitPhase:
