@@ -8,18 +8,18 @@ form is computed constructively; over the Laurent ring, which is not a PID,
 the centered reduction makes it a heuristic that either succeeds, exhibits a
 blocking pair, or gives up at an iteration limit.
 
-The driver takes every unit pivot first, for every ring and with or
-without transforms, on sparse rows (`_unit_pivots`): a lozenge Kasteleyn
-matrix has about three nonzeros per row, so nearly every pivot is a unit
-and costs its nonzeros rather than a pass over dense rows.  The block left
-without a unit goes back to dense lists.  An integer diagonal computed
-without transforms (`cokernel_of`, `stable_invariants`) then changes
-route: if that block is square with D = |det| != 0, it is finished modulo
-D (`_finish_modulo_det`), with every entry at most D/2 in absolute value,
-where plain elimination lets the entries grow without bound.  A singular
-or non-square block, and every call that builds transforms, goes on by
-the plain dense elimination.  The route is read off the input and the
-call; there is no option for it.
+The driver works on one sparse copy of the matrix (`_Workspace`): rows,
+L and R (by columns) are maps from index to nonzero entry.  A lozenge
+Kasteleyn matrix has about three nonzeros per row, so nearly every pivot
+is a unit and costs its nonzeros rather than a pass over dense rows; dense
+lists are built only for the transforms handed back.  An integer diagonal
+computed without transforms (`cokernel_of`, `stable_invariants`) changes
+route at the first block without a unit entry: if that block is square
+with D = |det| != 0, it is finished modulo D (`_finish_modulo_det`), with
+every entry at most D/2 in absolute value, where plain elimination lets
+the entries grow without bound.  A singular or non-square block, and every
+call that builds transforms, goes on by plain elimination.  The route is
+read off the input and the call; there is no option for it.
 
 Everything is exact; the Fourier duality matrix is the single
 floating-point surface and returns complex entries.  It needs only the
@@ -302,6 +302,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "ring", "entries")
 
     def __init__(self, rows, cols, ring, entries):
+        if rows < 0 or cols < 0:
+            raise DomainError(f"negative shape {rows} x {cols}")
         ad = ring_adapter(ring)
         ents = tuple(tuple(ad.coerce(x) for x in row) for row in entries)
         if len(ents) != rows or any(len(r) != cols for r in ents):
@@ -536,33 +538,45 @@ def parse_matrix(text):
 
 
 class _Workspace:
-    """Mutable copy of a matrix.  With transforms=True it also carries the
-    row/column transforms L, R with L * original * R = current; without,
-    L and R are None and only the current matrix is updated.
+    """Mutable sparse copy of a matrix A: row i is a map column -> nonzero
+    entry, and cols[j] is the set of rows nonzero in column j, so an
+    operation costs the nonzeros it touches.  With transforms=True it also
+    carries the transforms L, R, identities at the start, with
+    L * original * R = current: L by rows and R by columns, each a map
+    index -> nonzero entry, so a row operation acts alike on rows of A and
+    L and a column operation on columns of A and R.  Without, L and R are
+    None and only A is updated."""
 
-    `row_units`, when given, are units u_i by which row i is scaled before
-    anything else (one operation for each u_i != 1), so L starts as
-    diag(u_i); otherwise L and R start as identities.  They are held as
-    their diagonals, lists of m and n entries, which is all `_unit_pivots`
-    (the first step of `_smith`) reads; it hands them on as the dense lists
-    that the elementary operations below act on."""
-
-    def __init__(self, M, transforms=True, row_units=None):
-        self.ring = M.ring
-        self.ad = ring_adapter(M.ring)
+    def __init__(self, M, transforms=True):
+        self.ad = ad = ring_adapter(M.ring)
         self.m, self.n = M.rows, M.cols
-        self.A = M.to_lists()
+        is_zero = ad.is_zero
+        self.A = [{j: x for j, x in enumerate(row) if not is_zero(x)} for row in M.entries]
+        self.cols = [set() for _ in range(self.n)]
+        for i, row in enumerate(self.A):
+            for j in row:
+                self.cols[j].add(i)
         self.ops = 0
-        one = self.ad.one
-        if row_units is None:
-            row_units = [one] * self.m
-        for i, u in enumerate(row_units):
-            if u != one:
-                self.ops += 1
-                self.A[i] = [u * x for x in self.A[i]]
         self.L = self.R = None
         if transforms:
-            self.L, self.R = list(row_units), [one] * self.n
+            self.L = [{i: ad.one} for i in range(self.m)]
+            self.R = [{j: ad.one} for j in range(self.n)]
+
+    def _put(self, i, j, x):
+        """A[i][j] = x, kept sparse."""
+        if self.ad.is_zero(x):
+            self.A[i].pop(j, None)
+            self.cols[j].discard(i)
+        else:
+            self.A[i][j] = x
+            self.cols[j].add(i)
+
+    def _mix(self, a, b, x, y, u, v):
+        """The maps x a + y b and u a + v b."""
+        zero, is_zero = self.ad.zero, self.ad.is_zero
+        pairs = [(j, a.get(j, zero), b.get(j, zero)) for j in a.keys() | b.keys()]
+        return ({j: z for j, p, q in pairs if not is_zero(z := x * p + y * q)},
+                {j: z for j, p, q in pairs if not is_zero(z := u * p + v * q)})
 
     # row ops: current <- E * current, L <- E * L
 
@@ -570,7 +584,10 @@ class _Workspace:
         if i == j:
             return
         self.ops += 1
-        self.A[i], self.A[j] = self.A[j], self.A[i]
+        A = self.A
+        for c in A[i].keys() ^ A[j].keys():
+            self.cols[c] ^= {i, j}
+        A[i], A[j] = A[j], A[i]
         if self.L is not None:
             self.L[i], self.L[j] = self.L[j], self.L[i]
 
@@ -578,74 +595,127 @@ class _Workspace:
         if i == j:
             return
         self.ops += 1
-        for r in self.A:
-            r[i], r[j] = r[j], r[i]
+        A, cols = self.A, self.cols
+        for r in cols[i] & cols[j]:
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        for r in cols[i] - cols[j]:
+            A[r][j] = A[r].pop(i)
+        for r in cols[j] - cols[i]:
+            A[r][i] = A[r].pop(j)
+        cols[i], cols[j] = cols[j], cols[i]
         if self.R is not None:
-            for r in self.R:
-                r[i], r[j] = r[j], r[i]
+            self.R[i], self.R[j] = self.R[j], self.R[i]
 
     def scale_row(self, i, u):
         """Multiply row i by a unit u."""
         self.ops += 1
-        self.A[i] = [u * x for x in self.A[i]]
+        self.A[i] = {j: u * x for j, x in self.A[i].items()}
         if self.L is not None:
-            self.L[i] = [u * x for x in self.L[i]]
+            self.L[i] = {j: u * x for j, x in self.L[i].items()}
 
     def addmul_row(self, i, j, c):
         """row_i += c * row_j."""
         self.ops += 1
-        is_zero = self.ad.is_zero
-        Ai, Aj = self.A[i], self.A[j]
-        for k in range(self.n):
-            if not is_zero(Aj[k]):
-                Ai[k] = Ai[k] + c * Aj[k]
+        _add_multiple(self.A[i], c, self.A[j], self.ad.is_zero, self.cols, i)
         if self.L is not None:
-            Li, Lj = self.L[i], self.L[j]
-            for k in range(self.m):
-                if not is_zero(Lj[k]):
-                    Li[k] = Li[k] + c * Lj[k]
+            _add_multiple(self.L[i], c, self.L[j], self.ad.is_zero)
 
     def addmul_col(self, j, i, c):
         """col_j += c * col_i."""
         self.ops += 1
-        is_zero = self.ad.is_zero
-        for r in self.A:
-            if not is_zero(r[i]):
-                r[j] = r[j] + c * r[i]
+        zero = self.ad.zero
+        for r in self.cols[i]:
+            row = self.A[r]
+            self._put(r, j, row.get(j, zero) + c * row[i])
         if self.R is not None:
-            for r in self.R:
-                if not is_zero(r[i]):
-                    r[j] = r[j] + c * r[i]
+            _add_multiple(self.R[j], c, self.R[i], self.ad.is_zero)
 
     def mix_rows(self, i, j, x, y, u, v):
         """rows (i, j) <- (x ri + y rj, u ri + v rj); xv - yu must be a unit."""
         self.ops += 1
-        def mix(a, b):
-            return [x * p + y * q for p, q in zip(a, b)], [u * p + v * q for p, q in zip(a, b)]
-        self.A[i], self.A[j] = mix(self.A[i], self.A[j])
+        A, zero = self.A, self.ad.zero
+        for c in A[i].keys() | A[j].keys():
+            p, q = A[i].get(c, zero), A[j].get(c, zero)
+            self._put(i, c, x * p + y * q)
+            self._put(j, c, u * p + v * q)
         if self.L is not None:
-            self.L[i], self.L[j] = mix(self.L[i], self.L[j])
+            self.L[i], self.L[j] = self._mix(self.L[i], self.L[j], x, y, u, v)
 
     def mix_cols(self, i, j, x, y, u, v):
         """cols (i, j) <- (x ci + y cj, u ci + v cj)."""
         self.ops += 1
-        for r in self.A:
-            p, q = r[i], r[j]
-            r[i], r[j] = x * p + y * q, u * p + v * q
+        zero = self.ad.zero
+        for r in self.cols[i] | self.cols[j]:
+            p, q = self.A[r].get(i, zero), self.A[r].get(j, zero)
+            self._put(r, i, x * p + y * q)
+            self._put(r, j, u * p + v * q)
         if self.R is not None:
-            for r in self.R:
-                p, q = r[i], r[j]
-                r[i], r[j] = x * p + y * q, u * p + v * q
+            self.R[i], self.R[j] = self._mix(self.R[i], self.R[j], x, y, u, v)
+
+    def clear_unit(self, k):
+        """Clear row k and column k against a unit pivot p at (k, k): the
+        row steps row_i -= (a_ik / p) row_k, one for each other row of
+        column k, then the column steps col_j -= (a_kj / p) col_k.  Column
+        k is clear by then, so the column steps only zero the rest of row k:
+        those entries are dropped (one operation each) and the quotients
+        are taken only for R."""
+        A, R, ad = self.A, self.R, self.ad
+        p = A[k][k]
+        for i in [i for i in self.cols[k] if i != k]:
+            self.addmul_row(i, k, -ad.reduce(A[i][k], p)[0])
+        for j, x in A[k].items():
+            if j != k:
+                self.ops += 1
+                self.cols[j].discard(k)
+                if R is not None:
+                    _add_multiple(R[j], -ad.reduce(x, p)[0], R[k], ad.is_zero)
+        A[k] = {k: p}
+
+    def block(self, k):
+        """A[k:][k:] as dense row lists."""
+        return _dense(self.A[k:], self.n, self.ad.zero, k)
 
     def diagonal(self):
-        return [self.A[i][i] for i in range(min(self.m, self.n))]
+        return [self.A[i].get(i, self.ad.zero) for i in range(min(self.m, self.n))]
 
     def transforms(self):
         """(L, R) as matrices, or (None, None) when they were not carried."""
         if self.L is None:
             return None, None
-        return (ExactMatrix._of_ring_elements(self.m, self.m, self.ring, self.L),
-                ExactMatrix._of_ring_elements(self.n, self.n, self.ring, self.R))
+        ring, zero, m, n = self.ad.tag, self.ad.zero, self.m, self.n
+        return (ExactMatrix._of_ring_elements(m, m, ring, _dense(self.L, m, zero)),
+                ExactMatrix._of_ring_elements(n, n, ring, zip(*_dense(self.R, n, zero))))
+
+
+def _dense(maps, width, zero, k=0):
+    """The maps index -> entry as lists of width - k entries, index j at
+    position j - k."""
+    out = []
+    for row in maps:
+        dense = [zero] * (width - k)
+        for j, x in row.items():
+            dense[j - k] = x
+        out.append(dense)
+    return out
+
+
+def _add_multiple(row, t, src, is_zero, cols=None, i=None):
+    """row += t * src, both maps index -> nonzero entry; with `cols`, keep
+    cols[j] the set of rows i nonzero at j."""
+    for j, x in src.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = t * x
+            if cols is not None:
+                cols[j].add(i)
+        else:
+            y = y + t * x
+            if not is_zero(y):
+                row[j] = y
+            else:
+                del row[j]
+                if cols is not None:
+                    cols[j].discard(i)
 
 
 # ---------------------------------------------------------------------------
@@ -720,23 +790,24 @@ def _unimodular(ad, det_M, det_D, transforms):
 
 
 def _pick_pivot(ring, A, k):
-    """(i, j) of the pivot in the block A[k:][k:]: the first unit in
-    row-major order, else the first entry of least size; None when the block
-    is zero.  Over "z" and "laurent" the units are exactly the entries of
-    least size, so this is the first of the block's (size, row, col) order."""
-    best = None
+    """(i, j) of the pivot in the block A[k:][k:], read off the rows
+    A[k:], which are zero left of column k: the first unit in row-major
+    order, else the first entry of least size; None when the block is zero.
+    Over "z" and "laurent" the units are exactly the entries of least size,
+    so this is the first of the block's (size, row, col) order."""
+    is_unit = ring.is_unit
     for i in range(k, len(A)):
-        row = A[i]
-        for j in range(k, len(row)):
-            a = row[j]
-            if ring.is_zero(a):
-                continue
-            if ring.is_unit(a):
-                return i, j
-            key = ring.size_key(a)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-    return None if best is None else best[1:]
+        units = [j for j, x in A[i].items() if is_unit(x)]
+        if units:
+            return i, min(units)
+    entries = _by_size(ring, A, k)
+    return min(entries)[1:] if entries else None
+
+
+def _by_size(ring, A, k):
+    """The nonzero entries of the block A[k:][k:] as (size, row, col)."""
+    size_key = ring.size_key
+    return [(size_key(x), i, j) for i in range(k, len(A)) for j, x in A[i].items()]
 
 
 def _smith(ws, max_steps=None):
@@ -746,22 +817,19 @@ def _smith(ws, max_steps=None):
     with the stuck pair (pivot, r) once every candidate pivot got stuck, or
     "inconclusive" with pair None past `max_steps` operations.
 
-    The unit pivots come first, on sparse rows (`_unit_pivots`); the dense
-    loop below takes over at the first block without a unit entry, so its
-    own pivots are units only where an elimination step made one.  Each
-    pivot is unit-normalized once its cross is clear and it divides the
-    rest of its block.  When a pivot gets stuck (only over the Laurent ring),
-    the later candidates are tried in (size, row, col) order.
+    One loop on the sparse workspace takes pivot k = 0, 1, ...: a lozenge
+    Kasteleyn matrix has about three nonzeros per row, so nearly every
+    pivot is a unit, and clearing its row and column costs their nonzeros.
+    Each pivot is unit-normalized once its cross is clear and it divides
+    the rest of its block.  When a pivot gets stuck (only over the Laurent
+    ring), the later candidates are tried in (size, row, col) order.
 
     Over "z" without transforms, the first block A[k:][k:] with no unit
     entry goes to `_finish_modulo_det`, which finishes it when it is square
     and nonsingular; otherwise the elimination goes on as above."""
-    start, failure = _unit_pivots(ws, max_steps)
-    if failure is not None:
-        return failure + (start,)
     ring, A = ws.ad, ws.A
     modular = ring.tag == "z" and ws.L is None
-    for k in range(start, min(ws.m, ws.n)):
+    for k in range(min(ws.m, ws.n)):
         pivot = _pick_pivot(ring, A, k)
         if pivot is None:
             break
@@ -777,12 +845,7 @@ def _smith(ws, max_steps=None):
             if failure is None or failure[0] == "inconclusive":
                 break
             tried += 1
-            candidates = sorted(
-                (ring.size_key(A[i][j]), i, j)
-                for i in range(k, ws.m)
-                for j in range(k, ws.n)
-                if not ring.is_zero(A[i][j])
-            )
+            candidates = sorted(_by_size(ring, A, k))
             if tried >= len(candidates):
                 break
             pivot = candidates[tried][1:]
@@ -794,153 +857,42 @@ def _smith(ws, max_steps=None):
     return None
 
 
-def _unit_pivots(ws, max_steps):
-    """The unit pivots of `_smith`, taken on sparse rows while the block
-    A[k:][k:] has a unit entry.  Returns (k, failure): the first pivot left
-    to the dense loop, and ("inconclusive", None) past `max_steps`
-    operations, else None.  ws.L and ws.R are their diagonals on entry (as
-    `_Workspace` makes them).  ws.A, ws.L and ws.R come back as the dense
-    lists the dense loop would have made, and `ws.ops` as its count.
-
-    A row is a map column -> nonzero entry, each column keeps the set of
-    rows nonzero in it, and swaps are kept as permutations.  The pivot p at
-    (r, c) is the first unit in row-major order of the permuted block, as
-    in `_pick_pivot`; the step limit is checked after its swaps, as in
-    `_clear_pivot`.  Each other row i nonzero in column c takes the Schur
-    update row_i -= (a_ic / p) row_r (so does L), then column operations
-    clear the pivot row (they change R, and nothing else of A)."""
-    ad, m, n = ws.ad, ws.m, ws.n
-    is_zero, is_unit, reduce, zero = ad.is_zero, ad.is_unit, ad.reduce, ad.zero
-    rows = [{j: x for j, x in enumerate(row) if not is_zero(x)} for row in ws.A]
-    cols = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    L = R = None
-    if ws.L is not None:
-        # diagonals on entry: identities, or in `laurent_smith_attempt`
-        # unit row scalings of the identity
-        L = [{i: x} for i, x in enumerate(ws.L)]
-        R = [{j: x} for j, x in enumerate(ws.R)]
-    at_row, at_col, col_at = list(range(m)), list(range(n)), list(range(n))
-    failure = None
-    k = 0
-    while k < min(m, n):
-        pivot = None
-        for i in range(k, m):
-            units = [col_at[j] for j, x in rows[at_row[i]].items() if is_unit(x)]
-            if units:
-                pivot = i, min(units)
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != k:
-            ws.ops += 1
-            at_row[k], at_row[i] = at_row[i], at_row[k]
-        if j != k:
-            ws.ops += 1
-            at_col[k], at_col[j] = at_col[j], at_col[k]
-            col_at[at_col[k]], col_at[at_col[j]] = k, j
-        if max_steps is not None and ws.ops > max_steps:
-            failure = "inconclusive", None
-            break
-        r, c = at_row[k], at_col[k]
-        p = rows[r][c]
-        for i in [i for i in cols[c] if i != r]:
-            t = -reduce(rows[i][c], p)[0]
-            ws.ops += 1
-            _add_multiple(rows[i], t, rows[r], is_zero, cols, i)
-            if L is not None:
-                _add_multiple(L[i], t, L[r], is_zero)
-        for j, x in rows[r].items():
-            if j != c:
-                ws.ops += 1
-                cols[j].discard(r)
-                if R is not None:
-                    _add_multiple(R[j], -reduce(x, p)[0], R[c], is_zero)
-        rows[r] = {c: p}
-        u, normal = ad.unit_and_normal(p)
-        if p != normal:
-            ws.ops += 1
-            u = ad.unit_inverse(u)
-            rows[r][c] = u * p
-            if L is not None:
-                L[r] = {j: u * x for j, x in L[r].items()}
-        k += 1
-    ws.A = _dense_rows(rows, at_row, col_at, n, zero)
-    if L is not None:
-        ws.L = _dense_rows(L, at_row, range(m), m, zero)
-        ws.R = [list(r) for r in zip(*_dense_rows(R, at_col, range(n), n, zero))]
-    return k, failure
-
-
-def _add_multiple(row, t, src, is_zero, cols=None, i=None):
-    """row += t * src, both maps index -> nonzero entry; with `cols`, keep
-    cols[j] the set of rows i nonzero at j."""
-    for j, x in src.items():
-        y = row.get(j)
-        if y is None:
-            row[j] = t * x
-            if cols is not None:
-                cols[j].add(i)
-        else:
-            y = y + t * x
-            if not is_zero(y):
-                row[j] = y
-            else:
-                del row[j]
-                if cols is not None:
-                    cols[j].discard(i)
-
-
-def _dense_rows(rows, order, at, width, zero):
-    """The maps rows[i] for i in `order` as lists of length `width`, the
-    entry of index j at position at[j]."""
-    out = []
-    for i in order:
-        row = [zero] * width
-        for j, x in rows[i].items():
-            row[at[j]] = x
-        out.append(row)
-    return out
-
-
 def _clear_pivot(ws, ring, k, max_steps):
     """Pass over row k and column k until they are zero outside the pivot
-    (k, k) and the pivot divides every entry below and right of it.  Once
-    the cross is clear, an interior entry the pivot fails to divide is added
-    into the pivot row and the passes go on; a unit pivot divides
-    everything, so that scan is skipped.  Returns None when done,
+    (k, k) and the pivot divides every entry below and right of it.  A
+    unit pivot is cleared in one pass (`clear_unit`).  Otherwise, once the
+    cross is clear, an interior entry the pivot fails to divide is added
+    into the pivot row and the passes go on.  Returns None when done,
     ("witnessed", (pivot, r)) after a pass that applied no operation, or
     ("inconclusive", None) past max_steps operations."""
-    m, n, A = ws.m, ws.n, ws.A
+    A, cols = ws.A, ws.cols
     while True:
         if max_steps is not None and ws.ops > max_steps:
             return "inconclusive", None
+        if ring.is_unit(A[k][k]):
+            ws.clear_unit(k)
+            return None
         ops = ws.ops
         stuck = None
-        for i in range(k + 1, m):
-            if not ring.is_zero(A[i][k]):
+        # a step on row i changes rows k and i only, so the rest of column
+        # k is as listed when its turn comes (likewise for row k)
+        for i in sorted(cols[k]):
+            if i > k:
                 stuck = _reduce_entry(
                     ws, ring, k, i, A[i][k], ws.addmul_row, ws.mix_rows, ws.swap_rows
                 ) or stuck
-        for j in range(k + 1, n):
-            if not ring.is_zero(A[k][j]):
+        for j in sorted(A[k]):
+            if j > k:
                 stuck = _reduce_entry(
                     ws, ring, k, j, A[k][j], ws.addmul_col, ws.mix_cols, ws.swap_cols
                 ) or stuck
-        if all(ring.is_zero(A[i][k]) for i in range(k + 1, m)) and all(
-            ring.is_zero(A[k][j]) for j in range(k + 1, n)
-        ):
+        if cols[k] == {k} and A[k].keys() == {k}:
             p = A[k][k]
             if ring.is_unit(p):
                 return None
             bad = next(
-                (i for i in range(k + 1, m) if any(
-                    not ring.is_zero(x) and ring.try_div(x, p) is None
-                    for x in A[i][k + 1:]
-                )),
+                (i for i in range(k + 1, ws.m)
+                 if any(ring.try_div(x, p) is None for x in A[i].values())),
                 None,
             )
             if bad is None:
@@ -986,7 +938,7 @@ def _finish_modulo_det(ws, k):
     McCurley 1991; Cohen, GTM 138, Alg. 2.4.14)."""
     if ws.m != ws.n:
         return False
-    D = abs(_int_bareiss([row[k:] for row in ws.A[k:]]))
+    D = abs(_int_bareiss(ws.block(k)))
     if not D:
         return False
     half = D // 2
@@ -995,7 +947,7 @@ def _finish_modulo_det(ws, k):
         r = x % D
         return r - D if r > half else r
 
-    B = [[residue(x) for x in row[k:]] for row in ws.A[k:]]
+    B = [[residue(x) for x in row] for row in ws.block(k)]
     factors = []
     while B:
         entries = [(abs(x), i, j) for i, row in enumerate(B) for j, x in enumerate(row) if x]
@@ -1022,8 +974,7 @@ def _finish_modulo_det(ws, k):
         raise ExactDivisionError(f"invariant factors modulo the determinant "
                                  f"multiply to {prod(factors)}, not |det| = {D}")
     for i, f in enumerate(factors, k):
-        ws.A[i][k:] = [0] * len(factors)
-        ws.A[i][i] = f
+        ws.A[i], ws.cols[i] = {i: f}, {i}
     return True
 
 
@@ -1471,20 +1422,20 @@ def laurent_smith_attempt(M, max_steps=10000, transforms=True):
     if M.ring != "laurent":
         M = M.map_ring("laurent", LaurentPoly.coerce)
     ring = ring_adapter("laurent")
-    units = []
-    for row in M.entries:
+    ws = _Workspace(M, transforms)
+    for i, row in enumerate(M.entries):
         lead = next((x for x in row if not x.is_zero()), ring.one)
-        units.append(ring.unit_inverse(ring.unit_and_normal(lead)[0]))
-    ws = _Workspace(M, transforms, row_units=units)
-    m, n = ws.m, ws.n
+        u = ring.unit_inverse(ring.unit_and_normal(lead)[0])
+        if u != ring.one:
+            ws.scale_row(i, u)
     failure = _smith(ws, max_steps)
     L, R = ws.transforms()
     if failure is None:
-        form = SmithForm("laurent", (m, n), ws.diagonal(), L, R)
+        form = SmithForm("laurent", (M.rows, M.cols), ws.diagonal(), L, R)
         return NormalFormAttempt("success", smith=form, iterations=ws.ops)
     outcome, pair, k = failure
     witness = None if pair is None else tuple(x.normal() for x in pair)
-    residual = ExactMatrix.from_rows([row[k:] for row in ws.A[k:]], "laurent")
+    residual = ExactMatrix.from_rows(ws.block(k), "laurent")
     return NormalFormAttempt(outcome, witness=witness, residual=residual,
                              left=L, right=R, iterations=ws.ops)
 

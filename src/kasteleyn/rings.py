@@ -339,6 +339,10 @@ def _format_terms(pairs, compact=False):
     return "".join(out) or "0"
 
 
+# the largest exponent `RationalPoly.parse` accepts; the suites and the
+# benchmark build Q[q] entries of degree at most 70
+_QPOLY_TEXT_DEGREE = 100_000
+
 # a term ends before a sign whose nearest non-space left neighbour is a digit
 # or q; `q^-1` stays whole, and so do `1*-q` and `--q`, which then fail below
 _TERM_BREAK = re.compile(r"(?<=[\dq])\s*(?=[-+])", re.ASCII)
@@ -820,10 +824,15 @@ class RationalPoly:
     @staticmethod
     def parse(text):
         """Parse the text form with n/d coefficients allowed and negative
-        exponents refused (`1/2-3*q^2`, `-3/4*q`, ...)."""
+        exponents refused (`1/2-3*q^2`, `-3/4*q`, ...).  The coefficients
+        are stored dense, so an exponent above `_QPOLY_TEXT_DEGREE` raises
+        GuardExceeded rather than allocate that many."""
         terms = _parse_terms(text)
         if min(terms) < 0:
             raise DomainError(f"negative exponents are not in Q[q]: {text!r}")
+        if max(terms) > _QPOLY_TEXT_DEGREE:
+            raise GuardExceeded(f"exponent {max(terms)} in Q[q] text is above "
+                                f"the limit {_QPOLY_TEXT_DEGREE}")
         return RationalPoly([terms.get(e, 0) for e in range(max(terms) + 1)])
 
     def to_str(self, compact=False):

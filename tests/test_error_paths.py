@@ -22,7 +22,13 @@ from kasteleyn.matrices import (
     parse_matrix,
     stable_invariants,
 )
-from kasteleyn.rings import DomainError, parse_laurent
+from kasteleyn.rings import (
+    _QPOLY_TEXT_DEGREE,
+    DomainError,
+    GuardExceeded,
+    RationalPoly,
+    parse_laurent,
+)
 
 
 def test_determinant_nonsquare():
@@ -41,6 +47,30 @@ def test_malformed_matrix_entries_raise_domain_error():
     with pytest.raises(DomainError):
         parse_matrix("x 1 z\n1\n")
     assert parse_matrix("1 2 z\n-3 +4\n").entries == ((-3, 4),)
+
+
+def test_qpoly_text_exponent_guard():
+    # Q[q] text is stored dense: one short token must not ask for a list as
+    # long as its exponent; Laurent text is stored sparse and has no guard
+    top = f"q^{_QPOLY_TEXT_DEGREE}"
+    assert RationalPoly.parse(top).degree() == _QPOLY_TEXT_DEGREE
+    for text in (f"q^{_QPOLY_TEXT_DEGREE + 1}", "1+q^300000", "q^" + "9" * 40):
+        with pytest.raises(GuardExceeded):
+            RationalPoly.parse(text)
+        with pytest.raises(GuardExceeded):
+            parse_matrix(f"1 1 qpoly\n{text}\n")
+    assert parse_matrix("1 1 laurent\nq^300000\n")[0, 0] == parse_laurent("q^300000")
+
+
+def test_negative_shape_raises_domain_error():
+    with pytest.raises(DomainError):
+        ExactMatrix(0, -3, "z", [])
+    with pytest.raises(DomainError):
+        ExactMatrix(-1, 0, "qpoly", [])
+    for header in ("0 -5 z", "-2 0 laurent", "-1 -1 qpoly"):
+        with pytest.raises(DomainError):
+            parse_matrix(header)
+    assert parse_matrix("0 5 z").cols == 5
 
 
 def test_stable_invariants_propagates_laurent_failure():

@@ -837,9 +837,11 @@ class TestSmithDriverPinned:
 
 
 class TestUnitPhase:
-    """The unit pivots `_smith` takes on sparse rows before its dense loop:
-    the pivot search past a row without units, every shape, a zero block
-    left behind, a run that ends on units, and the step limit."""
+    """The unit pivots of `_smith`, the first case of its one loop on the
+    sparse workspace, and the non-unit pivots that follow them: the pivot
+    search past a row without units, every shape, a zero block left
+    behind, a run that ends on units, and the step limit checked after the
+    pivot's swaps."""
 
     def z_cases(self):
         return [
