@@ -562,17 +562,27 @@ def _fixed_edges(G, tri_map):
     return out
 
 
-def _fixed_vertices(G, tri_map):
-    vperm = _vertex_perm_from_tri_map(G, tri_map)
-    return [v for v, w in vperm.items() if v == w]
+def _tri_images(tris, tri_map):
+    """The pairs (t, tri_map(t)) over a region of triangles; the map must
+    send the region into itself."""
+    out = []
+    for t in tris:
+        img = tri_map(t)
+        if img not in tris:
+            raise DomainError(f"triangle map leaves the region at {t} -> {img}")
+        out.append((t, img))
+    return out
 
 
-def _central_edge(G, a, b, c):
-    """The edge of Z(a,b,c) invariant under the half-turn, if any."""
-    fixed = _fixed_edges(G, tri_map_kappa(a, b, c))
-    if len(fixed) > 1:
+def _central_pair(a, b, c):
+    """The two triangles of the (a, b, c) hexagon whose shared side, the
+    central edge of Z(a, b, c), the half-turn maps to itself; None if
+    there is no such side."""
+    pairs = [(t, img) for t, img in _tri_images(hexagon_tris(a, b, c), tri_map_kappa(a, b, c))
+             if t[0] == "U" and img in _tri_neighbors(t)]
+    if len(pairs) > 1:
         raise DomainError("more than one central edge")
-    return fixed[0] if fixed else None
+    return pairs[0] if pairs else None
 
 
 def _keep_component(tris, dropped):
@@ -593,17 +603,15 @@ def _keep_component(tris, dropped):
     return comp
 
 
-def _kappa_quotient(Z, a, b, c, flipped):
+def _kappa_quotient(a, b, c, flipped):
     """The half-turn quotient Z_kappa.  Around a central edge it deletes the
     edge's two triangles when exactly one dimension is even and the edge
     alone otherwise; flipped swaps the two conventions (Z'_kappa), so that
     the vertex count comes out odd."""
-    central = _central_edge(Z, a, b, c)
-    if central is None:
-        return quotient_by_rotations(Z, group_tri_maps("kappa", a, b, c))
-    tri_of = Z.flags["triangles"]
-    e = Z.edge(central)
-    pair = (tri_of[e.u], tri_of[e.v])
+    pair = _central_pair(a, b, c)
+    if pair is None:
+        return quotient_by_rotations(build_hexagon_graph(a, b, c),
+                                     group_tri_maps("kappa", a, b, c))
     one_even = sum(1 for t in (a, b, c) if t % 2 == 0) == 1
     if one_even != flipped:
         sub = triangle_region_graph(hexagon_tris(a, b, c) - set(pair))
@@ -613,18 +621,20 @@ def _kappa_quotient(Z, a, b, c, flipped):
 
 
 def symmetry_quotient(spec):
-    """The modified quotient graph Z_G(a,b,c), case by case."""
+    """The modified quotient graph Z_G(a,b,c), case by case.  The hexagon
+    graph Z(a,b,c) is built only where the quotient is taken of it; the
+    central edge and the fixed triangles are found on the triangles."""
     a, b, c, g = spec.a, spec.b, spec.c, spec.group
     if min(a, b, c) < 1:
         raise DomainError("hexagon dimensions must be positive")
-    Z = build_hexagon_graph(a, b, c)
     if g == "1":
-        return Z
+        return build_hexagon_graph(a, b, c)
     if g in ("rho", "rho,kappa"):
-        return quotient_by_rotations(Z, group_tri_maps(g, a, b, c))
+        return quotient_by_rotations(build_hexagon_graph(a, b, c), group_tri_maps(g, a, b, c))
     if g == "kappa":
-        return _kappa_quotient(Z, a, b, c, flipped=False)
+        return _kappa_quotient(a, b, c, flipped=False)
     if g in ("tau", "tau,rho"):
+        Z = build_hexagon_graph(a, b, c)
         bis = set()
         for f in _tau_conjugates(g, a, b, c):
             bis.update(_fixed_edges(Z, f))
@@ -632,10 +642,11 @@ def symmetry_quotient(spec):
     if g in ("kappa-tau", "kappa-tau,rho", "tau,kappa", "tau,rho,kappa"):
         # cut along the points fixed by the kappa-tau elements; keep a sector
         h_group = "kappa-tau,rho" if _needs_rho(g) else "kappa-tau"
+        tris = hexagon_tris(a, b, c)
         fixed = set()
         for f in group_tri_maps(h_group, a, b, c)[1:]:
-            fixed.update(Z.flags["triangles"][v] for v in _fixed_vertices(Z, f))
-        sub = triangle_region_graph(_keep_component(hexagon_tris(a, b, c), fixed))
+            fixed.update(t for t, img in _tri_images(tris, f) if img == t)
+        sub = triangle_region_graph(_keep_component(tris, fixed))
         if g == h_group:
             return sub
         # the kept sector is bisected by exactly one conjugate of tau
@@ -663,7 +674,7 @@ def impossible_variant(spec):
         # without a central edge (all dimensions odd, or all even) this is
         # the plain quotient; all-odd has odd vertex count, the impossible
         # enumeration
-        return _kappa_quotient(build_hexagon_graph(a, b, c), a, b, c, flipped=True)
+        return _kappa_quotient(a, b, c, flipped=True)
     if g == "rho,kappa":
         Z = build_hexagon_graph(a, b, c)
         return quotient_by_rotations(Z, group_tri_maps("rho,kappa", a, b, c))

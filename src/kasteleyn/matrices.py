@@ -21,6 +21,13 @@ the entries grow without bound.  A singular or non-square block, and every
 call that builds transforms, goes on by plain elimination.  The route is
 read off the input and the call; there is no option for it.
 
+Every determinant runs one integer kernel, `_int_det`: +-1 pivots on the
+same kind of sparse rows, taken in least-fill order, and fraction-free
+(Bareiss) elimination only on the block left without +-1 entries.  Laurent
+and Q[q] entries reach it by Kronecker substitution, and the modular
+finish takes its modulus from it.  Products (`*`, `kron`) form only the
+products of nonzero entries.
+
 Everything is exact; the Fourier duality matrix is the single
 floating-point surface and returns complex entries.  It needs only the
 Smith diagonal (the same transform-free route as `cokernel_of`): in Smith
@@ -31,7 +38,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, prod
 from operator import add, mul, not_
@@ -435,18 +444,25 @@ class ExactMatrix:
             raise DomainError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def kron(self, other):
-        """Kronecker product."""
+        """Kronecker product.  Only products of two nonzero entries are
+        formed (the rings are integral domains, so these are the nonzero
+        entries of the product); every other entry is the ring's zero."""
         self._compat(other)
+        ad = ring_adapter(self.ring)
+        is_zero, zero, width = ad.is_zero, ad.zero, other.cols
+        right = [[(l, b) for l, b in enumerate(row) if not is_zero(b)]
+                 for row in other.entries]
         out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    for l in range(other.cols):
-                        row.append(self.entries[i][j] * other.entries[k][l])
-                out.append(row)
+        for row in self.entries:
+            left = [(j * width, a) for j, a in enumerate(row) if not is_zero(a)]
+            for terms in right:
+                acc = [zero] * (self.cols * width)
+                for base, a in left:
+                    for l, b in terms:
+                        acc[base + l] = a * b
+                out.append(acc)
         return ExactMatrix._of_ring_elements(
-            self.rows * other.rows, self.cols * other.cols, self.ring, out)
+            self.rows * other.rows, self.cols * width, self.ring, out)
 
     def is_alternating(self):
         if self.rows != self.cols:
@@ -752,7 +768,8 @@ class SmithForm:
         gives det L * det R = det D / det M, with det D the product of all
         min(m, n) diagonal entries of D; in an integral domain both
         determinants are units iff that exact quotient exists and is a
-        unit, so one determinant of M, whose entries are small, stands in
+        unit, so one determinant of M, whose entries are small and, for a
+        Kasteleyn matrix, mostly +-1 pivots of the sparse kernel, stands in
         for those of L and R, whose entries can be huge.  A singular or
         non-square M falls back to determinant(L) and determinant(R).
         Last, the diagonal must be a divisibility chain."""
@@ -938,7 +955,7 @@ def _finish_modulo_det(ws, k):
     McCurley 1991; Cohen, GTM 138, Alg. 2.4.14)."""
     if ws.m != ws.n:
         return False
-    D = abs(_int_bareiss(ws.block(k)))
+    D = abs(_int_det(ws.block(k)))
     if not D:
         return False
     half = D // 2
@@ -1612,9 +1629,74 @@ def deleted_pivot(M, i, j):
     return ExactMatrix(M.rows - 1, M.cols - 1, M.ring, out)
 
 
+def _int_det(rows):
+    """Determinant of a square integer matrix, given as row sequences (left
+    as they are): the one integer determinant kernel.
+
+    Sparse elimination on +-1 pivots first.  Rows are maps column ->
+    nonzero entry, with the set of rows nonzero in each column.  The next
+    pivot is a row of fewest nonzeros that has a +-1 entry (a lazy heap
+    keyed by current row length), at its +-1 in the column of fewest
+    nonzeros, ties to the lowest index.  Each other row i of the pivot
+    column c takes row_i -= (a_ic * p) row_r over the pivot row's nonzeros
+    (1/p = p), so column c keeps only the pivot, and Laplace expansion
+    along it gives det = (-1)^(s + t) p det(minor), with s and t the
+    positions of r and c among the rows and columns still alive.  Every
+    entry is then a minor of the input divided by a product of +-1 pivots,
+    so nothing grows beyond Hadamard's bound.  A row or column that
+    empties gives det = 0 at once.  The block left without +-1 entries
+    goes, its rows and columns in their original order, to the dense
+    finish `_int_bareiss`; a matrix with no +-1 entry goes there at once
+    (the blocks of `_finish_modulo_det`)."""
+    n = len(rows)
+    heap = [(n - row.count(0), i) for i, row in enumerate(rows) if 1 in row or -1 in row]
+    if not heap:
+        return _int_bareiss([list(row) for row in rows])
+    heapify(heap)
+    A = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(A):
+        if not row:
+            return 0
+        for j in row:
+            cols[j].add(i)
+    if not all(cols):
+        return 0
+    live_rows, live_cols = list(range(n)), list(range(n))
+    sign = 1
+    while heap:
+        length, r = heappop(heap)
+        row_r = A[r]
+        # a dead row, or an entry left behind by a later push
+        if row_r is None or len(row_r) != length:
+            continue
+        units = [j for j, x in row_r.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        c = min(units, key=lambda j: (len(cols[j]), j))
+        p = row_r[c]
+        s, t = bisect_left(live_rows, r), bisect_left(live_cols, c)
+        del live_rows[s], live_cols[t]
+        sign *= -p if (s + t) & 1 else p
+        A[r] = None
+        for i in [i for i in cols[c] if i != r]:
+            row_i = A[i]
+            _add_multiple(row_i, -row_i[c] * p, row_r, not_, cols, i)
+            if not row_i:
+                return 0
+            heappush(heap, (len(row_i), i))
+        for j in row_r:
+            cols[j].discard(r)
+            if not cols[j] and j != c:
+                return 0
+    block = [[A[i].get(j, 0) for j in live_cols] for i in live_rows]
+    return sign * _int_bareiss(block)
+
+
 def _int_bareiss(rows):
     """Determinant of a square integer matrix, given as a list of row lists
-    that the elimination overwrites, by fraction-free (Bareiss) elimination."""
+    that the elimination overwrites, by fraction-free (Bareiss) elimination:
+    the dense finish of `_int_det`."""
     n = len(rows)
     if n == 0:
         return 1
@@ -1657,11 +1739,13 @@ def _kronecker_det(rows):
     map exponent -> nonzero int, returned as such a map.
 
     Each row is shifted to start at q^0 and every entry is packed into one
-    integer, its value at q = 2^b, so a single integer Bareiss elimination
-    gives det(2^b).  The coefficients of det are bounded in absolute value
-    by its L1 norm, which is at most the product of the row (or column) L1
-    norms of the entries; b leaves room for that bound and a sign, so det
-    is read back as signed base-2^b digits."""
+    integer, its value at q = 2^b, so one call of the integer kernel
+    `_int_det` gives det(2^b).  The shift packs every entry +-q^e, e the
+    row's lowest exponent, to +-1, so such a unit stays a +-1 pivot.  The
+    coefficients of det are bounded in absolute value by its L1 norm,
+    which is at most the product of the row (or column) L1 norms of the
+    entries; b leaves room for that bound and a sign, so det is read back
+    as signed base-2^b digits."""
     n = len(rows)
     shifts = []
     row_norms = []
@@ -1691,7 +1775,7 @@ def _kronecker_det(rows):
                 v += c << (b * (e - lo))
             out.append(v)
         packed.append(out)
-    value = _int_bareiss(packed)
+    value = _int_det(packed)
     full = 1 << b
     half = full >> 1
     mask = full - 1
@@ -1710,12 +1794,13 @@ def _kronecker_det(rows):
 
 
 def determinant(M):
-    """Exact determinant by fraction-free (Bareiss) elimination over the
-    integers; Laurent and Q[q] entries go through Kronecker substitution."""
+    """Exact determinant by the integer kernel `_int_det` (+-1 pivots on
+    sparse rows, then fraction-free Bareiss elimination on the block left);
+    Laurent and Q[q] entries go through Kronecker substitution."""
     if M.rows != M.cols:
         raise DomainError("determinant of a non-square matrix")
     if M.ring == "z":
-        return _int_bareiss(M.to_lists())
+        return _int_det(M.entries)
     if M.ring == "laurent":
         return LaurentPoly._from_terms(
             _kronecker_det([[f._terms for f in row] for row in M.entries]))

@@ -399,8 +399,11 @@ def q_integer(n):
     return LaurentPoly({e: 1 for e in range(n)})
 
 
+@lru_cache(maxsize=None)
 def gaussian_binomial(n, k):
-    """q-binomial coefficient, computed by exact division of q-integer products."""
+    """q-binomial coefficient, computed by exact division of q-integer
+    products; memoized, as the Jacobi-Trudi entries ask for the same few
+    values many times (a LaurentPoly is never changed in place)."""
     if n < 0 or k < 0:
         raise DomainError("gaussian_binomial needs nonnegative arguments")
     if k > n:

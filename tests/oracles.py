@@ -4,7 +4,7 @@ Schur specializations, the permutation expansion of a determinant, a
 ring-generic Bareiss determinant, the row expansion of a Pfaffian, a candidate-by-candidate Laurent lattice
 step, Laurent long division, the Fourier duality matrix built from
 the witness transforms and rational inverses, and the dense
-row-by-column matrix product."""
+row-by-column matrix product and Kronecker product."""
 
 import cmath
 import math
@@ -288,6 +288,14 @@ def dense_product(A, B):
     cols = list(zip(*B.entries)) if B.rows else [()] * B.cols
     return ExactMatrix(A.rows, B.cols, A.ring,
                        [[sum(map(mul, row, col), zero) for col in cols] for row in A.entries])
+
+
+def kron_reference(A, B):
+    """The Kronecker product A (x) B with every entry the product
+    A[i, j] * B[k, l] over all index pairs, zero entries included."""
+    return ExactMatrix(A.rows * B.rows, A.cols * B.cols, A.ring,
+                       [[A[i, j] * B[k, l] for j in range(A.cols) for l in range(B.cols)]
+                        for i in range(A.rows) for k in range(B.rows)])
 
 
 def lattice_step_reference(r, p):

@@ -12,6 +12,7 @@ from oracles import (
     bareiss_reference,
     dense_product,
     fourier_reference,
+    kron_reference,
     lattice_step_reference,
     permutation_det,
     pfaffian_reference,
@@ -446,7 +447,7 @@ class TestDeterminant:
 
 
 class TestKroneckerDeterminant:
-    """The integer Bareiss kernel, with Laurent and Q[q] entries packed by
+    """The integer determinant kernel, with Laurent and Q[q] entries packed by
     Kronecker substitution, against the ring-generic Bareiss loop."""
 
     @staticmethod
@@ -517,6 +518,48 @@ class TestKroneckerDeterminant:
             fractional += any(type(c) is Fraction for c in d.coeffs)
         assert fractional >= 10
 
+    def test_laurent_units(self, monkeypatch):
+        # +-1, +-q^k and negative exponents: a row's lowest monomials pack
+        # to +-1, which the integer kernel takes as pivots
+        sizes = spy_dense_finish(monkeypatch)
+        rng = random.Random(1016)
+        unit_pivots = 0
+        for _ in range(60):
+            n = rng.randint(1, 8)
+
+            def entry():
+                r = rng.random()
+                if r < 0.45:
+                    return LaurentPoly.zero()
+                if r < 0.85:
+                    return LaurentPoly({rng.randint(-3, 3): rng.choice((1, -1))})
+                return self.laurent(rng, 3)
+
+            sizes.clear()
+            self.check(LQ([[entry() for _ in range(n)] for _ in range(n)]))
+            unit_pivots += any(size < n for size in sizes)
+        assert unit_pivots >= 20
+
+    def test_qpoly_units_with_fractions(self):
+        rng = random.Random(1017)
+        fractional = 0
+        for _ in range(40):
+            n = rng.randint(1, 6)
+
+            def entry():
+                r = rng.random()
+                if r < 0.4:
+                    return RationalPoly.zero()
+                if r < 0.75:
+                    return RationalPoly([0] * rng.randint(0, 3) + [rng.choice((1, -1))])
+                return RationalPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                     for _ in range(rng.randint(1, 3))])
+
+            d = self.check(ExactMatrix(n, n, "qpoly", [[entry() for _ in range(n)]
+                                                       for _ in range(n)]))
+            fractional += any(type(c) is Fraction for c in d.coeffs)
+        assert fractional >= 5
+
     def test_integers(self):
         rng = random.Random(1014)
         for _ in range(80):
@@ -525,6 +568,105 @@ class TestKroneckerDeterminant:
             grid = [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0
                      for _ in range(n)] for _ in range(n)]
             self.check(ExactMatrix(n, n, "z", grid))
+
+
+def spy_dense_finish(monkeypatch):
+    """Record the size of every block that reaches `_int_bareiss`."""
+    finish = matrices._int_bareiss
+    sizes = []
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return finish(rows)
+
+    monkeypatch.setattr(matrices, "_int_bareiss", recording)
+    return sizes
+
+
+def unit_rich_grid(rng, n, density):
+    """An n x n integer grid, each entry nonzero with probability
+    `density`, about half the nonzeros +-1."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return rng.choice((1, -1) if rng.random() < 0.5 else (2, -2, 3, -5, 7, 1 << 70))
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def inversion_sign(perm):
+    n = len(perm)
+    return (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+
+
+class TestSparseDeterminantKernel:
+    """The integer determinant kernel: +-1 pivots on sparse rows in
+    least-fill order, then the dense Bareiss finish on the block left
+    without +-1 entries, against the Leibniz expansion and the
+    ring-generic Bareiss loop."""
+
+    def test_seeded_against_references(self, monkeypatch):
+        sizes = spy_dense_finish(monkeypatch)
+        rng = random.Random(1901)
+        partial = zeros = 0
+        for trial in range(400):
+            n = rng.randint(0, 6) if trial % 2 else rng.randint(7, 12)
+            grid = unit_rich_grid(rng, n, rng.choice((0.25, 0.45, 0.8)))
+            sizes.clear()
+            got = determinant(Z(grid))
+            assert got == bareiss_reference(Z(grid))
+            if n <= 6:
+                assert got == permutation_det(grid)
+            # units exhausted mid-way: a proper nonempty block is left
+            partial += any(0 < size < n for size in sizes)
+            zeros += got == 0
+        assert partial >= 40 and zeros >= 40
+
+    def test_off_diagonal_pivots(self):
+        # every +-1 sits off the diagonal, so each pivot's sign comes from
+        # its position among the live rows and columns: one odd position
+        # (2 x 2), two that cancel (3 x 3)
+        for grid in ([[2, 1], [-1, 3]],
+                     [[3, 1, 0], [0, 2, -1], [1, 0, 5]],
+                     [[0, 0, -1, 4], [2, 1, 0, 0], [0, 3, 0, 1], [-1, 0, 6, 0]]):
+            assert determinant(Z(grid)) == permutation_det(grid) != 0
+
+    def test_emptied_row_or_column_is_zero_at_once(self, monkeypatch):
+        sizes = spy_dense_finish(monkeypatch)
+        for grid in ([[1, 2, 0], [2, 4, 0], [0, 3, 5]],      # row 1 empties
+                     [[1, 1, 1], [2, 0, 0], [3, 0, 0]],      # column 2 empties
+                     [[0, 0], [1, 2]],                       # a zero row
+                     [[0, 1], [0, 2]]):                      # a zero column
+            assert determinant(Z(grid)) == permutation_det(grid) == 0
+        assert sizes == []
+
+    def test_permutation_matrices(self, monkeypatch):
+        sizes = spy_dense_finish(monkeypatch)
+        rng = random.Random(1902)
+        signs = set()
+        for n in range(1, 9):
+            for _ in range(6):
+                perm = rng.sample(range(n), n)
+                scale = [rng.choice((1, -1)) for _ in range(n)]
+                grid = [[scale[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+                want = inversion_sign(perm) * prod(scale)
+                assert determinant(Z(grid)) == want
+                signs.add(inversion_sign(perm))
+        assert signs == {1, -1}
+        # every pivot is a unit: the dense finish sees only empty blocks
+        assert set(sizes) == {0}
+
+    def test_small_sizes(self):
+        assert determinant(Z([])) == 1
+        for x in (0, 1, -1, 7, -(1 << 80)):
+            assert determinant(Z([[x]])) == x
+
+    def test_box_reaches_the_dense_finish_only_with_a_small_block(self, monkeypatch):
+        M, _ = family_matrix(FamilySpec("ppbox", 8, 8, 8))
+        sizes = spy_dense_finish(monkeypatch)
+        macmahon = prod(Fraction(i + j + k - 1, i + j + k - 2)
+                        for i in range(1, 9) for j in range(1, 9) for k in range(1, 9))
+        assert abs(determinant(M)) == macmahon
+        assert M.rows == 192 and len(sizes) == 1 and sizes[0] <= 16
 
 
 class TestPfaffian:
@@ -1111,6 +1253,20 @@ class TestKronAndHelpers:
         B = Z([[0, 1], [1, 0]])
         K = A.kron(B)
         assert K == Z([[0, 1, 0, 2], [1, 0, 2, 0]])
+
+    @pytest.mark.parametrize("ring", ["z", "laurent", "qpoly"])
+    def test_kron_matches_dense_reference(self, ring):
+        rng = random.Random(1903)
+        shapes = [(0, 2, 3, 1), (2, 0, 1, 3), (2, 3, 0, 2), (3, 1, 2, 0), (0, 0, 0, 0),
+                  (1, 1, 1, 1)]
+        shapes += [tuple(rng.randint(1, 4) for _ in range(4)) for _ in range(20)]
+        for m, n, p, r in shapes:
+            A = sparse_ring_matrix(rng, ring, m, n)
+            B = sparse_ring_matrix(rng, ring, p, r)
+            K = A.kron(B)
+            assert (K.rows, K.cols) == (m * p, n * r)
+            assert K == kron_reference(A, B)
+            assert_as_validated(K)
 
     def test_alternating_detection(self):
         assert Z([[0, 5], [-5, 0]]).is_alternating()
