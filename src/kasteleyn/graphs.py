@@ -13,7 +13,7 @@ import random
 from functools import cmp_to_key
 from itertools import combinations
 
-from kasteleyn.matrices import ExactMatrix, ring_adapter
+from kasteleyn.matrices import ExactMatrix, _kronecker_unpack, ring_adapter
 from kasteleyn.rings import (
     DomainError,
     GuardExceeded,
@@ -727,15 +727,26 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
 
     Frontier dynamic program over a fixed vertex order (monogamous ids
     sorted, then polygamous ids sorted); each non-loop edge belongs to its
-    earlier end.  After a vertex is processed, the state is the frozenset of
-    later vertices whose degree bit is 1: "covered" for a monogamous vertex,
-    the degree parity for a polygamous one.  Processing v picks a subset of
-    its forward edges whose size completes v's rule and which touches no
-    covered monogamous vertex.  Each state carries [count, total weight,
-    partial listings or None]; states that meet are merged, so the cost
-    grows with the number of boundary states, not with the number of
-    matchings.  `total_weight` is the weighted count (a generating function
-    for q-weighted graphs).
+    earlier end.  After a vertex is processed, the state is an int bitmask
+    of the later vertices whose degree bit is 1 ("covered" for a monogamous
+    vertex, the degree parity for a polygamous one), bit 0 the next vertex
+    in the order.  Processing v picks a subset of its forward edges whose
+    size completes v's rule and which touches no covered monogamous vertex.
+    Each state carries [count, total weight, partial listings or None];
+    states that meet are merged, so the cost grows with the number of
+    boundary states, not with the number of matchings.  `total_weight` is
+    the weighted count (a generating function for q-weighted graphs).
+
+    Over Z the totals are ints.  Over Z[q, q^-1] every total is an int too,
+    its value at q = 2^b (Kronecker substitution, as in `_kronecker_det`):
+    a move is one int product and one shift (a monomial c q^k packs to
+    c << b k), a merge one int sum.  Each vertex's move weights are first
+    divided by q^lo_v, lo_v the least exponent over all its moves in both
+    bit cases; every matching takes one move per vertex, so each total is
+    shifted by the constant sum of the lo_v.  The L1 norm of every total
+    and listed weight is at most the product over v of the larger of its
+    two sums of move-weight L1 norms, and b leaves room for that bound and
+    a sign, so they are read back as signed base-2^b digits.
 
     Raises GuardExceeded above `count_guard` vertices.  `matchings` (edge-id
     frozensets) and `weights` are listed only up to `list_guard` vertices,
@@ -755,65 +766,103 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
     for e in sorted(G.edges, key=lambda e: e.id):
         if e.is_loop():
             continue
-        a, b = (e.u, e.v) if rank[e.u] < rank[e.v] else (e.v, e.u)
-        forward[a].append(e)
+        forward[e.u if rank[e.u] < rank[e.v] else e.v].append(e)
     laurent = G.ring() == "laurent"
     one = LaurentPoly.one() if laurent else 1
-
-    def wt(e):
-        return LaurentPoly.coerce(e.weight) if laurent else e.weight
-
-    def moves(v, bit):
-        """(edge ids, monogamous ends, toggled ends, weight) per admissible subset."""
-        fwd = forward[v]
+    table = []
+    for i, v in enumerate(order):
+        # a move is (edge ids, ends covered, ends toggled, weight, shift),
+        # each end as its bit relative to the vertex after v; the shift is
+        # set when the weights are packed
+        fwd = []
+        for e in forward[v]:
+            w = e.other(v)
+            bit_w = 1 << (rank[w] - i - 1)
+            x = LaurentPoly.coerce(e.weight) if laurent else e.weight
+            fwd.append(((e.id,), bit_w if kind[w] == MONO else 0, bit_w, x, 0))
         if kind[v] == MONO:
-            sizes = [1 - bit]
-        else:
+            # one edge at bit 0, none at bit 1
+            table.append((fwd, [((), 0, 0, one, 0)]))
+            continue
+        # monogamous vertices come first in the order, so no move of a
+        # polygamous v covers one
+        options = ([], [])
+        for bit in (0, 1):
             par = (1 - bit) % 2 if kind[v] == ODD else bit
-            sizes = range(par, len(fwd) + 1, 2)
-        out = []
-        for size in sizes:
-            for combo in combinations(fwd, size):
-                ends = [e.other(v) for e in combo]
-                # monogamous vertices come first in the order, so only a
-                # monogamous v, which takes at most one edge, reaches one
-                covers = frozenset(w for w in ends if kind[w] == MONO)
-                flips = set()
-                weight = one
-                for e, w in zip(combo, ends):
-                    flips ^= {w}
-                    weight = weight * wt(e)
-                out.append((tuple(e.id for e in combo), covers,
-                            frozenset(flips), weight))
-        return out
+            for size in range(par, len(fwd) + 1, 2):
+                for combo in combinations(fwd, size):
+                    flips = 0
+                    weight = one
+                    for _, _, flip, x, _ in combo:
+                        flips ^= flip
+                        weight = weight * x
+                    options[bit].append((sum((m[0] for m in combo), ()), 0, flips, weight, 0))
+        table.append(options)
+    if laurent:
+        shift = 0
+        bound = 1
+        los = []
+        for options in table:
+            lo = None
+            norm = 0
+            for ms in options:
+                l1 = 0
+                for m in ms:
+                    t = m[3]._terms
+                    if t:
+                        low = min(t)
+                        if lo is None or low < lo:
+                            lo = low
+                        for c in t.values():
+                            l1 += abs(c)
+                norm = max(norm, l1)
+            lo = 0 if lo is None else lo
+            los.append(lo)
+            shift += lo
+            bound *= norm
+        b = max(bound, 1).bit_length() + 1
 
-    states = {frozenset(): [1, one, [((), one)] if listing else None]}
-    for v in order:
-        options = (moves(v, 0), moves(v, 1))
+        def pack(t, lo):
+            """(f, s) with f << s the value at q = 2^b of t / q^lo."""
+            if not t:
+                return 0, 0
+            m = min(t)
+            return sum(c << b * (e - m) for e, c in t.items()), b * (m - lo)
+
+    states = {0: [1, 1, [((), 1)] if listing else None]}
+    for i, options in enumerate(table):
+        if not states:
+            break
+        if laurent:
+            options = [[(eids, covers, flips, *pack(w._terms, los[i]))
+                        for eids, covers, flips, w, _ in ms] for ms in options]
         nxt = {}
         for state, (count, total, partial) in states.items():
-            bit = v in state
-            rest = state - {v} if bit else state
-            for eids, covers, flips, weight in options[bit]:
+            rest = state >> 1
+            for eids, covers, flips, factor, s in options[state & 1]:
                 if covers & rest:
                     continue
                 key = rest ^ flips
-                ext = None if partial is None else [(m + eids, x * weight) for m, x in partial]
+                ext = None if partial is None else [(m + eids, x * factor << s) for m, x in partial]
                 slot = nxt.get(key)
                 if slot is None:
-                    nxt[key] = [count, total * weight, ext]
+                    nxt[key] = [count, total * factor << s, ext]
                 else:
                     slot[0] += count
-                    slot[1] = slot[1] + total * weight
+                    slot[1] += total * factor << s
                     if ext is not None:
                         slot[2].extend(ext)
         states = nxt
-    zero = LaurentPoly.zero() if laurent else 0
-    count, total, partial = states.get(frozenset(), [0, zero, [] if listing else None])
+    count, total, partial = states.get(0, [0, 0, [] if listing else None])
+    weights = None if partial is None else [x for _, x in partial]
+    if laurent:
+        total = LaurentPoly._from_terms(_kronecker_unpack(total, b, shift))
+        if weights is not None:
+            weights = [LaurentPoly._from_terms(_kronecker_unpack(x, b, shift))
+                       for x in weights]
     if not listing:
         return MatchingSet(count, total)
-    return MatchingSet(count, total, [frozenset(m) for m, _ in partial],
-                       [x for _, x in partial])
+    return MatchingSet(count, total, [frozenset(m) for m, _ in partial], weights)
 
 
 def is_valid_matching(G, edge_ids):

@@ -47,10 +47,19 @@ from kasteleyn.rings import (
 
 
 def oracle_guard(default=64):
+    """The matching oracle's vertex guard: KASTELEYN_ORACLE_GUARD when it is
+    set and not empty, else `default`.  A value that is not a non-negative
+    integer raises DomainError naming the variable."""
     env = os.environ.get("KASTELEYN_ORACLE_GUARD")
-    if env:
-        return int(env)
-    return default
+    if not env:
+        return default
+    try:
+        guard = int(env)
+    except ValueError:
+        raise DomainError(f"KASTELEYN_ORACLE_GUARD={env!r} is not an integer") from None
+    if guard < 0:
+        raise DomainError(f"KASTELEYN_ORACLE_GUARD={env!r} is negative")
+    return guard
 
 
 RINGS = ("z", "laurent", "qpoly", "z@q0")
@@ -226,7 +235,7 @@ def _oracle_status(M, kind, G, guard, q0=None):
     if G is None:
         return "skipped", None
     try:
-        ms = enumerate_matchings(G, count_guard=guard)
+        ms = enumerate_matchings(G, count_guard=guard, list_guard=0)
     except GuardExceeded:
         return "skipped", None
     if M.rows != M.cols:
@@ -661,6 +670,8 @@ def _verify_aztec(max_n, guard):
             failures.append({"n": n, "kind": "geometric",
                              "got": list(invg.factor_strings())})
         if n <= _AZTEC_COUNT_MAX:
-            if enumerate_matchings(Z, count_guard=max(guard, 2 * n * (n + 1))).count != 2 ** (n * (n + 1) // 2):
+            count = enumerate_matchings(Z, count_guard=max(guard, 2 * n * (n + 1)),
+                                        list_guard=0).count
+            if count != 2 ** (n * (n + 1) // 2):
                 failures.append({"n": n, "kind": "count"})
     return {"which": "aztec", "checked": checked, "failed": len(failures)}, failures

@@ -1775,12 +1775,18 @@ def _kronecker_det(rows):
                 v += c << (b * (e - lo))
             out.append(v)
         packed.append(out)
-    value = _int_det(packed)
+    return _kronecker_unpack(_int_det(packed), b, sum(shifts))
+
+
+def _kronecker_unpack(value, b, e):
+    """The integer polynomial whose value at q = 2^b is `value`, times q^e,
+    as a map exponent -> nonzero int: `value` read as signed base-2^b
+    digits, lowest first, each in [-2^(b-1), 2^(b-1)).  Needs b >= 2 (with
+    b = 1 the digits -1 and 0 reach no positive value)."""
     full = 1 << b
     half = full >> 1
     mask = full - 1
     terms = {}
-    e = sum(shifts)
     while value:
         d = value & mask
         value >>= b

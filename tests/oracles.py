@@ -3,17 +3,19 @@ partitions as cube sets, symmetry actions on cubes, skew tableaux,
 Schur specializations, the permutation expansion of a determinant, a
 ring-generic Bareiss determinant, the row expansion of a Pfaffian, a candidate-by-candidate Laurent lattice
 step, Laurent long division, the Fourier duality matrix built from
-the witness transforms and rational inverses, and the dense
-row-by-column matrix product and Kronecker product."""
+the witness transforms and rational inverses, the dense
+row-by-column matrix product and Kronecker product, and the matching
+frontier program on frozenset states with LaurentPoly totals."""
 
 import cmath
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import mul
 
+from kasteleyn.graphs import MONO, ODD, MatchingSet
 from kasteleyn.matrices import ExactMatrix, determinant, ring_adapter, smith_normal_form
-from kasteleyn.rings import ExactDivisionError, LaurentPoly, q_integer
+from kasteleyn.rings import ExactDivisionError, GuardExceeded, LaurentPoly, q_integer
 
 
 def plane_partitions(a, b, c):
@@ -405,3 +407,80 @@ def fourier_reference(M):
             row.append(cmath.exp(2j * math.pi * float(frac)) * scale)
         U.append(row)
     return U
+
+
+def enumerate_matchings_reference(G, count_guard=64, list_guard=28):
+    """`enumerate_matchings` as a frontier program whose states are
+    frozensets of later vertices with degree bit 1 and whose totals are
+    ring elements (LaurentPoly products and sums over Z[q, q^-1]), with the
+    library's vertex order, moves, guards and listing order."""
+    if G.n_vertices > count_guard:
+        raise GuardExceeded(
+            f"{G.n_vertices} vertices exceed the matching-oracle guard {count_guard}"
+        )
+    listing = G.n_vertices <= list_guard
+    monos = sorted(v.id for v in G.vertices if v.kind == MONO)
+    polys = sorted(v.id for v in G.vertices if v.kind != MONO)
+    order = monos + polys
+    rank = {v: i for i, v in enumerate(order)}
+    kind = {v.id: v.kind for v in G.vertices}
+    forward = {v: [] for v in order}
+    for e in sorted(G.edges, key=lambda e: e.id):
+        if e.is_loop():
+            continue
+        a, b = (e.u, e.v) if rank[e.u] < rank[e.v] else (e.v, e.u)
+        forward[a].append(e)
+    laurent = G.ring() == "laurent"
+    one = LaurentPoly.one() if laurent else 1
+
+    def wt(e):
+        return LaurentPoly.coerce(e.weight) if laurent else e.weight
+
+    def moves(v, bit):
+        fwd = forward[v]
+        if kind[v] == MONO:
+            sizes = [1 - bit]
+        else:
+            par = (1 - bit) % 2 if kind[v] == ODD else bit
+            sizes = range(par, len(fwd) + 1, 2)
+        out = []
+        for size in sizes:
+            for combo in combinations(fwd, size):
+                ends = [e.other(v) for e in combo]
+                covers = frozenset(w for w in ends if kind[w] == MONO)
+                flips = set()
+                weight = one
+                for e, w in zip(combo, ends):
+                    flips ^= {w}
+                    weight = weight * wt(e)
+                out.append((tuple(e.id for e in combo), covers,
+                            frozenset(flips), weight))
+        return out
+
+    states = {frozenset(): [1, one, [((), one)] if listing else None]}
+    for v in order:
+        options = (moves(v, 0), moves(v, 1))
+        nxt = {}
+        for state, (count, total, partial) in states.items():
+            bit = v in state
+            rest = state - {v} if bit else state
+            for eids, covers, flips, weight in options[bit]:
+                if covers & rest:
+                    continue
+                key = rest ^ flips
+                ext = None if partial is None else [(m + eids, x * weight) for m, x in partial]
+                slot = nxt.get(key)
+                if slot is None:
+                    nxt[key] = [count, total * weight, ext]
+                else:
+                    slot[0] += count
+                    slot[1] = slot[1] + total * weight
+                    if ext is not None:
+                        slot[2].extend(ext)
+        states = nxt
+    zero = LaurentPoly.zero() if laurent else 0
+    count, total, partial = states.get(frozenset(), [0, zero, [] if listing else None])
+    if not listing:
+        return MatchingSet(count, total)
+    return MatchingSet(count, total, [frozenset(m) for m, _ in partial],
+                       [x for _, x in partial])

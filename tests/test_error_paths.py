@@ -1,6 +1,7 @@
 import pytest
 
 import kasteleyn
+from kasteleyn.cli import main
 from kasteleyn.families import (
     FamilySpec,
     GVGraph,
@@ -15,6 +16,7 @@ from kasteleyn.graphs import (
     kasteleyn_orient,
     reflection_quotient,
 )
+from kasteleyn.harness import oracle_guard, run_report
 from kasteleyn.matrices import (
     ExactMatrix,
     NormalFormFailure,
@@ -82,6 +84,29 @@ def test_stable_invariants_propagates_laurent_failure():
 def test_oracle_guard_is_the_package_guard_exceeded():
     with pytest.raises(kasteleyn.GuardExceeded):
         kasteleyn.enumerate_matchings(build_aztec_graph(3), count_guard=10)
+
+
+@pytest.mark.parametrize("value", ["abc", "4.5", "0x10", "-1", "-64"])
+def test_oracle_guard_env_must_be_a_non_negative_integer(monkeypatch, capsys, value):
+    # a malformed or negative guard is refused by name, not read as a bare
+    # int() error or as "skip every oracle check"
+    monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", value)
+    with pytest.raises(DomainError, match="KASTELEYN_ORACLE_GUARD"):
+        oracle_guard()
+    with pytest.raises(DomainError, match="KASTELEYN_ORACLE_GUARD"):
+        run_report(FamilySpec("aztec", n=2), "z")
+    assert main(["oracle", "--family", "aztec", "--n", "2"]) == 2
+    assert "KASTELEYN_ORACLE_GUARD" in capsys.readouterr().err
+
+
+def test_oracle_guard_env_values_in_domain(monkeypatch):
+    for value, want in (("", 64), ("0", 0), ("12", 12), (" 7 ", 7)):
+        monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", value)
+        assert oracle_guard() == want
+    monkeypatch.delenv("KASTELEYN_ORACLE_GUARD")
+    assert oracle_guard(default=5) == 5
+    monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", "0")
+    assert run_report(FamilySpec("aztec", n=2), "z").oracle_check == "skipped"
 
 
 def test_adjacency_missing_decorations():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import macmahon_box_qgen, polys_equal_up_to_unit
+from oracles import enumerate_matchings_reference, macmahon_box_qgen, polys_equal_up_to_unit
 
 from kasteleyn.graphs import (
     EVEN,
@@ -30,7 +30,7 @@ from kasteleyn.graphs import (
     triple_edges,
     verify_flatness,
 )
-from kasteleyn.families import FamilySpec, build_family_graph
+from kasteleyn.families import FamilySpec, build_aztec_graph, build_family_graph
 from kasteleyn.matrices import determinant, pfaffian
 from kasteleyn.rings import LaurentPoly
 
@@ -361,6 +361,101 @@ class TestEnumerate:
         G = build_family_graph(FamilySpec("ppbox", *dims, q_mode="cube"))
         assert polys_equal_up_to_unit(enumerate_matchings(G).total_weight,
                                       macmahon_box_qgen(*dims))
+
+    @pytest.mark.parametrize("d, count", [(4, 232848), (5, 267227532)])
+    def test_large_q_weighted_box_is_macmahon(self, d, count):
+        # 96 and 150 vertices, past the default guard: the packed totals
+        # give MacMahon's q-product (times a power of q) and his count
+        G = build_family_graph(FamilySpec("ppbox", d, d, d, q_mode="cube"))
+        assert G.n_vertices == 6 * d * d
+        ms = enumerate_matchings(G, count_guard=G.n_vertices)
+        assert ms.count == count and ms.matchings is None
+        total = ms.total_weight
+        assert total == macmahon_box_qgen(d, d, d).shift(total.min_exp)
+
+
+def assert_same_matching_set(got, want):
+    """Equal counts, totals of one type with equal term maps, and equal
+    listings in the same order."""
+    assert got.count == want.count
+    assert type(got.total_weight) is type(want.total_weight)
+    if isinstance(want.total_weight, LaurentPoly):
+        assert got.total_weight._terms == want.total_weight._terms
+    else:
+        assert got.total_weight == want.total_weight
+    assert got.matchings == want.matchings
+    if want.weights is None:
+        assert got.weights is None
+    else:
+        assert [type(x) for x in got.weights] == [type(x) for x in want.weights]
+        assert [getattr(x, "_terms", x) for x in got.weights] == \
+            [getattr(x, "_terms", x) for x in want.weights]
+
+
+class TestEnumerateAgainstReference:
+    """The bitmask program with packed totals against the frozenset program
+    with ring totals of `tests/oracles.py`."""
+
+    def test_seeded_random_graphs(self):
+        # mixed vertex kinds, self-loops and parallel edges; Laurent weights
+        # with negative exponents and coefficients, zeros and non-monomials
+        rng = random.Random(2020)
+        q = LaurentPoly.q_power(1)
+        qi = LaurentPoly.q_power(-1)
+        laurent_weights = [1, -1, 2, 0, q, qi, -qi * qi, 3 - qi, q * q + 1, -2 * q ** 3,
+                           LaurentPoly.zero(), q * q - 2 + qi, LaurentPoly.q_power(-5, 4)]
+        drawn = set()
+        seen = {"laurent": 0, "z": 0, "listed": 0, "unlisted": 0, "negative": 0}
+        for trial in range(300):
+            n = rng.randint(1, 11)
+            verts = [Vertex(i, rng.choice([MONO, MONO, ODD, EVEN])) for i in range(n)]
+            edges = []
+            for eid in range(rng.randint(0, 16)):
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.1 else rng.randrange(n)
+                if edges and rng.random() < 0.2:
+                    u, v = edges[-1].u, edges[-1].v
+                if trial % 3:
+                    i = rng.randrange(len(laurent_weights))
+                    drawn.add(i)
+                    weight = laurent_weights[i]
+                else:
+                    weight = rng.choice([1, -1, 2, -3, 0])
+                edges.append(Edge(eid, u, v, weight))
+            G = EmbeddedGraph(verts, edges, [])
+            list_guard = rng.choice([0, 8, 28])
+            want = enumerate_matchings_reference(G, list_guard=list_guard)
+            got = enumerate_matchings(G, list_guard=list_guard)
+            assert_same_matching_set(got, want)
+            seen[G.ring()] += 1
+            seen["listed" if want.matchings is not None else "unlisted"] += bool(want.count)
+            total = want.total_weight
+            if isinstance(total, LaurentPoly) and total._terms:
+                seen["negative"] += min(total._terms) < 0 and min(total._terms.values()) < 0
+        assert drawn == set(range(len(laurent_weights)))
+        assert min(seen.values()) >= 10, seen
+
+    def test_oracle_count_graphs(self):
+        # the graphs of the oracle-count benchmark workload
+        specs = [FamilySpec("ppbox", *dims, q_mode="cube")
+                 for dims in ((3, 4, 4), (3, 3, 5), (3, 3, 4), (2, 4, 5))]
+        specs += [FamilySpec("ppbox-quotient", 4, 3, 3, group="tau"),
+                  FamilySpec("ppbox-impossible", 4, 3, 3, group="tau", q_mode="orbit",
+                             wrong_parity=True),
+                  FamilySpec("ppbox-quotient", 4, 4, 4, group="kappa")]
+        graphs = [build_family_graph(spec) for spec in specs] + [build_aztec_graph(5)]
+        for G in graphs:
+            guard = G.n_vertices
+            assert_same_matching_set(enumerate_matchings(G, count_guard=guard),
+                                     enumerate_matchings_reference(G, count_guard=guard))
+        # listed on the small ones
+        small = [G for G in graphs if G.n_vertices <= 40]
+        assert small
+        for G in small:
+            listed = enumerate_matchings(G, count_guard=40, list_guard=40)
+            assert len(listed.matchings) == listed.count
+            assert_same_matching_set(
+                listed, enumerate_matchings_reference(G, count_guard=40, list_guard=40))
 
 
 class TestRotation:
