@@ -2,13 +2,18 @@
 `test_matrices.py` and in the CI job that runs without pytest: every
 Laurent attempt of the round suite at ceiling 6, the PID normal forms of
 three boxes, and a seeded fuzz of random small matrices over every ring.
-Each builder returns a list of JSON-ready records; `digest` hashes one.
-This module imports nothing from pytest."""
+The text of the integer transforms L and R is hashed apart from
+everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
+Laurent attempts): a change of elimination route may change those
+witnesses, and must leave the rest as it is.  Each builder returns a list
+of JSON-ready records; `digest` hashes one.  This module imports nothing
+from pytest."""
 
 import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import cache
 
 from kasteleyn import FamilySpec, harness
 from kasteleyn.matrices import (
@@ -22,8 +27,10 @@ from kasteleyn.matrices import (
 from kasteleyn.rings import LaurentPoly, RationalPoly
 
 LAURENT_ATTEMPTS = (276, "5764ab4fe5d5992990fca66fec9f9033f6b22e7e716993335a75e577dcef8459")
-PID_FORMS = (6, "47bedaed403f0dfd207e4164f8a08eddd431006978615edeba165a3ffecef506")
-FUZZ = (960, "9160f1687a89110bea59627379f88770dd20c632651962e9a13d81e3764ea61d")
+PID_FORMS = (6, "ad9276c5df851ea6503000a2944096656d7ad0b08db5530d50409426ca699c32")
+PID_Z_TRANSFORMS = (3, "12627a92c78e67805437139cfacdaa8bf77295fe71982983945abf0bb950e602")
+FUZZ = (960, "20c8a71d10d76a01229a91e24074183685d0b5dec4a494cfc98abf0685882688")
+FUZZ_Z_TRANSFORMS = (80, "a255075c755fe3b21a9c2c5676c6eca988fd6f43273ec3c8c1ee8d50c1332561")
 
 
 def digest(records):
@@ -60,17 +67,33 @@ def laurent_attempt_records():
     return records
 
 
-def pid_form_records():
+@cache
+def _pid_forms():
     """The Smith forms over "z" and "qpoly", with transforms, of two boxes
-    and a tau quotient."""
-    records = []
+    and a tau quotient: (records, z_transforms), where each record holds
+    the ring, the diagonal and, over "qpoly", the text of L and R, and
+    z_transforms the text of L and R over "z"."""
+    records, z_transforms = [], []
     for spec in (FamilySpec("ppbox", 3, 3, 3), FamilySpec("ppbox", 4, 3, 2),
                  FamilySpec(variant="ppbox-quotient", a=4, b=3, c=3, group="tau")):
         for ring in ("z", "qpoly"):
             form = smith_normal_form(harness.family_matrix_for_ring(spec, ring)[0])
-            records.append([ring, [str(d) for d in form.diagonal],
-                            write_matrix(form.left), write_matrix(form.right)])
-    return records
+            transforms = [write_matrix(form.left), write_matrix(form.right)]
+            records.append([ring, [str(d) for d in form.diagonal]]
+                           + (transforms if ring == "qpoly" else []))
+            if ring == "z":
+                z_transforms.append(transforms)
+    return records, z_transforms
+
+
+def pid_form_records():
+    """Everything of `_pid_forms` but the integer transforms."""
+    return _pid_forms()[0]
+
+
+def pid_z_transform_records():
+    """The text of L and R of the integer forms of `_pid_forms`."""
+    return _pid_forms()[1]
 
 
 def _random_entry(rng, ring, unitless):
@@ -104,26 +127,41 @@ def _random_matrix(rng, ring):
     return ExactMatrix(m, n, ring, rows)
 
 
-def fuzz_records(seed=18, count=80):
+@cache
+def _fuzz(seed=18, count=80):
     """For `count` random matrices per ring: over "z" and "qpoly" the Smith
     form with transforms (diagonal, L, R, `verify`) and `_smith_diagonal`;
     over "laurent" `laurent_smith_attempt` at step limits 0, 1, 2, 50 and
-    10000, with and without transforms."""
+    10000, with and without transforms.  Returns (records, z_transforms),
+    with the text of the integer L and R, each after the text of its
+    matrix, in z_transforms and not in records."""
     rng = random.Random(seed)
-    records = []
+    records, z_transforms = [], []
     for ring in ("z", "qpoly", "laurent"):
         for _ in range(count):
             M = _random_matrix(rng, ring)
             head = [ring, write_matrix(M)]
             if ring != "laurent":
                 form = smith_normal_form(M)
-                records.append(head + [[str(d) for d in form.diagonal],
-                                       write_matrix(form.left), write_matrix(form.right),
-                                       form.verify(M),
-                                       [str(d) for d in _smith_diagonal(M)]])
+                transforms = [write_matrix(form.left), write_matrix(form.right)]
+                if ring == "z":
+                    z_transforms.append([head[1]] + transforms)
+                    transforms = []
+                records.append(head + [[str(d) for d in form.diagonal]] + transforms
+                               + [form.verify(M), [str(d) for d in _smith_diagonal(M)]])
                 continue
             for max_steps in (0, 1, 2, 50, 10000):
                 for transforms in (False, True):
                     out = laurent_smith_attempt(M, max_steps=max_steps, transforms=transforms)
                     records.append(head + [max_steps] + _attempt_record(out, transforms))
-    return records
+    return records, z_transforms
+
+
+def fuzz_records():
+    """Everything of `_fuzz` but the integer transforms."""
+    return _fuzz()[0]
+
+
+def fuzz_z_transform_records():
+    """The text of L and R of the integer forms of `_fuzz`."""
+    return _fuzz()[1]

@@ -961,9 +961,10 @@ class TestSmithDriverPinned:
     limit; the PID normal forms of three box matrices with their
     transforms; and a seeded fuzz of random matrices of every shape up to
     6 x 6 over every ring.  The pivot path decides the Laurent verdicts, so
-    a change to the elimination must leave all of these as they are.  The
-    records are built in `pinned.py`, which the CI job without pytest
-    checks too."""
+    a change to the elimination must leave all of these as they are, with
+    one exception: the integer transforms, pinned apart, change only with
+    the route that builds them.  The records are built in `pinned.py`,
+    which the CI job without pytest checks too."""
 
     def test_laurent_attempts(self):
         records = pinned.laurent_attempt_records()
@@ -973,9 +974,17 @@ class TestSmithDriverPinned:
         records = pinned.pid_form_records()
         assert (len(records), pinned.digest(records)) == pinned.PID_FORMS
 
+    def test_pid_z_transforms(self):
+        records = pinned.pid_z_transform_records()
+        assert (len(records), pinned.digest(records)) == pinned.PID_Z_TRANSFORMS
+
     def test_fuzz(self):
         records = pinned.fuzz_records()
         assert (len(records), pinned.digest(records)) == pinned.FUZZ
+
+    def test_fuzz_z_transforms(self):
+        records = pinned.fuzz_z_transform_records()
+        assert (len(records), pinned.digest(records)) == pinned.FUZZ_Z_TRANSFORMS
 
 
 class TestUnitPhase:
