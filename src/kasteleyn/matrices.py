@@ -12,14 +12,18 @@ The driver works on one sparse copy of the matrix (`_Workspace`): rows,
 L and R (by columns) are maps from index to nonzero entry.  A lozenge
 Kasteleyn matrix has about three nonzeros per row, so nearly every pivot
 is a unit and costs its nonzeros rather than a pass over dense rows; dense
-lists are built only for the transforms handed back.  An integer diagonal
-computed without transforms (`cokernel_of`, `stable_invariants`) changes
-route at the first block without a unit entry: if that block is square
-with D = |det| != 0, it is finished modulo D (`_finish_modulo_det`), with
-every entry at most D/2 in absolute value, where plain elimination lets
-the entries grow without bound.  A singular or non-square block, and every
-call that builds transforms, goes on by plain elimination.  The route is
-read off the input and the call; there is no option for it.
+lists are built only for the transforms handed back.  Over "z" the
+elimination changes route at the first block without a unit entry: if that
+block is square with D = |det| != 0, it is finished modulo D
+(`_finish_modulo_det`), with every entry at most D/2 in absolute value,
+where plain elimination lets the entries grow without bound.  This holds
+for the diagonal alone (`cokernel_of`, `stable_invariants`) and for a form
+with transforms (`smith_normal_form`, `smith_report`): the row steps of the
+finish are applied exactly to a small row transform U, and the column
+transform is solved once from U and the block, so the witness is bounded
+by the route rather than by the elimination order.  A singular or
+non-square block goes on by plain elimination.  The route is read off the
+input; there is no option for it.
 
 Every determinant runs one integer kernel, `_int_det`: +-1 pivots on the
 same kind of sparse rows, taken in least-fill order, and fraction-free
@@ -841,11 +845,12 @@ def _smith(ws, max_steps=None):
     the rest of its block.  When a pivot gets stuck (only over the Laurent
     ring), the later candidates are tried in (size, row, col) order.
 
-    Over "z" without transforms, the first block A[k:][k:] with no unit
-    entry goes to `_finish_modulo_det`, which finishes it when it is square
-    and nonsingular; otherwise the elimination goes on as above."""
+    Over "z", with or without transforms, the first block A[k:][k:] with
+    no unit entry goes to `_finish_modulo_det`, which finishes it (and the
+    transforms) when it is square and nonsingular; otherwise the
+    elimination goes on as above."""
     ring, A = ws.ad, ws.A
-    modular = ring.tag == "z" and ws.L is None
+    modular = ring.tag == "z"
     for k in range(min(ws.m, ws.n)):
         pivot = _pick_pivot(ring, A, k)
         if pivot is None:
@@ -951,11 +956,21 @@ def _finish_modulo_det(ws, k):
     of B, so coker B = Z^n / (B Z^n + D Z^n) and every entry may be kept as
     a symmetric residue mod D.  Bezout row and column steps diagonalize B
     mod D; then coker B = sum Z/gcd(a_ii, D), and gcd/lcm swaps turn these
-    orders into a divisibility chain, whose product must be D (Hafner and
-    McCurley 1991; Cohen, GTM 138, Alg. 2.4.14)."""
+    orders into a divisibility chain S, whose product must be D (Hafner and
+    McCurley 1991; Cohen, GTM 138, Alg. 2.4.14).
+
+    With transforms, the column steps stay free: [B | D I] spans the same
+    column lattice as B.  Every row step, the gcd/lcm swaps included, is
+    applied exactly to a row transform U and inversely to U^-1, so that
+    U B Z^n = S Z^n at the end; then V = adj(B) U^-1 S / det B is integral
+    (`_modular_transforms`), U B V = S, and prod(S) = D makes V
+    unimodular.  L and R take U and V on rows and columns k.., so every
+    entry of the witness is bounded by this route, not by an elimination
+    order."""
     if ws.m != ws.n:
         return False
-    D = abs(_int_det(ws.block(k)))
+    block = ws.block(k)
+    D = abs(_int_det(block))
     if not D:
         return False
     half = D // 2
@@ -964,7 +979,11 @@ def _finish_modulo_det(ws, k):
         r = x % D
         return r - D if r > half else r
 
-    B = [[residue(x) for x in row] for row in ws.block(k)]
+    B = [[residue(x) for x in row] for row in block]
+    steps = None if ws.L is None else _RowSteps(len(B))
+    # B holds the transpose of the block's residues after an odd number of
+    # transposes, and its row steps are then free column steps
+    flipped = False
     factors = []
     while B:
         entries = [(abs(x), i, j) for i, row in enumerate(B) for j, x in enumerate(row) if x]
@@ -972,33 +991,79 @@ def _finish_modulo_det(ws, k):
             factors += [D] * len(B)
             break
         _, i, j = min(entries)
+        t = len(factors)
         B[0], B[i] = B[i], B[0]
         for row in B:
             row[0], row[j] = row[j], row[0]
+        if steps is not None:
+            steps.swap(t, t + (j if flipped else i))
         # clear column 0 by row steps, transpose, and repeat until the
         # pivot's row and column are both clear (transposing keeps coker's
         # invariant factors)
         while any(row[0] for row in B[1:]) or any(B[0][1:]):
-            _clear_first_column(B, residue)
+            _clear_first_column(B, residue, None if flipped else steps, t)
             B = [list(col) for col in zip(*B)]
+            flipped = not flipped
         factors.append(gcd(B[0][0], D))
         B = [row[1:] for row in B[1:]]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            g = gcd(factors[i], factors[j])
-            factors[i], factors[j] = g, factors[i] // g * factors[j]
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            if steps is not None and g != a:
+                # rows (i, j) <- (r_i + r_j, r_j - (y b / g)(r_i + r_j)) with
+                # g = x a + y b take diag(a, b) Z^2 to diag(g, ab/g) Z^2
+                y = _IntRing.gcdext(a, b)[2]
+                steps.addmul(i, j, 1)
+                steps.addmul(j, i, -(y * b // g))
+            factors[i], factors[j] = g, a // g * b
     if prod(factors) != D:
         raise ExactDivisionError(f"invariant factors modulo the determinant "
                                  f"multiply to {prod(factors)}, not |det| = {D}")
+    if steps is not None:
+        _modular_transforms(ws, k, block, steps, factors)
     for i, f in enumerate(factors, k):
         ws.A[i], ws.cols[i] = {i: f}, {i}
     return True
 
 
-def _clear_first_column(B, residue):
+class _RowSteps:
+    """A row transform U of the modular finish, the identity at the start,
+    with its inverse kept by columns: W[j] is column j of U^-1.  A row step
+    E acts as U <- E U and U^-1 <- U^-1 E^-1."""
+
+    def __init__(self, n):
+        self.U = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.W = [row[:] for row in self.U]
+
+    def swap(self, i, j):
+        if i != j:
+            U, W = self.U, self.W
+            U[i], U[j] = U[j], U[i]
+            W[i], W[j] = W[j], W[i]
+
+    def addmul(self, i, j, c):
+        """row_i += c * row_j."""
+        U, W = self.U, self.W
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        W[j] = [a - c * b for a, b in zip(W[j], W[i])]
+
+    def mix(self, i, j, x, y, u, v):
+        """rows (i, j) <- (x r_i + y r_j, u r_i + v r_j), with xv - yu = 1."""
+        U, W = self.U, self.W
+        p, q = U[i], U[j]
+        U[i] = [x * a + y * b for a, b in zip(p, q)]
+        U[j] = [u * a + v * b for a, b in zip(p, q)]
+        p, q = W[i], W[j]
+        W[i] = [v * a - u * b for a, b in zip(p, q)]
+        W[j] = [x * b - y * a for a, b in zip(p, q)]
+
+
+def _clear_first_column(B, residue, steps=None, at=0):
     """Zero B[1:][0] by unimodular row steps on the residue matrix B: an
     exact multiple of the pivot B[0][0] is subtracted, otherwise a Bezout
-    mix puts gcd(pivot, entry) at (0, 0)."""
+    mix puts gcd(pivot, entry) at (0, 0).  With `steps`, each step on rows
+    (0, i) of B is applied to its rows (at, at + i) too."""
     gcdext = _IntRing.gcdext
     top = B[0]
     for i in range(1, len(B)):
@@ -1008,12 +1073,62 @@ def _clear_first_column(B, residue):
         t, r = divmod(b, top[0])
         if not r:
             B[i] = [residue(d - t * c) for c, d in zip(top, row)]
+            if steps is not None:
+                steps.addmul(at + i, at, -t)
             continue
         g, x, y = gcdext(top[0], b)
         u, v = -b // g, top[0] // g
         top, B[i] = ([residue(x * c + y * d) for c, d in zip(top, row)],
                      [residue(u * c + v * d) for c, d in zip(top, row)])
+        if steps is not None:
+            steps.mix(at, at + i, x, y, u, v)
     B[0] = top
+
+
+def _modular_transforms(ws, k, block, steps, factors):
+    """L <- diag(I, U) L and R <- R diag(I, V) for the modular finish of the
+    block at k, with V = adj(B) U^-1 S / det B (S = diag(factors)) solved
+    by exact division; ExactDivisionError if a quotient is not integral.
+    The products for L and R skip zero entries."""
+    d, adj = _int_adjugate(block)
+    V = []
+    for f, w in zip(factors, steps.W):
+        col = []
+        for row in adj:
+            q, r = divmod(f * sum(map(mul, row, w)), d)
+            if r:
+                raise ExactDivisionError("modular Smith transform is not integral")
+            col.append(q)
+        V.append(col)
+    L, R, is_zero = ws.L, ws.R, ws.ad.is_zero
+    for maps, T in ((L, steps.U), (R, V)):
+        old = maps[k:]
+        for i, coeffs in enumerate(T, k):
+            out = {}
+            for c, src in zip(coeffs, old):
+                if c:
+                    _add_multiple(out, c, src, is_zero)
+            maps[i] = out
+
+
+def _int_adjugate(rows):
+    """(d, Y) for a nonsingular square integer matrix B given as row lists
+    (left as they are), with d = +-det B and Y = d B^-1: one fraction-free
+    Gauss-Jordan pass on [B | I], whose divisions are exact."""
+    n = len(rows)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if A[i][k])
+        A[k], A[piv] = A[piv], A[k]
+        row_k = A[k]
+        p = row_k[k]
+        for i in range(n):
+            if i != k:
+                a = A[i][k]
+                A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], row_k)]
+        prev = p
+    return prev, [row[n:] for row in A]
 
 
 def _pid_smith(M, transforms):
@@ -1029,9 +1144,10 @@ def smith_normal_form(M, verify=False):
     """Smith normal form over a PID ring tag ("z" or "qpoly"), with
     unit-determinant witness transforms L, R (L * M * R = diagonal).  Only
     callers that read L or R need this; `cokernel_of`, `stable_invariants`
-    and `fourier_duality_matrix` compute the same diagonal without them,
-    over "z" modulo the determinant once the unit pivots run out
-    (`_smith_diagonal`)."""
+    and `fourier_duality_matrix` compute the same diagonal without them
+    (`_smith_diagonal`).  Over "z" a square nonsingular block left without
+    units is finished modulo its determinant here too, so the entries of L
+    and R stay bounded by that route (`_finish_modulo_det`)."""
     ws = _pid_smith(M, transforms=True)
     form = SmithForm(M.ring, (ws.m, ws.n), ws.diagonal(), *ws.transforms())
     if verify:
@@ -1040,9 +1156,9 @@ def smith_normal_form(M, verify=False):
 
 
 def _smith_diagonal(M):
-    """The Smith diagonal of `smith_normal_form(M)`, without building L, R.
-    Over "z" the unit pivots are taken as there; a square nonsingular block
-    left without units is then finished modulo its determinant
+    """The Smith diagonal of `smith_normal_form(M)`, without building L, R:
+    the same unit pivots, and over "z" the same finish modulo the
+    determinant of a square nonsingular block left without units
     (`_finish_modulo_det`), any other block by the same elimination."""
     return tuple(_pid_smith(M, transforms=False).diagonal())
 

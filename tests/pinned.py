@@ -28,9 +28,9 @@ from kasteleyn.rings import LaurentPoly, RationalPoly
 
 LAURENT_ATTEMPTS = (276, "5764ab4fe5d5992990fca66fec9f9033f6b22e7e716993335a75e577dcef8459")
 PID_FORMS = (6, "ad9276c5df851ea6503000a2944096656d7ad0b08db5530d50409426ca699c32")
-PID_Z_TRANSFORMS = (3, "12627a92c78e67805437139cfacdaa8bf77295fe71982983945abf0bb950e602")
+PID_Z_TRANSFORMS = (3, "d37d41f84ecddf41b883393c2f517746ff2c7d0f4abbf841bcc80737c95e5ac0")
 FUZZ = (960, "20c8a71d10d76a01229a91e24074183685d0b5dec4a494cfc98abf0685882688")
-FUZZ_Z_TRANSFORMS = (80, "a255075c755fe3b21a9c2c5676c6eca988fd6f43273ec3c8c1ee8d50c1332561")
+FUZZ_Z_TRANSFORMS = (80, "a4d9bd3ea4bafb5ff2cdef63e49aab5eee87eeb4af326d40de30e08add628445")
 
 
 def digest(records):
