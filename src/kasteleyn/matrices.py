@@ -1100,14 +1100,17 @@ def _modular_transforms(ws, k, block, steps, factors):
                 raise ExactDivisionError("modular Smith transform is not integral")
             col.append(q)
         V.append(col)
-    L, R, is_zero = ws.L, ws.R, ws.ad.is_zero
-    for maps, T in ((L, steps.U), (R, V)):
+    for maps, T in ((ws.L, steps.U), (ws.R, V)):
         old = maps[k:]
         for i, coeffs in enumerate(T, k):
-            out = {}
+            out = None
             for c, src in zip(coeffs, old):
-                if c:
-                    _add_multiple(out, c, src, is_zero)
+                if not c:
+                    continue
+                if out is None:
+                    out = {j: c * x for j, x in src.items()}
+                else:
+                    _add_multiple(out, c, src, not_)
             maps[i] = out
 
 
