@@ -1037,10 +1037,9 @@ class _RowSteps:
         self.W = [row[:] for row in self.U]
 
     def swap(self, i, j):
-        if i != j:
-            U, W = self.U, self.W
-            U[i], U[j] = U[j], U[i]
-            W[i], W[j] = W[j], W[i]
+        U, W = self.U, self.W
+        U[i], U[j] = U[j], U[i]
+        W[i], W[j] = W[j], W[i]
 
     def addmul(self, i, j, c):
         """row_i += c * row_j."""

@@ -1277,14 +1277,14 @@ class TestTextFormat:
 
     def test_transforms_past_the_digit_limit(self):
         # a unimodular matrix whose witness must carry its 45,000-digit entry
-        x = random.Random(1705).randrange(10 ** 44999, 10 ** 45000)
-        M = Z([[1, x], [0, 1]])
+        big = random.Random(1705).randrange(10 ** 44999, 10 ** 45000)
+        M = Z([[1, big], [0, 1]])
         form = smith_normal_form(M, verify=True)
         rep = smith_report(M, include_transforms=True)
         for T, rows in ((form.left, rep["left"]), (form.right, rep["right"])):
             assert rows == [[str(Decimal(x)) for x in row] for row in T.entries]
             assert parse_matrix(write_matrix(T)) == T
-        assert max(abs(x) for row in form.right.entries for x in row) == x
+        assert max(abs(x) for row in form.right.entries for x in row) == big
 
     def test_report_fields(self):
         rep = smith_report(Z([[2, 0], [0, 6]]))
