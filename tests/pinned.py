@@ -1,7 +1,10 @@
-"""Records of the Smith driver's outputs, pinned by SHA-256 in
-`test_matrices.py` and in the CI job that runs without pytest: every
-Laurent attempt of the round suite at ceiling 6, the PID normal forms of
-three boxes, and a seeded fuzz of random small matrices over every ring.
+"""Records of the Smith driver's and the family builders' outputs, pinned
+by SHA-256 in `test_matrices.py`, `test_families.py` and in the CI job
+that runs without pytest: every Laurent attempt of the round suite at
+ceiling 6, the PID normal forms of three boxes, a seeded fuzz of random
+small matrices over every ring, and the graphs and matrices of the round
+suite at ceiling 8, of the q = -1 sides at ceiling 10 and of `verify jt`
+at ceiling 6.
 The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those
@@ -16,6 +19,8 @@ from fractions import Fraction
 from functools import cache
 
 from kasteleyn import FamilySpec, harness
+from kasteleyn.families import _decorated_matrix, build_family_graph, build_skew_graph
+from kasteleyn.graphs import adjacency_matrix, graph_to_json, kasteleyn_orient, kasteleyn_percus_sign
 from kasteleyn.matrices import (
     DomainError,
     ExactMatrix,
@@ -31,6 +36,7 @@ PID_FORMS = (6, "ad9276c5df851ea6503000a2944096656d7ad0b08db5530d50409426ca699c3
 PID_Z_TRANSFORMS = (3, "d37d41f84ecddf41b883393c2f517746ff2c7d0f4abbf841bcc80737c95e5ac0")
 FUZZ = (960, "20c8a71d10d76a01229a91e24074183685d0b5dec4a494cfc98abf0685882688")
 FUZZ_Z_TRANSFORMS = (80, "a4d9bd3ea4bafb5ff2cdef63e49aab5eee87eeb4af326d40de30e08add628445")
+BUILDERS = (819, "43e31dfb2172f225d3d1aea664edf097a28e88e88a34416428fff40852dd7600")
 
 
 def digest(records):
@@ -165,3 +171,63 @@ def fuzz_records():
 def fuzz_z_transform_records():
     """The text of L and R of the integer forms of `_fuzz`."""
     return _fuzz()[1]
+
+
+def _builder_specs():
+    """The family specs built by the round suite at ceiling 8 and by the
+    sides of the q = -1 suite at ceiling 10, each q-weighted one also
+    without its weights, keyed by their JSON in order of first
+    appearance."""
+    specs = [spec for _, spec, _ in harness._round_instances(8)]
+    for _, pairs, *sides, _ in harness._Q_MINUS_ONE:
+        for g, gp in pairs:
+            for (a, b, c) in harness._ordered_triples(10):
+                if ("tau" in g and b != c) or ("rho" in g and not a == b == c):
+                    continue
+                for variant, key, q_mode, _ in sides:
+                    group = {"G": g, "G'": gp}[key]
+                    specs.append(FamilySpec(variant="ppbox" if group == "1" else variant,
+                                            a=a, b=b, c=c, group=group, q_mode=q_mode,
+                                            wrong_parity=variant == "ppbox-impossible"))
+    out = {}
+    for spec in specs:
+        for mode in dict.fromkeys((spec.q_mode, "none")):
+            spec2 = FamilySpec(**{**spec.to_json(), "q_mode": mode})
+            out.setdefault(json.dumps(spec2.to_json(), sort_keys=True), spec2)
+    return list(out.items())
+
+
+def _graph_text(G):
+    """`dump_graph` without its indentation, which is slow to encode."""
+    return json.dumps(graph_to_json(G), sort_keys=True)
+
+
+def builder_records():
+    """For every spec of `_builder_specs`: the graph JSON of the build, of
+    its monogamous resolution (None when nothing is polygamous) and of its
+    Kasteleyn decoration (None for skew shapes, which carry their signing),
+    and the text of its matrix; or the message of the `DomainError` that
+    refuses it.  Then, for every skew graph of `verify jt 6`, its graph
+    JSON and the text of its bipartite matrix."""
+    records = []
+    for key, spec in _builder_specs():
+        try:
+            G = build_family_graph(spec)
+            M, kind, R = _decorated_matrix(G, spec.variant)
+        except DomainError as exc:
+            records.append([key, "DomainError", str(exc)])
+            continue
+        decorated = None
+        if spec.variant != "skew-shape":
+            decorated = _graph_text(kasteleyn_percus_sign(R) if kind == "M" else kasteleyn_orient(R))
+        records.append([key, _graph_text(G), None if R is G else _graph_text(R), decorated,
+                        kind, write_matrix(M)])
+    for lam in harness._partitions_upto(6):
+        for mu in harness._mu_candidates(lam, harness._JT_MAX_MU):
+            if not harness.Partition(lam).contains(harness.Partition(mu)):
+                continue
+            for a in range(1, harness._JT_MAX_A + 1):
+                Z = build_skew_graph(lam, mu, a)
+                records.append([list(lam), list(mu), a, _graph_text(Z),
+                                write_matrix(adjacency_matrix(Z, "bipartite"))])
+    return records

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import pinned
 from oracles import (
     invariant_pps,
     plane_partitions,
@@ -655,3 +656,17 @@ class TestFamilyDispatch:
     def test_spec_json_roundtrip(self):
         spec = FamilySpec(variant="skew-shape", a=3, lam=(2, 1), mu=(1,))
         assert FamilySpec.from_json(spec.to_json()) == spec
+
+
+class TestBuildersPinned:
+    """The family builders' outputs, pinned by SHA-256: the graph JSON,
+    resolved and decorated graphs and matrix text of every spec of the
+    round suite at ceiling 8 and of the q = -1 sides at ceiling 10, with
+    and without q-weights, and of the skew graphs of `verify jt 6`.  A
+    faster builder must return the same graphs bit for bit.  The records
+    are built in `pinned.py`, which the CI job without pytest checks
+    too."""
+
+    def test_builders(self):
+        records = pinned.builder_records()
+        assert (len(records), pinned.digest(records)) == pinned.BUILDERS
