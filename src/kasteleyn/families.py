@@ -27,7 +27,6 @@ from kasteleyn.graphs import (
     monogamous_resolution,
     adjacency_matrix,
     trace_faces,
-    _corners_at,
     _cut_and_tie,
     _cut_components,
     _rotation,
@@ -182,18 +181,11 @@ def _tri_neighbors(tri):
     return [("U", x, y), ("U", x + 1, y), ("U", x, y + 1)]
 
 
-def _shared_lattice_side(t1, t2):
-    """The lattice points of the side shared by two adjacent triangles."""
-    def corners(t):
-        k, x, y = t
-        if k == "U":
-            return {(x, y), (x + 1, y), (x, y + 1)}
-        return {(x + 1, y), (x, y + 1), (x + 1, y + 1)}
-
-    shared = corners(t1) & corners(t2)
-    if len(shared) != 2:
-        raise DomainError("triangles are not adjacent")
-    return shared
+def _tri_corners(tri):
+    kind, x, y = tri
+    if kind == "U":
+        return {(x, y), (x + 1, y), (x, y + 1)}
+    return {(x + 1, y), (x, y + 1), (x + 1, y + 1)}
 
 
 def triangle_region_graph(tris, exclude_edges=()):
@@ -208,35 +200,27 @@ def triangle_region_graph(tris, exclude_edges=()):
         Vertex(i, MONO, "black" if t[0] == "U" else "white", f"{t[0]}({t[1]},{t[2]})")
         for i, t in enumerate(order)
     ]
-    coords = {vid[t]: _tri_center(t) for t in tris}
+    coords = {i: _tri_center(t) for i, t in enumerate(order)}
     edges = []
-    eid = 0
-    edge_ids = {}
     for t in order:
         if t[0] != "U":
             continue
         for nb in _tri_neighbors(t):
-            if nb in tris and frozenset((t, nb)) not in excl:
-                edges.append(Edge(eid, vid[t], vid[nb]))
-                edge_ids[frozenset((t, nb))] = eid
-                eid += 1
+            if nb in tris and not (excl and frozenset((t, nb)) in excl):
+                edges.append(Edge(len(edges), vid[t], vid[nb]))
     faces, outer = trace_faces(coords, [(e.id, e.u, e.v) for e in edges])
     G = EmbeddedGraph(verts, edges, faces, "sphere", outer, coords)
     # face -> lattice point (the unique point shared by all its triangles)
-    tri_of = {i: t for t, i in vid.items()}
+    corners = [_tri_corners(t) for t in order]
     points = []
     for fi, walk in enumerate(faces):
         if fi == outer:
             points.append(None)
             continue
-        common = None
-        for eid2, _ in walk:
-            e = G.edge(eid2)
-            side = _shared_lattice_side(tri_of[e.u], tri_of[e.v])
-            common = side if common is None else (common & side)
-        points.append(tuple(sorted(common))[0] if common and len(common) == 1 else None)
+        common = set.intersection(*(corners[v] for v in G.walk_vertices(walk)))
+        points.append(common.pop() if len(common) == 1 else None)
     G.flags["face_points"] = points
-    G.flags["triangles"] = {i: tri_of[i] for i in tri_of}
+    G.flags["triangles"] = dict(enumerate(order))
     G.validate()
     return G
 
@@ -421,28 +405,6 @@ def _edge_perm_from_vertex_perm(G, vperm):
 # rotation quotients
 
 
-def _map_walk(G, walk, vperm, eperm):
-    out = []
-    for eid, fwd in walk:
-        e = G.edge(eid)
-        img = G.edge(eperm[eid])
-        tail = e.u if fwd else e.v
-        out.append((img.id, img.u == vperm[tail]))
-    return out
-
-
-def _canon_cycle(walk):
-    n = len(walk)
-    if n == 0:
-        return ()
-    best = None
-    for s in range(n):
-        rot = tuple(walk[s:] + walk[:s])
-        if best is None or rot < best:
-            best = rot
-    return best
-
-
 def quotient_by_rotations(G, tri_maps):
     """Quotient of a triangle-region graph by a group of orientation
     preserving automorphisms given as triangle maps (identity included)."""
@@ -481,20 +443,20 @@ def quotient_by_rotations(G, tri_maps):
         e = G.edge(eid)
         edges.append(Edge(eid, v_rep[e.u], v_rep[e.v], e.weight))
 
-    # face orbits; a face with stabilizer of order t contributes one walk of
-    # one period (len / t)
-    keys = [_canon_cycle(w) for w in G.faces]
-    key_to_face = {}
-    for fi, k in enumerate(keys):
-        key_to_face.setdefault(k, []).append(fi)
+    # face orbits: every dart lies on exactly one face walk, so a group
+    # element maps a face onto the face of the image of its first dart; a
+    # face with stabilizer of order t contributes one walk of one period
+    # (len / t)
+    face_of = {dart: fi for fi, walk in enumerate(G.faces) for dart in walk}
     face_orbits = {}
     for fi, walk in enumerate(G.faces):
-        images = set()
-        for vp, ep in zip(vperms, eperms):
-            images.add(_canon_cycle(_map_walk(G, list(walk), vp, ep)))
+        eid, fwd = walk[0]
+        e = G.edge(eid)
+        tail = e.u if fwd else e.v
         members = set()
-        for k in images:
-            members.update(key_to_face.get(k, ()))
+        for vp, ep in zip(vperms, eperms):
+            img = G.edge(ep[eid])
+            members.add(face_of[img.id, img.u == vp[tail]])
         face_orbits[fi] = frozenset(members)
 
     done = set()
@@ -739,14 +701,15 @@ def _weight_by_face_system(Z, spec, mode):
             delta = len({f(p) for f in pmaps})
         else:
             delta = 1
-        row = [0] * len(eids)
+        row = {}
         for eid, fwd in walk:
-            row[col[eid]] += _face_entry_sign(Z, eid, fwd)
-        rows.append(row)
+            j = col[eid]
+            row[j] = row.get(j, 0) + _face_entry_sign(Z, eid, fwd)
+        rows.append({j: x for j, x in row.items() if x})
         rhs.append(delta)
-    sol = _solve_rational(rows, rhs)
+    sol = _solve_rational(rows, rhs, len(eids))
     if sol is None:
-        sol = _solve_rational(rows, [-d for d in rhs])
+        sol = _solve_rational(rows, [-d for d in rhs], len(eids))
     if sol is None:
         raise DomainError("face exponent system is insoluble")
     out = Z.clone()
@@ -759,35 +722,51 @@ def _weight_by_face_system(Z, spec, mode):
     return out
 
 
-def _solve_rational(rows, rhs):
-    m = len(rows)
-    if m == 0:
-        return [Fraction(0)] * 0
-    n = len(rows[0])
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+def _solve_rational(rows, rhs, n):
+    """A rational solution of the system sum_j rows[i][j] x_j = rhs[i] in n
+    unknowns, each row a map column -> nonzero int, with every free
+    unknown 0; None if the system is insoluble.  Gauss-Jordan on sparse
+    rows, pivoting on the columns in increasing order: the solution is
+    read off the reduced row echelon form, which is unique."""
+    # the right-hand side rides along as column n; entries stay ints until
+    # a pivot other than 1 or -1 divides them
+    A = [dict(row) for row in rows]
+    for row, b in zip(A, rhs):
+        if b:
+            row[n] = b
+    m = len(A)
     piv_cols = []
     r = 0
     for cidx in range(n):
-        piv = next((i for i in range(r, m) if A[i][cidx] != 0), None)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if cidx in A[i]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        pv = A[r][cidx]
-        A[r] = [x / pv for x in A[r]]
+        prow = A[r]
+        pv = prow[cidx]
+        if pv == -1:
+            prow = A[r] = {j: -x for j, x in prow.items()}
+        elif pv != 1:
+            prow = A[r] = {j: Fraction(x) / pv for j, x in prow.items()}
         for i in range(m):
-            if i != r and A[i][cidx] != 0:
-                f = A[i][cidx]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+            f = A[i].get(cidx) if i != r else None
+            if f:
+                row = A[i]
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
         piv_cols.append(cidx)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
+    if any(n in A[i] for i in range(r, m)):
+        return None
     sol = [Fraction(0)] * n
     for i, cidx in enumerate(piv_cols):
-        sol[cidx] = A[i][n]
+        sol[cidx] = Fraction(A[i].get(n, 0))
     return sol
 
 
@@ -880,26 +859,36 @@ def transit_free_resolution(g):
     lset, rset = set(lefts), set(rights)
     verts = set(g.vertices) - coincident
     # reduction: edges into a left endpoint or out of a right endpoint are
-    # unusable; non-endpoint sources/sinks die iteratively
+    # unusable; a vertex other than an endpoint left without an in-edge or
+    # without an out-edge dies with its edges, until none is left
     edges = [
         e for e in g.edges
         if e[2] not in lset and e[1] not in rset
         and e[1] not in coincident and e[2] not in coincident
     ]
-    while True:
-        indeg = {v: 0 for v in verts}
-        outdeg = {v: 0 for v in verts}
-        edges = [e for e in edges if e[1] in verts and e[2] in verts]
-        for _, t, h, _ in edges:
-            indeg[h] += 1
-            outdeg[t] += 1
-        drop = {
-            v for v in verts
-            if v not in lset and v not in rset and (indeg[v] == 0 or outdeg[v] == 0)
-        }
-        if not drop:
-            break
-        verts -= drop
+    indeg = dict.fromkeys(verts, 0)
+    outdeg = dict.fromkeys(verts, 0)
+    succ = {v: [] for v in verts}
+    pred = {v: [] for v in verts}
+    for _, t, h, _ in edges:
+        indeg[h] += 1
+        outdeg[t] += 1
+        succ[t].append(h)
+        pred[h].append(t)
+    endpoints = lset | rset
+    dead = {v for v in verts if v not in endpoints and not (indeg[v] and outdeg[v])}
+    stack = list(dead)
+    while stack:
+        v = stack.pop()
+        for deg, nbrs in ((indeg, succ[v]), (outdeg, pred[v])):
+            for w in nbrs:
+                if w not in dead:
+                    deg[w] -= 1
+                    if not deg[w] and w not in endpoints:
+                        dead.add(w)
+                        stack.append(w)
+    verts -= dead
+    edges = [e for e in edges if e[1] in verts and e[2] in verts]
     if len(lefts) != len(rights):
         raise DomainError("endpoint counts differ after reduction")
     if not verts:
@@ -934,16 +923,12 @@ def transit_free_resolution(g):
     )
     base.validate()
 
-    indeg = {v: 0 for v in verts}
-    outdeg = {v: 0 for v in verts}
-    for i, t, h in plain_edges:
-        indeg[h] += 1
-        outdeg[t] += 1
+    # indeg and outdeg now count the edges kept
     transit = sorted(v for v in verts if indeg[v] > 0 and outdeg[v] > 0)
     s = _Surgeon(base)
     source_copies = []
     for p in transit:
-        corners = _corners_at(s.edges, s.faces, p)
+        corners = s.corners_at(p)
         rot = _rotation(corners, p)
         is_out = [direction[eid][0] == p for eid in rot]
         k = len(rot)
@@ -959,12 +944,11 @@ def transit_free_resolution(g):
         r, m = s.split_off(p, corners, rot[st - 1], out_run, MONO, f"src({p})")
         source_copies.append(r)
         weight[m] = -1
-    resolved = s.graph()
 
     sources = lefts + source_copies
     sinks = rights + transit
     source_set = set(sources)
-    if source_set | set(sinks) != {v.id for v in resolved.vertices}:
+    if source_set | set(sinks) != set(s.verts):
         raise DomainError("source/sink classification missed a vertex")
     new_id = {}
     for i, v in enumerate(sources):
@@ -972,19 +956,20 @@ def transit_free_resolution(g):
     for j, v in enumerate(sinks):
         new_id[v] = len(sources) + j
     verts_out = []
-    for v in resolved.vertices:
-        color = "black" if v.id in source_set else "white"
-        verts_out.append(Vertex(new_id[v.id], MONO, color, v.label))
+    for vid in sorted(s.verts):
+        color = "black" if vid in source_set else "white"
+        verts_out.append(Vertex(new_id[vid], MONO, color, s.verts[vid].label))
     edges_out = []
-    for e in resolved.edges:
-        w = weight[e.id]
+    for eid in sorted(s.edges):
+        e = s.edges[eid]
+        w = weight[eid]
         sign = 1
         if isinstance(w, int) and w < 0:
             sign, w = -1, -w
-        edges_out.append(Edge(e.id, new_id[e.u], new_id[e.v], w, sign))
+        edges_out.append(Edge(eid, new_id[e.u], new_id[e.v], w, sign))
     out = EmbeddedGraph(
-        verts_out, edges_out, resolved.faces, "sphere", resolved.infinite_face,
-        {new_id[v]: resolved.coords[v] for v in resolved.coords if v in new_id},
+        verts_out, edges_out, s.faces, "sphere", s.infinite,
+        {new_id[v]: s.coords[v] for v in s.coords if v in new_id},
     )
     out.flags["n_endpoints"] = len(lefts)
     out.validate()

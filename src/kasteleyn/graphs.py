@@ -90,8 +90,9 @@ class Edge:
 class EmbeddedGraph:
     """Planar (sphere with marked infinite face) or projective-plane graph.
 
-    faces: list of walks, each walk a tuple of (edge_id, forward) entries;
-    forward means the walk traverses the edge u -> v.
+    faces: list of walks, each walk a sequence of (edge_id, forward)
+    tuples, stored as a tuple; forward means the walk traverses the edge
+    u -> v.  Entries are taken as given: `graph_from_json` coerces text.
     """
 
     def __init__(self, vertices, edges, faces, surface="sphere",
@@ -100,7 +101,7 @@ class EmbeddedGraph:
             raise DomainError(f"bad surface {surface!r}")
         self.vertices = list(vertices)
         self.edges = list(edges)
-        self.faces = [tuple((int(e), bool(d)) for e, d in walk) for walk in faces]
+        self.faces = [tuple(walk) for walk in faces]
         self.surface = surface
         self.infinite_face = infinite_face
         self.coords = dict(coords) if coords else {}
@@ -111,12 +112,12 @@ class EmbeddedGraph:
             raise DomainError("duplicate vertex ids")
         if len(self._emap) != len(self.edges):
             raise DomainError("duplicate edge ids")
-        self._adj = {v.id: [] for v in self.vertices}
+        adj = self._adj = {v.id: [] for v in self.vertices}
         for e in self.edges:
-            self._adj[e.u].append(e.id)
-            if not e.is_loop():
-                self._adj[e.v].append(e.id)
-        for lst in self._adj.values():
+            adj[e.u].append(e.id)
+            if e.v != e.u:
+                adj[e.v].append(e.id)
+        for lst in adj.values():
             lst.sort()
 
     # -- access
@@ -150,6 +151,7 @@ class EmbeddedGraph:
         return True
 
     def _n_components(self):
+        emap, adj = self._emap, self._adj
         seen = set()
         out = 0
         for start in self._vmap:
@@ -160,8 +162,9 @@ class EmbeddedGraph:
             seen.add(start)
             while stack:
                 v = stack.pop()
-                for eid in self._adj[v]:
-                    w = self._emap[eid].other(v)
+                for eid in adj[v]:
+                    e = emap[eid]
+                    w = e.v if e.u == v else e.u
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -198,19 +201,21 @@ class EmbeddedGraph:
         return out
 
     def validate(self):
+        emap = self._emap
         seen = {}
         for walk in self.faces:
             prev_head = None
             for eid, fwd in walk:
-                e = self._emap[eid]
+                e = emap.get(eid)
+                if e is None:
+                    raise DomainError(f"face walk names unknown edge {eid!r}")
                 seen[eid] = seen.get(eid, 0) + 1
-                tail = e.u if fwd else e.v
-                head = e.v if fwd else e.u
+                tail, head = (e.u, e.v) if fwd else (e.v, e.u)
                 if prev_head is not None and tail != prev_head:
                     raise DomainError(f"face walk not connected at edge {eid}")
                 prev_head = head
             if walk:
-                first = self._emap[walk[0][0]]
+                first = emap[walk[0][0]]
                 tail0 = first.u if walk[0][1] else first.v
                 if prev_head != tail0:
                     raise DomainError("face walk does not close")
@@ -232,8 +237,9 @@ class EmbeddedGraph:
             if self.infinite_face is None or not (0 <= self.infinite_face < len(self.faces)):
                 raise DomainError("sphere graphs need a designated infinite face")
         if all(v.color is not None for v in self.vertices):
+            vmap = self._vmap
             for e in self.edges:
-                if not e.is_loop() and self.vertex(e.u).color == self.vertex(e.v).color:
+                if e.u != e.v and vmap[e.u].color == vmap[e.v].color:
                     raise DomainError(f"coloring not proper at edge {e.id}")
         return True
 
@@ -241,7 +247,7 @@ class EmbeddedGraph:
         return EmbeddedGraph(
             [v.clone() for v in self.vertices],
             [e.clone() for e in self.edges],
-            [list(w) for w in self.faces],
+            self.faces,
             self.surface,
             self.infinite_face,
             self.coords,
@@ -300,21 +306,51 @@ def graph_to_json(G):
     return data
 
 
+def _json_field(record, key, where):
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise DomainError(f"graph JSON: {where} lacks the field {key!r}") from None
+
+
+def _json_int(value, where):
+    """An integer id from JSON; bools and text other than an integer are
+    refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise DomainError(f"graph JSON: {where} is not an integer: {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise DomainError(f"graph JSON: {where} is not an integer: {value!r}") from None
+
+
 def graph_from_json(data):
+    """The graph of `graph_to_json`; malformed data raises DomainError
+    naming the field."""
     verts = [
-        Vertex(v["id"], v.get("kind", MONO), v.get("color"), v.get("label"))
-        for v in data["vertices"]
+        Vertex(_json_int(_json_field(v, "id", "a vertex"), "vertex id"),
+               v.get("kind", MONO), v.get("color"), v.get("label"))
+        for v in _json_field(data, "vertices", "the graph")
     ]
-    edges = [
-        Edge(
-            e["id"], e["u"], e["v"],
-            _weight_parse(e.get("weight", "1")),
-            e.get("sign"),
-            e.get("orientation"),
-        )
-        for e in data["edges"]
-    ]
-    faces = [[(entry[0], bool(entry[1])) for entry in walk] for walk in data["faces"]]
+    vids = {v.id for v in verts}
+    edges = []
+    for e in _json_field(data, "edges", "the graph"):
+        eid = _json_int(_json_field(e, "id", "an edge"), "edge id")
+        u, v = (_json_int(_json_field(e, end, f"edge {eid}"), f"edge {eid} end {end}")
+                for end in ("u", "v"))
+        if u not in vids or v not in vids:
+            raise DomainError(f"graph JSON: edge {eid} ends at an unknown vertex")
+        edges.append(Edge(eid, u, v, _weight_parse(e.get("weight", "1")),
+                          e.get("sign"), e.get("orientation")))
+    faces = []
+    for fi, walk in enumerate(_json_field(data, "faces", "the graph")):
+        entries = []
+        for entry in walk:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise DomainError(f"graph JSON: an entry of face {fi} is not an "
+                                  f"[edge id, forward] pair: {entry!r}")
+            entries.append((_json_int(entry[0], f"an edge id of face {fi}"), bool(entry[1])))
+        faces.append(entries)
     coords = {int(k): tuple(v) for k, v in data.get("coords", {}).items()}
     return EmbeddedGraph(
         verts, edges, faces, data.get("surface", "sphere"),
@@ -334,21 +370,17 @@ def load_graph(text):
 # face tracing from integer coordinates
 
 
-def _angle_cmp(a, b):
-    """Counterclockwise comparison of nonzero integer vectors."""
-    def half(p):
-        x, y = p
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+def _direction(x, y):
+    """The nonzero integer vector (x, y) as (half, x, y) for `_angle_cmp`:
+    half is 0 from the positive x-axis up to, not including, the negative
+    x-axis, and 1 from there on."""
+    return (0 if y > 0 or (y == 0 and x > 0) else 1, x, y)
 
-    ha, hb = half(a), half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+
+def _angle_cmp(a, b):
+    """Counterclockwise comparison of two `_direction` triples: negative
+    when a comes first, 0 when they point the same way."""
+    return (a[0] - b[0]) or (a[2] * b[1] - a[1] * b[2])
 
 
 def trace_faces(coords, edge_list):
@@ -361,62 +393,56 @@ def trace_faces(coords, edge_list):
     (edge_id, forward) entries; the outer face is the clockwise one.
     """
     out_darts = {v: [] for v in coords}
+    vec = {}
+    cross = {}
     for eid, u, v in edge_list:
         if u == v:
             raise DomainError("face tracing does not handle self-loops")
         out_darts[u].append((eid, True))
         out_darts[v].append((eid, False))
-    ends = {(eid, d): (u if d else v, v if d else u) for eid, u, v in edge_list for d in (True, False)}
+        (x1, y1), (x2, y2) = coords[u], coords[v]
+        vec[eid, True] = _direction(x2 - x1, y2 - y1)
+        vec[eid, False] = _direction(x1 - x2, y1 - y2)
+        # twice the signed area the dart sweeps about the origin
+        cross[eid, True] = x1 * y2 - x2 * y1
+        cross[eid, False] = x2 * y1 - x1 * y2
 
-    def vec(dart):
-        tail, head = ends[dart]
-        return (coords[head][0] - coords[tail][0], coords[head][1] - coords[tail][1])
+    def rotation_cmp(a, b):
+        # a sort compares every two darts that end up adjacent, so two
+        # darts in one direction always meet here
+        c = _angle_cmp(vec[a], vec[b])
+        if c == 0:
+            raise DomainError(f"parallel edge directions at vertex {v}")
+        return c
 
-    rotation = {}
+    # the dart after each dart on its face: at the head, the clockwise
+    # neighbour of the reversed dart, which keeps the face on the left
+    nxt = {}
     for v, darts in out_darts.items():
-        darts.sort(key=cmp_to_key(lambda a, b: _angle_cmp(vec(a), vec(b))))
-        for i in range(len(darts)):
-            if i + 1 < len(darts) and _angle_cmp(vec(darts[i]), vec(darts[i + 1])) == 0:
-                raise DomainError(f"parallel edge directions at vertex {v}")
-        rotation[v] = darts
+        darts.sort(key=cmp_to_key(rotation_cmp))
+        for i, (eid, d) in enumerate(darts):
+            nxt[eid, not d] = darts[i - 1]
 
-    def next_dart(dart):
-        eid, d = dart
-        tail, head = ends[dart]
-        rev = (eid, not d)
-        darts = rotation[head]
-        i = darts.index(rev)
-        # clockwise-next from the reversed dart keeps the face on the left
-        return darts[(i - 1) % len(darts)]
-
+    # each walk starts at its least dart; a traced dart leaves nxt
     faces = []
-    used = set()
-    for start in sorted(ends):
-        if start in used:
+    for start in sorted(nxt):
+        if start not in nxt:
             continue
         walk = []
         dart = start
         while True:
             walk.append(dart)
-            used.add(dart)
-            dart = next_dart(dart)
+            dart = nxt.pop(dart)
             if dart == start:
                 break
         faces.append(walk)
-
-    def signed_area(walk):
-        total = 0
-        for dart in walk:
-            tail, head = ends[dart]
-            (x1, y1), (x2, y2) = coords[tail], coords[head]
-            total += x1 * y2 - x2 * y1
-        return total
 
     if len(faces) == 1:
         return faces, 0
     # the outer face is the most-clockwise walk (holes and the outer walks of
     # other components are also clockwise but enclose less area)
-    outer = min(range(len(faces)), key=lambda i: (signed_area(faces[i]), faces[i][0]))
+    area = [sum(cross[dart] for dart in walk) for walk in faces]
+    outer = min(range(len(faces)), key=lambda i: (area[i], faces[i][0]))
     return faces, outer
 
 
@@ -664,7 +690,12 @@ def adjacency_matrix(G, mode):
     ring = G.ring()
     ad = ring_adapter(ring)
     zero, coerce = ad.zero, ad.coerce
-    # each weight is coerced once; sums of canonical entries stay canonical
+
+    def put(row, j, x):
+        # each weight is coerced once and stored as it is; only parallel
+        # edges add, and sums of canonical entries stay canonical
+        row[j] = x if row[j] is zero else row[j] + x
+
     if mode == "bipartite":
         if not G.is_bipartite_colored():
             raise DomainError("bipartite matrix needs a properly colored graph")
@@ -679,7 +710,8 @@ def adjacency_matrix(G, mode):
             if e.is_loop():
                 continue
             b, w = (e.u, e.v) if G.vertex(e.u).color == "black" else (e.v, e.u)
-            grid[bi[b]][wi[w]] = grid[bi[b]][wi[w]] + e.sign * coerce(e.weight)
+            x = coerce(e.weight)
+            put(grid[bi[b]], wi[w], x if e.sign == 1 else -x)
         return ExactMatrix._of_ring_elements(len(blacks), len(whites), ring, grid)
     if mode == "alternating":
         if any(e.orient is None for e in G.edges):
@@ -691,14 +723,10 @@ def adjacency_matrix(G, mode):
         for e in G.edges:
             if e.is_loop():
                 continue
-            i, j = pos[e.u], pos[e.v]
+            i, j = (pos[e.u], pos[e.v]) if e.orient == 1 else (pos[e.v], pos[e.u])
             w = coerce(e.weight)
-            if e.orient == 1:
-                grid[i][j] = grid[i][j] + w
-                grid[j][i] = grid[j][i] - w
-            else:
-                grid[j][i] = grid[j][i] + w
-                grid[i][j] = grid[i][j] - w
+            put(grid[i], j, w)
+            put(grid[j], i, -w)
         return ExactMatrix._of_ring_elements(n, n, ring, grid)
     raise DomainError(f"unknown adjacency mode {mode!r}")
 
@@ -888,12 +916,14 @@ def is_valid_matching(G, edge_ids):
 # rotation/corner machinery for surgeries
 
 
-def _corners_at(edges, faces, vid):
+def _corners_at(edges, faces, vid, face_ids=None):
     """Corners at vid: arriving-edge-id -> (departing-edge-id, face index,
     position of the departing entry in the face walk); edges maps ids to
-    edges."""
+    edges.  Only the faces in face_ids are scanned, when it is given; it
+    must hold every face through vid."""
     corners = {}
-    for fi, walk in enumerate(faces):
+    for fi in range(len(faces)) if face_ids is None else sorted(face_ids):
+        walk = faces[fi]
         L = len(walk)
         for pos, (eid, fwd) in enumerate(walk):
             e = edges[eid]
@@ -933,7 +963,12 @@ def rotation_at(G, vid):
 
 
 class _Surgeon:
-    """Mutable graph editor used by the resolution and quotient surgeries."""
+    """Mutable graph editor used by the resolution and quotient surgeries.
+
+    It keeps the incidence of every vertex: `edges_at[v]`, the ids of the
+    edges at v, and `faces_at[v]`, a set of face indices holding every face
+    whose walk passes through v (it may hold more), so that the corners at
+    a vertex are found without scanning every face."""
 
     def __init__(self, G):
         self.verts = {v.id: v.clone() for v in G.vertices}
@@ -945,6 +980,14 @@ class _Surgeon:
         self.flags = dict(G.flags)
         self.next_vid = max(self.verts, default=-1) + 1
         self.next_eid = max(self.edges, default=-1) + 1
+        self.edges_at = {v: set(G.incident(v)) for v in self.verts}
+        self.faces_at = {v: set() for v in self.verts}
+        for fi, walk in enumerate(G.faces):
+            for v in G.walk_vertices(walk):
+                self.faces_at[v].add(fi)
+
+    def corners_at(self, vid):
+        return _corners_at(self.edges, self.faces, vid, self.faces_at[vid])
 
     def graph(self):
         return EmbeddedGraph(
@@ -957,17 +1000,30 @@ class _Surgeon:
             self.flags,
         )
 
-    def new_vertex(self, kind=MONO, color=None, label=None):
+    def new_vertex(self, kind, color, label, faces):
+        """A new vertex on (at most) the given faces."""
         vid = self.next_vid
         self.next_vid += 1
         self.verts[vid] = Vertex(vid, kind, color, label)
+        self.edges_at[vid] = set()
+        self.faces_at[vid] = set(faces)
         return vid
+
+    def remove_vertex(self, vid):
+        del self.verts[vid], self.edges_at[vid], self.faces_at[vid]
 
     def new_edge(self, u, v, weight=1):
         eid = self.next_eid
         self.next_eid += 1
         self.edges[eid] = Edge(eid, u, v, weight)
+        self.edges_at[u].add(eid)
+        self.edges_at[v].add(eid)
         return eid
+
+    def remove_edge(self, eid):
+        e = self.edges.pop(eid)
+        self.edges_at[e.u].discard(eid)
+        self.edges_at[e.v].discard(eid)
 
     def reattach(self, eid, old, new):
         e = self.edges[eid]
@@ -977,13 +1033,16 @@ class _Surgeon:
             e.v = new
         else:
             raise DomainError("reattach endpoint mismatch")
+        self.edges_at[old].discard(eid)
+        self.edges_at[new].add(eid)
 
     def split_off(self, vid, corners, before, run, kind, label):
         """Move the rotation run `run` at vid (entered from the corner
         before -> run[0]) onto a new vertex w, joined to vid by a new edge m
         spliced into the two cut corners; returns (w, m)."""
         self.verts[vid].color = None
-        w = self.new_vertex(kind, None, label)
+        # every face through w passed through vid before the split
+        w = self.new_vertex(kind, None, label, self.faces_at[vid])
         m = self.new_edge(vid, w)
         _insert_entries(self, [
             corners[before][1:] + ((m, True),),    # vid -> w before run[0]
@@ -997,13 +1056,13 @@ class _Surgeon:
 def _resolve_step(s, vid):
     """Apply one monogamy move at polygamous vertex vid."""
     v = s.verts[vid]
-    inc = [e for e in s.edges.values() if vid in (e.u, e.v)]
+    inc = [s.edges[eid] for eid in s.edges_at[vid]]
     if any(e.is_loop() for e in inc):
         raise DomainError("self-loop at a polygamous vertex is not supported")
     d = len(inc)
     if d == 0:
         if v.kind == EVEN:
-            del s.verts[vid]
+            s.remove_vertex(vid)
             empty = next((i for i, w in enumerate(s.faces) if not w), None)
             if empty is not None:
                 if s.infinite is not None and s.infinite > empty:
@@ -1011,6 +1070,8 @@ def _resolve_step(s, vid):
                 elif s.infinite == empty:
                     s.infinite = 0 if len(s.faces) > 1 else None
                 del s.faces[empty]
+                s.faces_at = {u: {f - (f > empty) for f in fs if f != empty}
+                              for u, fs in s.faces_at.items()}
         else:
             v.kind = MONO
         return
@@ -1019,23 +1080,24 @@ def _resolve_step(s, vid):
             v.kind = MONO
             return
         e = inc[0]
+        # both sides of the edge lie on faces through vid
         hits = [
             (fi, pos)
-            for fi, walk in enumerate(s.faces)
-            for pos, (eid, _) in enumerate(walk)
+            for fi in sorted(s.faces_at[vid])
+            for pos, (eid, _) in enumerate(s.faces[fi])
             if eid == e.id
         ]
         if len(hits) != 2 or hits[0][0] != hits[1][0]:
             raise DomainError("pendant edge should be a bridge on one face")
         fi = hits[0][0]
         s.faces[fi] = [ent for ent in s.faces[fi] if ent[0] != e.id]
-        del s.edges[e.id]
-        del s.verts[vid]
+        s.remove_edge(e.id)
+        s.remove_vertex(vid)
         return
     if d == 2 and v.kind == ODD:
         v.kind = MONO
         return
-    corners = _corners_at(s.edges, s.faces, vid)
+    corners = s.corners_at(vid)
     rot = _rotation(corners, vid)
     if d <= 3 and v.kind == EVEN:
         # degree 2 becomes a monogamous path; degree 3 keeps one edge on vid
@@ -1048,8 +1110,10 @@ def _resolve_step(s, vid):
         e1, e2, e3 = rot
         v.kind = MONO
         v.color = None
-        v2 = s.new_vertex(MONO, None, label=None)
-        v3 = s.new_vertex(MONO, None, label=None)
+        # the triangle v2, v3, vid becomes a new face at the end
+        s.faces_at[vid].add(len(s.faces))
+        v2 = s.new_vertex(MONO, None, None, s.faces_at[vid])
+        v3 = s.new_vertex(MONO, None, None, s.faces_at[vid])
         t12 = s.new_edge(vid, v2)
         t23 = s.new_edge(v2, v3)
         t31 = s.new_edge(v3, vid)
@@ -1119,12 +1183,12 @@ def triple_edges(G):
         for eid in sorted(eids)[1:]:
             e = s.edges[eid]
             u, v, w = e.u, e.v, e.weight
-            x = s.new_vertex(MONO, _opposite(s.verts[u].color))
-            y = s.new_vertex(MONO, s.verts[u].color)
+            x = s.new_vertex(MONO, _opposite(s.verts[u].color), None, s.faces_at[u])
+            y = s.new_vertex(MONO, s.verts[u].color, None, s.faces_at[u])
             e_mid = s.new_edge(x, y)
             e_end = s.new_edge(y, v)
             # reuse eid for the u-x stub, keeping its weight
-            e.v = x
+            s.reattach(eid, v, x)
             s.edges[e_mid].weight = 1
             s.edges[e_end].weight = 1
             for fi, walk in enumerate(s.faces):

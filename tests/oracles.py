@@ -4,8 +4,9 @@ Schur specializations, the permutation expansion of a determinant, a
 ring-generic Bareiss determinant, the row expansion of a Pfaffian, a candidate-by-candidate Laurent lattice
 step, Laurent long division, the Fourier duality matrix built from
 the witness transforms and rational inverses, the dense
-row-by-column matrix product and Kronecker product, and the matching
-frontier program on frozenset states with LaurentPoly totals."""
+row-by-column matrix product and Kronecker product, the matching
+frontier program on frozenset states with LaurentPoly totals, and the
+dense Gauss-Jordan solve of a rational linear system."""
 
 import cmath
 import math
@@ -484,3 +485,36 @@ def enumerate_matchings_reference(G, count_guard=64, list_guard=28):
         return MatchingSet(count, total)
     return MatchingSet(count, total, [frozenset(m) for m, _ in partial],
                        [x for _, x in partial])
+
+
+def solve_rational_reference(rows, rhs, n):
+    """A rational solution of the dense system rows x = rhs in n unknowns,
+    with every free unknown 0, or None if it is insoluble: Gauss-Jordan on
+    full rows of Fractions, pivoting on the columns in increasing order and
+    taking the first row below with a nonzero entry."""
+    m = len(rows)
+    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    piv_cols = []
+    r = 0
+    for cidx in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if A[i][cidx] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        pv = A[r][cidx]
+        A[r] = [x / pv for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][cidx] != 0:
+                f = A[i][cidx]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        piv_cols.append(cidx)
+        r += 1
+    for i in range(r, m):
+        if A[i][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for i, cidx in enumerate(piv_cols):
+        sol[cidx] = A[i][n]
+    return sol

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import kasteleyn
@@ -13,7 +15,10 @@ from kasteleyn.graphs import (
     EmbeddedGraph,
     Vertex,
     adjacency_matrix,
+    graph_from_json,
+    graph_to_json,
     kasteleyn_orient,
+    load_graph,
     reflection_quotient,
 )
 from kasteleyn.harness import oracle_guard, run_report
@@ -171,3 +176,59 @@ def test_transit_resolution_rejects_unsegregated_vertex():
     )
     with pytest.raises(DomainError, match="segregated"):
         transit_free_resolution(g)
+
+
+def _aztec_1_json(edit):
+    data = graph_to_json(build_aztec_graph(1))
+    edit(data)
+    return json.dumps(data)
+
+
+def _set(path, value):
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda data: data.pop("faces"), "'faces'"),
+    (lambda data: data.pop("edges"), "'edges'"),
+    (lambda data: data["vertices"][0].pop("id"), "'id'"),
+    (lambda data: data["edges"][1].pop("v"), "'v'"),
+    (_set(("faces", 0, 0), [3]), "face 0"),
+    (_set(("faces", 1, 2), 7), "face 1"),
+    (_set(("faces", 0, 0, 0), "a"), "edge id of face 0"),
+    (_set(("faces", 0, 0, 0), None), "edge id of face 0"),
+    (_set(("edges", 0, "id"), "a"), "edge id"),
+    (_set(("edges", 0, "u"), 9), "unknown vertex"),
+    (_set(("vertices", 2, "id"), 2.5), "vertex id"),
+])
+def test_malformed_graph_json_raises_domain_error(edit, field):
+    # each malformed field is named, not met as a bare KeyError, IndexError
+    # or ValueError
+    text = _aztec_1_json(edit)
+    with pytest.raises(DomainError, match=field):
+        load_graph(text)
+    with pytest.raises(DomainError, match=field):
+        graph_from_json(json.loads(text))
+
+
+def test_graph_json_with_an_unknown_edge_in_a_face():
+    G = load_graph(_aztec_1_json(_set(("faces", 0, 0, 0), 99)))
+    with pytest.raises(DomainError, match="unknown edge 99"):
+        G.validate()
+
+
+def test_graph_json_coerces_face_entries():
+    # ids given as text and directions as 0/1 are read as the graph's ints
+    # and bools
+    G = build_aztec_graph(1)
+    data = graph_to_json(G)
+    data["faces"] = [[[str(eid), int(fwd)] for eid, fwd in walk] for walk in data["faces"]]
+    H = graph_from_json(data)
+    assert H.faces == G.faces
+    assert all(type(eid) is int and type(fwd) is bool for walk in H.faces for eid, fwd in walk)
+    assert H.validate()

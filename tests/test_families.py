@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -10,10 +11,12 @@ from oracles import (
     pp_qgen_cubes,
     pp_qgen_orbits,
     skew_tableaux_qgen,
+    solve_rational_reference,
 )
 
 from kasteleyn.families import (
     FamilySpec,
+    _solve_rational,
     GVGraph,
     Partition,
     antipodal_cube_quotient,
@@ -47,6 +50,9 @@ from kasteleyn.families import (
 )
 from kasteleyn.graphs import (
     MONO,
+    Edge,
+    EmbeddedGraph,
+    Vertex,
     adjacency_matrix,
     dump_graph,
     enumerate_matchings,
@@ -277,6 +283,86 @@ class TestQuotientQWeights:
         else:
             expected = pp_qgen_orbits(pps, group, a, b, c)
         assert polys_equal_up_to_unit(total, expected)
+
+
+class TestFaceExponentSolve:
+    """`_solve_rational` keeps its rows sparse; the dense Gauss-Jordan solve
+    `solve_rational_reference` is its oracle.  Both pivot on the columns in
+    increasing order, and the reduced row echelon form is unique, so they
+    return the same solution, or both None."""
+
+    @staticmethod
+    def _random_system(rng):
+        """A random 0/+-1 system; one in three has its last row equal to
+        plus or minus an earlier row (rank deficient), one in three the same
+        with the right-hand side off by one (insoluble)."""
+        m, n = rng.randint(1, 8), rng.randint(1, 10)
+        rows = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.choice((0, 1, -1, 2)) for _ in range(m)]
+        kind = rng.randrange(3) if m > 1 else 0
+        if kind:
+            i, sign = rng.randrange(m - 1), rng.choice((1, -1))
+            rows[-1] = [sign * x for x in rows[i]]
+            rhs[-1] = sign * rhs[i] + (kind == 2)
+        return rows, rhs, n, kind
+
+    def test_fuzz_against_dense_reference(self):
+        rng = random.Random(22)
+        seen = {"deficient": 0, "insoluble": 0, "fractional": 0}
+        for _ in range(600):
+            rows, rhs, n, kind = self._random_system(rng)
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+            got = _solve_rational(sparse, rhs, n)
+            want = solve_rational_reference(rows, rhs, n)
+            assert got == want, (rows, rhs)
+            seen["deficient"] += kind == 1
+            if kind == 2:
+                assert got is None
+            if got is None:
+                seen["insoluble"] += 1
+                continue
+            seen["fractional"] += any(x.denominator != 1 for x in got)
+            assert all(sum(c * x for c, x in zip(row, got)) == b for row, b in zip(rows, rhs))
+        assert min(seen.values()) >= 20, seen
+
+    def test_no_rows(self):
+        assert _solve_rational([], [], 3) == [0, 0, 0]
+        assert solve_rational_reference([], [], 3) == [0, 0, 0]
+
+    @staticmethod
+    def _one_edge(walk):
+        """An edge from black 0 to white 1 with one finite face `walk` and
+        an outer face, each without a lattice point."""
+        verts = [Vertex(0, color="black"), Vertex(1, color="white")]
+        faces = [walk, [(0, True), (0, False)]]
+        return EmbeddedGraph(verts, [Edge(0, 0, 1)], faces, "sphere", 1,
+                             flags={"face_points": [None, None]})
+
+    def test_insoluble_face_system(self):
+        # a face crossing its edge both ways has the row 0 = +-1; no builder
+        # makes one, so only a hand-made graph reaches this guard
+        spec = FamilySpec(variant="ppbox-quotient", a=1, b=1, c=1, group="tau")
+        with pytest.raises(DomainError, match="insoluble"):
+            apply_q_weights(self._one_edge([(0, True), (0, False)]), spec, "orbit")
+
+    def test_face_system_without_integer_solution(self):
+        # a face crossing its edge twice from the black end: 2 x = 1
+        spec = FamilySpec(variant="ppbox-quotient", a=1, b=1, c=1, group="tau")
+        with pytest.raises(DomainError, match="no integer solution"):
+            apply_q_weights(self._one_edge([(0, True), (0, True)]), spec, "orbit")
+
+    @pytest.mark.parametrize("group, dims", [
+        ("kappa", (1, 1, 2)), ("kappa-tau", (2, 1, 1)), ("tau,rho,kappa", (2, 2, 2)),
+    ])
+    def test_quotients_without_finite_faces_take_unit_weights(self, group, dims):
+        # these quotients are trees: the face system has no row, every
+        # exponent is 0, and the q-weighted graph is the plain one
+        spec = FamilySpec(variant="ppbox-quotient", a=dims[0], b=dims[1], c=dims[2],
+                          group=group)
+        G = build_family_graph(spec)
+        assert len(G.faces) == 1
+        weighted = build_family_graph(FamilySpec(**{**spec.to_json(), "q_mode": "cube"}))
+        assert dump_graph(weighted) == dump_graph(G)
 
 
 class TestHexMinusTriangle:

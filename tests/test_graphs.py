@@ -106,6 +106,32 @@ class TestTraceFaces:
         # bridge edges appear twice on the single face
         assert len(G.faces[0]) == 6
 
+    def test_self_loop_rejected(self):
+        coords = {0: (0, 0), 1: (2, 0)}
+        with pytest.raises(DomainError, match="self-loops"):
+            trace_faces(coords, [(0, 0, 1), (1, 1, 1)])
+
+    @pytest.mark.parametrize("slot", range(7))
+    def test_parallel_directions_rejected(self, slot):
+        # a star of six directions plus a second, longer edge east, listed
+        # at every position; the rotation sort must meet the two east darts
+        pts = [(4, 0), (2, 4), (-2, 4), (-4, 0), (-2, -4), (2, -4)]
+        coords = {0: (0, 0), 7: (8, 0)}
+        coords.update({i + 1: p for i, p in enumerate(pts)})
+        ends = [(0, i + 1) for i in range(6)]
+        ends.insert(slot, (0, 7))
+        with pytest.raises(DomainError, match="parallel edge directions at vertex 0"):
+            trace_faces(coords, [(i, u, v) for i, (u, v) in enumerate(ends)])
+        # the same edge list without the second east edge traces
+        faces, _ = trace_faces(coords, [(i, 0, i + 1) for i in range(6)])
+        assert len(faces) == 1
+
+    def test_parallel_directions_at_the_head_rejected(self):
+        # both edges point west into vertex 0
+        coords = {0: (0, 0), 1: (2, 0), 2: (4, 0), 3: (0, 2)}
+        with pytest.raises(DomainError, match="parallel edge directions at vertex 0"):
+            trace_faces(coords, [(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+
 
 class TestValidation:
     def test_bad_face_coverage(self):
@@ -521,6 +547,29 @@ class TestResolution:
             dumps.append(dump_graph(monogamous_resolution(G)))
         assert hashlib.sha256("\n".join(dumps).encode()).hexdigest() == (
             "96c1ee6137bec5444e6fbec91697f658d2e1ea08611ac51f7765ff6026034b2c")
+
+    def test_isolated_even_vertex_dropped_with_its_face(self):
+        # the isolated even vertex 0 goes first, and with it the empty walk
+        # at face index 0; the even vertex 2 is then split on the shifted
+        # face indices, exactly as if vertex 0 had never been there
+        inner = [(0, True), (1, True), (2, True), (3, True)]
+        outer = [(3, False), (2, False), (1, False), (0, False)]
+
+        def cycle(isolated):
+            verts = [Vertex(v, EVEN if v == 2 else MONO) for v in (1, 2, 3, 4)]
+            edges = [Edge(0, 1, 2), Edge(1, 2, 3), Edge(2, 3, 4), Edge(3, 4, 1)]
+            faces = [inner, outer]
+            if isolated:
+                verts.insert(0, Vertex(0, EVEN))
+                faces.insert(0, [])
+            G = EmbeddedGraph(verts, edges, faces, "sphere", len(faces) - 1)
+            G.validate()
+            return G
+
+        got = monogamous_resolution(cycle(True))
+        assert all(v.kind == MONO for v in got.vertices)
+        assert graph_to_json(got) == graph_to_json(monogamous_resolution(cycle(False)))
+        assert enumerate_matchings(got).count == enumerate_matchings(cycle(True)).count
 
     def test_high_valence_split(self):
         # 6-star with odd-polygamous center
