@@ -408,8 +408,9 @@ def trace_faces(coords, edge_list):
         cross[eid, False] = x2 * y1 - x1 * y2
 
     def rotation_cmp(a, b):
-        # a sort compares every two darts that end up adjacent, so two
-        # darts in one direction always meet here
+        # compares two darts leaving v, the vertex being sorted below; a
+        # sort compares every two darts that end up adjacent, so two darts
+        # in one direction always meet here
         c = _angle_cmp(vec[a], vec[b])
         if c == 0:
             raise DomainError(f"parallel edge directions at vertex {v}")
