@@ -4,7 +4,9 @@ that runs without pytest: every Laurent attempt of the round suite at
 ceiling 6, the PID normal forms of three boxes, a seeded fuzz of random
 small matrices over every ring, and the graphs and matrices of the round
 suite at ceiling 8, of the q = -1 sides at ceiling 10 and of `verify jt`
-at ceiling 6.
+at ceiling 6; and the alternating (congruence) normal forms and
+Pfaffians of a seeded fuzz, of the kind "A" integer matrices of the round
+suite at ceiling 8 and of two kappa quotients.
 The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those
@@ -25,7 +27,9 @@ from kasteleyn.matrices import (
     DomainError,
     ExactMatrix,
     _smith_diagonal,
+    alternating_smith_form,
     laurent_smith_attempt,
+    pfaffian,
     smith_normal_form,
     write_matrix,
 )
@@ -37,6 +41,7 @@ PID_Z_TRANSFORMS = (3, "d37d41f84ecddf41b883393c2f517746ff2c7d0f4abbf841bcc80737
 FUZZ = (960, "20c8a71d10d76a01229a91e24074183685d0b5dec4a494cfc98abf0685882688")
 FUZZ_Z_TRANSFORMS = (80, "a4d9bd3ea4bafb5ff2cdef63e49aab5eee87eeb4af326d40de30e08add628445")
 BUILDERS = (819, "43e31dfb2172f225d3d1aea664edf097a28e88e88a34416428fff40852dd7600")
+ALTERNATING = (283, "795d7168409040f874f61f10739ae92e071dcacc463274a87d7491845ef02166")
 
 
 def digest(records):
@@ -230,4 +235,61 @@ def builder_records():
                 Z = build_skew_graph(lam, mu, a)
                 records.append([list(lam), list(mu), a, _graph_text(Z),
                                 write_matrix(adjacency_matrix(Z, "bipartite"))])
+    return records
+
+
+def _random_alternating(rng):
+    """A random alternating integer matrix of size 0 to 10: dense, sparse,
+    with even entries only (no unit), or singular (C^T A C for an
+    alternating m x m A and a random m x n C, m < n)."""
+    n = rng.randint(0, 10)
+    mode = rng.choice(("dense", "sparse", "even", "singular"))
+    m = rng.randint(0, n - 1) if mode == "singular" and n else n
+
+    def entry():
+        if mode == "sparse":
+            return 0 if rng.random() < 0.7 else rng.choice((1, -1, 2, -3))
+        if mode == "even":
+            return 0 if rng.random() < 0.4 else rng.choice((2, -2, 4, -6, 6))
+        return rng.randint(-9, 9)
+
+    grid = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            grid[i][j] = entry()
+            grid[j][i] = -grid[i][j]
+    A = ExactMatrix(m, m, "z", grid)
+    if m == n:
+        return A
+    C = ExactMatrix(m, n, "z", [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)])
+    return C.transpose() * A * C
+
+
+def alternating_records(seed=23, count=240):
+    """For `count` seeded random alternating matrices (`_random_alternating`),
+    then for every kind "A" integer matrix of the round suite at ceiling 8
+    and for the kappa quotients of the boxes 6 x 6 x 6 and 8 x 8 x 8: the
+    size n, the block entries of `alternating_smith_form` and, for even
+    n, the Pfaffian.  The transform B is not recorded: it depends on the
+    elimination order, and `AltSmithForm.verify` checks it exactly."""
+    rng = random.Random(seed)
+    matrices = [_random_alternating(rng) for _ in range(count)]
+    for _, spec, ring in harness._round_instances(8):
+        if ring != "z":
+            continue
+        try:
+            M, kind, _ = harness.family_matrix_for_ring(spec, ring)
+        except DomainError:
+            continue
+        if kind == "A":
+            matrices.append(M)
+    for a in (6, 8):
+        spec = FamilySpec(variant="ppbox-quotient", a=a, b=a, c=a, group="kappa")
+        matrices.append(harness.family_matrix_for_ring(spec, "z")[0])
+    records = []
+    for M in matrices:
+        record = [M.rows, list(alternating_smith_form(M).block_entries)]
+        if M.rows % 2 == 0:
+            record.append(pfaffian(M))
+        records.append(record)
     return records

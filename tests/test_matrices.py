@@ -787,6 +787,21 @@ class TestAlternatingSmith:
             alternating_smith_form(Z([[0, 1], [-1, 2]]))
 
 
+class TestAlternatingPinned:
+    """The block entries of `alternating_smith_form` and the Pfaffians of a
+    seeded fuzz of alternating matrices (sizes 0 to 10: dense, sparse, all
+    even, singular), of the kind "A" integer matrices of the round suite
+    at ceiling 8 and of the kappa quotients of boxes 6 and 8, pinned by
+    SHA-256.  Both are invariants of the matrix, so a change to the
+    congruence elimination must leave them as they are; the transform B
+    is not pinned.  The records are built in `pinned.py`, which the CI job
+    without pytest checks too."""
+
+    def test_alternating_forms_and_pfaffians(self):
+        records = pinned.alternating_records()
+        assert (len(records), pinned.digest(records)) == pinned.ALTERNATING
+
+
 class TestLaurentAttempt:
     def test_chained_diagonal_passes_through(self):
         d1 = q_integer(2)
