@@ -37,6 +37,7 @@ from kasteleyn.matrices import (
 )
 from kasteleyn.rings import (
     DomainError,
+    ExactDivisionError,
     GuardExceeded,
     LaurentPoly,
     RationalPoly,
@@ -304,6 +305,12 @@ def run_report(spec, ring, q0=-1, guard=None):
             )
         form = attempt.smith
     inv = stable_invariants(M, form)
+    # over a PID the invariant factors of an alternating matrix come in
+    # equal pairs; the Laurent ring is not a PID
+    if kind == "A" and ring != "laurent" and inv.factors[0::2] != inv.factors[1::2]:
+        raise ExactDivisionError(
+            f"invariant factors of the alternating matrix of {spec.to_json()} over {ring} "
+            f"do not pair up: {list(inv.factor_strings())}")
     bound = _bound_for(spec)
     diags = []
     round_v = "holds"

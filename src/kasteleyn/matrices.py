@@ -25,6 +25,11 @@ by the route rather than by the elimination order.  A singular or
 non-square block goes on by plain elimination.  The route is read off the
 input; there is no option for it.
 
+The alternating (congruence) normal form and the Pfaffian share one more
+driver on the same workspace, `_alternating_blocks`: each step is a
+column operation followed by the same row operation, and the Pfaffian is
+read off its block entries and the sign of its transform.
+
 Every determinant runs one integer kernel, `_int_det`: +-1 pivots on the
 same kind of sparse rows, taken in least-fill order, and fraction-free
 (Bareiss) elimination only on the block left without +-1 entries.  Laurent
@@ -901,12 +906,12 @@ def _clear_pivot(ws, ring, k, max_steps):
         for i in sorted(cols[k]):
             if i > k:
                 stuck = _reduce_entry(
-                    ws, ring, k, i, A[i][k], ws.addmul_row, ws.mix_rows, ws.swap_rows
+                    ring, A[k][k], k, i, A[i][k], ws.addmul_row, ws.mix_rows, ws.swap_rows
                 ) or stuck
         for j in sorted(A[k]):
             if j > k:
                 stuck = _reduce_entry(
-                    ws, ring, k, j, A[k][j], ws.addmul_col, ws.mix_cols, ws.swap_cols
+                    ring, A[k][k], k, j, A[k][j], ws.addmul_col, ws.mix_cols, ws.swap_cols
                 ) or stuck
         if cols[k] == {k} and A[k].keys() == {k}:
             p = A[k][k]
@@ -924,14 +929,15 @@ def _clear_pivot(ws, ring, k, max_steps):
             return "witnessed", stuck
 
 
-def _reduce_entry(ws, ring, k, i, b, addmul, mix, swap):
+def _reduce_entry(ring, p, k, i, b, addmul, mix, swap):
     """Reduce the nonzero entry b at (i, k) against the pivot p at (k, k):
     subtract t * pivot row with (t, r) = ring.reduce(b, p), then resolve a
     nonzero remainder r.  Over a PID a determinant-1 Bezout mix puts
     gcd(p, r) at (k, k); over the Laurent ring r is swapped in as the pivot
     when it is smaller, and otherwise (p, r) is returned as stuck.  Called
-    with the column operations, b sits at (k, i) instead."""
-    p = ws.A[k][k]
+    with the column operations, b sits at (k, i) instead; called by
+    `_alternating_blocks` with congruence steps, p sits at (row, k) and b
+    at (row, i) for a row of the pivot block."""
     t, r = ring.reduce(b, p)
     if not ring.is_zero(t):
         addmul(i, k, -t)
@@ -1217,139 +1223,87 @@ class AltSmithForm:
         return f"<AltSmithForm n={self.n} blocks={list(self.block_entries)}>"
 
 
-class _SymWorkspace:
-    """Congruence workspace: A <- E^T A E, B <- B E."""
-
-    def __init__(self, M):
-        self.ring = M.ring
-        self.ad = ring_adapter(M.ring)
-        self.n = M.rows
-        self.A = M.to_lists()
-        one, zero = self.ad.one, self.ad.zero
-        self.B = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
-
-    def swap(self, i, j):
-        if i == j:
-            return
-        self.A[i], self.A[j] = self.A[j], self.A[i]
-        for r in self.A:
-            r[i], r[j] = r[j], r[i]
-        for r in self.B:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul(self, i, j, c):
-        """col_i += c col_j and row_i += c row_j."""
-        for r in self.A:
-            r[i] = r[i] + c * r[j]
-        self.A[i] = [a + c * b for a, b in zip(self.A[i], self.A[j])]
-        for r in self.B:
-            r[i] = r[i] + c * r[j]
-
-    def mix(self, i, j, x, y, u, v):
-        """cols (i, j) <- (x ci + y cj, u ci + v cj), then same on rows."""
-        for r in self.A:
-            p, q = r[i], r[j]
-            r[i], r[j] = x * p + y * q, u * p + v * q
-        ri, rj = self.A[i], self.A[j]
-        self.A[i], self.A[j] = (
-            [x * p + y * q for p, q in zip(ri, rj)],
-            [u * p + v * q for p, q in zip(ri, rj)],
-        )
-        for r in self.B:
-            p, q = r[i], r[j]
-            r[i], r[j] = x * p + y * q, u * p + v * q
-
-    def negate(self, i):
-        for r in self.A:
-            r[i] = -r[i]
-        self.A[i] = [-a for a in self.A[i]]
-        for r in self.B:
-            r[i] = -r[i]
-
-
 def alternating_smith_form(A, verify=False):
-    """Alternating Smith normal form over the integers by symmetric Bezout
-    mixes, symmetric pivots, and the interior row-absorption fix."""
+    """Alternating Smith normal form over the integers: the block entries
+    and the transform B of `_alternating_blocks`, run on a workspace that
+    carries B as its column transform R."""
     if A.ring != "z":
         raise DomainError("alternating normal form implemented over the integers")
     if not A.is_alternating():
         raise DomainError("matrix is not alternating")
-    ring = ring_adapter("z")
-    ws = _SymWorkspace(A)
-    n, W = ws.n, ws.A
-    k = 0
-    while k + 1 < n:
-        best = None
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if W[i][j] != 0:
-                    key = ring.size_key(W[i][j])
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        # bring the chosen entry to (k, k+1) keeping indices distinct
-        if bi != k:
-            ws.swap(k, bi)
-            if bj == k:
-                bj = bi
-        if bj != k + 1:
-            ws.swap(k + 1, bj)
-        while True:
-            progress = True
-            while progress:
-                progress = False
-                a = W[k][k + 1]
-                for j in range(k + 2, n):
-                    b = W[k][j]
-                    if b == 0:
-                        continue
-                    q = ring.try_div(b, a)
-                    if q is not None:
-                        ws.addmul(j, k + 1, -q)
-                    else:
-                        g, x, y = ring.gcdext(a, b)
-                        ws.mix(k + 1, j, x, y, -(b // g), a // g)
-                        progress = True
-                    a = W[k][k + 1]
-                for j in range(k + 2, n):
-                    b = W[k + 1][j]
-                    if b == 0:
-                        continue
-                    # W[k+1][k] = -a pairs with b through column k
-                    q = ring.try_div(b, a)
-                    if q is not None:
-                        ws.addmul(j, k, q)
-                    else:
-                        g, x, y = ring.gcdext(a, b)
-                        # cols (k, j) <- (x ck - y cj, (b/g) ck + (a/g) cj):
-                        # W[k+1][k] becomes -g, W[k+1][j] becomes 0, and the
-                        # symmetric row half restores W[k][k+1] = g
-                        ws.mix(k, j, x, -y, b // g, a // g)
-                        progress = True
-                    a = W[k][k + 1]
-            a = W[k][k + 1]
-            bad = None
-            for i in range(k + 2, n):
-                for j in range(i + 1, n):
-                    if W[i][j] != 0 and W[i][j] % a != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            ws.addmul(k, bad, 1)
-        if W[k][k + 1] < 0:
-            ws.negate(k + 1)
-        k += 2
-    entries = [W[2 * i][2 * i + 1] for i in range(n // 2)]
-    B = ExactMatrix(n, n, "z", ws.B)
+    n = A.rows
+    ws = _Workspace(A, transforms=False)
+    ws.R = [{j: 1} for j in range(n)]
+    entries, _ = _alternating_blocks(ws)
+    B = ExactMatrix._of_ring_elements(n, n, "z", zip(*_dense(ws.R, n, 0)))
     form = AltSmithForm("z", n, entries, B)
     if verify:
         form.verify(A)
     return form
+
+
+def _alternating_blocks(ws):
+    """The congruence elimination of an alternating integer matrix, in
+    place on `ws`: each step E takes A to E^T A E, as a column operation
+    followed by the same row operation, and the column transform R, when
+    carried, to R E, so R ends as the B of B^T A B = the block form.
+    Returns (block entries, det B).
+
+    For k = 0, 2, 4, ... the pivot of `_pick_pivot` (the first unit, else
+    the least entry) is swapped to (k, k+1).  Rows k and k+1 are cleared
+    against it by `_reduce_entry`: an exact quotient is an add-multiple,
+    else a Bezout mix (xv - yu = 1) puts the gcd at the pivot; a mix
+    against row k+1 may refill row k, so the passes repeat until both rows
+    are clear.  A pivot that is not a unit must then divide every entry
+    of the rows below; the first row with an entry it does not divide is
+    added into row k and the passes go on.  A negative block entry is
+    flipped by swapping k and k+1.  det B is -1 per swap of two distinct
+    indices and +1 per add-multiple and per Bezout mix, so the Pfaffian
+    of the input is det B times the product of the block entries."""
+    ring, A, n = ws.ad, ws.A, ws.n
+    det = 1
+
+    def swap(i, j):
+        nonlocal det
+        if i != j:
+            ws.swap_cols(i, j)
+            ws.swap_rows(i, j)
+            det = -det
+
+    def addmul(j, i, c):
+        ws.addmul_col(j, i, c)
+        ws.addmul_row(j, i, c)
+
+    def mix(i, j, x, y, u, v):
+        ws.mix_cols(i, j, x, y, u, v)
+        ws.mix_rows(i, j, x, y, u, v)
+
+    for k in range(0, n - 1, 2):
+        pivot = _pick_pivot(ring, A, k)
+        if pivot is None:
+            break
+        # |a_ij| = |a_ji| and rows come first in the pivot order, so i < j
+        i, j = pivot
+        swap(k, i)
+        swap(k + 1, j)
+        while True:
+            # a step against the pivot at (p, q) changes row p only at q and j
+            for p, q in ((k, k + 1), (k + 1, k)):
+                for j in sorted(A[p]):
+                    if j > k + 1:
+                        _reduce_entry(ring, A[p][q], q, j, A[p][j], addmul, mix, None)
+            if len(A[k]) == len(A[k + 1]) == 1:
+                a = A[k][k + 1]
+                if ring.is_unit(a):
+                    break
+                bad = next((i for i in range(k + 2, n) if any(x % a for x in A[i].values())),
+                           None)
+                if bad is None:
+                    break
+                addmul(k, bad, 1)
+        if A[k][k + 1] < 0:
+            swap(k, k + 1)
+    return [A[k].get(k + 1, 0) for k in range(0, n - 1, 2)], det
 
 
 # ---------------------------------------------------------------------------
@@ -1944,8 +1898,9 @@ def determinant(M):
 
 
 def pfaffian(M):
-    """Exact Pfaffian of an alternating integer matrix, by alternating
-    elimination over the fraction field."""
+    """Exact Pfaffian of an alternating integer matrix: det B times the
+    product of the block entries of the congruence elimination
+    `_alternating_blocks`, run without its transform."""
     if M.rows != M.cols:
         raise DomainError("pfaffian of a non-square matrix")
     if M.rows % 2 == 1:
@@ -1954,34 +1909,8 @@ def pfaffian(M):
         raise DomainError("pfaffian implemented over the integers only")
     if not M.is_alternating():
         raise DomainError("pfaffian of a non-alternating matrix")
-    n = M.rows
-    A = [[Fraction(x) for x in row] for row in M.entries]
-    pf = Fraction(1)
-    for k in range(0, n, 2):
-        j = next((jj for jj in range(k + 1, n) if A[k][jj] != 0), None)
-        if j is None:
-            return 0
-        if j != k + 1:
-            for r in A:
-                r[j], r[k + 1] = r[k + 1], r[j]
-            A[j], A[k + 1] = A[k + 1], A[j]
-            pf = -pf
-        a = A[k][k + 1]
-        pf *= a
-        row_k, row_k1 = A[k], A[k + 1]
-        for i in range(k + 2, n):
-            x, y = row_k[i], row_k1[i]
-            if not (x or y):
-                continue            # row i of the Schur complement is unchanged
-            row = A[i]
-            for j2 in range(i + 1, n):
-                cross = x * row_k1[j2] - row_k[j2] * y
-                if cross:
-                    val = row[j2] - cross / a
-                    row[j2] = val
-                    A[j2][i] = -val
-    assert pf.denominator == 1
-    return int(pf)
+    entries, det = _alternating_blocks(_Workspace(M, transforms=False))
+    return det * prod(entries)
 
 
 def determinantal_divisors(M, max_dim=6):

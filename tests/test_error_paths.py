@@ -3,6 +3,7 @@ import json
 import pytest
 
 import kasteleyn
+from kasteleyn import harness
 from kasteleyn.cli import main
 from kasteleyn.families import (
     FamilySpec,
@@ -25,6 +26,7 @@ from kasteleyn.harness import oracle_guard, run_report
 from kasteleyn.matrices import (
     ExactMatrix,
     NormalFormFailure,
+    StableInvariants,
     determinant,
     parse_matrix,
     stable_invariants,
@@ -32,6 +34,7 @@ from kasteleyn.matrices import (
 from kasteleyn.rings import (
     _QPOLY_TEXT_DEGREE,
     DomainError,
+    ExactDivisionError,
     GuardExceeded,
     RationalPoly,
     parse_laurent,
@@ -84,6 +87,22 @@ def test_stable_invariants_propagates_laurent_failure():
     M = ExactMatrix.diagonal([parse_laurent("2"), parse_laurent("-1 + q")], "laurent")
     with pytest.raises(NormalFormFailure):
         stable_invariants(M)
+
+
+def test_alternating_report_with_unpaired_factors_raises(monkeypatch):
+    # the factors of A_kappa(2,2,2) pair up over every ring: (4, 4) over Z and
+    # at q = -1, (1+q^2, 1+q^2) over Q[q]; drop one and only the PIDs object
+    spec = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="kappa")
+
+    def unpaired(M, form=None):
+        inv = stable_invariants(M, form)
+        return StableInvariants(inv.ring, inv.free_rank, inv.factors[1:])
+
+    monkeypatch.setattr(harness, "stable_invariants", unpaired)
+    for ring in ("z", "qpoly", "z@q0"):
+        with pytest.raises(ExactDivisionError, match=r"kappa.* over %s do not pair up" % ring):
+            run_report(spec, ring)
+    assert run_report(spec, "laurent").invariant_factors == ["2 + 2*q^2"]
 
 
 def test_oracle_guard_is_the_package_guard_exceeded():

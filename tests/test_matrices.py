@@ -742,6 +742,19 @@ class TestPfaffian:
             n = rng.choice([0, 2, 4, 6, 8, 10])
             A = random_alternating(rng, n, *rng.choice([(-9, 9), (-1, 1), (0, 1)]))
             assert pfaffian(A) == pfaffian_reference(A)
+        # all-even (no unit: Bezout mixes and the interior fix) and sparse
+        # inputs (block sign flips, zero blocks)
+        for _ in range(60):
+            n = rng.choice([2, 4, 6, 8, 10])
+            scale, density = rng.choice([(2, 1.0), (2, 0.5), (1, 0.3)])
+            grid = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        grid[i][j] = scale * rng.randint(-5, 5)
+                        grid[j][i] = -grid[i][j]
+            A = Z(grid)
+            assert pfaffian(A) == pfaffian_reference(A)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -760,6 +773,17 @@ class TestAlternatingSmith:
         assert form.block_entries == (1,)
         form = alternating_smith_form(Z([[0, 2], [-2, 0]]), verify=True)
         assert form.block_entries == (2,)
+        for n in (0, 1, 4):
+            form = alternating_smith_form(ExactMatrix(n, n, "z", [[0] * n] * n), verify=True)
+            assert form.block_entries == (0,) * (n // 2)
+        # the first unit lies in a row below the pivot row, at (1, 3) and at (3, 5)
+        A = Z([[0, 2, 4, 6], [-2, 0, 6, 1], [-4, -6, 0, 2], [-6, -1, -2, 0]])
+        form = alternating_smith_form(A, verify=True)
+        assert form.block_entries == (1, abs(pfaffian(A)))
+        A = Z([[0, 2, 0, 4, 0, 0], [-2, 0, 6, 0, 0, 8], [0, -6, 0, 2, 0, 0],
+               [-4, 0, -2, 0, 0, -1], [0, 0, 0, 0, 0, 0], [0, -8, 0, 1, 0, 0]])
+        form = alternating_smith_form(A, verify=True)
+        assert form.block_entries == (1, 2, 0) and pfaffian(A) == 0
 
     def test_random_cross_check(self):
         rng = random.Random(9)
