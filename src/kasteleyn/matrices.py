@@ -570,7 +570,8 @@ class _Workspace:
     L * original * R = current: L by rows and R by columns, each a map
     index -> nonzero entry, so a row operation acts alike on rows of A and
     L and a column operation on columns of A and R.  Without, L and R are
-    None and only A is updated."""
+    None and only A is updated; `alternating_smith_form` then sets R
+    alone, the transform B of its congruence steps."""
 
     def __init__(self, M, transforms=True):
         self.ad = ad = ring_adapter(M.ring)
