@@ -195,9 +195,9 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
     M, kind, G = _decorated_matrix(build_family_graph(spec2), spec2.variant, tree_seed)
     if ring == "z" and M.ring == "laurent":
         M = M.specialize_q(1)
-    elif ring == "z@q0":
-        if M.ring != "laurent":
-            raise DomainError("q-specialization needs a q-weighted family")
+    # a build without q-weights (no finite face) is an integer matrix, its
+    # own value at any q0, and goes to "z@q0" as it is
+    elif ring == "z@q0" and M.ring == "laurent":
         if abs(q0) != 1:
             # q0^-1 is no integer: clear the negative exponents first
             M = _without_negative_exponents(M, kind)

@@ -66,6 +66,21 @@ class TestRunReport:
             assert (rec.oracle_check, rec.oracle_count) == ("holds", count), (spec, q0)
         assert run_report(box222, "z@q0", q0=0).oracle_check == "skipped"
 
+    def test_q0_of_a_build_without_q_weights(self):
+        # the kappa quotient of (1,1,2) has no finite face, so its q-weighted
+        # build is an integer matrix: its own value at every q0
+        for q_mode in ("none", "cube"):
+            spec = FamilySpec(variant="ppbox-quotient", a=1, b=1, c=2,
+                              group="kappa", q_mode=q_mode)
+            laurent, _, _ = family_matrix_for_ring(spec, "laurent")
+            for q0 in (-1, 2, 3):
+                M, kind, _ = family_matrix_for_ring(spec, "z@q0", q0)
+                assert M.ring == "z" and kind == "A"
+                assert M == laurent.specialize_q(q0)
+            rec = run_report(spec, "z@q0", q0=2)
+            assert (rec.free_rank, rec.invariant_factors) == (0, [])
+            assert (rec.oracle_check, rec.oracle_count) == ("holds", 1)
+
     def test_negative_exponents_reach_q0_and_qpoly(self):
         # the tau quotient's Laurent matrix has negative exponents; its rows
         # (and, as it is alternating, its columns) are shifted up first
