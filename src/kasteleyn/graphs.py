@@ -917,25 +917,20 @@ def is_valid_matching(G, edge_ids):
 # rotation/corner machinery for surgeries
 
 
-def _corners_at(edges, faces, vid, face_ids=None):
+def _corners_at(edges, faces, vid, arrivals):
     """Corners at vid: arriving-edge-id -> (departing-edge-id, face index,
-    position of the departing entry in the face walk); edges maps ids to
-    edges.  Only the faces in face_ids are scanned, when it is given; it
-    must hold every face through vid."""
+    position of the departing entry in the face walk), one for each
+    (face index, position) in `arrivals`, the face-walk entries that arrive
+    at vid; edges maps ids to edges."""
     corners = {}
-    for fi in range(len(faces)) if face_ids is None else sorted(face_ids):
+    for fi, pos in arrivals:
         walk = faces[fi]
-        L = len(walk)
-        for pos, (eid, fwd) in enumerate(walk):
-            e = edges[eid]
-            if (e.v if fwd else e.u) != vid:
-                continue
-            nxt_pos = (pos + 1) % L
-            nid, nfwd = walk[nxt_pos]
-            ne = edges[nid]
-            if (ne.u if nfwd else ne.v) != vid:
-                raise DomainError("face walk corner mismatch")
-            corners[eid] = (nid, fi, nxt_pos)
+        nxt_pos = (pos + 1) % len(walk)
+        nid, nfwd = walk[nxt_pos]
+        ne = edges[nid]
+        if (ne.u if nfwd else ne.v) != vid:
+            raise DomainError("face walk corner mismatch")
+        corners[walk[pos][0]] = (nid, fi, nxt_pos)
     return corners
 
 
@@ -956,7 +951,11 @@ def _rotation(corners, vid):
 
 def rotation_at(G, vid):
     """Cyclic edge order around a vertex recovered from the face corners."""
-    return _rotation(_corners_at(G._emap, G.faces, vid), vid)
+    edges = G._emap
+    arrivals = [(fi, pos) for fi, walk in enumerate(G.faces)
+                for pos, (eid, fwd) in enumerate(walk)
+                if (edges[eid].v if fwd else edges[eid].u) == vid]
+    return _rotation(_corners_at(edges, G.faces, vid, arrivals), vid)
 
 
 # ---------------------------------------------------------------------------
@@ -966,10 +965,12 @@ def rotation_at(G, vid):
 class _Surgeon:
     """Mutable graph editor used by the resolution and quotient surgeries.
 
-    It keeps the incidence of every vertex: `edges_at[v]`, the ids of the
-    edges at v, and `faces_at[v]`, a set of face indices holding every face
-    whose walk passes through v (it may hold more), so that the corners at
-    a vertex are found without scanning every face."""
+    It keeps `edges_at[v]`, the ids of the edges at v, and
+    `dart_at[dart]`, the face index of every face-walk entry (eid, fwd)
+    with a position at or before the entry in that walk, so that the
+    corners at a vertex are found from its edges alone, without walking a
+    face.  Every change of a face walk goes through `insert_entries`,
+    `set_face`, `add_face` or `delete_face`, which keep `dart_at` so."""
 
     def __init__(self, G):
         self.verts = {v.id: v.clone() for v in G.vertices}
@@ -982,13 +983,60 @@ class _Surgeon:
         self.next_vid = max(self.verts, default=-1) + 1
         self.next_eid = max(self.edges, default=-1) + 1
         self.edges_at = {v: set(G.incident(v)) for v in self.verts}
-        self.faces_at = {v: set() for v in self.verts}
-        for fi, walk in enumerate(G.faces):
-            for v in G.walk_vertices(walk):
-                self.faces_at[v].add(fi)
+        self.dart_at = {}
+        for fi in range(len(self.faces)):
+            self._index(fi)
+
+    def _index(self, fi):
+        """Record the position of every entry of face fi."""
+        dart_at = self.dart_at
+        for pos, dart in enumerate(self.faces[fi]):
+            dart_at[dart] = (fi, pos)
 
     def corners_at(self, vid):
-        return _corners_at(self.edges, self.faces, vid, self.faces_at[vid])
+        """`_corners_at` for vid, a vertex without loops, read off the
+        recorded positions of the entries arriving at vid: O(degree).  An
+        insertion only moves the entries after it forward, so a recorded
+        position is at or before its entry; it is moved up to the entry and
+        kept."""
+        dart_at, edges, faces = self.dart_at, self.edges, self.faces
+        arrivals = []
+        for eid in self.edges_at[vid]:
+            dart = (eid, edges[eid].v == vid)
+            found = dart_at.get(dart)
+            if found is None:
+                raise DomainError(f"edge {eid} arrives at vertex {vid} on no face")
+            fi, pos = found
+            walk = faces[fi]
+            if walk[pos] != dart:
+                pos = walk.index(dart, pos)
+                dart_at[dart] = (fi, pos)
+            arrivals.append((fi, pos))
+        return _corners_at(edges, faces, vid, arrivals)
+
+    def insert_entries(self, inserts):
+        """Insert face entries at (face, position, entry) spots; each spot
+        is a position before any insertion."""
+        for fi, pos, entry in sorted(inserts, key=lambda t: (t[0], -t[1])):
+            self.faces[fi].insert(pos, entry)
+            self.dart_at[entry] = (fi, pos)
+
+    def set_face(self, fi, walk):
+        """Replace the walk of face fi."""
+        for dart in self.faces[fi]:
+            del self.dart_at[dart]
+        self.faces[fi] = walk
+        self._index(fi)
+
+    def add_face(self, walk):
+        self.faces.append(walk)
+        self._index(len(self.faces) - 1)
+
+    def delete_face(self, fi):
+        """Delete face fi, an empty walk; later faces move down one index."""
+        del self.faces[fi]
+        self.dart_at = {dart: (f - (f > fi), pos)
+                        for dart, (f, pos) in self.dart_at.items()}
 
     def graph(self):
         return EmbeddedGraph(
@@ -1001,17 +1049,15 @@ class _Surgeon:
             self.flags,
         )
 
-    def new_vertex(self, kind, color, label, faces):
-        """A new vertex on (at most) the given faces."""
+    def new_vertex(self, kind, color, label):
         vid = self.next_vid
         self.next_vid += 1
         self.verts[vid] = Vertex(vid, kind, color, label)
         self.edges_at[vid] = set()
-        self.faces_at[vid] = set(faces)
         return vid
 
     def remove_vertex(self, vid):
-        del self.verts[vid], self.edges_at[vid], self.faces_at[vid]
+        del self.verts[vid], self.edges_at[vid]
 
     def new_edge(self, u, v, weight=1):
         eid = self.next_eid
@@ -1042,10 +1088,9 @@ class _Surgeon:
         before -> run[0]) onto a new vertex w, joined to vid by a new edge m
         spliced into the two cut corners; returns (w, m)."""
         self.verts[vid].color = None
-        # every face through w passed through vid before the split
-        w = self.new_vertex(kind, None, label, self.faces_at[vid])
+        w = self.new_vertex(kind, None, label)
         m = self.new_edge(vid, w)
-        _insert_entries(self, [
+        self.insert_entries([
             corners[before][1:] + ((m, True),),    # vid -> w before run[0]
             corners[run[-1]][1:] + ((m, False),),  # w -> vid after run[-1]
         ])
@@ -1070,9 +1115,7 @@ def _resolve_step(s, vid):
                     s.infinite -= 1
                 elif s.infinite == empty:
                     s.infinite = 0 if len(s.faces) > 1 else None
-                del s.faces[empty]
-                s.faces_at = {u: {f - (f > empty) for f in fs if f != empty}
-                              for u, fs in s.faces_at.items()}
+                s.delete_face(empty)
         else:
             v.kind = MONO
         return
@@ -1081,17 +1124,11 @@ def _resolve_step(s, vid):
             v.kind = MONO
             return
         e = inc[0]
-        # both sides of the edge lie on faces through vid
-        hits = [
-            (fi, pos)
-            for fi in sorted(s.faces_at[vid])
-            for pos, (eid, _) in enumerate(s.faces[fi])
-            if eid == e.id
-        ]
-        if len(hits) != 2 or hits[0][0] != hits[1][0]:
+        sides = [s.dart_at.get((e.id, fwd)) for fwd in (True, False)]
+        if None in sides or sides[0][0] != sides[1][0]:
             raise DomainError("pendant edge should be a bridge on one face")
-        fi = hits[0][0]
-        s.faces[fi] = [ent for ent in s.faces[fi] if ent[0] != e.id]
+        fi = sides[0][0]
+        s.set_face(fi, [ent for ent in s.faces[fi] if ent[0] != e.id])
         s.remove_edge(e.id)
         s.remove_vertex(vid)
         return
@@ -1111,21 +1148,20 @@ def _resolve_step(s, vid):
         e1, e2, e3 = rot
         v.kind = MONO
         v.color = None
-        # the triangle v2, v3, vid becomes a new face at the end
-        s.faces_at[vid].add(len(s.faces))
-        v2 = s.new_vertex(MONO, None, None, s.faces_at[vid])
-        v3 = s.new_vertex(MONO, None, None, s.faces_at[vid])
+        v2 = s.new_vertex(MONO, None, None)
+        v3 = s.new_vertex(MONO, None, None)
         t12 = s.new_edge(vid, v2)
         t23 = s.new_edge(v2, v3)
         t31 = s.new_edge(v3, vid)
-        _insert_entries(s, [
+        s.insert_entries([
             corners[e1][1:] + ((t12, True),),   # corner e1 -> e2
             corners[e2][1:] + ((t23, True),),   # corner e2 -> e3
             corners[e3][1:] + ((t31, True),),   # corner e3 -> e1
         ])
         s.reattach(e2, vid, v2)
         s.reattach(e3, vid, v3)
-        s.faces.append([(t12, False), (t31, False), (t23, False)])
+        # the triangle v2, v3, vid becomes a new face at the end
+        s.add_face([(t12, False), (t31, False), (t23, False)])
         return
     # d >= 4: move two rotation-consecutive edges onto a new even-polygamous
     # vertex joined back by a fresh edge (the connecting edge makes the
@@ -1140,12 +1176,6 @@ def _opposite(color):
     if color == "white":
         return "black"
     return None
-
-
-def _insert_entries(s, inserts):
-    """Insert face entries at (face, position) spots, adjusting for shifts."""
-    for fi, pos, entry in sorted(inserts, key=lambda t: (t[0], -t[1])):
-        s.faces[fi].insert(pos, entry)
 
 
 def monogamous_resolution(G):
@@ -1184,24 +1214,24 @@ def triple_edges(G):
         for eid in sorted(eids)[1:]:
             e = s.edges[eid]
             u, v, w = e.u, e.v, e.weight
-            x = s.new_vertex(MONO, _opposite(s.verts[u].color), None, s.faces_at[u])
-            y = s.new_vertex(MONO, s.verts[u].color, None, s.faces_at[u])
+            x = s.new_vertex(MONO, _opposite(s.verts[u].color), None)
+            y = s.new_vertex(MONO, s.verts[u].color, None)
             e_mid = s.new_edge(x, y)
             e_end = s.new_edge(y, v)
             # reuse eid for the u-x stub, keeping its weight
             s.reattach(eid, v, x)
             s.edges[e_mid].weight = 1
             s.edges[e_end].weight = 1
-            for fi, walk in enumerate(s.faces):
+            for fi in sorted({s.dart_at[eid, fwd][0] for fwd in (True, False)}):
                 new_walk = []
-                for ent_eid, fwd in walk:
+                for ent_eid, fwd in s.faces[fi]:
                     if ent_eid != eid:
                         new_walk.append((ent_eid, fwd))
                     elif fwd:
                         new_walk.extend([(eid, True), (e_mid, True), (e_end, True)])
                     else:
                         new_walk.extend([(e_end, False), (e_mid, False), (eid, False)])
-                s.faces[fi] = new_walk
+                s.set_face(fi, new_walk)
     out = s.graph()
     out.validate()
     return out
