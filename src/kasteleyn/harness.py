@@ -30,6 +30,7 @@ from kasteleyn.graphs import (
 )
 from kasteleyn.matrices import (
     ExactMatrix,
+    _det_and_qpoly_invariants,
     determinant,
     laurent_smith_attempt,
     pfaffian,
@@ -620,6 +621,12 @@ _AZTEC_COUNT_MAX = 4
 
 
 def _verify_jt(ceiling):
+    """The Gessel-Viennot / Kasteleyn-Percus check: for every lambda of size
+    at most `ceiling`, mu of size at most 2 inside it and a = 1..4, the
+    Jacobi-Trudi matrix J, its dual D and the skew-graph matrix M must have
+    the same Q[q] stable invariants and the same determinant up to a unit.
+    Each matrix gives both from one packed elimination
+    (`_det_and_qpoly_invariants`)."""
     checked = 0
     failures = []
     for lam in sorted(_partitions_upto(ceiling), key=lambda t: (sum(t), t)):
@@ -640,9 +647,9 @@ def _verify_jt(ceiling):
                         invs.append((0, ()))
                         dets.append(LaurentPoly.one())
                         continue
-                    inv = stable_invariants(X.to_qpoly())
+                    det, inv = _det_and_qpoly_invariants(X)
                     invs.append((inv.free_rank, inv.factor_strings()))
-                    dets.append(LaurentPoly.coerce(determinant(X)))
+                    dets.append(LaurentPoly.coerce(det))
                 if not (invs[0] == invs[1] == invs[2]):
                     failures.append({**inst, "kind": "invariants",
                                      "J": invs[0], "D": invs[1], "M": invs[2]})

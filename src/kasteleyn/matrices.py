@@ -31,11 +31,14 @@ column operation followed by the same row operation, and the Pfaffian is
 read off its block entries and the sign of its transform.
 
 Every determinant runs one integer kernel, `_int_det`: +-1 pivots on the
-same kind of sparse rows, taken in least-fill order, and fraction-free
-(Bareiss) elimination only on the block left without +-1 entries.  Laurent
-and Q[q] entries reach it by Kronecker substitution, and the modular
-finish takes its modulus from it.  Products (`*`, `kron`) form only the
-products of nonzero entries.
+same kind of sparse rows, taken in least-fill order (`_unit_pivots`), and
+fraction-free (Bareiss) elimination only on the block left without +-1
+entries.  Laurent and Q[q] entries reach it by Kronecker substitution, and
+the modular finish takes its modulus from it.  The stable invariants over
+Q[q] read the same packed elimination: its +-1 pivots are units, so only
+the block left goes to `_smith`, and one call gives a matrix both its
+determinant and its Q[q] invariants (`_det_and_qpoly_invariants`).
+Products (`*`, `kron`) form only the products of nonzero entries.
 
 Everything is exact; the Fourier duality matrix is the single
 floating-point surface and returns complex entries.  It needs only the
@@ -1639,24 +1642,37 @@ def stable_invariants(M, form=None):
     """Unit-free invariant description used for stable-equivalence checks.
 
     `form` is a finished normal form of M, reused as is.  Without one, the
-    Laurent ring runs `laurent_smith_attempt` and the PIDs ("z", "qpoly")
-    compute the Smith diagonal alone (`_smith_diagonal`: over "z" modulo
-    the determinant once the unit pivots run out, if the block left is
-    square and nonsingular); neither builds witness transforms."""
+    Laurent ring runs `laurent_smith_attempt`; over "z" the Smith diagonal
+    is computed alone (`_smith_diagonal`, modulo the determinant once the
+    unit pivots run out, if the block left is square and nonsingular); over
+    "qpoly" the rows are packed into integers as for `determinant`, +-1
+    pivots clear them down to a block without +-1 entries, and only that
+    block, read back as polynomials, goes to `_smith_diagonal`
+    (`_packed_units`, `_packed_qpoly_invariants`).  None builds witness
+    transforms."""
     if form is not None:
         diagonal = form.diagonal
     elif M.ring == "laurent":
         diagonal = _laurent_form(M).diagonal
+    elif M.ring == "qpoly":
+        _, block, pivots, b, _, _ = _packed_units(M)
+        return _packed_qpoly_invariants(M, block, pivots, b)
     else:
         diagonal = _smith_diagonal(M)
-    ad = ring_adapter(M.ring)
+    return _invariants(M.ring, M.rows, diagonal)
+
+
+def _invariants(ring, rows, diagonal):
+    """The StableInvariants of a matrix with `rows` rows and Smith diagonal
+    `diagonal` over `ring`, up to unit entries."""
+    ad = ring_adapter(ring)
     nonzero = [d for d in diagonal if not ad.is_zero(d)]
     factors = []
     for d in nonzero:
-        f = _normalize_factor(d, M.ring)
+        f = _normalize_factor(d, ring)
         if f is not None:
             factors.append(f)
-    return StableInvariants(M.ring, M.rows - len(nonzero), factors)
+    return StableInvariants(ring, rows - len(nonzero), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1704,38 +1720,54 @@ def deleted_pivot(M, i, j):
 
 def _int_det(rows):
     """Determinant of a square integer matrix, given as row sequences (left
-    as they are): the one integer determinant kernel.
+    as they are): the one integer determinant kernel.  The +-1 pivots of
+    `_unit_pivots` take it to a block without +-1 entries, and det is their
+    sign times the dense finish `_int_bareiss` on that block; a row or
+    column that empties on the way gives det = 0 at once, and a matrix with
+    no +-1 entry goes to the finish as it is (the blocks of
+    `_finish_modulo_det`)."""
+    sign, block = _unit_pivots(rows, len(rows))
+    return sign * _int_bareiss(block) if sign else 0
 
-    Sparse elimination on +-1 pivots first.  Rows are maps column ->
-    nonzero entry, with the set of rows nonzero in each column.  The next
-    pivot is a row of fewest nonzeros that has a +-1 entry (a lazy heap
-    keyed by current row length), at its +-1 in the column of fewest
-    nonzeros, ties to the lowest index.  Each other row i of the pivot
-    column c takes row_i -= (a_ic * p) row_r over the pivot row's nonzeros
-    (1/p = p), so column c keeps only the pivot, and Laplace expansion
-    along it gives det = (-1)^(s + t) p det(minor), with s and t the
-    positions of r and c among the rows and columns still alive.  Every
+
+def _unit_pivots(rows, width, singular_exit=True):
+    """Sparse elimination on +-1 pivots of an integer matrix, given as row
+    sequences of `width` entries (left as they are), square or not:
+    (sign, block), with block the rows left without +-1 entries, in their
+    original order, restricted to the columns left, as dense lists.
+
+    Rows are maps column -> nonzero entry, with the set of rows nonzero in
+    each column.  The next pivot is a row of fewest nonzeros that has a +-1
+    entry (a lazy heap keyed by current row length), at its +-1 in the
+    column of fewest nonzeros, ties to the lowest index.  Each other row i
+    of the pivot column c takes row_i -= (a_ic * p) row_r over the pivot
+    row's nonzeros (1/p = p), so column c keeps only the pivot.  Every
     entry is then a minor of the input divided by a product of +-1 pivots,
-    so nothing grows beyond Hadamard's bound.  A row or column that
-    empties gives det = 0 at once.  The block left without +-1 entries
-    goes, its rows and columns in their original order, to the dense
-    finish `_int_bareiss`; a matrix with no +-1 entry goes there at once
-    (the blocks of `_finish_modulo_det`)."""
+    so nothing grows beyond Hadamard's bound, and the input is equivalent
+    over Z to diag(+-1, ..., +-1, block).  For a square input, Laplace
+    expansion along each pivot column gives det = sign * det(block), with
+    sign the product of (-1)^(s + t) p over the pivots, s and t the
+    positions of the pivot row and column among those still alive.
+
+    With `singular_exit`, a row or column that empties (a square input is
+    then singular) ends the elimination with (0, None); without, it stays
+    in the block as a zero row or column.  A matrix with no +-1 entry is
+    the block as it is."""
     n = len(rows)
-    heap = [(n - row.count(0), i) for i, row in enumerate(rows) if 1 in row or -1 in row]
+    heap = [(width - row.count(0), i) for i, row in enumerate(rows) if 1 in row or -1 in row]
     if not heap:
-        return _int_bareiss([list(row) for row in rows])
+        return 1, [list(row) for row in rows]
     heapify(heap)
     A = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    cols = [set() for _ in range(n)]
+    cols = [set() for _ in range(width)]
     for i, row in enumerate(A):
-        if not row:
-            return 0
+        if not row and singular_exit:
+            return 0, None
         for j in row:
             cols[j].add(i)
-    if not all(cols):
-        return 0
-    live_rows, live_cols = list(range(n)), list(range(n))
+    if singular_exit and not all(cols):
+        return 0, None
+    live_rows, live_cols = list(range(n)), list(range(width))
     sign = 1
     while heap:
         length, r = heappop(heap)
@@ -1755,15 +1787,15 @@ def _int_det(rows):
         for i in [i for i in cols[c] if i != r]:
             row_i = A[i]
             _add_multiple(row_i, -row_i[c] * p, row_r, not_, cols, i)
-            if not row_i:
-                return 0
-            heappush(heap, (len(row_i), i))
+            if row_i:
+                heappush(heap, (len(row_i), i))
+            elif singular_exit:
+                return 0, None
         for j in row_r:
             cols[j].discard(r)
-            if not cols[j] and j != c:
-                return 0
-    block = [[A[i].get(j, 0) for j in live_cols] for i in live_rows]
-    return sign * _int_bareiss(block)
+            if not cols[j] and j != c and singular_exit:
+                return 0, None
+    return sign, [[A[i].get(j, 0) for j in live_cols] for i in live_rows]
 
 
 def _int_bareiss(rows):
@@ -1809,20 +1841,35 @@ def _int_bareiss(rows):
 
 def _kronecker_det(rows):
     """Determinant of a square matrix of integer polynomials, each entry a
-    map exponent -> nonzero int, returned as such a map.
+    map exponent -> nonzero int, returned as such a map: `_kronecker_pack`
+    gives det at q = 2^b from one call of the integer kernel `_int_det`,
+    read back by `_kronecker_unpack`.  A zero row gives det = 0 at once."""
+    packing = _kronecker_pack(rows, len(rows))
+    if packing is None:
+        return {}
+    packed, b, shift = packing
+    return _kronecker_unpack(_int_det(packed), b, shift)
 
-    Each row is shifted to start at q^0 and every entry is packed into one
-    integer, its value at q = 2^b, so one call of the integer kernel
-    `_int_det` gives det(2^b).  The shift packs every entry +-q^e, e the
-    row's lowest exponent, to +-1, so such a unit stays a +-1 pivot.  The
-    coefficients of det are bounded in absolute value by its L1 norm,
-    which is at most the product of the row (or column) L1 norms of the
-    entries; b leaves room for that bound and a sign, so det is read back
-    as signed base-2^b digits."""
-    n = len(rows)
+
+def _kronecker_pack(rows, width):
+    """(packed, b, shift) for a matrix of integer polynomials, given as rows
+    of `width` entries, each a map exponent -> nonzero int; None when a row
+    is zero.
+
+    Each row is shifted to start at q^0 (shift is the sum of the row
+    shifts) and every entry is packed into one integer, its value at
+    q = 2^b, so integer elimination on the packed rows runs the polynomial
+    one at q = 2^b.  The shift packs every entry +-q^e, e the row's lowest
+    exponent, to +-1, so such a unit stays a +-1 pivot.  The coefficients
+    of a minor are bounded in absolute value by its L1 norm, which is at
+    most the product of the L1 norms of its rows (or columns), hence of all
+    nonzero rows (columns); b leaves room for that bound and a sign, so
+    every minor, the determinant and each entry left by +-1 pivots among
+    them, is read back exactly as signed base-2^b digits, and a packed
+    entry is +-1 only if its polynomial is."""
     shifts = []
     row_norms = []
-    col_norms = [0] * n
+    col_norms = [0] * width
     for row in rows:
         lo = None
         norm = 0
@@ -1835,10 +1882,10 @@ def _kronecker_det(rows):
                 norm += s
                 col_norms[j] += s
         if lo is None:
-            return {}
+            return None
         shifts.append(lo)
         row_norms.append(norm)
-    b = min(prod(row_norms), prod(col_norms)).bit_length() + 1
+    b = min(prod(row_norms), prod(filter(None, col_norms))).bit_length() + 1
     packed = []
     for row, lo in zip(rows, shifts):
         out = []
@@ -1848,7 +1895,7 @@ def _kronecker_det(rows):
                 v += c << (b * (e - lo))
             out.append(v)
         packed.append(out)
-    return _kronecker_unpack(_int_det(packed), b, sum(shifts))
+    return packed, b, sum(shifts)
 
 
 def _kronecker_unpack(value, b, e):
@@ -1875,27 +1922,96 @@ def _kronecker_unpack(value, b, e):
 def determinant(M):
     """Exact determinant by the integer kernel `_int_det` (+-1 pivots on
     sparse rows, then fraction-free Bareiss elimination on the block left);
-    Laurent and Q[q] entries go through Kronecker substitution."""
+    Laurent and Q[q] entries go through Kronecker substitution
+    (`_kronecker_det`), each Q[q] row cleared of its denominators first.
+    `_det_and_qpoly_invariants` reads the same elimination for the Q[q]
+    invariants too."""
     if M.rows != M.cols:
         raise DomainError("determinant of a non-square matrix")
     if M.ring == "z":
         return _int_det(M.entries)
+    rows, scale = _kronecker_rows(M)
+    return _ring_value(M.ring, _kronecker_det(rows), scale)
+
+
+def _kronecker_rows(M):
+    """(rows, scale): the rows of a "laurent", "qpoly" or "z" matrix as
+    lists of maps exponent -> nonzero int.  Each Q[q] row is multiplied by
+    the lcm of its denominators, and scale is the product of those
+    multipliers (1 for the other rings)."""
     if M.ring == "laurent":
-        return LaurentPoly._from_terms(
-            _kronecker_det([[f._terms for f in row] for row in M.entries]))
-    # Q[q]: clear each row's denominators, then divide their product out
+        return [[f._terms for f in row] for row in M.entries], 1
+    if M.ring == "z":
+        return [[{0: x} if x else {} for x in row] for row in M.entries], 1
     rows = []
     scale = 1
     for row in M.entries:
         s = math.lcm(*(c.denominator for f in row for c in f.coeffs))
         scale *= s
         rows.append([{e: int(c * s) for e, c in enumerate(f.coeffs) if c} for f in row])
-    terms = _kronecker_det(rows)
+    return rows, scale
+
+
+def _ring_value(ring, terms, scale=1):
+    """The element of "laurent", "qpoly" or "z" whose terms, multiplied by
+    `scale`, are `terms`, a map exponent -> nonzero int.  The determinant
+    of the rows of `_kronecker_rows` is det M times their scale."""
+    if ring == "laurent":
+        return LaurentPoly._from_terms(terms)
+    if ring == "z":
+        return terms.get(0, 0)
     coeffs = [0] * (max(terms) + 1 if terms else 0)
     for e, c in terms.items():
         q, r = divmod(c, scale)
         coeffs[e] = Fraction(c, scale) if r else q
     return RationalPoly._trimmed(coeffs)
+
+
+def _packed_units(M):
+    """The +-1 elimination `_unit_pivots`, without its singular exits, of a
+    "laurent", "qpoly" or "z" matrix M packed by `_kronecker_pack`:
+    (sign, block, pivots, b, shift, scale).  Zero rows are left out of the
+    packing (sign is then 0), so only the `pivots` +-1 pivots and the block
+    of packed entries left (its rows and columns those of M that took no
+    pivot, less the zero rows) stand for M."""
+    rows, scale = _kronecker_rows(M)
+    nonzero = [row for row in rows if any(row)]
+    packed, b, shift = _kronecker_pack(nonzero, M.cols)
+    sign, block = _unit_pivots(packed, M.cols, singular_exit=False)
+    if len(nonzero) < M.rows:
+        sign = 0
+    return sign, block, len(nonzero) - len(block), b, shift, scale
+
+
+def _packed_qpoly_invariants(M, block, pivots, b):
+    """The Q[q] stable invariants of M from its `_packed_units` block: the
+    +-1 pivots are units, so M is equivalent over Q[q, q^-1] to
+    diag(1, ..., 1, B) and the zero rows, B the block read back as
+    polynomials, and only B goes to `_smith_diagonal`.  Clearing denominators scales rows by rationals and
+    the packing shifts rows by powers of q, both unit changes over
+    Q[q, q^-1], and `_normalize_factor` reads each factor modulo q-powers
+    and rational content, so the invariants are those of M over Q[q]."""
+    B = ExactMatrix._of_ring_elements(
+        len(block), M.cols - pivots, "qpoly",
+        [[_ring_value("qpoly", _kronecker_unpack(x, b, 0)) for x in row] for row in block])
+    return _invariants("qpoly", M.rows - pivots, _smith_diagonal(B))
+
+
+def _det_and_qpoly_invariants(M):
+    """(determinant(M), stable_invariants(M.to_qpoly())) for a square
+    "laurent", "qpoly" or "z" matrix M, from one packed elimination
+    (`_packed_units`): det is the sign of its +-1 pivots times Bareiss on
+    the block left, and the invariants run the Smith elimination on that
+    block alone (`_packed_qpoly_invariants`).  A Laurent M with negative
+    exponents has no Q[q] image; its invariants are then read over
+    Q[q, q^-1], modulo q-powers, like any other."""
+    if M.rows != M.cols:
+        raise DomainError("determinant of a non-square matrix")
+    sign, block, pivots, b, shift, scale = _packed_units(M)
+    # the invariants read the block before Bareiss overwrites it
+    inv = _packed_qpoly_invariants(M, block, pivots, b)
+    value = sign * _int_bareiss(block) if sign else 0
+    return _ring_value(M.ring, _kronecker_unpack(value, b, shift), scale), inv
 
 
 def pfaffian(M):

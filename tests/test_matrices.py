@@ -465,14 +465,7 @@ class TestDeterminant:
     def test_qpoly_determinant_matches_laurent_on_jt_suite(self, monkeypatch):
         # every J, D and M whose determinant verify_theorems("jt", 4) takes;
         # the Q[q] Bareiss quotients are integral, so no Fraction survives
-        seen = []
-
-        def recording(X):
-            seen.append(X)
-            return determinant(X)
-
-        monkeypatch.setattr(harness, "determinant", recording)
-        summary, _ = harness.verify_theorems("jt", 4)
+        summary, seen = spy_jt_suite(monkeypatch, 4)
         # three matrices per check, less the three that are 0 x 0
         assert summary == {"which": "jt", "checked": 144, "failed": 0}
         assert len(seen) == 3 * 144 - 3
@@ -483,6 +476,115 @@ class TestDeterminant:
                 dq.pop(0)   # the q-power that normal() strips
             dl = RationalPoly.from_laurent(LaurentPoly.coerce(determinant(X)).normal())
             assert RationalPoly(dq).monic() == dl.monic()
+
+
+def spy_jt_suite(monkeypatch, ceiling):
+    """Run verify_theorems("jt", ceiling); return its summary and every
+    matrix it hands to the shared determinant and Q[q] invariants call."""
+    shared = matrices._det_and_qpoly_invariants
+    seen = []
+
+    def recording(X):
+        seen.append(X)
+        return shared(X)
+
+    monkeypatch.setattr(harness, "_det_and_qpoly_invariants", recording)
+    summary, _ = harness.verify_theorems("jt", ceiling)
+    return summary, seen
+
+
+def qpoly_invariants_reference(M):
+    """(free rank, factors) of a Q[q] matrix read off `_smith_diagonal`,
+    the generic Smith elimination of the whole matrix."""
+    diagonal = [d for d in _smith_diagonal(M) if not d.is_zero()]
+    factors = [matrices._normalize_factor(d, "qpoly") for d in diagonal]
+    return M.rows - len(diagonal), tuple(f for f in factors if f is not None)
+
+
+class TestPackedQpolyInvariants:
+    """Q[q] stable invariants from the packed +-1 elimination of the
+    determinant, against the generic Smith elimination of the whole matrix."""
+
+    def test_seeded_against_smith_diagonal(self):
+        rng = random.Random(2401)
+
+        def entry():
+            r = rng.random()
+            if r < 0.45:
+                return RationalPoly.zero()
+            if r < 0.7:
+                return RationalPoly([0] * rng.randint(0, 2) + [rng.choice((1, -1))])
+            return RationalPoly([rng.choice((0, 1, -1, 2, -3, 7, Fraction(1, 2),
+                                             Fraction(-2, 3)))
+                                 for _ in range(rng.randint(1, 3))])
+
+        seen = {"fraction": 0, "zero row": 0, "zero col": 0, "non-square": 0,
+                "deficient": 0, "factors": 0}
+        for trial in range(400):
+            m = rng.randint(0, 6)
+            n = m if trial % 2 else rng.randint(0, 6)
+            grid = [[entry() for _ in range(n)] for _ in range(m)]
+            if m and trial % 7 == 1:
+                grid[rng.randrange(m)] = [RationalPoly.zero()] * n
+            if n and trial % 7 == 2:
+                j = rng.randrange(n)
+                for row in grid:
+                    row[j] = RationalPoly.zero()
+            if m >= 3 and trial % 7 == 3:
+                # a Q[q] combination of two other rows
+                f, g = entry(), RationalPoly([Fraction(1, 3), 1])
+                grid[0] = [f * x + g * y for x, y in zip(grid[1], grid[2])]
+            M = ExactMatrix(m, n, "qpoly", grid)
+            got = stable_invariants(M)
+            assert (got.free_rank, got.factors) == qpoly_invariants_reference(M)
+            seen["fraction"] += any(type(c) is Fraction for row in grid
+                                    for f in row for c in f.coeffs)
+            seen["zero row"] += any(all(f.is_zero() for f in row) for row in grid)
+            seen["zero col"] += any(all(row[j].is_zero() for row in grid) for j in range(n))
+            seen["non-square"] += m != n
+            seen["deficient"] += got.free_rank > max(0, m - n)
+            seen["factors"] += bool(got.factors)
+            if m == n:
+                det, inv = matrices._det_and_qpoly_invariants(M)
+                want = determinant(M)
+                assert det.coeffs == want.coeffs and inv == got
+        assert min(seen.values()) >= 30, seen
+
+    def test_jt_suite_shared_call(self, monkeypatch):
+        # one packed elimination gives each J, D and M of verify jt 4 its
+        # determinant and its Q[q] invariants, exactly as the separate calls
+        summary, seen = spy_jt_suite(monkeypatch, 4)
+        assert summary["failed"] == 0 and len(seen) == 3 * 144 - 3
+        for X in seen:
+            det, inv = matrices._det_and_qpoly_invariants(X)
+            want = determinant(X)
+            assert type(det) is type(want) and det == want
+            assert inv == stable_invariants(X.to_qpoly())
+            assert inv.factor_strings() == stable_invariants(X.to_qpoly()).factor_strings()
+            assert (inv.free_rank, inv.factors) == qpoly_invariants_reference(X.to_qpoly())
+
+    def test_wide_minors_in_the_block(self):
+        # one +-1 pivot, then a 3 x 3 block of 2 x 2 minors a_ij - a_i0 a_0j
+        # whose coefficients take 80 bits or more
+        rng = random.Random(2402)
+        for _ in range(6):
+            def big():
+                return RationalPoly([rng.randint(1 << 40, 1 << 41) * rng.choice((1, -1))
+                                     for _ in range(rng.randint(1, 3))])
+
+            grid = [[RationalPoly.one()] + [big() for _ in range(3)]]
+            grid += [[big()] + [big() * RationalPoly([0, 2]) for _ in range(3)]
+                     for _ in range(3)]
+            M = ExactMatrix(4, 4, "qpoly", grid)
+            _, block, pivots, b, _, _ = matrices._packed_units(M)
+            assert (pivots, len(block)) == (1, 3)
+            bits = max(abs(c).bit_length() for row in block for x in row
+                       for c in matrices._kronecker_unpack(x, b, 0).values())
+            assert bits >= 80
+            got = stable_invariants(M)
+            assert (got.free_rank, got.factors) == qpoly_invariants_reference(M)
+            det, inv = matrices._det_and_qpoly_invariants(M)
+            assert det == determinant(M) == bareiss_reference(M) and inv == got
 
 
 class TestKroneckerDeterminant:
