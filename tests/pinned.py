@@ -1,7 +1,7 @@
 """Records of the Smith driver's and the family builders' outputs, pinned
 by SHA-256 in `test_matrices.py`, `test_families.py` and in the CI job
 that runs without pytest: every Laurent attempt of the round suite at
-ceiling 6, the PID normal forms of three boxes, a seeded fuzz of random
+ceiling 6, and at ceiling 8 without transforms, the PID normal forms of three boxes, a seeded fuzz of random
 small matrices over every ring, and the graphs and matrices of the round
 suite at ceiling 8, of the q = -1 sides at ceiling 10 and of `verify jt`
 at ceiling 6; and the alternating (congruence) normal forms and
@@ -36,6 +36,7 @@ from kasteleyn.matrices import (
 from kasteleyn.rings import LaurentPoly, RationalPoly
 
 LAURENT_ATTEMPTS = (276, "5764ab4fe5d5992990fca66fec9f9033f6b22e7e716993335a75e577dcef8459")
+LAURENT_ROUND8 = (167, "c2ed4d7bc7fa604a092d33c1a47f7ad75b9531b7a6faeeb7ae27a4efa719a2c5")
 PID_FORMS = (6, "ad9276c5df851ea6503000a2944096656d7ad0b08db5530d50409426ca699c32")
 PID_Z_TRANSFORMS = (3, "d37d41f84ecddf41b883393c2f517746ff2c7d0f4abbf841bcc80737c95e5ac0")
 FUZZ = (960, "20c8a71d10d76a01229a91e24074183685d0b5dec4a494cfc98abf0685882688")
@@ -75,6 +76,22 @@ def laurent_attempt_records():
             for transforms in (False, True):
                 out = laurent_smith_attempt(M, max_steps=max_steps, transforms=transforms)
                 records.append([label] + _attempt_record(out, transforms))
+    return records
+
+
+def laurent_round8_records():
+    """Every Laurent attempt of the round suite at ceiling 8, at the
+    default step limit and without transforms, as `run_report` runs it."""
+    records = []
+    for label, spec, ring in harness._round_instances(8):
+        if ring != "laurent":
+            continue
+        try:
+            M = harness.family_matrix_for_ring(spec, ring)[0]
+        except DomainError:
+            continue
+        out = laurent_smith_attempt(M, transforms=False)
+        records.append([label] + _attempt_record(out, False))
     return records
 
 

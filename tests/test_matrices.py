@@ -1138,7 +1138,7 @@ class TestSmithDriverPinned:
     """The outputs of `_smith`, pinned by SHA-256: every Laurent attempt of
     the round suite at ceiling 6 (outcome, iterations, witness, diagonal or
     residual, and the transforms), at the default and at a tight step
-    limit; the PID normal forms of three box matrices with their
+    limit, and at ceiling 8 without transforms; the PID normal forms of three box matrices with their
     transforms; and a seeded fuzz of random matrices of every shape up to
     6 x 6 over every ring.  The pivot path decides the Laurent verdicts, so
     a change to the elimination must leave all of these as they are, with
@@ -1149,6 +1149,10 @@ class TestSmithDriverPinned:
     def test_laurent_attempts(self):
         records = pinned.laurent_attempt_records()
         assert (len(records), pinned.digest(records)) == pinned.LAURENT_ATTEMPTS
+
+    def test_laurent_round8(self):
+        records = pinned.laurent_round8_records()
+        assert (len(records), pinned.digest(records)) == pinned.LAURENT_ROUND8
 
     def test_pid_forms(self):
         records = pinned.pid_form_records()
