@@ -297,10 +297,11 @@ def run_report(spec, ring, q0=-1, guard=None):
     if ring == "laurent":
         attempt = laurent_smith_attempt(M, transforms=False)
         if not attempt.success:
+            # a stuck heuristic decides nothing: its blocking pair stays in
+            # the notes, and the verdicts read "inconclusive"
             return ReportRecord(
                 spec.to_json(), ring, kind, M.rows, M.cols, -1, [],
-                [], "inconclusive" if attempt.outcome == "inconclusive" else "fails",
-                "inconclusive", "skipped", time.perf_counter() - t0, None,
+                [], "inconclusive", "inconclusive", "skipped", time.perf_counter() - t0, None,
                 {"normal_form": attempt.outcome,
                  "witness": [str(w) for w in (attempt.witness or ())]},
             )

@@ -53,9 +53,9 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, prod
-from operator import add, mul, not_
+from operator import add, mul, not_, sub
 
 from kasteleyn.rings import (
     DomainError,
@@ -63,6 +63,7 @@ from kasteleyn.rings import (
     GuardExceeded,
     LaurentPoly,
     RationalPoly,
+    _divide_dense,
     format_laurent,
     parse_laurent,
 )
@@ -1351,67 +1352,67 @@ class NormalFormAttempt:
 
 def _laurent_reduce(b, p):
     """Reduce b modulo ring multiples of p; returns (multiplier, remainder)
-    with remainder = b - multiplier * p, multiplier in Z[q, q^-1]."""
-    t = LaurentPoly.zero()
-    r = b
-    while not r.is_zero():
-        full = r.try_divide(p)
+    with remainder = b - multiplier * p, multiplier in Z[q, q^-1].
+
+    Each step is the first of these that applies: the exact quotient, which
+    ends the reduction; for a monomial p = c q^k, every coefficient reduced
+    to its centered residue mod |c|; when the remainder is at least as long
+    as p, the centered quotient of its top or bottom coefficient by p's,
+    whichever end shrinks it more; the lattice step of `_lattice_step`.
+    The reduction stops when no step makes the remainder smaller by the
+    size key (span, |top|, |bottom|, L1 norm).  The remainder is kept as
+    its lowest exponent and coefficient list, the multiplier as a map
+    exponent -> coefficient, and only the pair returned is built as
+    Laurent polynomials."""
+    if b.is_zero():
+        return LaurentPoly.zero(), b
+    lo, R = b._dense()
+    lo_p, P = p._dense()
+    t = {}
+    while R:
+        full = _divide_dense(R, P)
         if full is not None:
-            return t + full, LaurentPoly.zero()
-        if p.span == 0:
-            # p is c * q^k; reduce every coefficient of r mod |c|
-            c = abs(p.trailing_coeff())
-            psign = 1 if p.trailing_coeff() > 0 else -1
-            k = p.min_exp
-            step = {}
-            for e, ce in r.items():
+            for e, c in enumerate(full, lo - lo_p):
+                t[e] = t.get(e, 0) + c
+            R = []
+            break
+        if len(P) == 1:
+            # p is c * q^k with |c| > 1; reduce every coefficient of r mod |c|
+            c = abs(P[0])
+            psign = 1 if P[0] > 0 else -1
+            moved = False
+            for i, ce in enumerate(R):
                 qq = ce // c if ce >= 0 else -((-ce) // c)
-                if abs(ce - qq * c) > c // 2 and c > 1:
+                if abs(ce - qq * c) > c // 2:
                     qq += 1 if ce > 0 else -1
                 if qq:
-                    step[e - k] = qq * psign
-            if not step:
-                return t, r
-            mono = LaurentPoly(step)
-            t = t + mono
-            r = r - mono * p
+                    e = lo + i - lo_p
+                    t[e] = t.get(e, 0) + qq * psign
+                    R[i] = ce - qq * c
+                    moved = True
+            if not moved:
+                break
+            shift, R = _trimmed(R)
+            lo += shift
             continue
-        if r.span >= p.span:
+        step = None
+        if len(R) >= len(P):
             # Euclidean descent on the end coefficients with centered
             # quotients (halved remainders control coefficient growth);
             # pick whichever end shrinks the entry more
-            best = None
-            base = _laurent_size(r)
-            q_top = _centered_quotient(r.leading_coeff(), p.leading_coeff())
-            if q_top:
-                f = LaurentPoly.q_power(r.max_exp - p.max_exp, q_top)
-                r2 = r - f * p
-                s2 = _laurent_size(r2)
-                if s2 < base:
-                    best = (s2, f, r2)
-            q_bot = _centered_quotient(r.trailing_coeff(), p.trailing_coeff())
-            if q_bot:
-                f = LaurentPoly.q_power(r.min_exp - p.min_exp, q_bot)
-                r2 = r - f * p
-                s2 = _laurent_size(r2)
-                if s2 < base and (best is None or s2 < best[0]):
-                    best = (s2, f, r2)
-            if best is None:
-                step = _lattice_step(r, p)
-                if step is None:
-                    return t, r
-                t = t + step[0]
-                r = step[1]
-                continue
-            t = t + best[1]
-            r = best[2]
-            continue
-        step = _lattice_step(r, p)
+            step = _smallest_at_ends(R, P, ((len(R) - len(P), _centered_quotient(R[-1], P[-1])),
+                                            (0, _centered_quotient(R[0], P[0]))), _size_key(R))[1]
         if step is None:
-            return t, r
-        t = t + step[0]
-        r = step[1]
-    return t, r
+            step = _lattice_step(R, P)
+            if step is None:
+                break
+        o, c = step
+        e = lo + o - lo_p
+        t[e] = t.get(e, 0) + c
+        shift, R = _trimmed(_subtract_window(R, P, o, c))
+        lo += min(o, 0) + shift
+    return (LaurentPoly._from_terms({e: c for e, c in t.items() if c}),
+            LaurentPoly._from_terms({lo + i: c for i, c in enumerate(R) if c}))
 
 
 def _centered_quotient(a, b):
@@ -1422,61 +1423,87 @@ def _centered_quotient(a, b):
     return q
 
 
-def _lattice_step(r, p):
-    """Size-reduction against monomial multiples of p: find c * q^s with
-    r - c q^s p strictly smaller (projection with a centered coefficient);
-    None when no shift helps.
+def _lattice_step(R, P):
+    """Size-reduction of the coefficient list R against monomial multiples
+    of P (both lowest term first, with nonzero ends): the (o, c) for which
+    R - c q^o P, P[0] landing at R[o], is strictly smallest by the size key
+    and smaller than R, c being the centered projection of R on q^o P or
+    one off it, the first such at ties; None when no shift helps.
 
-    Works on the coefficient lists: a candidate changes r only in the
-    window where c q^s p lands, so its size is r's size updated over that
-    window, and only the winner is built as a polynomial."""
-    lo_r, R = r._dense()
-    lo_p, P = p._dense()
+    A window overhanging one end of R must reach its other end, or the
+    span grows; so o runs over len(R) - len(P) when that is negative, then
+    0 .. len(R) - len(P).  Only the windows at the two ends can move the
+    span or an end coefficient, and only their keys are built in full:
+    every other window keeps R[0] and R[-1], so its key differs from R's in
+    the L1 norm alone, and it is sized by that norm without building the
+    result or searching for its ends."""
     nr, np_ = len(R), len(P)
     pp = sum(map(mul, P, P))
-    l1 = sum(map(abs, R))
-    base = (nr - 1, abs(R[-1]), abs(R[0]), l1)
-    best = None
-    # o = index in R where P[0] lands, i.e. the shift s = o + lo_r - lo_p;
-    # the window covers indices o .. end - 1, so the top of the result is
-    # r's (R[-1]) unless end >= nr, and its bottom r's (R[0]) unless o <= 0
-    for o in range(1 - np_, nr):
-        end = o + np_
-        if (o < 0 and end != nr) or (o > 0 and end > nr):
-            # the window's overhang is a new nonzero end of the result and
-            # the other end of r stays, so the span grows: never smaller
-            continue
-        lo, hi = max(o, 0), min(end, nr)
-        overlap = R[lo:hi]
-        head, mid, tail = P[:lo - o], P[lo - o:hi - o], P[hi - o:]
-        c0 = _centered_quotient(sum(map(mul, mid, overlap)), pp)
-        rest = l1 - sum(map(abs, overlap))
-        for c in {c0, c0 + 1, c0 - 1} - {0}:
-            scale = (-c).__mul__
-            win = [*map(scale, head), *map(add, overlap, map(scale, mid)), *map(scale, tail)]
-            size = rest + sum(map(abs, win))
-            if not size:
-                s2 = (-1, 0, 0, 0)
-            else:
-                if end < nr:
-                    top = nr - 1
-                else:
-                    j = _last_nonzero(win)
-                    top = o + j if j >= 0 else _last_nonzero(R[:o])
-                if o > 0:
-                    bot = 0
-                else:
-                    j = _first_nonzero(win)
-                    bot = o + j if j < np_ else end + _first_nonzero(R[end:])
-                at_top = win[top - o] if o <= top < end else R[top]
-                at_bot = win[bot - o] if o <= bot < end else R[bot]
-                s2 = (top - bot, abs(at_top), abs(at_bot), size)
-            if s2 < base and (best is None or s2 < best[0]):
-                best = (s2, o, c)
-    if best is None:
-        return None
-    f = LaurentPoly.q_power(best[1] + lo_r - lo_p, best[2])
-    return f, r - f * p
+    top = nr - np_
+
+    def candidates(o):
+        lo, hi = max(o, 0), min(o + np_, nr)
+        c0 = _centered_quotient(sum(map(mul, P[lo - o:hi - o], R[lo:hi])), pp)
+        return [(o, c) for c in {c0, c0 + 1, c0 - 1} - {0}]
+
+    base = _size_key(R)
+    best, step = _smallest_at_ends(R, P, [w for o in ((top, 0) if top < 0 else (0,))
+                                          for w in candidates(o)], base)
+    # an interior window wins by an L1 norm below `cap`, and not at all once
+    # a bottom window has shortened R or shrunk an end coefficient
+    if best[:3] == base[:3]:
+        cap, l1 = best[3], base[3]
+        acc = [0, *accumulate(map(abs, R))]
+        for o in range(1, top):
+            overlap = R[o:o + np_]
+            c0 = _centered_quotient(sum(map(mul, P, overlap)), pp)
+            rest = l1 - acc[o + np_] + acc[o]
+            # overlap - c P for c = c0 and c0 +- 1, from one product c0 P
+            D = list(map(sub, overlap, map(c0.__mul__, P))) if c0 else overlap
+            for c in {c0, c0 + 1, c0 - 1} - {0}:
+                size = rest + sum(map(abs, D if c == c0 else map(sub if c > c0 else add, D, P)))
+                if size < cap:
+                    cap, step = size, (o, c)
+        best = base[:3] + (cap,)
+    if top > 0:
+        best, step = _smallest_at_ends(R, P, candidates(top), best, step)
+    return step
+
+
+def _smallest_at_ends(R, P, windows, best, step=None):
+    """(key, (o, c)) for the first strictly smallest size key of R - c q^o P
+    over the (o, c) of `windows` with c != 0, if that key is below `best`;
+    else (best, step)."""
+    for o, c in windows:
+        if c:
+            key = _size_key(_trimmed(_subtract_window(R, P, o, c))[1])
+            if key < best:
+                best, step = key, (o, c)
+    return best, step
+
+
+def _size_key(R):
+    """(span, |top|, |bottom|, L1 norm) of a coefficient list with nonzero
+    ends, (-1, 0, 0, 0) for the empty list."""
+    return (len(R) - 1, abs(R[-1]), abs(R[0]), sum(map(abs, R))) if R else (-1, 0, 0, 0)
+
+
+def _subtract_window(R, P, o, c):
+    """R - c q^o P, P[0] landing at R[o], as a list from index min(o, 0)."""
+    lo = min(o, 0)
+    out = [0] * -lo + R + [0] * max(o + len(P) - len(R), 0)
+    k = o - lo
+    out[k:k + len(P)] = map(sub, out[k:k + len(P)], map(c.__mul__, P))
+    return out
+
+
+def _trimmed(xs):
+    """(i, xs[i:j]) for the first nonzero entry i and the last j - 1 of xs;
+    (0, []) when every entry is zero."""
+    i = _first_nonzero(xs)
+    if i == len(xs):
+        return 0, []
+    return i, xs[i:_last_nonzero(xs) + 1]
 
 
 def _last_nonzero(xs):
@@ -1495,23 +1522,17 @@ def _first_nonzero(xs):
     return i
 
 
-def _laurent_size(f):
-    # invariant under units +-q^k, so read off f itself, not f.normal()
-    if f.is_zero():
-        return (-1, 0, 0, 0)
-    t = f._terms
-    lo, hi = min(t), max(t)
-    return (hi - lo, abs(t[hi]), abs(t[lo]), sum(abs(c) for c in t.values()))
-
-
 def laurent_smith_attempt(M, max_steps=10000, transforms=True):
     """Heuristic Smith reduction over Z[q, q^-1]: unit-normalize the rows,
-    then run the shared elimination with centered reductions (exact
-    division, degree reduction and integer-content reduction); succeed with
-    a divisibility-chained diagonal, or stop with a blocking 2x2 witness, or
-    give up at the step limit.  With transforms=False the witness
-    transforms L, R are not built; the outcome, diagonal, witness, residual
-    and iteration count do not depend on them."""
+    then run the shared elimination with centered reductions
+    (`_laurent_reduce`: exact division, degree reduction and
+    integer-content reduction); succeed with a divisibility-chained
+    diagonal, or stop with a blocking 2x2 pair, or give up at the step
+    limit.  A blocking pair is no proof that M has no Smith form over
+    Z[q, q^-1]: reports read both failures as "inconclusive".  With
+    transforms=False the witness transforms L, R are not built; the
+    outcome, diagonal, witness, residual and iteration count do not depend
+    on them."""
     if M.ring != "laurent":
         M = M.map_ring("laurent", LaurentPoly.coerce)
     ring = ring_adapter("laurent")

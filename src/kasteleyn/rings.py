@@ -236,22 +236,8 @@ class LaurentPoly:
             return LaurentPoly._from_terms(terms)
         lo_n, num = self._dense()
         lo_d, den = other._dense()
-        # long division from the top; abort as soon as a step is inexact
-        quot = [0] * (len(num) - len(den) + 1)
-        if len(num) < len(den):
-            return None
-        lead = den[-1]
-        for i in range(len(num) - len(den), -1, -1):
-            c = num[i + len(den) - 1]
-            if c == 0:
-                continue
-            if c % lead:
-                return None
-            f = c // lead
-            quot[i] = f
-            for j, d in enumerate(den):
-                num[i + j] -= f * d
-        if any(num):
+        quot = _divide_dense(num, den)
+        if quot is None:
             return None
         return LaurentPoly._from_terms(
             {i + lo_n - lo_d: c for i, c in enumerate(quot) if c}
@@ -312,6 +298,31 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self, compact=True)!r})"
+
+
+def _divide_dense(num, den):
+    """Exact quotient of two coefficient lists (lowest term first, nonzero
+    ends) by long division from the top, or None as soon as a step is
+    inexact; num is not changed."""
+    n = len(den)
+    if len(num) < n:
+        return None
+    num = list(num)
+    lead = den[-1]
+    quot = [0] * (len(num) - n + 1)
+    for i in range(len(num) - n, -1, -1):
+        c = num[i + n - 1]
+        if c == 0:
+            continue
+        if c % lead:
+            return None
+        f = c // lead
+        quot[i] = f
+        for j, d in enumerate(den):
+            num[i + j] -= f * d
+    if any(num):
+        return None
+    return quot
 
 
 # ---------------------------------------------------------------------------

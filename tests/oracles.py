@@ -301,38 +301,92 @@ def kron_reference(A, B):
                         for i in range(A.rows) for k in range(B.rows)])
 
 
+def _laurent_size(f):
+    """(span, |lead|, |trail|, L1 norm) of f, (-1, 0, 0, 0) for zero."""
+    if f.is_zero():
+        return (-1, 0, 0, 0)
+    g = f.normal()
+    return (g.span, abs(g.leading_coeff()), abs(g.trailing_coeff()),
+            sum(abs(c) for _, c in g.items()))
+
+
+def _centered(a, b):
+    """Quotient q with |a - q b| <= |b| / 2, deterministic at ties."""
+    q, rem = divmod(a, b)
+    if 2 * abs(rem) > abs(b):
+        q += 1 if b > 0 else -1
+    return q
+
+
 def lattice_step_reference(r, p):
     """The Laurent lattice step, building every candidate polynomial: over
     the shifts s that overlap r, take the centered projection c0 of r on
     q^s p and try r - c q^s p for c in {c0, c0 + 1, c0 - 1} - {0}; return
     (c q^s, r - c q^s p) for the first strictly smallest candidate by
     (span, |lead|, |trail|, L1 norm) if it is smaller than r, else None."""
-
-    def size(f):
-        if f.is_zero():
-            return (-1, 0, 0, 0)
-        g = f.normal()
-        return (g.span, abs(g.leading_coeff()), abs(g.trailing_coeff()),
-                sum(abs(c) for _, c in g.items()))
-
-    def centered(a, b):
-        q, rem = divmod(a, b)
-        if 2 * abs(rem) > abs(b):
-            q += 1 if b > 0 else -1
-        return q
-
     pp = sum(c * c for _, c in p.items())
-    base = size(r)
+    base = _laurent_size(r)
     best = None
     for s in range(r.min_exp - p.max_exp, r.max_exp - p.min_exp + 1):
-        c0 = centered(sum(c * r.coeff(e + s) for e, c in p.items()), pp)
+        c0 = _centered(sum(c * r.coeff(e + s) for e, c in p.items()), pp)
         for c in {c0, c0 + 1, c0 - 1} - {0}:
             f = LaurentPoly.q_power(s, c)
             r2 = r - f * p
-            s2 = size(r2)
+            s2 = _laurent_size(r2)
             if s2 < base and (best is None or s2 < best[0]):
                 best = (s2, f, r2)
     return None if best is None else (best[1], best[2])
+
+
+def laurent_reduce_reference(b, p):
+    """The Laurent reduction of b modulo ring multiples of p on LaurentPoly
+    values, building every candidate: (t, r) with r = b - t p.  Until r is
+    zero: stop at the exact quotient; for a monomial p = c q^k, reduce every
+    coefficient of r to its centered residue mod |c| (halves toward zero);
+    when r is at least as long as p, subtract the centered quotient of r's
+    top or bottom coefficient by p's times the matching shift of p,
+    whichever end gives the smaller r if any does; otherwise take
+    `lattice_step_reference`.  Stop when no step applies."""
+    t = LaurentPoly.zero()
+    r = b
+    while not r.is_zero():
+        full = r.try_divide(p)
+        if full is not None:
+            return t + full, LaurentPoly.zero()
+        if p.span == 0:
+            c = abs(p.trailing_coeff())
+            psign = 1 if p.trailing_coeff() > 0 else -1
+            k = p.min_exp
+            step = {}
+            for e, ce in r.items():
+                qq = ce // c if ce >= 0 else -((-ce) // c)
+                if abs(ce - qq * c) > c // 2 and c > 1:
+                    qq += 1 if ce > 0 else -1
+                if qq:
+                    step[e - k] = qq * psign
+            if not step:
+                return t, r
+            mono = LaurentPoly(step)
+            t = t + mono
+            r = r - mono * p
+            continue
+        best = None
+        if r.span >= p.span:
+            base = _laurent_size(r)
+            for e, c in ((r.max_exp - p.max_exp, _centered(r.leading_coeff(), p.leading_coeff())),
+                         (r.min_exp - p.min_exp, _centered(r.trailing_coeff(), p.trailing_coeff()))):
+                if c:
+                    f = LaurentPoly.q_power(e, c)
+                    r2 = r - f * p
+                    s2 = _laurent_size(r2)
+                    if s2 < base and (best is None or s2 < best[0]):
+                        best = (s2, f, r2)
+        step = lattice_step_reference(r, p) if best is None else best[1:]
+        if step is None:
+            return t, r
+        t = t + step[0]
+        r = step[1]
+    return t, r
 
 
 def laurent_divide_reference(f, g):

@@ -434,7 +434,7 @@ def test_criterion_11_conjecture_harness_smoke():
                 )
     # the suite JSON is pinned byte for byte
     for verdicts, want in (
-        (round_verdicts, "1ee8c977dd066e39eff039a5a8d91ae07ce6b0ff9fef07f653bea71a8163d100"),
+        (round_verdicts, "06d9bfa4208324b9031e2b30a3d11dca5768210477bb2989dae4597bbd690efc"),
         (sq_verdicts, "41c075c153ffb31c7daf980cedc29e6aae5ca6e6d52046c26fd0d23b679be756"),
         (qm, "a73d60a642a9d3060293a326fb81352aba86b541d8ebd49a38f83354676005a4"),
     ):

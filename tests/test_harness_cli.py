@@ -48,6 +48,19 @@ class TestRunReport:
         rec = run_report(spec, "z")
         assert rec.oracle_check in ("holds", "skipped")
 
+    def test_stuck_laurent_attempt_is_inconclusive(self):
+        # the heuristic stops at a blocking pair, which proves nothing about
+        # the existence of a Smith form: the pair is kept in the notes only
+        spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group="tau",
+                          q_mode="cube", wrong_parity=True)
+        rec = run_report(spec, "laurent")
+        assert (rec.round_verdict, rec.squarefree_verdict) == ("inconclusive", "inconclusive")
+        assert rec.notes["normal_form"] == "witnessed"
+        assert rec.notes["witness"][0] == "2 + 6*q - 4*q^2 + 4*q^3"
+        [v] = [v for v in conjecture_suite("round", 6)
+               if v.instance["label"] == "A'_tau(2,2,2;q)"]
+        assert v.verdict == "inconclusive" and v.witness == {"notes": rec.notes}
+
     def test_q0_specialization(self):
         rec = run_report(FamilySpec(variant="ppbox", a=2, b=2, c=2), "z@q0", q0=-1)
         assert rec.invariant_factors == ["2", "2"]

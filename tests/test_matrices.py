@@ -14,6 +14,7 @@ from oracles import (
     fourier_reference,
     kron_reference,
     lattice_step_reference,
+    laurent_reduce_reference,
     permutation_det,
     pfaffian_reference,
 )
@@ -69,6 +70,18 @@ def LQ(rows):
 
 def random_int_matrix(rng, m, n, lo=-9, hi=9):
     return Z([[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)])
+
+
+def lattice_step_on_polys(r, p):
+    """`_lattice_step` on the coefficient lists of r and p, its (o, c) read
+    back as (c q^s, r - c q^s p), None as it is."""
+    lo_r, R = r._dense()
+    lo_p, P = p._dense()
+    step = _lattice_step(R, P)
+    if step is None:
+        return None
+    f = LaurentPoly.q_power(step[0] + lo_r - lo_p, step[1])
+    return f, r - f * p
 
 
 def random_alternating(rng, n, lo=-9, hi=9):
@@ -990,7 +1003,7 @@ class TestLaurentAttempt:
         for _ in range(400):
             r, p = poly(), poly()
             want = lattice_step_reference(r, p)
-            assert _lattice_step(r, p) == want
+            assert lattice_step_on_polys(r, p) == want
             found += want is not None
         assert 100 < found < 400
 
@@ -1028,9 +1041,9 @@ class TestLaurentAttempt:
         # the window at one end cancels all it covers, past a gap in r; the
         # window cancelling r's other end must lose to it
         p = parse_laurent("1 + q")
-        assert _lattice_step(parse_laurent("1 + q + 5*q^3 + q^20 + q^21"), p) == (
+        assert lattice_step_on_polys(parse_laurent("1 + q + 5*q^3 + q^20 + q^21"), p) == (
             LaurentPoly.q_power(20), parse_laurent("1 + q + 5*q^3"))
-        assert _lattice_step(parse_laurent("1 + q + 5*q^18 + q^20 + q^21"), p) == (
+        assert lattice_step_on_polys(parse_laurent("1 + q + 5*q^18 + q^20 + q^21"), p) == (
             LaurentPoly.one(), parse_laurent("5*q^18 + q^20 + q^21"))
         cases = []
         for _ in range(300):
@@ -1042,10 +1055,50 @@ class TestLaurentAttempt:
         shrunk = longer_p = 0
         for r, p in cases:
             want = lattice_step_reference(r, p)
-            assert _lattice_step(r, p) == want, (str(r), str(p))
+            assert lattice_step_on_polys(r, p) == want, (str(r), str(p))
             shrunk += want is not None and (want[1].is_zero() or want[1].span < r.span)
             longer_p += p.span > r.span and want is not None
         assert shrunk > 400 and longer_p > 20, (shrunk, longer_p)
+
+    def test_reduce_matches_reference(self):
+        rng = random.Random(47)
+
+        def poly(length, bound):
+            lo = rng.randint(-6, 4)
+            terms = {lo + e: rng.randint(-bound, bound) for e in range(length)}
+            terms[lo] = terms[lo] or 1
+            terms[lo + length - 1] = terms[lo + length - 1] or -1
+            return LaurentPoly(terms)
+
+        seen = dict.fromkeys(("tie", "exact", "short", "negative", "zero", "stuck"), 0)
+        for i in range(2500):
+            kind = i % 5
+            if kind == 0:
+                # a monomial p = c q^k, |c| > 1; even c makes ties c / 2
+                c = rng.choice((2, -2, 4, -4, 6, 3, -5))
+                p = LaurentPoly.q_power(rng.randint(-3, 3), c)
+                b = poly(rng.randint(1, 8), 3 * abs(c))
+                seen["tie"] += c % 2 == 0 and any(x % c == c // 2 for _, x in b.items())
+            else:
+                p = poly(rng.randint(2, 6), rng.choice((2, 9)))
+                if kind == 1:
+                    b = poly(rng.randint(1, 5), 3) * p
+                elif kind == 2:
+                    b = poly(rng.randint(1, p.span), rng.choice((3, 30)))
+                elif kind == 3:
+                    b = LaurentPoly.zero()
+                else:
+                    b = poly(rng.randint(1, 14), rng.choice((2, 20)))
+            t, r = matrices._laurent_reduce(b, p)
+            assert (t, r) == laurent_reduce_reference(b, p), (str(b), str(p))
+            assert r == b - t * p
+            seen["exact"] += kind == 1 and r.is_zero()
+            seen["short"] += not b.is_zero() and b.span < p.span
+            seen["negative"] += not b.is_zero() and b.min_exp < 0
+            seen["zero"] += b.is_zero()
+            seen["stuck"] += not r.is_zero() and kind != 0
+        assert seen["exact"] == seen["zero"] == 500, seen
+        assert min(seen.values()) > 100, seen
 
     def test_box_333_witness_pinned(self):
         M, _ = family_matrix(FamilySpec("ppbox", 3, 3, 3, q_mode="cube"))
