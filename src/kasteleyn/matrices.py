@@ -1500,26 +1500,12 @@ def _subtract_window(R, P, o, c):
 def _trimmed(xs):
     """(i, xs[i:j]) for the first nonzero entry i and the last j - 1 of xs;
     (0, []) when every entry is zero."""
-    i = _first_nonzero(xs)
-    if i == len(xs):
-        return 0, []
-    return i, xs[i:_last_nonzero(xs) + 1]
-
-
-def _last_nonzero(xs):
-    """Index of the last nonzero entry of xs, -1 if there is none."""
-    i = len(xs) - 1
-    while i >= 0 and not xs[i]:
-        i -= 1
-    return i
-
-
-def _first_nonzero(xs):
-    """Index of the first nonzero entry of xs, len(xs) if there is none."""
-    i = 0
-    while i < len(xs) and not xs[i]:
+    i, j = 0, len(xs)
+    while i < j and not xs[i]:
         i += 1
-    return i
+    while j > i and not xs[j - 1]:
+        j -= 1
+    return (i, xs[i:j]) if i < j else (0, [])
 
 
 def laurent_smith_attempt(M, max_steps=10000, transforms=True):

@@ -373,8 +373,9 @@ def laurent_reduce_reference(b, p):
         best = None
         if r.span >= p.span:
             base = _laurent_size(r)
-            for e, c in ((r.max_exp - p.max_exp, _centered(r.leading_coeff(), p.leading_coeff())),
-                         (r.min_exp - p.min_exp, _centered(r.trailing_coeff(), p.trailing_coeff()))):
+            top = _centered(r.leading_coeff(), p.leading_coeff())
+            bottom = _centered(r.trailing_coeff(), p.trailing_coeff())
+            for e, c in ((r.max_exp - p.max_exp, top), (r.min_exp - p.min_exp, bottom)):
                 if c:
                     f = LaurentPoly.q_power(e, c)
                     r2 = r - f * p

@@ -1,12 +1,13 @@
 """Records of the Smith driver's and the family builders' outputs, pinned
 by SHA-256 in `test_matrices.py`, `test_families.py` and in the CI job
 that runs without pytest: every Laurent attempt of the round suite at
-ceiling 6, and at ceiling 8 without transforms, the PID normal forms of three boxes, a seeded fuzz of random
-small matrices over every ring, and the graphs and matrices of the round
-suite at ceiling 8, of the q = -1 sides at ceiling 10 and of `verify jt`
-at ceiling 6; and the alternating (congruence) normal forms and
-Pfaffians of a seeded fuzz, of the kind "A" integer matrices of the round
-suite at ceiling 8 and of two kappa quotients.
+ceiling 6, and at ceiling 8 without transforms, the PID normal forms of
+three boxes, a seeded fuzz of random small matrices over every ring, and
+the graphs and matrices of the round suite at ceiling 8, of the q = -1
+sides at ceiling 10 and of `verify jt` at ceiling 6; and the alternating
+(congruence) normal forms and Pfaffians of a seeded fuzz, of the kind "A"
+integer matrices of the round suite at ceiling 8 and of two kappa
+quotients.
 The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those

@@ -1191,13 +1191,13 @@ class TestSmithDriverPinned:
     """The outputs of `_smith`, pinned by SHA-256: every Laurent attempt of
     the round suite at ceiling 6 (outcome, iterations, witness, diagonal or
     residual, and the transforms), at the default and at a tight step
-    limit, and at ceiling 8 without transforms; the PID normal forms of three box matrices with their
-    transforms; and a seeded fuzz of random matrices of every shape up to
-    6 x 6 over every ring.  The pivot path decides the Laurent verdicts, so
-    a change to the elimination must leave all of these as they are, with
-    one exception: the integer transforms, pinned apart, change only with
-    the route that builds them.  The records are built in `pinned.py`,
-    which the CI job without pytest checks too."""
+    limit, and at ceiling 8 without transforms; the PID normal forms of
+    three box matrices with their transforms; and a seeded fuzz of random
+    matrices of every shape up to 6 x 6 over every ring.  The pivot path
+    decides the Laurent verdicts, so a change to the elimination must leave
+    all of these as they are, with one exception: the integer transforms,
+    pinned apart, change only with the route that builds them.  The records
+    are built in `pinned.py`, which the CI job without pytest checks too."""
 
     def test_laurent_attempts(self):
         records = pinned.laurent_attempt_records()
