@@ -1,13 +1,15 @@
 """Records of the Smith driver's and the family builders' outputs, pinned
-by SHA-256 in `test_matrices.py`, `test_families.py` and in the CI job
-that runs without pytest: every Laurent attempt of the round suite at
-ceiling 6, and at ceiling 8 without transforms, the PID normal forms of
-three boxes, a seeded fuzz of random small matrices over every ring, and
-the graphs and matrices of the round suite at ceiling 8, of the q = -1
-sides at ceiling 10 and of `verify jt` at ceiling 6; and the alternating
-(congruence) normal forms and Pfaffians of a seeded fuzz, of the kind "A"
-integer matrices of the round suite at ceiling 8 and of two kappa
-quotients.
+by SHA-256 in `test_matrices.py`, `test_families.py`, `test_graphs.py`
+and in the CI job that runs without pytest: every Laurent attempt of the
+round suite at ceiling 6, and at ceiling 8 without transforms, the PID
+normal forms of three boxes, a seeded fuzz of random small matrices over
+every ring, and the graphs and matrices of the round suite at ceiling 8,
+of the q = -1 sides at ceiling 10 and of `verify jt` at ceiling 6; the
+alternating (congruence) normal forms and Pfaffians of a seeded fuzz, of
+the kind "A" integer matrices of the round suite at ceiling 8 and of two
+kappa quotients; and the Kasteleyn decorations of the round suite at
+ceiling 6 and of the projective cube quotient on shuffled dual spanning
+trees.
 The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those
@@ -22,8 +24,20 @@ from fractions import Fraction
 from functools import cache
 
 from kasteleyn import FamilySpec, harness
-from kasteleyn.families import _decorated_matrix, build_family_graph, build_skew_graph
-from kasteleyn.graphs import adjacency_matrix, graph_to_json, kasteleyn_orient, kasteleyn_percus_sign
+from kasteleyn.families import (
+    _decorated_matrix,
+    antipodal_cube_quotient,
+    build_family_graph,
+    build_skew_graph,
+)
+from kasteleyn.graphs import (
+    MONO,
+    adjacency_matrix,
+    graph_to_json,
+    kasteleyn_orient,
+    kasteleyn_percus_sign,
+    monogamous_resolution,
+)
 from kasteleyn.matrices import (
     DomainError,
     ExactMatrix,
@@ -44,6 +58,7 @@ FUZZ = (960, "20c8a71d10d76a01229a91e24074183685d0b5dec4a494cfc98abf0685882688")
 FUZZ_Z_TRANSFORMS = (80, "a4d9bd3ea4bafb5ff2cdef63e49aab5eee87eeb4af326d40de30e08add628445")
 BUILDERS = (819, "43e31dfb2172f225d3d1aea664edf097a28e88e88a34416428fff40852dd7600")
 ALTERNATING = (283, "795d7168409040f874f61f10739ae92e071dcacc463274a87d7491845ef02166")
+DECORATIONS = (344, "29269e7efff35b601528ec87fb46cae61ab6c3fa0a6005f04992af1a04dd8222")
 
 
 def digest(records):
@@ -253,6 +268,37 @@ def builder_records():
                 Z = build_skew_graph(lam, mu, a)
                 records.append([list(lam), list(mu), a, _graph_text(Z),
                                 write_matrix(adjacency_matrix(Z, "bipartite"))])
+    return records
+
+
+def decoration_records():
+    """The Kasteleyn decoration (`kasteleyn_percus_sign` of a properly
+    2-colored graph, `kasteleyn_orient` otherwise) of every build of the
+    round suite at ceiling 6, after its monogamous resolution, at tree
+    seeds 1, 2 and 3, which shuffle the dual spanning tree, and of the
+    projective `antipodal_cube_quotient` at seeds 0 to 3: the graph JSON,
+    or the message of the `DomainError` that refuses the build or the
+    decoration."""
+    graphs = []
+    records = []
+    for label, spec, _ in harness._round_instances(6):
+        try:
+            G = build_family_graph(spec)
+            if any(v.kind != MONO for v in G.vertices):
+                G = monogamous_resolution(G)
+        except DomainError as exc:
+            records.append([label, "DomainError", str(exc)])
+            continue
+        graphs.append((label, G, (1, 2, 3)))
+    graphs.append(("antipodal cube quotient", antipodal_cube_quotient(), (0, 1, 2, 3)))
+    for label, G, seeds in graphs:
+        decorate = kasteleyn_percus_sign if G.is_bipartite_colored() else kasteleyn_orient
+        for seed in seeds:
+            try:
+                text = _graph_text(decorate(G, seed))
+            except DomainError as exc:
+                text = ["DomainError", str(exc)]
+            records.append([label, seed, text])
     return records
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import pinned
 from oracles import enumerate_matchings_reference, macmahon_box_qgen, polys_equal_up_to_unit
 
 from kasteleyn.graphs import (
@@ -236,6 +237,18 @@ class TestOrient:
             M = adjacency_matrix(G, "bipartite")
             invs.add(stable_invariants(M))
         assert len(invs) == 1
+
+
+class TestPinnedDecorations:
+    """The decorated graphs of the round suite at ceiling 6 at tree seeds
+    1-3, whose dual spanning trees are shuffled, and of the projective cube
+    quotient at seeds 0-3, pinned by SHA-256: a change of the propagation
+    must flip the same edges.  The records are built in `pinned.py`, which
+    the CI job without pytest checks too."""
+
+    def test_seeded_decorations(self):
+        records = pinned.decoration_records()
+        assert (len(records), pinned.digest(records)) == pinned.DECORATIONS
 
 
 class TestAdjacency:
