@@ -243,7 +243,7 @@ def run(args):
         if spec.variant == "delannoy":
             raise DomainError("the Delannoy family has no matching oracle")
         G = build_family_graph(spec)
-        ms = enumerate_matchings(G, count_guard=oracle_guard(), list_guard=0)
+        ms = enumerate_matchings(G, count_guard=oracle_guard())
         payload = {"count": ms.count, "total_weight": str(ms.total_weight)}
         if args.format == "text":
             _emit(args, f"count {ms.count}")

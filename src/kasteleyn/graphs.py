@@ -28,6 +28,10 @@ EVEN = "even"
 
 _KINDS = (MONO, ODD, EVEN)
 
+# the matching oracle's vertex guard, also the fallback of
+# `harness.oracle_guard`
+_ORACLE_GUARD = 64
+
 
 class Vertex:
     __slots__ = ("id", "kind", "color", "label")
@@ -497,9 +501,42 @@ def _face_minus_count(G, walk):
     return c
 
 
-def _percus_target_odd(walk):
-    """Percus rule: odd number of minus signs iff the face has 4k sides."""
-    return len(walk) % 4 == 0
+def _agree_count(G, walk):
+    agree = 0
+    for eid, fwd in walk:
+        e = G.edge(eid)
+        if (e.orient == 1) == fwd:
+            agree += 1
+    return agree
+
+
+def _percus_flat(G, walk):
+    """Percus rule: an odd number of minus signs iff the face has 4k sides."""
+    return (_face_minus_count(G, walk) % 2 == 1) == (len(walk) % 4 == 0)
+
+
+def _kasteleyn_flat(G, walk):
+    """Kasteleyn rule: an odd number of edges agreeing with the walk."""
+    return _agree_count(G, walk) % 2 == 1
+
+
+def _flatten(G, flat, root, tree_seed, sign=None, orient=None):
+    """A clone of G with every edge's sign and orient set to the given
+    values, then flattened along the dual spanning tree from root: leaf to
+    root, each face that fails the rule `flat` flips the decorated value of
+    the edge to its parent face."""
+    out = G.clone()
+    for e in out.edges:
+        e.sign = sign
+        e.orient = orient
+    for f, parent, eid in reversed(_dual_tree_order(out, root, tree_seed)):
+        if parent is not None and not flat(out, out.faces[f]):
+            e = out.edge(eid)
+            if sign:
+                e.sign = -e.sign
+            else:
+                e.orient = -e.orient
+    return out
 
 
 def kasteleyn_percus_sign(G, tree_seed=0):
@@ -511,36 +548,13 @@ def kasteleyn_percus_sign(G, tree_seed=0):
         raise DomainError("resolve polygamous vertices before signing")
     if not G.is_bipartite_colored():
         raise DomainError("Percus signing needs a properly 2-colored graph")
-    out = G.clone()
-    for e in out.edges:
-        e.sign = 1
-        e.orient = None
-    order = _dual_tree_order(out, out.infinite_face, tree_seed)
-    for f, parent, eid in reversed(order):
-        if parent is None:
-            continue
-        walk = out.faces[f]
-        want_odd = _percus_target_odd(walk)
-        if (_face_minus_count(out, walk) % 2 == 1) != want_odd:
-            e = out.edge(eid)
-            e.sign = -e.sign
+    out = _flatten(G, _percus_flat, G.infinite_face, tree_seed, sign=1)
     if out.n_vertices % 2 == 1:
         out.flags["odd_vertex_count"] = True
     for fi, walk in enumerate(out.faces):
-        if fi == out.infinite_face:
-            continue
-        if (_face_minus_count(out, walk) % 2 == 1) != _percus_target_odd(walk):
+        if fi != out.infinite_face and not _percus_flat(out, walk):
             raise AssertionError("sign propagation failed to flatten a finite face")
     return out
-
-
-def _agree_count(G, walk):
-    agree = 0
-    for eid, fwd in walk:
-        e = G.edge(eid)
-        if (e.orient == 1) == fwd:
-            agree += 1
-    return agree
 
 
 def _solve_gf2(rows, rhs, n_cols):
@@ -582,39 +596,23 @@ def kasteleyn_orient(G, tree_seed=0):
     """
     if any(v.kind != MONO for v in G.vertices):
         raise DomainError("resolve polygamous vertices before orienting")
-    out = G.clone()
-    for e in out.edges:
-        e.orient = 1
-        e.sign = None
-    if out.surface == "sphere":
-        order = _dual_tree_order(out, out.infinite_face, tree_seed)
-        for f, parent, eid in reversed(order):
-            if parent is None:
-                continue
-            if _agree_count(out, out.faces[f]) % 2 != 1:
-                e = out.edge(eid)
-                e.orient = -e.orient
+    if G.surface == "sphere":
+        out = _flatten(G, _kasteleyn_flat, G.infinite_face, tree_seed, orient=1)
         if out.n_vertices % 2 == 1:
             out.flags["odd_vertex_count"] = True
         for fi, walk in enumerate(out.faces):
-            if fi != out.infinite_face and _agree_count(out, walk) % 2 != 1:
+            if fi != out.infinite_face and not _kasteleyn_flat(out, walk):
                 raise AssertionError("orientation propagation failed on a finite face")
         return out
 
     # projective plane
-    for walk in out.faces:
+    for walk in G.faces:
         if len(walk) % 2 == 1:
             raise DomainError("projective rule needs all faces even (a contractible odd cycle exists)")
-    if out.is_bipartite():
+    if G.is_bipartite():
         raise DomainError("projective rule needs a non-bipartite (locally-only) graph")
-    order = _dual_tree_order(out, 0, tree_seed)
-    for f, parent, eid in reversed(order):
-        if parent is None:
-            continue
-        if _agree_count(out, out.faces[f]) % 2 != 1:
-            e = out.edge(eid)
-            e.orient = -e.orient
-    bad = [fi for fi, walk in enumerate(out.faces) if _agree_count(out, walk) % 2 != 1]
+    out = _flatten(G, _kasteleyn_flat, 0, tree_seed, orient=1)
+    bad = [fi for fi, walk in enumerate(out.faces) if not _kasteleyn_flat(out, walk)]
     if bad:
         # flipping edge e toggles face f's parity once per odd incidence
         eids = sorted(e.id for e in out.edges)
@@ -658,27 +656,19 @@ def verify_flatness(G):
     oriented = all(e.orient is not None for e in G.edges)
     if not signed and not oriented:
         raise DomainError("no decoration to verify")
+    rule = "percus" if signed else "kasteleyn" if G.surface == "sphere" else "projective"
     reports = []
     for fi, walk in enumerate(G.faces):
-        sides = len(walk)
         if signed:
-            minus = _face_minus_count(G, walk)
-            ok = (minus % 2 == 1) == _percus_target_odd(walk)
-            reports.append(FaceReport(fi, sides, minus, ok, "percus"))
-        elif G.surface == "sphere":
-            agree = _agree_count(G, walk)
-            reports.append(FaceReport(fi, sides, agree, agree % 2 == 1, "kasteleyn"))
+            value, ok = _face_minus_count(G, walk), _percus_flat(G, walk)
         else:
-            agree = _agree_count(G, walk)
-            disagree = sides - agree
-            ok = agree % 2 == 1 and disagree % 2 == 1
-            reports.append(FaceReport(fi, sides, agree, ok, "projective"))
-    overall = True
-    skip_infinite = G.surface == "sphere" and G.n_vertices % 2 == 1
-    for rep in reports:
-        if skip_infinite and rep.face == G.infinite_face:
-            continue
-        overall = overall and rep.ok
+            # projective: odd in each direction, an odd agreeing count on an
+            # even face
+            value, ok = _agree_count(G, walk), _kasteleyn_flat(G, walk)
+            ok = ok and (rule == "kasteleyn" or len(walk) % 2 == 0)
+        reports.append(FaceReport(fi, len(walk), value, ok, rule))
+    skip = G.infinite_face if G.surface == "sphere" and G.n_vertices % 2 == 1 else None
+    overall = all(rep.ok for rep in reports if rep.face != skip)
     return reports, overall
 
 
@@ -737,18 +727,16 @@ def adjacency_matrix(G, mode):
 
 
 class MatchingSet:
-    def __init__(self, count, total_weight, matchings=None, weights=None):
+    def __init__(self, count, total_weight):
         self.count = count
         self.total_weight = total_weight
-        self.matchings = matchings
-        self.weights = weights
 
     def __repr__(self):
         return f"<MatchingSet count={self.count} total={self.total_weight}>"
 
 
-def enumerate_matchings(G, count_guard=64, list_guard=28):
-    """Count, weigh and (on small graphs) list the generalized matchings of G.
+def enumerate_matchings(G, count_guard=_ORACLE_GUARD):
+    """Count and weigh the generalized matchings of G.
 
     Monogamous vertices are covered exactly once, odd-polygamous an odd
     number of times, even-polygamous an even number of times.  Self-loops
@@ -761,10 +749,12 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
     vertex, the degree parity for a polygamous one), bit 0 the next vertex
     in the order.  Processing v picks a subset of its forward edges whose
     size completes v's rule and which touches no covered monogamous vertex.
-    Each state carries [count, total weight, partial listings or None];
-    states that meet are merged, so the cost grows with the number of
-    boundary states, not with the number of matchings.  `total_weight` is
-    the weighted count (a generating function for q-weighted graphs).
+    Each state carries [count, total weight]; states that meet are merged,
+    so the cost grows with the number of boundary states, not with the
+    number of matchings.  `total_weight` is the weighted count (a
+    generating function for q-weighted graphs).  Nothing is listed: the
+    test oracle `enumerate_matchings_reference` lists the matchings of
+    small graphs.
 
     Over Z the totals are ints.  Over Z[q, q^-1] every total is an int too,
     its value at q = 2^b (Kronecker substitution, as in `_kronecker_det`):
@@ -773,19 +763,16 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
     divided by q^lo_v, lo_v the least exponent over all its moves in both
     bit cases; every matching takes one move per vertex, so each total is
     shifted by the constant sum of the lo_v.  The L1 norm of every total
-    and listed weight is at most the product over v of the larger of its
-    two sums of move-weight L1 norms, and b leaves room for that bound and
-    a sign, so they are read back as signed base-2^b digits.
+    is at most the product over v of the larger of its two sums of
+    move-weight L1 norms, and b leaves room for that bound and a sign, so
+    totals are read back as signed base-2^b digits.
 
-    Raises GuardExceeded above `count_guard` vertices.  `matchings` (edge-id
-    frozensets) and `weights` are listed only up to `list_guard` vertices,
-    and are None above it.
+    Raises GuardExceeded above `count_guard` vertices.
     """
     if G.n_vertices > count_guard:
         raise GuardExceeded(
             f"{G.n_vertices} vertices exceed the matching-oracle guard {count_guard}"
         )
-    listing = G.n_vertices <= list_guard
     monos = sorted(v.id for v in G.vertices if v.kind == MONO)
     polys = sorted(v.id for v in G.vertices if v.kind != MONO)
     order = monos + polys
@@ -800,18 +787,18 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
     one = LaurentPoly.one() if laurent else 1
     table = []
     for i, v in enumerate(order):
-        # a move is (edge ids, ends covered, ends toggled, weight, shift),
-        # each end as its bit relative to the vertex after v; the shift is
-        # set when the weights are packed
+        # a move is (ends covered, ends toggled, weight, shift), each end as
+        # its bit relative to the vertex after v; the shift is set when the
+        # weights are packed
         fwd = []
         for e in forward[v]:
             w = e.other(v)
             bit_w = 1 << (rank[w] - i - 1)
             x = LaurentPoly.coerce(e.weight) if laurent else e.weight
-            fwd.append(((e.id,), bit_w if kind[w] == MONO else 0, bit_w, x, 0))
+            fwd.append((bit_w if kind[w] == MONO else 0, bit_w, x, 0))
         if kind[v] == MONO:
             # one edge at bit 0, none at bit 1
-            table.append((fwd, [((), 0, 0, one, 0)]))
+            table.append((fwd, [(0, 0, one, 0)]))
             continue
         # monogamous vertices come first in the order, so no move of a
         # polygamous v covers one
@@ -822,10 +809,10 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
                 for combo in combinations(fwd, size):
                     flips = 0
                     weight = one
-                    for _, _, flip, x, _ in combo:
+                    for _, flip, x, _ in combo:
                         flips ^= flip
                         weight = weight * x
-                    options[bit].append((sum((m[0] for m in combo), ()), 0, flips, weight, 0))
+                    options[bit].append((0, flips, weight, 0))
         table.append(options)
     if laurent:
         shift = 0
@@ -837,7 +824,7 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
             for ms in options:
                 l1 = 0
                 for m in ms:
-                    t = m[3]._terms
+                    t = m[2]._terms
                     if t:
                         low = min(t)
                         if lo is None or low < lo:
@@ -858,40 +845,31 @@ def enumerate_matchings(G, count_guard=64, list_guard=28):
             m = min(t)
             return sum(c << b * (e - m) for e, c in t.items()), b * (m - lo)
 
-    states = {0: [1, 1, [((), 1)] if listing else None]}
+    states = {0: [1, 1]}
     for i, options in enumerate(table):
         if not states:
             break
         if laurent:
-            options = [[(eids, covers, flips, *pack(w._terms, los[i]))
-                        for eids, covers, flips, w, _ in ms] for ms in options]
+            options = [[(covers, flips, *pack(w._terms, los[i]))
+                        for covers, flips, w, _ in ms] for ms in options]
         nxt = {}
-        for state, (count, total, partial) in states.items():
+        for state, (count, total) in states.items():
             rest = state >> 1
-            for eids, covers, flips, factor, s in options[state & 1]:
+            for covers, flips, factor, s in options[state & 1]:
                 if covers & rest:
                     continue
                 key = rest ^ flips
-                ext = None if partial is None else [(m + eids, x * factor << s) for m, x in partial]
                 slot = nxt.get(key)
                 if slot is None:
-                    nxt[key] = [count, total * factor << s, ext]
+                    nxt[key] = [count, total * factor << s]
                 else:
                     slot[0] += count
                     slot[1] += total * factor << s
-                    if ext is not None:
-                        slot[2].extend(ext)
         states = nxt
-    count, total, partial = states.get(0, [0, 0, [] if listing else None])
-    weights = None if partial is None else [x for _, x in partial]
+    count, total = states.get(0, (0, 0))
     if laurent:
         total = LaurentPoly._from_terms(_kronecker_unpack(total, b, shift))
-        if weights is not None:
-            weights = [LaurentPoly._from_terms(_kronecker_unpack(x, b, shift))
-                       for x in weights]
-    if not listing:
-        return MatchingSet(count, total)
-    return MatchingSet(count, total, [frozenset(m) for m, _ in partial], weights)
+    return MatchingSet(count, total)
 
 
 def is_valid_matching(G, edge_ids):

@@ -24,6 +24,7 @@ from kasteleyn.families import (
     jacobi_trudi,
 )
 from kasteleyn.graphs import (
+    _ORACLE_GUARD,
     adjacency_matrix,
     enumerate_matchings,
     kasteleyn_percus_sign,
@@ -48,13 +49,14 @@ from kasteleyn.rings import (
 )
 
 
-def oracle_guard(default=64):
+def oracle_guard():
     """The matching oracle's vertex guard: KASTELEYN_ORACLE_GUARD when it is
-    set and not empty, else `default`.  A value that is not a non-negative
-    integer raises DomainError naming the variable."""
+    set and not empty, else the `count_guard` default of
+    `enumerate_matchings`.  A value that is not a non-negative integer
+    raises DomainError naming the variable."""
     env = os.environ.get("KASTELEYN_ORACLE_GUARD")
     if not env:
-        return default
+        return _ORACLE_GUARD
     try:
         guard = int(env)
     except ValueError:
@@ -237,7 +239,7 @@ def _oracle_status(M, kind, G, guard, q0=None):
     if G is None:
         return "skipped", None
     try:
-        ms = enumerate_matchings(G, count_guard=guard, list_guard=0)
+        ms = enumerate_matchings(G, count_guard=guard)
     except GuardExceeded:
         return "skipped", None
     if M.rows != M.cols:
@@ -685,8 +687,7 @@ def _verify_aztec(max_n, guard):
             failures.append({"n": n, "kind": "geometric",
                              "got": list(invg.factor_strings())})
         if n <= _AZTEC_COUNT_MAX:
-            count = enumerate_matchings(Z, count_guard=max(guard, 2 * n * (n + 1)),
-                                        list_guard=0).count
+            count = enumerate_matchings(Z, count_guard=max(guard, 2 * n * (n + 1))).count
             if count != 2 ** (n * (n + 1) // 2):
                 failures.append({"n": n, "kind": "count"})
     return {"which": "aztec", "checked": checked, "failed": len(failures)}, failures

@@ -10,11 +10,12 @@ dense Gauss-Jordan solve of a rational linear system."""
 
 import cmath
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import mul
 
-from kasteleyn.graphs import MONO, ODD, MatchingSet
+from kasteleyn.graphs import MONO, ODD
 from kasteleyn.matrices import ExactMatrix, determinant, ring_adapter, smith_normal_form
 from kasteleyn.rings import ExactDivisionError, GuardExceeded, LaurentPoly, q_integer
 
@@ -465,11 +466,18 @@ def fourier_reference(M):
     return U
 
 
+ListedMatchingSet = namedtuple("ListedMatchingSet", "count total_weight matchings weights",
+                               defaults=(None, None))
+
+
 def enumerate_matchings_reference(G, count_guard=64, list_guard=28):
     """`enumerate_matchings` as a frontier program whose states are
     frozensets of later vertices with degree bit 1 and whose totals are
     ring elements (LaurentPoly products and sums over Z[q, q^-1]), with the
-    library's vertex order, moves, guards and listing order."""
+    library's vertex order, moves and guard.  Up to `list_guard` vertices
+    it also lists every matching (an edge-id frozenset) and its weight, in
+    the order the program reaches them; above it `matchings` and `weights`
+    are None."""
     if G.n_vertices > count_guard:
         raise GuardExceeded(
             f"{G.n_vertices} vertices exceed the matching-oracle guard {count_guard}"
@@ -537,9 +545,9 @@ def enumerate_matchings_reference(G, count_guard=64, list_guard=28):
     zero = LaurentPoly.zero() if laurent else 0
     count, total, partial = states.get(frozenset(), [0, zero, [] if listing else None])
     if not listing:
-        return MatchingSet(count, total)
-    return MatchingSet(count, total, [frozenset(m) for m, _ in partial],
-                       [x for _, x in partial])
+        return ListedMatchingSet(count, total)
+    return ListedMatchingSet(count, total, [frozenset(m) for m, _ in partial],
+                             [x for _, x in partial])
 
 
 def solve_rational_reference(rows, rhs, n):

@@ -128,7 +128,7 @@ def test_oracle_guard_env_values_in_domain(monkeypatch):
         monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", value)
         assert oracle_guard() == want
     monkeypatch.delenv("KASTELEYN_ORACLE_GUARD")
-    assert oracle_guard(default=5) == 5
+    assert oracle_guard() == 64
     monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", "0")
     assert run_report(FamilySpec("aztec", n=2), "z").oracle_check == "skipped"
 
