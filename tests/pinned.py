@@ -9,7 +9,8 @@ alternating (congruence) normal forms and Pfaffians of a seeded fuzz, of
 the kind "A" integer matrices of the round suite at ceiling 8 and of two
 kappa quotients; and the Kasteleyn decorations of the round suite at
 ceiling 6 and of the projective cube quotient on shuffled dual spanning
-trees.
+trees; and the determinant and Q[q] invariants of every Jacobi-Trudi,
+dual and skew-graph matrix of `verify jt` at ceiling 6.
 The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those
@@ -29,6 +30,7 @@ from kasteleyn.families import (
     antipodal_cube_quotient,
     build_family_graph,
     build_skew_graph,
+    jacobi_trudi,
 )
 from kasteleyn.graphs import (
     MONO,
@@ -41,6 +43,7 @@ from kasteleyn.graphs import (
 from kasteleyn.matrices import (
     DomainError,
     ExactMatrix,
+    _det_and_qpoly_invariants,
     _smith_diagonal,
     alternating_smith_form,
     laurent_smith_attempt,
@@ -59,6 +62,7 @@ FUZZ_Z_TRANSFORMS = (80, "a4d9bd3ea4bafb5ff2cdef63e49aab5eee87eeb4af326d40de30e0
 BUILDERS = (819, "43e31dfb2172f225d3d1aea664edf097a28e88e88a34416428fff40852dd7600")
 ALTERNATING = (283, "795d7168409040f874f61f10739ae92e071dcacc463274a87d7491845ef02166")
 DECORATIONS = (344, "29269e7efff35b601528ec87fb46cae61ab6c3fa0a6005f04992af1a04dd8222")
+JT = (1245, "e2c0d43a53b0a2d51e34b608582522e6702950468f670e53e0be10e582c232aa")
 
 
 def digest(records):
@@ -299,6 +303,30 @@ def decoration_records():
             except DomainError as exc:
                 text = ["DomainError", str(exc)]
             records.append([label, seed, text])
+    return records
+
+
+def jt_records(ceiling=6):
+    """For every nonempty J, D and M that `verify_theorems("jt", ceiling)`
+    hands to `_det_and_qpoly_invariants`, in its order: lambda, mu, a,
+    which matrix, its rows and columns, the text of its determinant, and
+    its Q[q] free rank and factor strings."""
+    records = []
+    for lam in sorted(harness._partitions_upto(ceiling), key=lambda t: (sum(t), t)):
+        for mu in harness._mu_candidates(lam, harness._JT_MAX_MU):
+            if not harness.Partition(lam).contains(harness.Partition(mu)):
+                continue
+            for a in range(1, harness._JT_MAX_A + 1):
+                Z = build_skew_graph(harness.Partition(lam), harness.Partition(mu), a)
+                matrices = {"J": jacobi_trudi(lam, mu, a),
+                            "D": jacobi_trudi(lam, mu, a, dual=True),
+                            "M": adjacency_matrix(Z, "bipartite")}
+                for which, X in matrices.items():
+                    if X.rows == 0:
+                        continue
+                    det, inv = _det_and_qpoly_invariants(X)
+                    records.append([list(lam), list(mu), a, which, X.rows, X.cols, str(det),
+                                    inv.free_rank, list(inv.factor_strings())])
     return records
 
 

@@ -1192,8 +1192,10 @@ class TestSmithDriverPinned:
     the round suite at ceiling 6 (outcome, iterations, witness, diagonal or
     residual, and the transforms), at the default and at a tight step
     limit, and at ceiling 8 without transforms; the PID normal forms of
-    three box matrices with their transforms; and a seeded fuzz of random
-    matrices of every shape up to 6 x 6 over every ring.  The pivot path
+    three box matrices with their transforms; a seeded fuzz of random
+    matrices of every shape up to 6 x 6 over every ring; and the
+    determinant and Q[q] invariants of every matrix of `verify jt 6`,
+    which finish the block left by the packed +-1 pivots.  The pivot path
     decides the Laurent verdicts, so a change to the elimination must leave
     all of these as they are, with one exception: the integer transforms,
     pinned apart, change only with the route that builds them.  The records
@@ -1222,6 +1224,10 @@ class TestSmithDriverPinned:
     def test_fuzz_z_transforms(self):
         records = pinned.fuzz_z_transform_records()
         assert (len(records), pinned.digest(records)) == pinned.FUZZ_Z_TRANSFORMS
+
+    def test_jt(self):
+        records = pinned.jt_records()
+        assert (len(records), pinned.digest(records)) == pinned.JT
 
 
 class TestUnitPhase:
