@@ -474,7 +474,17 @@ def _round_instances(ceiling):
     return out
 
 
+def _check_ceiling(ceiling):
+    """A suite's ceiling must be at least 1: below it there is no instance,
+    and a suite that checks nothing would read as a success."""
+    if ceiling < 1:
+        raise DomainError(f"ceiling {ceiling} is below 1: the suite would check nothing")
+
+
 def conjecture_suite(which, ceiling=8, guard=None):
+    """The verdicts of conjecture suite `which` on its instances up to
+    `ceiling`; DomainError for an unknown id or a ceiling below 1."""
+    _check_ceiling(ceiling)
     guard = oracle_guard() if guard is None else guard
     if which == "round":
         return _report_verdicts("round", _round_instances(ceiling),
@@ -606,7 +616,9 @@ def _mu_candidates(lam, max_size=2):
 
 
 def verify_theorems(which, ceiling=6, guard=None):
-    """Returns (summary dict, failures list)."""
+    """Returns (summary dict, failures list); DomainError for an unknown
+    theorem id or a ceiling below 1."""
+    _check_ceiling(ceiling)
     guard = oracle_guard() if guard is None else guard
     if which == "jt":
         return _verify_jt(ceiling)

@@ -36,8 +36,10 @@ fraction-free (Bareiss) elimination only on the block left without +-1
 entries.  Laurent and Q[q] entries reach it by Kronecker substitution, and
 the modular finish takes its modulus from it.  The stable invariants over
 Q[q] read the same packed elimination: its +-1 pivots are units, so only
-the block left goes to `_smith`, and one call gives a matrix both its
-determinant and its Q[q] invariants (`_det_and_qpoly_invariants`).
+the block left is finished, from its determinantal divisors when it has at
+most two rows or columns and by `_smith` otherwise, and one call gives a
+matrix both its determinant and its Q[q] invariants
+(`_det_and_qpoly_invariants`).
 Products (`*`, `kron`) form only the products of nonzero entries.
 
 Everything is exact; the Fourier duality matrix is the single
@@ -53,7 +55,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import gcd, prod
 from operator import add, mul, not_, sub
 
@@ -1654,9 +1656,10 @@ def stable_invariants(M, form=None):
     unit pivots run out, if the block left is square and nonsingular); over
     "qpoly" the rows are packed into integers as for `determinant`, +-1
     pivots clear them down to a block without +-1 entries, and only that
-    block, read back as polynomials, goes to `_smith_diagonal`
-    (`_packed_units`, `_packed_qpoly_invariants`).  None builds witness
-    transforms."""
+    block, read back as polynomials, is finished: from its determinantal
+    divisors when it has at most two rows or at most two columns, else by
+    `_smith_diagonal` (`_packed_units`, `_packed_qpoly_invariants`).  None
+    builds witness transforms."""
     if form is not None:
         diagonal = form.diagonal
     elif M.ring == "laurent":
@@ -1994,22 +1997,61 @@ def _packed_qpoly_invariants(M, block, pivots, b):
     """The Q[q] stable invariants of M from its `_packed_units` block: the
     +-1 pivots are units, so M is equivalent over Q[q, q^-1] to
     diag(1, ..., 1, B) and the zero rows, B the block read back as
-    polynomials, and only B goes to `_smith_diagonal`.  Clearing denominators scales rows by rationals and
-    the packing shifts rows by powers of q, both unit changes over
-    Q[q, q^-1], and `_normalize_factor` reads each factor modulo q-powers
-    and rational content, so the invariants are those of M over Q[q]."""
-    B = ExactMatrix._of_ring_elements(
-        len(block), M.cols - pivots, "qpoly",
-        [[_ring_value("qpoly", _kronecker_unpack(x, b, 0)) for x in row] for row in block])
-    return _invariants("qpoly", M.rows - pivots, _smith_diagonal(B))
+    polynomials.  A block with at most two rows or at most two columns
+    has at most two determinantal divisors and is finished from them
+    (`_thin_qpoly_diagonal`); any other goes to `_smith_diagonal`.
+    Clearing denominators scales rows by rationals and the packing shifts
+    rows by powers of q, both unit changes over Q[q, q^-1], and
+    `_normalize_factor` reads each factor modulo q-powers and rational
+    content, so the invariants are those of M over Q[q]."""
+    rows = [[_ring_value("qpoly", _kronecker_unpack(x, b, 0)) for x in row] for row in block]
+    cols = M.cols - pivots
+    if min(len(rows), cols) <= 2:
+        diagonal = _thin_qpoly_diagonal(rows)
+    else:
+        diagonal = _smith_diagonal(ExactMatrix._of_ring_elements(len(rows), cols, "qpoly", rows))
+    return _invariants("qpoly", M.rows - pivots, diagonal)
+
+
+def _thin_qpoly_diagonal(rows):
+    """The nonzero Smith diagonal, up to units, of a Q[q] matrix with at
+    most two rows or at most two columns, given as row lists: over a PID
+    s_1 = d_1 and s_2 = d_2 / d_1, d_k the gcd of the k x k minors, and
+    d_2 = 0 when the rank is below 2."""
+    if len(rows) > 2:
+        rows = list(zip(*rows))
+    d1 = _running_gcd(x for row in rows for x in row)
+    if d1.is_zero():
+        return []
+    if len(rows) < 2:
+        return [d1]
+    top, bottom = rows
+    d2 = _running_gcd(top[i] * bottom[j] - top[j] * bottom[i]
+                      for i, j in combinations(range(len(top)), 2))
+    return [d1] if d2.is_zero() else [d1, d2.divide(d1)]
+
+
+def _running_gcd(elements):
+    """The gcd over Q[q], up to a unit, of the nonzero RationalPolys among
+    `elements` (zero if there is none).  It stops at the first nonzero
+    constant, a unit, without reading the rest."""
+    g = RationalPoly.zero()
+    for x in elements:
+        if x.is_zero():
+            continue
+        g = x if g.is_zero() else g.gcd(x)
+        if g.degree() == 0:
+            break
+    return g
 
 
 def _det_and_qpoly_invariants(M):
     """(determinant(M), stable_invariants(M.to_qpoly())) for a square
     "laurent", "qpoly" or "z" matrix M, from one packed elimination
     (`_packed_units`): det is the sign of its +-1 pivots times Bareiss on
-    the block left, and the invariants run the Smith elimination on that
-    block alone (`_packed_qpoly_invariants`).  A Laurent M with negative
+    the block left, and the invariants finish that block alone, from its
+    determinantal divisors or by the Smith elimination
+    (`_packed_qpoly_invariants`).  A Laurent M with negative
     exponents has no Q[q] image; its invariants are then read over
     Q[q, q^-1], modulo q-powers, like any other."""
     if M.rows != M.cols:

@@ -123,6 +123,21 @@ def test_oracle_guard_env_must_be_a_non_negative_integer(monkeypatch, capsys, va
     assert "KASTELEYN_ORACLE_GUARD" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ceiling", [0, -1])
+def test_suite_ceiling_below_one_is_refused(capsys, ceiling):
+    # a suite with no instance must not report success on nothing
+    for which in ("jt", "aztec"):
+        with pytest.raises(DomainError, match=f"ceiling {ceiling}"):
+            harness.verify_theorems(which, ceiling)
+    for which in ("round", "sqfree", "q-minus-one"):
+        with pytest.raises(DomainError, match=f"ceiling {ceiling}"):
+            harness.conjecture_suite(which, ceiling)
+    assert main(["verify", "--which", "jt", "--ceiling", str(ceiling)]) == 2
+    assert main(["conjecture", "--id", "round", "--ceiling", str(ceiling)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count(f"ceiling {ceiling}") == 2
+
+
 def test_oracle_guard_env_values_in_domain(monkeypatch):
     for value, want in (("", 64), ("0", 0), ("12", 12), (" 7 ", 7)):
         monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", value)

@@ -532,7 +532,38 @@ class TestPackedQpolyInvariants:
                                  for _ in range(rng.randint(1, 3))])
 
         seen = {"fraction": 0, "zero row": 0, "zero col": 0, "non-square": 0,
-                "deficient": 0, "factors": 0}
+                "deficient": 0, "factors": 0, "empty": 0, "1 x n": 0, "n x 1": 0,
+                "2 x 2": 0, "singular 2 x 2": 0, "2 x n": 0, "n x 2": 0, "driver": 0}
+
+        def check(M):
+            _, block, pivots, _, _, _ = matrices._packed_units(M)
+            m, n = len(block), M.cols - pivots
+            got = stable_invariants(M)
+            assert (got.free_rank, got.factors) == qpoly_invariants_reference(M)
+            grid = M.to_lists()
+            seen["fraction"] += any(type(c) is Fraction for row in grid
+                                    for f in row for c in f.coeffs)
+            seen["zero row"] += any(all(f.is_zero() for f in row) for row in grid)
+            seen["zero col"] += any(all(row[j].is_zero() for row in grid)
+                                    for j in range(M.cols))
+            seen["non-square"] += M.rows != M.cols
+            seen["deficient"] += got.free_rank > max(0, M.rows - M.cols)
+            seen["factors"] += bool(got.factors)
+            if min(m, n) == 0:
+                seen["empty"] += 1
+            elif m == 1 or n == 1:
+                seen["1 x n" if m == 1 else "n x 1"] += 1
+            elif m == n == 2:
+                seen["singular 2 x 2" if matrices._int_bareiss(block) == 0 else "2 x 2"] += 1
+            elif min(m, n) == 2:
+                seen["2 x n" if m == 2 else "n x 2"] += 1
+            else:
+                seen["driver"] += 1
+            if M.rows == M.cols:
+                det, inv = matrices._det_and_qpoly_invariants(M)
+                want = determinant(M)
+                assert det.coeffs == want.coeffs and inv == got
+
         for trial in range(400):
             m = rng.randint(0, 6)
             n = m if trial % 2 else rng.randint(0, 6)
@@ -547,21 +578,49 @@ class TestPackedQpolyInvariants:
                 # a Q[q] combination of two other rows
                 f, g = entry(), RationalPoly([Fraction(1, 3), 1])
                 grid[0] = [f * x + g * y for x, y in zip(grid[1], grid[2])]
-            M = ExactMatrix(m, n, "qpoly", grid)
-            got = stable_invariants(M)
-            assert (got.free_rank, got.factors) == qpoly_invariants_reference(M)
-            seen["fraction"] += any(type(c) is Fraction for row in grid
-                                    for f in row for c in f.coeffs)
-            seen["zero row"] += any(all(f.is_zero() for f in row) for row in grid)
-            seen["zero col"] += any(all(row[j].is_zero() for row in grid) for j in range(n))
-            seen["non-square"] += m != n
-            seen["deficient"] += got.free_rank > max(0, m - n)
-            seen["factors"] += bool(got.factors)
-            if m == n:
-                det, inv = matrices._det_and_qpoly_invariants(M)
-                want = determinant(M)
-                assert det.coeffs == want.coeffs and inv == got
+            check(ExactMatrix(m, n, "qpoly", grid))
+
+        # a block B of a chosen shape under k +-1 pivots, as
+        # [[P, X], [0, B]] with rows and columns shuffled; the entries of B
+        # and X carry a common factor with rational content (2q, q/3, ...),
+        # and half the 2 x n and n x 2 blocks have rank 1
+        common = [RationalPoly.one(), RationalPoly([0, 2]), RationalPoly([0, Fraction(1, 3)]),
+                  RationalPoly([1, 1]), RationalPoly([0, Fraction(2, 3), Fraction(2, 3)])]
+        pool = [RationalPoly.zero(), RationalPoly([2]), RationalPoly([0, 2]),
+                RationalPoly([0, Fraction(1, 3)]), RationalPoly([1, 1]),
+                RationalPoly([-1, 0, 2]), RationalPoly([Fraction(1, 2), 0, 3]),
+                RationalPoly([3, -1, 1])]
+        shapes = [(0, rng.randint(1, 4)) for _ in range(10)] + [(2, 2)] * 120
+        for n in range(1, 6):
+            shapes += [(1, n), (n + 1, 1)] * 8
+        for n in range(3, 7):
+            shapes += [(2, n), (n, 2)] * 12
+        for _ in range(40):
+            shapes.append((rng.randint(3, 4), rng.randint(3, 4)))
+        for r, c in shapes:
+            f = rng.choice(common)
+            if min(r, c) == 2 and rng.random() < 0.5:
+                u = [rng.choice(pool) for _ in range(r)]
+                v = [rng.choice(pool) for _ in range(c)]
+                B = [[f * x * y for y in v] for x in u]
+            else:
+                B = [[f * rng.choice(pool) for _ in range(c)] for _ in range(r)]
+            k = rng.randint(0, 2)
+            top = [[RationalPoly([rng.choice((1, -1))]) if i == j else RationalPoly.zero()
+                    for j in range(k)]
+                   + [rng.choice(pool) for _ in range(c)] for i in range(k)]
+            grid = top + [[RationalPoly.zero()] * k + row for row in B]
+            rows = rng.sample(range(k + r), k + r)
+            cols = rng.sample(range(k + c), k + c)
+            check(ExactMatrix(k + r, k + c, "qpoly",
+                              [[grid[i][j] for j in cols] for i in rows]))
         assert min(seen.values()) >= 30, seen
+
+        # the running gcd of the thin finish stops at its first unit
+        rest = iter([RationalPoly([0, 2]), RationalPoly([Fraction(1, 3), 1]),
+                     RationalPoly([1, 1])])
+        assert matrices._running_gcd(rest).degree() == 0
+        assert next(rest) == RationalPoly([1, 1])
 
     def test_jt_suite_shared_call(self, monkeypatch):
         # one packed elimination gives each J, D and M of verify jt 4 its
