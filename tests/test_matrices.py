@@ -582,8 +582,8 @@ class TestPackedQpolyInvariants:
 
         # a block B of a chosen shape under k +-1 pivots, as
         # [[P, X], [0, B]] with rows and columns shuffled; the entries of B
-        # and X carry a common factor with rational content (2q, q/3, ...),
-        # and half the 2 x n and n x 2 blocks have rank 1
+        # carry a common factor, often with rational content (2q, q/3, ...),
+        # and about half the blocks with two rows or columns have rank 1
         common = [RationalPoly.one(), RationalPoly([0, 2]), RationalPoly([0, Fraction(1, 3)]),
                   RationalPoly([1, 1]), RationalPoly([0, Fraction(2, 3), Fraction(2, 3)])]
         pool = [RationalPoly.zero(), RationalPoly([2]), RationalPoly([0, 2]),
