@@ -9,8 +9,9 @@ alternating (congruence) normal forms and Pfaffians of a seeded fuzz, of
 the kind "A" integer matrices of the round suite at ceiling 8 and of two
 kappa quotients; and the Kasteleyn decorations of the round suite at
 ceiling 6 and of the projective cube quotient on shuffled dual spanning
-trees; and the determinant and Q[q] invariants of every Jacobi-Trudi,
-dual and skew-graph matrix of `verify jt` at ceiling 6.
+trees; the determinant and Q[q] invariants of every Jacobi-Trudi,
+dual and skew-graph matrix of `verify jt` at ceiling 6; and every
+`run_report` of the round suite at ceiling 8.
 The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those
@@ -63,6 +64,7 @@ BUILDERS = (819, "43e31dfb2172f225d3d1aea664edf097a28e88e88a34416428fff40852dd76
 ALTERNATING = (283, "795d7168409040f874f61f10739ae92e071dcacc463274a87d7491845ef02166")
 DECORATIONS = (344, "29269e7efff35b601528ec87fb46cae61ab6c3fa0a6005f04992af1a04dd8222")
 JT = (1245, "e2c0d43a53b0a2d51e34b608582522e6702950468f670e53e0be10e582c232aa")
+REPORTS = (273, "305a29e1d27935f93cb22fbbe902cc29a121df3536cec0822af93e7b6247e9a4")
 
 
 def digest(records):
@@ -327,6 +329,24 @@ def jt_records(ceiling=6):
                     det, inv = _det_and_qpoly_invariants(X)
                     records.append([list(lam), list(mu), a, which, X.rows, X.cols, str(det),
                                     inv.free_rank, list(inv.factor_strings())])
+    return records
+
+
+def report_records(ceiling=8):
+    """Every `run_report` of the round suite at `ceiling`, at the default
+    oracle guard, as its JSON without the duration: free rank, factor
+    strings and diagnostics, round and square-free verdicts, oracle check
+    and count, and notes; for an instance the report refuses, the
+    DomainError message."""
+    records = []
+    for label, spec, ring in harness._round_instances(ceiling):
+        try:
+            rep = harness.run_report(spec, ring, guard=harness._ORACLE_GUARD).to_json()
+        except DomainError as exc:
+            records.append([label, ring, "DomainError", str(exc)])
+            continue
+        del rep["duration"]
+        records.append([label, rep])
     return records
 
 

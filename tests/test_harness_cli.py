@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pinned
 from kasteleyn import harness
 from kasteleyn.cli import main
 from kasteleyn.families import FamilySpec
@@ -139,6 +140,18 @@ class TestRunReport:
     def test_qpoly_ring(self):
         rec = run_report(FamilySpec(variant="ppbox", a=1, b=1, c=2), "qpoly")
         assert rec.free_rank == 0
+
+
+class TestReportPin:
+    """Every report of the round suite at ceiling 8 (free rank, factors and
+    their diagnostics, both verdicts, the oracle check and count, notes),
+    and the message of each instance the report refuses, pinned by SHA-256.
+    The records are built in `pinned.py`, which the CI job without pytest
+    checks too."""
+
+    def test_round8_reports(self):
+        records = pinned.report_records()
+        assert (len(records), pinned.digest(records)) == pinned.REPORTS
 
 
 class TestConjectureSuites:
