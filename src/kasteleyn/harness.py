@@ -11,6 +11,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from kasteleyn.families import (
     FamilySpec,
@@ -34,7 +35,6 @@ from kasteleyn.matrices import (
     _det_and_qpoly_invariants,
     determinant,
     laurent_smith_attempt,
-    pfaffian,
     stable_invariants,
 )
 from kasteleyn.rings import (
@@ -44,7 +44,6 @@ from kasteleyn.rings import (
     LaurentPoly,
     RationalPoly,
     factor_q_round,
-    integer_squarefree,
     smooth_factor,
 )
 
@@ -74,6 +73,9 @@ RINGS = ("z", "laurent", "qpoly", "z@q0")
 
 
 def roundness_of_integer(n, bound):
+    """(round, square-free, diagnostic) of an integer invariant factor, both
+    read off one trial division by the primes up to `bound`: round when
+    nothing is left above the bound, square-free when no prime repeats."""
     out = smooth_factor(n, bound)
     diag = {
         "kind": "smooth",
@@ -81,35 +83,28 @@ def roundness_of_integer(n, bound):
         "residual": out.residual,
         "bound": bound,
     }
-    return ("holds" if out.success else "fails"), diag
+    return out.success, out.is_squarefree(), diag
 
 
 def roundness_of_poly(f, bound):
-    """q-roundness of a Laurent factor: cyclotomic-type polynomial part and a
-    smooth integer content."""
+    """(round, square-free, diagnostic) of a Laurent factor, both read off one
+    `factor_q_round`: round when the part left after the q-integers and
+    cyclotomics is a smooth integer, square-free over Q[q] when no
+    cyclotomic repeats and that part is square-free."""
     qr = factor_q_round(f)
     diag = {
         "kind": "q-round",
         "factors": list(qr.factor_names()),
         "residual": str(qr.residual),
     }
-    if qr.success:
-        return "holds", diag
     res = qr.residual
-    if res.span == 0:
+    round_ok = qr.success
+    if not round_ok and res.span == 0:
         sm = smooth_factor(res.trailing_coeff(), bound)
         diag["residual_primes"] = list(sm.primes)
         diag["residual_cofactor"] = sm.residual
-        return ("holds" if sm.success else "fails"), diag
-    return "fails", diag
-
-
-def squarefree_of_factor(f, ring):
-    if ring == "z":
-        return "holds" if integer_squarefree(f) else "fails"
-    if isinstance(f, LaurentPoly):
-        f = RationalPoly.from_laurent(f.normal())
-    return "holds" if f.is_squarefree() else "fails"
+        round_ok = sm.success
+    return round_ok, qr.is_squarefree(), diag
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +226,15 @@ def _without_negative_exponents(M, kind):
     return ExactMatrix._of_ring_elements(M.rows, M.cols, "laurent", rows)
 
 
-def _oracle_status(M, kind, G, guard, q0=None):
-    """(verdict, matching count or None).  An integer matrix specialized at
-    q = q0 is checked against the weighted matching total at q0, up to the
-    unit +-q0^k it inherits from the Laurent matrix; without q0 it is checked
-    against the plain count."""
+def _oracle_status(M, inv, kind, G, guard, q0=None):
+    """(verdict, matching count or None): the reported invariants `inv` of M
+    against the matching oracle of G.  Their product, or 0 when the free
+    rank is positive, is det M up to a unit, and must equal the weighted
+    matching total, squared for an alternating M (kind "A", det = Pf^2).
+    An integer matrix specialized at q = q0 is checked against the total at
+    q0, up to the unit +-q0^k it inherits from the Laurent matrix; without
+    q0, against the plain count.  A non-square M must have no matching; a
+    Q[q] report, whose factors are known only up to rationals, is skipped."""
     if G is None:
         return "skipped", None
     try:
@@ -244,6 +243,9 @@ def _oracle_status(M, kind, G, guard, q0=None):
         return "skipped", None
     if M.rows != M.cols:
         return ("holds" if ms.count == 0 else "fails"), ms.count
+    if M.ring == "qpoly":
+        return "skipped", ms.count
+    value = 0 if inv.free_rank else prod(inv.factors)
     if M.ring == "z":
         if q0 == 0:
             return "skipped", ms.count
@@ -252,18 +254,13 @@ def _oracle_status(M, kind, G, guard, q0=None):
         else:
             total = ms.total_weight
             target = total.evaluate(q0) if isinstance(total, LaurentPoly) else total
-        if kind == "M":
-            value = determinant(M)
-        else:
-            value = 0 if M.rows % 2 == 1 else pfaffian(M)
+        if kind == "A":
+            target = target * target
         return ("holds" if _equal_up_to_power(value, target, q0) else "fails"), ms.count
-    if M.ring == "laurent":
-        det = determinant(M)
-        total = ms.total_weight
-        if kind == "M":
-            return ("holds" if _equal_up_to_unit(det, total) else "fails"), ms.count
-        return ("holds" if _equal_up_to_unit(det, total * total) else "fails"), ms.count
-    return "skipped", ms.count
+    total = ms.total_weight
+    if kind == "A":
+        total = total * total
+    return ("holds" if _equal_up_to_unit(value, total) else "fails"), ms.count
 
 
 def _equal_up_to_power(a, b, q0):
@@ -290,7 +287,12 @@ def _equal_up_to_unit(f, g):
 
 
 def run_report(spec, ring, q0=-1, guard=None):
-    """Build, decorate, normal-form and cross-check one family instance."""
+    """Build, decorate, normal-form and cross-check one family instance.
+
+    One normal form gives the invariant factors; each factor is factored
+    once, and the round and square-free verdicts both read that
+    factorization; the matching oracle checks the product of the factors,
+    so no second elimination runs."""
     t0 = time.perf_counter()
     guard = oracle_guard() if guard is None else guard
     M, kind, G = family_matrix_for_ring(spec, ring, q0)
@@ -316,25 +318,21 @@ def run_report(spec, ring, q0=-1, guard=None):
             f"invariant factors of the alternating matrix of {spec.to_json()} over {ring} "
             f"do not pair up: {list(inv.factor_strings())}")
     bound = _bound_for(spec)
-    diags = []
-    round_v = "holds"
-    sqfree_v = "holds"
+    checks = []
     for f in inv.factors:
         if inv.ring == "z":
-            verdict, diag = roundness_of_integer(f, bound)
+            checks.append(roundness_of_integer(f, bound))
         else:
+            # a normalized Q[q] factor has no q-power, so it is square-free
+            # over Q[q] iff its Laurent image is
             lf = f if isinstance(f, LaurentPoly) else RationalPoly.coerce(f).primitive_integer_form().to_laurent()
-            verdict, diag = roundness_of_poly(lf, bound)
-        diags.append(diag)
-        if verdict == "fails":
-            round_v = "fails"
-        sq = squarefree_of_factor(f, "z" if inv.ring == "z" else "laurent")
-        if sq == "fails":
-            sqfree_v = "fails"
-    oracle, count = _oracle_status(M, kind, G, guard, q0 if ring == "z@q0" else None)
+            checks.append(roundness_of_poly(lf, bound))
+    round_v = "holds" if all(c[0] for c in checks) else "fails"
+    sqfree_v = "holds" if all(c[1] for c in checks) else "fails"
+    oracle, count = _oracle_status(M, inv, kind, G, guard, q0 if ring == "z@q0" else None)
     return ReportRecord(
         spec.to_json(), ring, kind, M.rows, M.cols, inv.free_rank,
-        list(inv.factor_strings()), diags, round_v, sqfree_v, oracle,
+        list(inv.factor_strings()), [c[2] for c in checks], round_v, sqfree_v, oracle,
         time.perf_counter() - t0, count, notes,
     )
 

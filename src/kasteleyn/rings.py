@@ -483,6 +483,21 @@ class QRoundFactorization:
         return tuple(f"({n})_q" if tag == "q-integer" else f"Phi_{n}"
                      for tag, n, _ in self.factors)
 
+    def is_squarefree(self):
+        """Square-free over Q[q], up to units and powers of q: no Phi_d twice,
+        with (n)_q counted as Phi_d for every d | n, d > 1, and a square-free
+        residual.  `factor_q_round` tries every Phi_d of degree up to the
+        span, so the residual has no cyclotomic factor and needs the gcd
+        with its derivative only when it is not constant."""
+        seen = set()
+        for tag, n, _ in self.factors:
+            for d in (range(2, n + 1) if tag == "q-integer" else (n,)):
+                if n % d == 0:
+                    if d in seen:
+                        return False
+                    seen.add(d)
+        return self.residual.span == 0 or RationalPoly.from_laurent(self.residual).is_squarefree()
+
     def __repr__(self):
         state = "round" if self.success else f"residual={self.residual}"
         return f"<QRoundFactorization {self.factor_names()} {state}>"
@@ -539,6 +554,11 @@ class SmoothFactorization:
     @property
     def success(self):
         return self.residual == 1
+
+    def is_squarefree(self):
+        """No prime repeats: none up to the bound twice, and a square-free
+        residual, whose primes are all above the bound."""
+        return len(set(self.primes)) == len(self.primes) and integer_squarefree(self.residual)
 
     def rebuild(self):
         out = self.sign

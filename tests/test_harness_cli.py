@@ -15,8 +15,8 @@ from kasteleyn.harness import (
     verify_theorems,
 )
 from kasteleyn.graphs import load_graph
-from kasteleyn.matrices import ExactMatrix, parse_matrix
-from kasteleyn.rings import parse_laurent, q_integer
+from kasteleyn.matrices import ExactMatrix, StableInvariants, parse_matrix
+from kasteleyn.rings import RationalPoly, parse_laurent, q_integer
 
 
 class TestRunReport:
@@ -67,8 +67,9 @@ class TestRunReport:
         assert rec.invariant_factors == ["2", "2"]
 
     def test_q0_oracle_uses_weighted_total(self):
-        # det M(q0) (the Pfaffian for the tau quotient) against the weighted
-        # matching total at q0, not the plain count
+        # the product of the invariant factors of M(q0), det M(q0) up to
+        # +-q0^k, against the weighted matching total at q0 (squared for the
+        # alternating tau quotient), not the plain count
         box222 = FamilySpec(variant="ppbox", a=2, b=2, c=2, q_mode="cube")
         box123 = FamilySpec(variant="ppbox", a=1, b=2, c=3, q_mode="cube")
         tau222 = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="tau")
@@ -140,6 +141,93 @@ class TestRunReport:
     def test_qpoly_ring(self):
         rec = run_report(FamilySpec(variant="ppbox", a=1, b=1, c=2), "qpoly")
         assert rec.free_rank == 0
+
+
+class TestOracle:
+    """The matching oracle checks the invariant factors a report publishes:
+    their product, 0 when the free rank is positive, against the weighted
+    matching total (squared for an alternating matrix)."""
+
+    BOX222 = FamilySpec(variant="ppbox", a=2, b=2, c=2, q_mode="cube")
+    BOX122 = FamilySpec(variant="ppbox", a=1, b=2, c=2, q_mode="cube")
+    TAU222 = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="tau")
+
+    def test_sign_flip_fails(self, monkeypatch):
+        # one entry of M (and its mirror, for an alternating M) negated; over
+        # the Laurent ring every such flip of box 2,2,2 leaves the attempt
+        # stuck, so the Laurent case is box 1,2,2
+        real = harness.family_matrix_for_ring
+
+        def flipped(spec, ring, q0=-1, tree_seed=0):
+            M, kind, G = real(spec, ring, q0, tree_seed)
+            rows = M.to_lists()
+            i, j = next((i, j) for i in range(M.rows) for j in range(M.cols) if rows[i][j] != 0)
+            rows[i][j] = -rows[i][j]
+            if kind == "A":
+                rows[j][i] = -rows[j][i]
+            return ExactMatrix(M.rows, M.cols, M.ring, rows), kind, G
+
+        monkeypatch.setattr(harness, "family_matrix_for_ring", flipped)
+        for spec, ring, q0 in ((self.BOX222, "z", -1), (self.BOX122, "laurent", -1),
+                               (self.BOX222, "laurent", -1),
+                               (self.TAU222, "z@q0", -1), (self.TAU222, "z@q0", 2)):
+            rec = run_report(spec, ring, q0=q0)
+            want = "skipped" if rec.notes else "fails"
+            assert rec.oracle_check == want, (spec, ring, q0, rec.notes)
+        assert run_report(self.BOX222, "laurent").notes["normal_form"] == "witnessed"
+
+    def test_dropped_or_repeated_factor_fails(self, monkeypatch):
+        # the oracle must see a normal form that loses or repeats a factor
+        # (a pair of them for an alternating matrix)
+        real = harness.stable_invariants
+        for edit in ("drop", "repeat"):
+            def tampered(M, form=None, edit=edit):
+                inv = real(M, form)
+                k = 2 if M.is_alternating() else 1
+                factors = list(inv.factors)
+                factors = factors[:-k] if edit == "drop" else factors + factors[-k:]
+                return StableInvariants(inv.ring, inv.free_rank, factors)
+
+            monkeypatch.setattr(harness, "stable_invariants", tampered)
+            for spec, ring, q0 in ((self.BOX222, "z", -1), (self.BOX222, "laurent", -1),
+                                   (self.BOX222, "z@q0", 2), (self.TAU222, "z@q0", 2),
+                                   (self.TAU222, "laurent", -1)):
+                rec = run_report(spec, ring, q0=q0)
+                assert rec.oracle_check == "fails", (edit, spec, ring, q0)
+        monkeypatch.undo()
+        for spec, ring, q0 in ((self.BOX222, "z@q0", 2), (self.TAU222, "laurent", -1)):
+            assert run_report(spec, ring, q0=q0).oracle_check == "holds"
+
+    def test_no_second_elimination(self, monkeypatch):
+        # neither det nor the Pfaffian runs for a report: the oracle reads
+        # the invariant factors
+        from kasteleyn import matrices
+        calls = []
+        for name in ("determinant", "pfaffian"):
+            real = getattr(matrices, name)
+            spy = lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k)
+            for module in [m for key, m in sys.modules.items() if key.startswith("kasteleyn")]:
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, spy)
+        for spec in (self.BOX222, self.TAU222):
+            for ring in ("z", "laurent", "z@q0", "qpoly"):
+                for q0 in (-1, 2):
+                    assert run_report(spec, ring, q0=q0).oracle_check in ("holds", "skipped")
+        assert calls == []
+        assert abs(matrices.determinant(family_matrix_for_ring(self.BOX222, "z")[0])) == 20
+        assert calls == ["determinant"]
+
+    def test_q_round_factor_skips_the_gcd(self, monkeypatch):
+        # both verdicts read one factorization; a q-round factor needs no gcd
+        # with its derivative
+        calls = []
+        real = RationalPoly.is_squarefree
+        monkeypatch.setattr(RationalPoly, "is_squarefree",
+                            lambda self: calls.append(self) or real(self))
+        rec = run_report(self.BOX222, "laurent")
+        assert (rec.round_verdict, rec.squarefree_verdict) == ("holds", "holds")
+        assert calls == []
 
 
 class TestReportPin:

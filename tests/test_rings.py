@@ -330,6 +330,74 @@ class TestSmoothFactor:
             smooth_factor(0, 10)
 
 
+class TestSquarefreeFromFactorization:
+    """The square-free verdicts read off `factor_q_round` and `smooth_factor`
+    against the gcd with the derivative over Q and against trial division,
+    on seeded products built to hit both verdicts."""
+
+    POOL = [q_integer(n) for n in range(2, 9)] + [cyclotomic(d) for d in range(1, 13)]
+    RESIDUALS = [L("2 + q"), L("1 + q + 2*q^2"), L("3 + q^2"), L("1 + 2*q + 3*q^3"),
+                 L("2 - q + 2*q^2")]
+
+    def cyclotomic_product(self, rng):
+        # up to four pool entries, each to the power 0, 1 or 2, and a unit
+        f = LaurentPoly.q_power(rng.randint(-3, 3), rng.choice((1, -1)))
+        for g in rng.sample(self.POOL, rng.randint(1, 4)):
+            f = f * g ** rng.randint(0, 2)
+        return f
+
+    @staticmethod
+    def agree(f):
+        got = factor_q_round(f).is_squarefree()
+        assert got == RationalPoly.from_laurent(f.normal()).is_squarefree(), str(f)
+        return got
+
+    def test_q_round_products(self, monkeypatch):
+        rng = random.Random(28)
+        # Phi_1 and overlapping q-integers: (2)_q (4)_q = Phi_2^2 Phi_4
+        fixed = [q_integer(2) * q_integer(4), q_integer(3) * q_integer(6),
+                 cyclotomic(1) * q_integer(5), cyclotomic(1) ** 2,
+                 q_integer(4) * cyclotomic(4), q_integer(6) * cyclotomic(1)]
+        cases = fixed + [self.cyclotomic_product(rng) for _ in range(60)]
+        calls = []
+        real = RationalPoly.is_squarefree
+        monkeypatch.setattr(RationalPoly, "is_squarefree",
+                            lambda self: calls.append(self) or real(self))
+        # the verdict of a q-round product never reaches the gcd
+        verdicts = [factor_q_round(f).is_squarefree() for f in cases]
+        assert calls == []
+        monkeypatch.undo()
+        assert verdicts == [self.agree(f) for f in cases]
+        assert verdicts[:6] == [False, False, True, False, False, True]
+        assert True in verdicts[6:] and False in verdicts[6:]
+
+    def test_non_cyclotomic_residuals(self):
+        rng = random.Random(29)
+        verdicts = []
+        for _ in range(60):
+            f = self.cyclotomic_product(rng) * rng.choice((2, 3))
+            for g in rng.sample(self.RESIDUALS, rng.randint(1, 2)):
+                f = f * g ** rng.randint(1, 2)
+            assert factor_q_round(f).residual.span > 0
+            verdicts.append(self.agree(f))
+        assert True in verdicts and False in verdicts
+
+    def test_integers_with_large_primes(self):
+        rng = random.Random(30)
+        bound = 13
+        verdicts = []
+        for _ in range(60):
+            n = rng.choice((1, -1))
+            for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3)):
+                n *= p ** rng.randint(0, 2)
+            for _ in range(rng.randint(1, 2)):
+                n *= rng.choice((17, 101, 1009, 10007, 65537))
+            got = smooth_factor(n, bound).is_squarefree()
+            assert got == integer_squarefree(n), n
+            verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+
 def assert_stored_form(p):
     """Integral coefficients are ints, the others Fractions; never a float."""
     for c in p.coeffs:
