@@ -10,8 +10,10 @@ the kind "A" integer matrices of the round suite at ceiling 8 and of two
 kappa quotients; and the Kasteleyn decorations of the round suite at
 ceiling 6 and of the projective cube quotient on shuffled dual spanning
 trees; the determinant and Q[q] invariants of every Jacobi-Trudi,
-dual and skew-graph matrix of `verify jt` at ceiling 6; and every
-`run_report` of the round suite at ceiling 8.
+dual and skew-graph matrix of `verify jt` at ceiling 6; every
+`run_report` of the round suite at ceiling 8; and the determinant of every
+square matrix of the round suite at ceiling 8 and of a seeded draw of
+random matrices, many of them singular.
 The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those
@@ -47,6 +49,7 @@ from kasteleyn.matrices import (
     _det_and_qpoly_invariants,
     _smith_diagonal,
     alternating_smith_form,
+    determinant,
     laurent_smith_attempt,
     pfaffian,
     smith_normal_form,
@@ -65,6 +68,7 @@ ALTERNATING = (283, "795d7168409040f874f61f10739ae92e071dcacc463274a87d7491845ef
 DECORATIONS = (344, "29269e7efff35b601528ec87fb46cae61ab6c3fa0a6005f04992af1a04dd8222")
 JT = (1245, "e2c0d43a53b0a2d51e34b608582522e6702950468f670e53e0be10e582c232aa")
 REPORTS = (273, "305a29e1d27935f93cb22fbbe902cc29a121df3536cec0822af93e7b6247e9a4")
+DETERMINANTS = (891, "0124692092e71d56850868f8a7bd0579235ee0529e63f068016e1b4931c16ba3")
 
 
 def digest(records):
@@ -347,6 +351,31 @@ def report_records(ceiling=8):
             continue
         del rep["duration"]
         records.append([label, rep])
+    return records
+
+
+def determinant_records(ceiling=8, seed=18, draws=200):
+    """The text of `determinant` of every square matrix of the round suite at
+    `ceiling`, each Laurent spec over "laurent", "qpoly" and "z@q0" at
+    q0 = -1 and each integer spec over "z", with the DomainError message of
+    each refused build; then of the square ones among `draws` matrices per
+    ring drawn by `_random_matrix` at `seed`."""
+    records = []
+    for label, spec, ring in harness._round_instances(ceiling):
+        for target in ("laurent", "qpoly", "z@q0") if ring == "laurent" else (ring,):
+            try:
+                M = harness.family_matrix_for_ring(spec, target, q0=-1)[0]
+            except DomainError as exc:
+                records.append([label, target, "DomainError", str(exc)])
+                continue
+            if M.rows == M.cols:
+                records.append([label, target, M.rows, str(determinant(M))])
+    rng = random.Random(seed)
+    for ring in ("z", "qpoly", "laurent"):
+        for k in range(draws):
+            M = _random_matrix(rng, ring)
+            if M.rows == M.cols:
+                records.append([ring, k, M.rows, str(determinant(M))])
     return records
 
 

@@ -1254,7 +1254,9 @@ class TestSmithDriverPinned:
     three box matrices with their transforms; a seeded fuzz of random
     matrices of every shape up to 6 x 6 over every ring; and the
     determinant and Q[q] invariants of every matrix of `verify jt 6`,
-    which finish the block left by the packed +-1 pivots.  The pivot path
+    which finish the block left by the packed +-1 pivots; and the
+    determinant of every square matrix of the round suite at ceiling 8 and
+    of a seeded draw of random matrices, singular ones among them.  The pivot path
     decides the Laurent verdicts, so a change to the elimination must leave
     all of these as they are, with one exception: the integer transforms,
     pinned apart, change only with the route that builds them.  The records
@@ -1287,6 +1289,10 @@ class TestSmithDriverPinned:
     def test_jt(self):
         records = pinned.jt_records()
         assert (len(records), pinned.digest(records)) == pinned.JT
+
+    def test_determinants(self):
+        records = pinned.determinant_records()
+        assert (len(records), pinned.digest(records)) == pinned.DETERMINANTS
 
 
 class TestUnitPhase:
