@@ -757,7 +757,7 @@ def enumerate_matchings(G, count_guard=_ORACLE_GUARD):
     small graphs.
 
     Over Z the totals are ints.  Over Z[q, q^-1] every total is an int too,
-    its value at q = 2^b (Kronecker substitution, as in `_kronecker_det`):
+    its value at q = 2^b (Kronecker substitution, as in `_kronecker_pack`):
     a move is one int product and one shift (a monomial c q^k packs to
     c << b k), a merge one int sum.  Each vertex's move weights are first
     divided by q^lo_v, lo_v the least exponent over all its moves in both

@@ -30,22 +30,25 @@ driver on the same workspace, `_alternating_blocks`: each step is a
 column operation followed by the same row operation, and the Pfaffian is
 read off its block entries and the sign of its transform.
 
-Every determinant runs one integer kernel, `_int_det`: +-1 pivots on the
-same kind of sparse rows, taken in least-fill order (`_unit_pivots`), and
+Every determinant runs one integer elimination: +-1 pivots on the same
+kind of sparse rows, taken in least-fill order (`_unit_pivots`), and
 fraction-free (Bareiss) elimination only on the block left without +-1
-entries.  Laurent and Q[q] entries reach it by Kronecker substitution, and
-the modular finish takes its modulus from it.  The stable invariants over
-Q[q] read the same packed elimination: its +-1 pivots are units, so only
-the block left is finished, from its determinantal divisors when it has at
-most two rows or columns and by `_smith` otherwise, and one call gives a
-matrix both its determinant and its Q[q] invariants
-(`_det_and_qpoly_invariants`).
+entries.  A row or column that empties stays in that block, where Bareiss
+reads det = 0; singular input takes no other path.  An integer matrix
+goes in as it is (`_int_det`, which also gives the modular finish its
+modulus); Laurent and Q[q] entries go in by Kronecker substitution
+(`_packed_units`).  The stable invariants over Q[q] read the same packed
+elimination: its +-1 pivots are units, so only the block left is finished,
+from its determinantal divisors when it has at most two rows or columns
+and by `_smith` otherwise, and one call gives a matrix both its
+determinant and its Q[q] invariants (`_det_and_qpoly_invariants`).
 Products (`*`, `kron`) form only the products of nonzero entries.
 
 Everything is exact; the Fourier duality matrix is the single
 floating-point surface and returns complex entries.  It needs only the
-Smith diagonal (the same transform-free route as `cokernel_of`): in Smith
-coordinates the pairing of coker M with coker M^T is sum r_i s_i / d_i.
+Smith diagonal (the same transform-free route as `cokernel_of`), whose
+product is |det M|: in Smith coordinates the pairing of coker M with
+coker M^T is sum r_i s_i / d_i.
 """
 
 from __future__ import annotations
@@ -1730,17 +1733,18 @@ def deleted_pivot(M, i, j):
 
 def _int_det(rows):
     """Determinant of a square integer matrix, given as row sequences (left
-    as they are): the one integer determinant kernel.  The +-1 pivots of
-    `_unit_pivots` take it to a block without +-1 entries, and det is their
-    sign times the dense finish `_int_bareiss` on that block; a row or
-    column that empties on the way gives det = 0 at once, and a matrix with
-    no +-1 entry goes to the finish as it is (the blocks of
-    `_finish_modulo_det`)."""
+    as they are).  The +-1 pivots of `_unit_pivots` take it to a block
+    without +-1 entries, and det is their sign times the dense finish
+    `_int_bareiss` on that block: the two steps that every determinant
+    runs, packed Laurent and Q[q] matrices through `_packed_units` and
+    `_packed_det`.  A row or column that empties on the way stays in the
+    block, where Bareiss reads det = 0, and a matrix with no +-1 entry goes
+    to the finish as it is (the blocks of `_finish_modulo_det`)."""
     sign, block = _unit_pivots(rows, len(rows))
-    return sign * _int_bareiss(block) if sign else 0
+    return sign * _int_bareiss(block)
 
 
-def _unit_pivots(rows, width, singular_exit=True):
+def _unit_pivots(rows, width):
     """Sparse elimination on +-1 pivots of an integer matrix, given as row
     sequences of `width` entries (left as they are), square or not:
     (sign, block), with block the rows left without +-1 entries, in their
@@ -1759,8 +1763,7 @@ def _unit_pivots(rows, width, singular_exit=True):
     sign the product of (-1)^(s + t) p over the pivots, s and t the
     positions of the pivot row and column among those still alive.
 
-    With `singular_exit`, a row or column that empties (a square input is
-    then singular) ends the elimination with (0, None); without, it stays
+    A row or column that empties (a square input is then singular) stays
     in the block as a zero row or column.  A matrix with no +-1 entry is
     the block as it is."""
     n = len(rows)
@@ -1771,12 +1774,8 @@ def _unit_pivots(rows, width, singular_exit=True):
     A = [{j: x for j, x in enumerate(row) if x} for row in rows]
     cols = [set() for _ in range(width)]
     for i, row in enumerate(A):
-        if not row and singular_exit:
-            return 0, None
         for j in row:
             cols[j].add(i)
-    if singular_exit and not all(cols):
-        return 0, None
     live_rows, live_cols = list(range(n)), list(range(width))
     sign = 1
     while heap:
@@ -1799,12 +1798,8 @@ def _unit_pivots(rows, width, singular_exit=True):
             _add_multiple(row_i, -row_i[c] * p, row_r, not_, cols, i)
             if row_i:
                 heappush(heap, (len(row_i), i))
-            elif singular_exit:
-                return 0, None
         for j in row_r:
             cols[j].discard(r)
-            if not cols[j] and j != c and singular_exit:
-                return 0, None
     return sign, [[A[i].get(j, 0) for j in live_cols] for i in live_rows]
 
 
@@ -1849,22 +1844,9 @@ def _int_bareiss(rows):
     return -d if sign < 0 else d
 
 
-def _kronecker_det(rows):
-    """Determinant of a square matrix of integer polynomials, each entry a
-    map exponent -> nonzero int, returned as such a map: `_kronecker_pack`
-    gives det at q = 2^b from one call of the integer kernel `_int_det`,
-    read back by `_kronecker_unpack`.  A zero row gives det = 0 at once."""
-    packing = _kronecker_pack(rows, len(rows))
-    if packing is None:
-        return {}
-    packed, b, shift = packing
-    return _kronecker_unpack(_int_det(packed), b, shift)
-
-
 def _kronecker_pack(rows, width):
     """(packed, b, shift) for a matrix of integer polynomials, given as rows
-    of `width` entries, each a map exponent -> nonzero int; None when a row
-    is zero.
+    of `width` entries, each a map exponent -> nonzero int, no row zero.
 
     Each row is shifted to start at q^0 (shift is the sum of the row
     shifts) and every entry is packed into one integer, its value at
@@ -1891,8 +1873,6 @@ def _kronecker_pack(rows, width):
                 s = sum(abs(c) for c in t.values())
                 norm += s
                 col_norms[j] += s
-        if lo is None:
-            return None
         shifts.append(lo)
         row_norms.append(norm)
     b = min(prod(row_norms), prod(filter(None, col_norms))).bit_length() + 1
@@ -1932,16 +1912,15 @@ def _kronecker_unpack(value, b, e):
 def determinant(M):
     """Exact determinant by the integer kernel `_int_det` (+-1 pivots on
     sparse rows, then fraction-free Bareiss elimination on the block left);
-    Laurent and Q[q] entries go through Kronecker substitution
-    (`_kronecker_det`), each Q[q] row cleared of its denominators first.
-    `_det_and_qpoly_invariants` reads the same elimination for the Q[q]
-    invariants too."""
+    Laurent and Q[q] entries go through Kronecker substitution, each Q[q]
+    row cleared of its denominators first, into the same elimination
+    (`_packed_units`, `_packed_det`), which `_det_and_qpoly_invariants`
+    reads for the Q[q] invariants too."""
     if M.rows != M.cols:
         raise DomainError("determinant of a non-square matrix")
     if M.ring == "z":
         return _int_det(M.entries)
-    rows, scale = _kronecker_rows(M)
-    return _ring_value(M.ring, _kronecker_det(rows), scale)
+    return _packed_det(M.ring, _packed_units(M))
 
 
 def _kronecker_rows(M):
@@ -1978,8 +1957,8 @@ def _ring_value(ring, terms, scale=1):
 
 
 def _packed_units(M):
-    """The +-1 elimination `_unit_pivots`, without its singular exits, of a
-    "laurent", "qpoly" or "z" matrix M packed by `_kronecker_pack`:
+    """The +-1 elimination `_unit_pivots` of a "laurent", "qpoly" or "z"
+    matrix M packed by `_kronecker_pack`:
     (sign, block, pivots, b, shift, scale).  Zero rows are left out of the
     packing (sign is then 0), so only the `pivots` +-1 pivots and the block
     of packed entries left (its rows and columns those of M that took no
@@ -1987,10 +1966,19 @@ def _packed_units(M):
     rows, scale = _kronecker_rows(M)
     nonzero = [row for row in rows if any(row)]
     packed, b, shift = _kronecker_pack(nonzero, M.cols)
-    sign, block = _unit_pivots(packed, M.cols, singular_exit=False)
+    sign, block = _unit_pivots(packed, M.cols)
     if len(nonzero) < M.rows:
         sign = 0
     return sign, block, len(nonzero) - len(block), b, shift, scale
+
+
+def _packed_det(ring, packing):
+    """det M over `ring` from `packing`, the `_packed_units` elimination of a
+    square M: the sign of its +-1 pivots times Bareiss on the block left
+    (which it overwrites), read back from q = 2^b; 0 when M has a zero row."""
+    sign, block, _, b, shift, scale = packing
+    value = sign * _int_bareiss(block) if sign else 0
+    return _ring_value(ring, _kronecker_unpack(value, b, shift), scale)
 
 
 def _packed_qpoly_invariants(M, block, pivots, b):
@@ -2056,11 +2044,11 @@ def _det_and_qpoly_invariants(M):
     Q[q, q^-1], modulo q-powers, like any other."""
     if M.rows != M.cols:
         raise DomainError("determinant of a non-square matrix")
-    sign, block, pivots, b, shift, scale = _packed_units(M)
+    packing = _packed_units(M)
+    _, block, pivots, b, _, _ = packing
     # the invariants read the block before Bareiss overwrites it
     inv = _packed_qpoly_invariants(M, block, pivots, b)
-    value = sign * _int_bareiss(block) if sign else 0
-    return _ring_value(M.ring, _kronecker_unpack(value, b, shift), scale), inv
+    return _packed_det(M.ring, packing), inv
 
 
 def pfaffian(M):
@@ -2089,8 +2077,6 @@ def determinantal_divisors(M, max_dim=6):
         raise GuardExceeded(
             f"matrix {M.rows}x{M.cols} exceeds the minor-enumeration guard {max_dim}"
         )
-    from itertools import combinations
-
     ent = M.entries
     memo = {}
 
@@ -2139,18 +2125,18 @@ def fourier_duality_matrix(M, guard=64):
     Every d_i divides the last factor e, so the phase is k / e with
     k = sum r_i s_i (e / d_i) mod e, and each entry is one of the e values
     exp(2 pi i k / e) / sqrt(|det M|).  Only the Smith diagonal is computed,
-    never L or R."""
+    never L or R, and |det M| is its product: no determinant runs apart."""
     if M.ring != "z":
         raise DomainError("fourier duality needs an integer matrix")
     if M.rows != M.cols:
         raise DomainError("fourier duality needs a square matrix")
-    det = determinant(M)
-    if det == 0:
+    diagonal = _smith_diagonal(M)
+    D = abs(prod(diagonal))
+    if D == 0:
         raise DomainError("fourier duality needs a nonsingular matrix")
-    D = abs(det)
     if D > guard:
         raise GuardExceeded(f"|det| = {D} exceeds the cokernel enumeration guard {guard}")
-    ds = [d for d in _smith_diagonal(M) if d > 1]
+    ds = [d for d in diagonal if d > 1]
     e = ds[-1] if ds else 1
     scale = 1.0 / math.sqrt(D)
     # int / int rounds correctly, so these are the floats of the fractions k/e

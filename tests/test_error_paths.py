@@ -119,8 +119,14 @@ def test_oracle_guard_env_must_be_a_non_negative_integer(monkeypatch, capsys, va
         oracle_guard()
     with pytest.raises(DomainError, match="KASTELEYN_ORACLE_GUARD"):
         run_report(FamilySpec("aztec", n=2), "z")
+    # a suite reads the guard once, up front: one error, not every instance
+    # reported as skipped
+    with pytest.raises(DomainError, match="KASTELEYN_ORACLE_GUARD"):
+        harness.conjecture_suite("round", 3)
     assert main(["oracle", "--family", "aztec", "--n", "2"]) == 2
-    assert "KASTELEYN_ORACLE_GUARD" in capsys.readouterr().err
+    assert main(["conjecture", "--id", "round", "--ceiling", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("KASTELEYN_ORACLE_GUARD") == 2
 
 
 @pytest.mark.parametrize("ceiling", [0, -1])
