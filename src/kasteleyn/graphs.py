@@ -28,8 +28,7 @@ EVEN = "even"
 
 _KINDS = (MONO, ODD, EVEN)
 
-# the matching oracle's vertex guard, also the fallback of
-# `harness.oracle_guard`
+# the matching oracle's default vertex guard, which every report keeps
 _ORACLE_GUARD = 64
 
 
@@ -524,7 +523,8 @@ def _flatten(G, flat, root, tree_seed, sign=None, orient=None):
     """A clone of G with every edge's sign and orient set to the given
     values, then flattened along the dual spanning tree from root: leaf to
     root, each face that fails the rule `flat` flips the decorated value of
-    the edge to its parent face."""
+    the edge to its parent face.  An odd vertex count is flagged
+    (`flags["odd_vertex_count"]`)."""
     out = G.clone()
     for e in out.edges:
         e.sign = sign
@@ -536,6 +536,8 @@ def _flatten(G, flat, root, tree_seed, sign=None, orient=None):
                 e.sign = -e.sign
             else:
                 e.orient = -e.orient
+    if out.n_vertices % 2 == 1:
+        out.flags["odd_vertex_count"] = True
     return out
 
 
@@ -549,41 +551,10 @@ def kasteleyn_percus_sign(G, tree_seed=0):
     if not G.is_bipartite_colored():
         raise DomainError("Percus signing needs a properly 2-colored graph")
     out = _flatten(G, _percus_flat, G.infinite_face, tree_seed, sign=1)
-    if out.n_vertices % 2 == 1:
-        out.flags["odd_vertex_count"] = True
     for fi, walk in enumerate(out.faces):
         if fi != out.infinite_face and not _percus_flat(out, walk):
             raise AssertionError("sign propagation failed to flatten a finite face")
     return out
-
-
-def _solve_gf2(rows, rhs, n_cols):
-    """Solve a GF(2) system given as bitmask rows; returns a solution bitmask
-    or None."""
-    rows = list(rows)
-    rhs = list(rhs)
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] >> c & 1:
-                rows[i] ^= rows[r]
-                rhs[i] ^= rhs[r]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(rows)):
-        if rhs[i]:
-            return None
-    sol = 0
-    for i, c in pivots:
-        if rhs[i]:
-            sol |= 1 << c
-    return sol
 
 
 def kasteleyn_orient(G, tree_seed=0):
@@ -592,14 +563,15 @@ def kasteleyn_orient(G, tree_seed=0):
     Sphere: odd number of walk-agreeing edges on every finite face, by
     dual-tree propagation.  Projective plane: the rule is odd in each
     direction on every face; the input must be locally but not globally
-    bipartite (all faces even, graph non-bipartite).
+    bipartite (all faces even, graph non-bipartite) and pass `validate`.
+    The same propagation from face 0 flattens every other face; when face 0
+    is left not flat, no set of flipped edges can flatten it, and the
+    result carries `flags["not_flat_faces"] = [0]`.
     """
     if any(v.kind != MONO for v in G.vertices):
         raise DomainError("resolve polygamous vertices before orienting")
     if G.surface == "sphere":
         out = _flatten(G, _kasteleyn_flat, G.infinite_face, tree_seed, orient=1)
-        if out.n_vertices % 2 == 1:
-            out.flags["odd_vertex_count"] = True
         for fi, walk in enumerate(out.faces):
             if fi != out.infinite_face and not _kasteleyn_flat(out, walk):
                 raise AssertionError("orientation propagation failed on a finite face")
@@ -611,29 +583,13 @@ def kasteleyn_orient(G, tree_seed=0):
             raise DomainError("projective rule needs all faces even (a contractible odd cycle exists)")
     if G.is_bipartite():
         raise DomainError("projective rule needs a non-bipartite (locally-only) graph")
+    G.validate()
     out = _flatten(G, _kasteleyn_flat, 0, tree_seed, orient=1)
+    # every edge lies on two face sides, so a flip changes the parity of an
+    # even number of faces and cannot flatten face 0 alone
     bad = [fi for fi, walk in enumerate(out.faces) if not _kasteleyn_flat(out, walk)]
     if bad:
-        # flipping edge e toggles face f's parity once per odd incidence
-        eids = sorted(e.id for e in out.edges)
-        col = {eid: i for i, eid in enumerate(eids)}
-        rows, rhs = [], []
-        for fi, walk in enumerate(out.faces):
-            mask = 0
-            for eid, _ in walk:
-                mask ^= 1 << col[eid]
-            rows.append(mask)
-            rhs.append(1 if fi in bad else 0)
-        sol = _solve_gf2(rows, rhs, len(eids))
-        if sol is None:
-            out.flags["not_flat_faces"] = bad
-        else:
-            for eid, i in col.items():
-                if sol >> i & 1:
-                    e = out.edge(eid)
-                    e.orient = -e.orient
-    if out.n_vertices % 2 == 1:
-        out.flags["odd_vertex_count"] = True
+        out.flags["not_flat_faces"] = bad
     return out
 
 

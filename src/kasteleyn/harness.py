@@ -7,7 +7,6 @@ standalone.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,6 @@ from kasteleyn.families import (
     jacobi_trudi,
 )
 from kasteleyn.graphs import (
-    _ORACLE_GUARD,
     adjacency_matrix,
     enumerate_matchings,
     kasteleyn_percus_sign,
@@ -46,23 +44,6 @@ from kasteleyn.rings import (
     factor_q_round,
     smooth_factor,
 )
-
-
-def oracle_guard():
-    """The matching oracle's vertex guard: KASTELEYN_ORACLE_GUARD when it is
-    set and not empty, else the `count_guard` default of
-    `enumerate_matchings`.  A value that is not a non-negative integer
-    raises DomainError naming the variable."""
-    env = os.environ.get("KASTELEYN_ORACLE_GUARD")
-    if not env:
-        return _ORACLE_GUARD
-    try:
-        guard = int(env)
-    except ValueError:
-        raise DomainError(f"KASTELEYN_ORACLE_GUARD={env!r} is not an integer") from None
-    if guard < 0:
-        raise DomainError(f"KASTELEYN_ORACLE_GUARD={env!r} is negative")
-    return guard
 
 
 RINGS = ("z", "laurent", "qpoly", "z@q0")
@@ -226,7 +207,7 @@ def _without_negative_exponents(M, kind):
     return ExactMatrix._of_ring_elements(M.rows, M.cols, "laurent", rows)
 
 
-def _oracle_status(M, inv, kind, G, guard, q0=None):
+def _oracle_status(M, inv, kind, G, q0=None):
     """(verdict, matching count or None): the reported invariants `inv` of M
     against the matching oracle of G.  Their product, or 0 when the free
     rank is positive, is det M up to a unit, and must equal the weighted
@@ -234,11 +215,12 @@ def _oracle_status(M, inv, kind, G, guard, q0=None):
     An integer matrix specialized at q = q0 is checked against the total at
     q0, up to the unit +-q0^k it inherits from the Laurent matrix; without
     q0, against the plain count.  A non-square M must have no matching; a
-    Q[q] report, whose factors are known only up to rationals, is skipped."""
+    Q[q] report, whose factors are known only up to rationals, is skipped,
+    and so is a graph above the oracle's default vertex guard."""
     if G is None:
         return "skipped", None
     try:
-        ms = enumerate_matchings(G, count_guard=guard)
+        ms = enumerate_matchings(G)
     except GuardExceeded:
         return "skipped", None
     if M.rows != M.cols:
@@ -286,15 +268,16 @@ def _equal_up_to_unit(f, g):
     return f.normal() == g.normal()
 
 
-def run_report(spec, ring, q0=-1, guard=None):
+def run_report(spec, ring, q0=-1):
     """Build, decorate, normal-form and cross-check one family instance.
 
     One normal form gives the invariant factors; each factor is factored
     once, and the round and square-free verdicts both read that
     factorization; the matching oracle checks the product of the factors,
-    so no second elimination runs."""
+    so no second elimination runs.  The oracle counts graphs of at most 64
+    vertices (the `count_guard` default of `enumerate_matchings`); above
+    that its check reads "skipped"."""
     t0 = time.perf_counter()
-    guard = oracle_guard() if guard is None else guard
     M, kind, G = family_matrix_for_ring(spec, ring, q0)
     notes = {}
     form = None
@@ -329,7 +312,7 @@ def run_report(spec, ring, q0=-1, guard=None):
             checks.append(roundness_of_poly(lf, bound))
     round_v = "holds" if all(c[0] for c in checks) else "fails"
     sqfree_v = "holds" if all(c[1] for c in checks) else "fails"
-    oracle, count = _oracle_status(M, inv, kind, G, guard, q0 if ring == "z@q0" else None)
+    oracle, count = _oracle_status(M, inv, kind, G, q0 if ring == "z@q0" else None)
     return ReportRecord(
         spec.to_json(), ring, kind, M.rows, M.cols, inv.free_rank,
         list(inv.factor_strings()), [c[2] for c in checks], round_v, sqfree_v, oracle,
@@ -481,32 +464,29 @@ def _check_ceiling(ceiling):
 
 def conjecture_suite(which, ceiling=8):
     """The verdicts of conjecture suite `which` on its instances up to
-    `ceiling`; DomainError for an unknown id, a ceiling below 1 or a
-    malformed KASTELEYN_ORACLE_GUARD (read once, up front, so that it is not
-    reported as a skip of every instance)."""
+    `ceiling`; DomainError for an unknown id or a ceiling below 1."""
     _check_ceiling(ceiling)
-    guard = oracle_guard()
     if which == "round":
         return _report_verdicts("round", _round_instances(ceiling),
-                                "round_verdict", _round_witness, guard)
+                                "round_verdict", _round_witness)
     if which == "sqfree":
         instances = [(label, spec, ring) for label, spec, ring in _round_instances(ceiling)
                      if ring == "laurent" and spec.variant in ("ppbox", "ppbox-quotient")]
         return _report_verdicts("sqfree", instances, "squarefree_verdict",
-                                lambda rep: {"factors": rep.invariant_factors}, guard)
+                                lambda rep: {"factors": rep.invariant_factors})
     if which == "q-minus-one":
         return _run_q_minus_one(ceiling)
     raise DomainError(f"unknown conjecture id {which!r}")
 
 
-def _report_verdicts(conjecture, instances, verdict_field, fails_witness, guard):
+def _report_verdicts(conjecture, instances, verdict_field, fails_witness):
     """One verdict per (label, spec, ring) instance, read off the `verdict_field`
     of its report; a failure carries `fails_witness(report)`."""
     out = []
     for label, spec, ring in instances:
         inst = {"label": label, "spec": spec.to_json(), "ring": ring}
         try:
-            rep = run_report(spec, ring, guard=guard)
+            rep = run_report(spec, ring)
         except DomainError as exc:
             out.append(ConjectureVerdict(conjecture, inst, "skipped",
                                          {"reason": str(exc)}))
@@ -524,7 +504,8 @@ def _report_verdicts(conjecture, instances, verdict_field, fails_witness, guard)
 
 def _round_witness(rep):
     bad = [d for d in rep.factor_diagnostics
-           if d.get("residual") not in (None, "1") or d.get("residual_cofactor", 1) != 1]
+           # an integer factor's residual is an int, a Laurent factor's a string
+           if d.get("residual") not in (None, 1, "1") or d.get("residual_cofactor", 1) != 1]
     witness = {"factors": rep.invariant_factors, "diagnostics": bad}
     if rep.notes:
         witness["normal_form"] = rep.notes

@@ -388,9 +388,6 @@ class ExactMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def to_lists(self):
         return [list(r) for r in self.entries]
 

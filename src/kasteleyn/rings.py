@@ -121,12 +121,6 @@ class LaurentPoly:
     def is_one(self):
         return self._terms == {0: 1}
 
-    def content(self):
-        g = 0
-        for c in self._terms.values():
-            g = gcd(g, abs(c))
-        return g
-
     def leading_coeff(self):
         return self._terms[self.max_exp]
 
@@ -242,11 +236,6 @@ class LaurentPoly:
         return LaurentPoly._from_terms(
             {i + lo_n - lo_d: c for i, c in enumerate(quot) if c}
         )
-
-    def divides(self, other):
-        if self.is_zero():
-            return LaurentPoly.coerce(other).is_zero()
-        return LaurentPoly.coerce(other).try_divide(self) is not None
 
     # -- normalization and evaluation
 
@@ -785,11 +774,6 @@ class RationalPoly:
         q, r = self.divmod(RationalPoly.coerce(other))
         return q if r.is_zero() else None
 
-    def divides(self, other):
-        if self.is_zero():
-            return RationalPoly.coerce(other).is_zero()
-        return RationalPoly.coerce(other).try_divide(self) is not None
-
     def monic(self):
         if self.is_zero():
             return self
@@ -847,13 +831,6 @@ class RationalPoly:
         if self.degree() == 0:
             return True
         return self.gcd(self.derivative()).degree() == 0
-
-    def evaluate(self, q0):
-        q0 = Fraction(q0)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * q0 + c
-        return int(total) if total.denominator == 1 else total
 
     @staticmethod
     def parse(text):

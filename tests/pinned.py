@@ -337,15 +337,14 @@ def jt_records(ceiling=6):
 
 
 def report_records(ceiling=8):
-    """Every `run_report` of the round suite at `ceiling`, at the default
-    oracle guard, as its JSON without the duration: free rank, factor
-    strings and diagnostics, round and square-free verdicts, oracle check
-    and count, and notes; for an instance the report refuses, the
-    DomainError message."""
+    """Every `run_report` of the round suite at `ceiling`, as its JSON
+    without the duration: free rank, factor strings and diagnostics, round
+    and square-free verdicts, oracle check and count, and notes; for an
+    instance the report refuses, the DomainError message."""
     records = []
     for label, spec, ring in harness._round_instances(ceiling):
         try:
-            rep = harness.run_report(spec, ring, guard=harness._ORACLE_GUARD).to_json()
+            rep = harness.run_report(spec, ring).to_json()
         except DomainError as exc:
             records.append([label, ring, "DomainError", str(exc)])
             continue

@@ -8,6 +8,7 @@ from kasteleyn.cli import main
 from kasteleyn.families import (
     FamilySpec,
     GVGraph,
+    antipodal_cube_quotient,
     build_aztec_graph,
     transit_free_resolution,
 )
@@ -22,7 +23,7 @@ from kasteleyn.graphs import (
     load_graph,
     reflection_quotient,
 )
-from kasteleyn.harness import oracle_guard, run_report
+from kasteleyn.harness import run_report
 from kasteleyn.matrices import (
     ExactMatrix,
     NormalFormFailure,
@@ -105,28 +106,46 @@ def test_alternating_report_with_unpaired_factors_raises(monkeypatch):
     assert run_report(spec, "laurent").invariant_factors == ["2 + 2*q^2"]
 
 
+def test_cli_reports_an_arithmetic_fault_with_exit_three(monkeypatch, capsys):
+    # a library fault must not read as a failed verdict (exit 1) or escape
+    # as a traceback
+    def unpaired(M, form=None):
+        inv = stable_invariants(M, form)
+        return StableInvariants(inv.ring, inv.free_rank, inv.factors[1:])
+
+    monkeypatch.setattr(harness, "stable_invariants", unpaired)
+    code = main(["report", "--family", "ppbox-quotient", "--a", "2", "--b", "2",
+                 "--c", "2", "--group", "kappa"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and "do not pair up" in captured.err
+
+
 def test_oracle_guard_is_the_package_guard_exceeded():
     with pytest.raises(kasteleyn.GuardExceeded):
         kasteleyn.enumerate_matchings(build_aztec_graph(3), count_guard=10)
 
 
-@pytest.mark.parametrize("value", ["abc", "4.5", "0x10", "-1", "-64"])
-def test_oracle_guard_env_must_be_a_non_negative_integer(monkeypatch, capsys, value):
-    # a malformed or negative guard is refused by name, not read as a bare
-    # int() error or as "skip every oracle check"
+@pytest.mark.parametrize("value", ["abc", "4"])
+def test_oracle_guard_variable_is_not_read(monkeypatch, value):
+    # the report's oracle keeps the 64-vertex guard of enumerate_matchings
+    # whatever the environment holds
+    spec = FamilySpec("aztec", n=2)
+    monkeypatch.delenv("KASTELEYN_ORACLE_GUARD", raising=False)
+    want = run_report(spec, "z").to_json()
+    suite = [v.to_json() for v in harness.conjecture_suite("round", 3)]
     monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", value)
-    with pytest.raises(DomainError, match="KASTELEYN_ORACLE_GUARD"):
-        oracle_guard()
-    with pytest.raises(DomainError, match="KASTELEYN_ORACLE_GUARD"):
-        run_report(FamilySpec("aztec", n=2), "z")
-    # a suite reads the guard once, up front: one error, not every instance
-    # reported as skipped
-    with pytest.raises(DomainError, match="KASTELEYN_ORACLE_GUARD"):
-        harness.conjecture_suite("round", 3)
-    assert main(["oracle", "--family", "aztec", "--n", "2"]) == 2
-    assert main(["conjecture", "--id", "round", "--ceiling", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("KASTELEYN_ORACLE_GUARD") == 2
+    got = run_report(spec, "z").to_json()
+    del want["duration"], got["duration"]
+    assert got == want and got["oracle_check"] == "holds"
+    assert [v.to_json() for v in harness.conjecture_suite("round", 3)] == suite
+
+
+def test_oracle_command_counts_past_the_report_guard(capsys):
+    # the cube-weighted box 4x4x4 has 96 vertices, above the 64 of a report
+    assert main(["oracle", "--family", "ppbox", "--a", "4", "--b", "4", "--c", "4",
+                 "--q-mode", "cube"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 232848
 
 
 @pytest.mark.parametrize("ceiling", [0, -1])
@@ -142,16 +161,6 @@ def test_suite_ceiling_below_one_is_refused(capsys, ceiling):
     assert main(["conjecture", "--id", "round", "--ceiling", str(ceiling)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count(f"ceiling {ceiling}") == 2
-
-
-def test_oracle_guard_env_values_in_domain(monkeypatch):
-    for value, want in (("", 64), ("0", 0), ("12", 12), (" 7 ", 7)):
-        monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", value)
-        assert oracle_guard() == want
-    monkeypatch.delenv("KASTELEYN_ORACLE_GUARD")
-    assert oracle_guard() == 64
-    monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", "0")
-    assert run_report(FamilySpec("aztec", n=2), "z").oracle_check == "skipped"
 
 
 def test_adjacency_missing_decorations():
@@ -176,6 +185,16 @@ def test_projective_bipartite_rejected():
     G = EmbeddedGraph(verts, edges, faces, "projective", None)
     with pytest.raises(DomainError):
         kasteleyn_orient(G)
+
+
+def test_projective_orientation_validates_the_embedding():
+    # graph JSON is not validated on load; the projective orientation needs
+    # every edge on two face sides, so a dropped face is refused, not
+    # oriented as if flat
+    data = graph_to_json(antipodal_cube_quotient())
+    data["faces"] = data["faces"][:-1]
+    with pytest.raises(DomainError, match="face sides"):
+        kasteleyn_orient(graph_from_json(data))
 
 
 def test_reflection_quotient_rejects_non_involution():

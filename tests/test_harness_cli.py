@@ -262,6 +262,38 @@ class TestConjectureSuites:
             "~A_tau,rho(1,1,1;q)",
         ]
 
+    def test_round_fails_carries_the_non_round_factor(self, monkeypatch):
+        # 2 * 10007 appended to every integer report's factors (twice for an
+        # alternating matrix, whose factors pair up): 10007 is above every
+        # bound, so the verdict fails and the witness names that factor only
+        real = harness.stable_invariants
+
+        def padded(M, form=None):
+            inv = real(M, form)
+            if inv.ring != "z":
+                return inv
+            k = 2 if M.is_alternating() else 1
+            return StableInvariants(inv.ring, inv.free_rank,
+                                    tuple(inv.factors) + (2 * 10007,) * k)
+
+        monkeypatch.setattr(harness, "stable_invariants", padded)
+        verdicts = conjecture_suite("round", 4)
+        fails = [v for v in verdicts if v.verdict == "fails"]
+        assert [v.instance["label"] for v in fails] == [
+            v.instance["label"] for v in verdicts
+            if v.instance["ring"] == "z" and v.verdict != "skipped"] != []
+        round_factors = 0
+        for v in fails:
+            factors = v.witness["factors"]
+            k = factors.count("20014")
+            assert k and factors[-k:] == ["20014"] * k
+            round_factors += len(factors) - k
+            diagnostics = v.witness["diagnostics"]
+            assert len(diagnostics) == k
+            assert all(d["primes"] == [2] and d["residual"] == 10007 for d in diagnostics)
+        # the round factors, whose residual is 1, stay out of the witness
+        assert round_factors
+
     def test_qm1_covers_every_tuple(self):
         verdicts = conjecture_suite("q-minus-one", 4)
         assert verdicts
@@ -414,11 +446,24 @@ class TestCli:
         data = json.loads(out)
         assert data["free_rank"] >= 1
 
-    def test_oracle_guard_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("KASTELEYN_ORACLE_GUARD", "4")
-        code, _, err = run_cli(["oracle", "--family", "aztec", "--n", "2"], capsys)
-        assert code == 2
-        assert "guard" in err
+    def test_conjecture_text_and_csv(self, capsys):
+        base = ["conjecture", "--id", "round", "--ceiling", "2"]
+        code, out, _ = run_cli(base + ["--format", "text"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["holds        M([1];q_1)", 'summary: {"holds": 1}']
+        code, out, _ = run_cli(base + ["--format", "csv"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "conjecture,instance,verdict,witness" and len(lines) == 2
+        assert lines[1].startswith("round,") and lines[1].endswith(",holds,{}")
+
+    def test_report_text(self, capsys):
+        code, out, _ = run_cli(["report", "--family", "aztec", "--n", "2",
+                                "--format", "text"], capsys)
+        assert code == 0
+        keys = [line.split(": ", 1)[0] for line in out.splitlines()]
+        assert keys == sorted(keys) and "duration" not in keys
+        assert "invariant_factors: ['2', '4']" in out.splitlines()
 
     def test_console_script_help(self):
         out = subprocess.run(
