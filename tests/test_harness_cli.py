@@ -414,14 +414,28 @@ class TestCli:
         M = parse_matrix(out)
         assert M.rows == 3 and M.ring == "laurent"
 
+    CSV_HEADER = ("variant,a,b,c,d,e,n,group,q_mode,wrong_parity,lam,mu,ring,matrix_kind,"
+                  "rows,cols,free_rank,invariant_factors,round_verdict,squarefree_verdict,"
+                  "oracle_check,oracle_count")
+
     def test_report_csv(self, capsys):
-        code, out, _ = run_cli(
-            ["report", "--family", "ppbox", "--a", "1", "--b", "1", "--c", "2",
-             "--ring", "z", "--format", "csv"], capsys)
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("variant,")
-        assert len(lines) == 2
+        # the exact header and cells: lam and mu joined by spaces, the
+        # invariant factors by ";", a missing oracle count left empty
+        cases = [
+            (["--family", "ppbox", "--a", "1", "--b", "1", "--c", "2", "--ring", "z"],
+             "ppbox,1,1,2,0,0,0,1,none,False,,,z,M,5,5,0,3,holds,holds,holds,3"),
+            (["--family", "skew-shape", "--lam", "3,1", "--mu", "1", "--a", "3", "--ring", "z"],
+             "skew-shape,3,0,0,0,0,0,1,none,False,3 1,1,z,M,13,13,0,3;6,holds,holds,holds,18"),
+            (["--family", "hex-minus-triangle", "--a", "2", "--b", "2", "--c", "2",
+              "--d", "0", "--e", "1"],
+             "hex-minus-triangle,2,2,2,0,1,0,1,none,False,,,z,M,11,12,0,4,holds,fails,holds,0"),
+            (["--family", "delannoy", "--n", "3"],
+             "delannoy,0,0,0,0,0,3,1,none,False,,,z,M,3,3,0,2;4,holds,fails,skipped,"),
+        ]
+        for args, row in cases:
+            code, out, _ = run_cli(["report", *args, "--format", "csv"], capsys)
+            assert code == 0
+            assert out.splitlines() == [self.CSV_HEADER, row]
 
     def test_conjecture_json(self, capsys):
         code, out, _ = run_cli(
