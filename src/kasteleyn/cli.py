@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from kasteleyn.families import FamilySpec, build_family_graph
+from kasteleyn.families import _VARIANTS, FamilySpec, build_family_graph
 from kasteleyn.graphs import dump_graph, enumerate_matchings
 from kasteleyn.harness import (
     ReportRecord,
@@ -51,9 +51,7 @@ def _spec_from_args(args):
 
 
 def _add_family_args(p):
-    p.add_argument("--family", default="ppbox",
-                   choices=["ppbox", "ppbox-quotient", "ppbox-impossible",
-                            "hex-minus-triangle", "skew-shape", "aztec", "delannoy"])
+    p.add_argument("--family", default="ppbox", choices=_VARIANTS)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--b", type=int, default=0)
     p.add_argument("--c", type=int, default=0)
@@ -167,21 +165,17 @@ def run(args):
         G = build_family_graph(_spec_from_args(args))
         _emit(args, dump_graph(G))
         return 0
+    if args.command in ("matrix", "snf", "coker"):
+        M, kind, _ = family_matrix_for_ring(_spec_from_args(args), args.ring, args.q0, args.seed)
     if args.command == "matrix":
-        spec = _spec_from_args(args)
-        M, kind, _ = family_matrix_for_ring(spec, args.ring, args.q0, args.seed)
         _emit(args, write_matrix(M))
         return 0
     if args.command == "snf":
-        spec = _spec_from_args(args)
-        M, kind, _ = family_matrix_for_ring(spec, args.ring, args.q0, args.seed)
         rep = smith_report(M, include_transforms=args.transforms)
         rep["matrix_kind"] = kind
         _emit(args, json.dumps(rep, indent=1, sort_keys=True))
         return 0
     if args.command == "coker":
-        spec = _spec_from_args(args)
-        M, kind, _ = family_matrix_for_ring(spec, args.ring, args.q0, args.seed)
         c = cokernel_of(M)
         _emit(args, json.dumps({
             "schema_version": 1,
@@ -197,9 +191,12 @@ def run(args):
         if args.format == "csv":
             _emit(args, _csv_text(ReportRecord.CSV_COLUMNS, [rec.to_csv_row()]))
         elif args.format == "text":
+            # a string prints as it is, any other value as sorted-key JSON
             data = rec.to_json()
-            lines = [f"{k}: {data[k]}" for k in sorted(data) if k != "duration"]
-            _emit(args, "\n".join(lines))
+            del data["duration"]
+            _emit(args, "\n".join(
+                f"{k}: {v if isinstance(v, str) else json.dumps(v, sort_keys=True)}"
+                for k, v in sorted(data.items())))
         else:
             _emit(args, json.dumps(rec.to_json(), indent=1, sort_keys=True))
         return 0

@@ -13,7 +13,7 @@ in sorted lattice order; labels carry the lattice encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import reduce
 
@@ -377,15 +377,8 @@ def _tau_conjugates(group, a, b, c):
 
 def _vertex_perm_from_tri_map(G, tri_map):
     """Vertex permutation induced on a triangle-region graph."""
-    tri_of = G.flags["triangles"]
-    vid_of = {t: i for i, t in tri_of.items()}
-    out = {}
-    for i, t in tri_of.items():
-        img = tri_map(t)
-        if img not in vid_of:
-            raise DomainError(f"triangle map leaves the region at {t} -> {img}")
-        out[i] = vid_of[img]
-    return out
+    vid_of = {t: i for i, t in G.flags["triangles"].items()}
+    return {vid_of[t]: vid_of[img] for t, img in _tri_images(vid_of, tri_map)}
 
 
 def _edge_perm_from_vertex_perm(G, vperm):
@@ -637,13 +630,8 @@ def impossible_variant(spec):
         # the plain quotient; all-odd has odd vertex count, the impossible
         # enumeration
         return _kappa_quotient(a, b, c, flipped=True)
-    if g == "rho,kappa":
-        Z = build_hexagon_graph(a, b, c)
-        return quotient_by_rotations(Z, group_tri_maps("rho,kappa", a, b, c))
-    if _needs_tau(g):
-        spec2 = FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c, group=g,
-                           wrong_parity=True)
-        return symmetry_quotient(spec2)
+    if g == "rho,kappa" or _needs_tau(g):
+        return symmetry_quotient(replace(spec, wrong_parity=True))
     raise DomainError(f"no impossible variant for group {g!r}")
 
 
@@ -1102,12 +1090,8 @@ def aztec_reflection_maps(G):
     squares = G.flags["squares"]
     vid = {sq: k for k, sq in squares.items()}
     vmap = {k: vid[(-1 - sq[0], sq[1])] for k, sq in squares.items()}
-    by_pair = {frozenset((e.u, e.v)): e.id for e in G.edges}
-    emap = {}
-    for e in G.edges:
-        emap[e.id] = by_pair[frozenset((vmap[e.u], vmap[e.v]))]
     bisected = [e.id for e in G.edges if vmap[e.u] == e.v]
-    return vmap, emap, bisected
+    return vmap, _edge_perm_from_vertex_perm(G, vmap), bisected
 
 
 def binomial_matrix(n):
@@ -1281,10 +1265,7 @@ def build_family_graph(spec):
     elif spec.variant == "ppbox-impossible":
         G = impossible_variant(spec)
     elif spec.variant == "hex-minus-triangle":
-        if spec.d == spec.e:
-            G = build_hex_minus_triangle(spec.a, spec.b, spec.c, spec.d, spec.e)
-        else:
-            G = impossible_variant(spec)
+        G = build_hex_minus_triangle(spec.a, spec.b, spec.c, spec.d, spec.e)
     elif spec.variant == "skew-shape":
         G = build_skew_graph(Partition(spec.lam), Partition(spec.mu), spec.a)
     elif spec.variant == "aztec":

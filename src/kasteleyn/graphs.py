@@ -45,11 +45,8 @@ class Vertex:
         self.color = color
         self.label = label
 
-    def clone(self, **kw):
-        out = Vertex(self.id, self.kind, self.color, self.label)
-        for k, v in kw.items():
-            setattr(out, k, v)
-        return out
+    def clone(self):
+        return Vertex(self.id, self.kind, self.color, self.label)
 
     def __repr__(self):
         return f"V({self.id},{self.kind},{self.color})"
@@ -80,11 +77,8 @@ class Edge:
     def is_loop(self):
         return self.u == self.v
 
-    def clone(self, **kw):
-        out = Edge(self.id, self.u, self.v, self.weight, self.sign, self.orient)
-        for k, v in kw.items():
-            setattr(out, k, v)
-        return out
+    def clone(self):
+        return Edge(self.id, self.u, self.v, self.weight, self.sign, self.orient)
 
     def __repr__(self):
         return f"E({self.id}:{self.u}-{self.v})"

@@ -8,7 +8,7 @@ standalone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import prod
 
@@ -110,44 +110,19 @@ class ReportRecord:
     notes: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "schema_version": 1,
-            "spec": self.spec,
-            "ring": self.ring,
-            "matrix_kind": self.matrix_kind,
-            "rows": self.rows,
-            "cols": self.cols,
-            "free_rank": self.free_rank,
-            "invariant_factors": self.invariant_factors,
-            "factor_diagnostics": self.factor_diagnostics,
-            "round_verdict": self.round_verdict,
-            "squarefree_verdict": self.squarefree_verdict,
-            "oracle_check": self.oracle_check,
-            "oracle_count": self.oracle_count,
-            "duration": self.duration,
-            "notes": self.notes,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
-    CSV_COLUMNS = (
-        "variant", "a", "b", "c", "d", "e", "n", "group", "q_mode",
-        "wrong_parity", "lam", "mu", "ring", "matrix_kind", "rows", "cols",
-        "free_rank", "invariant_factors", "round_verdict",
-        "squarefree_verdict", "oracle_check", "oracle_count",
+    CSV_COLUMNS = tuple(f.name for f in fields(FamilySpec)) + (
+        "ring", "matrix_kind", "rows", "cols", "free_rank", "invariant_factors",
+        "round_verdict", "squarefree_verdict", "oracle_check", "oracle_count",
     )
 
     def to_csv_row(self):
         s = self.spec
-        return [
-            s.get("variant"), s.get("a"), s.get("b"), s.get("c"), s.get("d"),
-            s.get("e"), s.get("n"), s.get("group"), s.get("q_mode"),
-            s.get("wrong_parity"),
-            " ".join(str(p) for p in s.get("lam", ())),
-            " ".join(str(p) for p in s.get("mu", ())),
-            self.ring, self.matrix_kind, self.rows,
-            self.cols, self.free_rank, ";".join(self.invariant_factors),
-            self.round_verdict, self.squarefree_verdict, self.oracle_check,
-            self.oracle_count,
-        ]
+        cells = {**s, **vars(self),
+                 "lam": " ".join(map(str, s["lam"])), "mu": " ".join(map(str, s["mu"])),
+                 "invariant_factors": ";".join(self.invariant_factors)}
+        return [cells[c] for c in self.CSV_COLUMNS]
 
 
 def _bound_for(spec):
@@ -332,12 +307,7 @@ class ConjectureVerdict:
     witness: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "conjecture": self.conjecture,
-            "instance": self.instance,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _ordered_triples(ceiling):

@@ -200,17 +200,9 @@ class _QPolyRing:
     zero = RationalPoly.zero()
     one = RationalPoly.one()
 
-    @staticmethod
-    def coerce(x):
-        return RationalPoly.coerce(x)
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def is_unit(a):
-        return a.is_unit()
+    coerce = staticmethod(RationalPoly.coerce)
+    is_zero = staticmethod(RationalPoly.is_zero)
+    is_unit = staticmethod(RationalPoly.is_unit)
 
     @staticmethod
     def unit_and_normal(a):
@@ -224,9 +216,7 @@ class _QPolyRing:
     def unit_inverse(u):
         return RationalPoly.const(Fraction(1) / u.coeffs[0])
 
-    @staticmethod
-    def try_div(a, b):
-        return a.try_divide(b)
+    try_div = staticmethod(RationalPoly.try_divide)
 
     @staticmethod
     def reduce(b, a):
@@ -234,9 +224,7 @@ class _QPolyRing:
         t = b.try_divide(a)
         return (RationalPoly.zero(), b) if t is None else (t, RationalPoly.zero())
 
-    @staticmethod
-    def gcdext(a, b):
-        return a.gcdext(b)
+    gcdext = staticmethod(RationalPoly.gcdext)
 
     @staticmethod
     def size_key(a):
@@ -246,9 +234,7 @@ class _QPolyRing:
     def to_str(a, compact=False):
         return a.to_str(compact=True)   # Q[q] text is always compact
 
-    @staticmethod
-    def parse(s):
-        return RationalPoly.parse(s)
+    parse = staticmethod(RationalPoly.parse)
 
 
 class _LaurentRing:
@@ -257,17 +243,9 @@ class _LaurentRing:
     zero = LaurentPoly.zero()
     one = LaurentPoly.one()
 
-    @staticmethod
-    def coerce(x):
-        return LaurentPoly.coerce(x)
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def is_unit(a):
-        return a.is_unit()
+    coerce = staticmethod(LaurentPoly.coerce)
+    is_zero = staticmethod(LaurentPoly.is_zero)
+    is_unit = staticmethod(LaurentPoly.is_unit)
 
     @staticmethod
     def unit_and_normal(a):
@@ -283,6 +261,7 @@ class _LaurentRing:
 
     @staticmethod
     def try_div(a, b):
+        # not bound: a counter patched on LaurentPoly.try_divide sees these calls
         return a.try_divide(b)
 
     @staticmethod
@@ -296,13 +275,8 @@ class _LaurentRing:
         t = a._terms
         return (max(t) - min(t), len(t), max(abs(c) for c in t.values()))
 
-    @staticmethod
-    def to_str(a, compact=False):
-        return format_laurent(a, compact=compact)
-
-    @staticmethod
-    def parse(s):
-        return parse_laurent(s)
+    to_str = staticmethod(format_laurent)
+    parse = staticmethod(parse_laurent)
 
 
 _RINGS = {"z": _IntRing, "laurent": _LaurentRing, "qpoly": _QPolyRing}
@@ -798,11 +772,7 @@ class SmithForm:
         det_D = prod((D[i, i] for i in range(min(self.shape))), start=ad.one)
         if not _unimodular(ad, det_M, det_D, (self.left, self.right)):
             raise AssertionError("transform determinant is not a unit")
-        ds = self.diagonal
-        for i in range(len(ds) - 1):
-            if not ad.is_zero(ds[i + 1]):
-                if ad.is_zero(ds[i]) or ad.try_div(ds[i + 1], ds[i]) is None:
-                    raise AssertionError("divisibility chain broken")
+        _check_chain(ad, self.diagonal, "divisibility chain broken")
         return True
 
     def __repr__(self):
@@ -820,6 +790,13 @@ def _unimodular(ad, det_M, det_D, transforms):
         return all(ad.is_unit(determinant(T)) for T in transforms)
     q = ad.try_div(det_D, det_M)
     return q is not None and ad.is_unit(q)
+
+
+def _check_chain(ad, entries, message):
+    """Raise AssertionError(message) unless each entry divides the next."""
+    for d, e in zip(entries, entries[1:]):
+        if not ad.is_zero(e) and (ad.is_zero(d) or ad.try_div(e, d) is None):
+            raise AssertionError(message)
 
 
 def _pick_pivot(ring, A, k):
@@ -1219,11 +1196,7 @@ class AltSmithForm:
         pf_K = prod((K[2 * i, 2 * i + 1] for i in range(self.n // 2)), start=ad.one)
         if not _unimodular(ad, determinant(A), pf_K ** 2, (B,)):
             raise AssertionError("congruence transform is not unimodular")
-        es = self.block_entries
-        for i in range(len(es) - 1):
-            if not ad.is_zero(es[i + 1]):
-                if ad.is_zero(es[i]) or ad.try_div(es[i + 1], es[i]) is None:
-                    raise AssertionError("block divisibility chain broken")
+        _check_chain(ad, self.block_entries, "block divisibility chain broken")
         return True
 
     def __repr__(self):

@@ -744,6 +744,21 @@ class TestFamilyDispatch:
         spec = FamilySpec(variant="skew-shape", a=3, lam=(2, 1), mu=(1,))
         assert FamilySpec.from_json(spec.to_json()) == spec
 
+    def test_possible_hex_minus_triangle(self):
+        # d = e: a tilable region, which the round suite never builds
+        for dims, n_vertices, count in (((2, 2, 2, 0, 0), 24, 20),
+                                        ((2, 2, 2, 1, 1), 36, 54)):
+            a, b, c, d, e = dims
+            G = build_family_graph(FamilySpec(variant="hex-minus-triangle",
+                                              a=a, b=b, c=c, d=d, e=e))
+            assert dump_graph(G) == dump_graph(build_hex_minus_triangle(*dims))
+            assert (G.n_vertices, enumerate_matchings(G).count) == (n_vertices, count)
+
+    def test_impossible_rho_kappa_is_the_quotient(self):
+        spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group="rho,kappa")
+        quotient = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="rho,kappa")
+        assert dump_graph(impossible_variant(spec)) == dump_graph(build_family_graph(quotient))
+
 
 class TestBuildersPinned:
     """The family builders' outputs, pinned by SHA-256: the graph JSON,

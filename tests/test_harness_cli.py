@@ -7,7 +7,7 @@ from fractions import Fraction
 import pinned
 from kasteleyn import harness, matrices
 from kasteleyn.cli import main
-from kasteleyn.families import FamilySpec
+from kasteleyn.families import FamilySpec, jacobi_trudi
 from kasteleyn.harness import (
     conjecture_suite,
     family_matrix_for_ring,
@@ -15,7 +15,7 @@ from kasteleyn.harness import (
     verify_theorems,
 )
 from kasteleyn.graphs import load_graph
-from kasteleyn.matrices import ExactMatrix, StableInvariants, parse_matrix
+from kasteleyn.matrices import ExactMatrix, StableInvariants, cokernel_of, parse_matrix
 from kasteleyn.rings import RationalPoly, parse_laurent, q_integer
 
 
@@ -477,7 +477,25 @@ class TestCli:
         assert code == 0
         keys = [line.split(": ", 1)[0] for line in out.splitlines()]
         assert keys == sorted(keys) and "duration" not in keys
-        assert "invariant_factors: ['2', '4']" in out.splitlines()
+        # a string prints as it is, any other value as sorted-key JSON
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["invariant_factors"] == '["2", "4"]'
+        assert lines["ring"] == "z"
+        spec = json.loads(lines["spec"])
+        assert FamilySpec(**spec) == FamilySpec(variant="aztec", n=2)
+        assert list(spec) == sorted(spec)
+
+    def test_coker_of_skew_shape_at_q_one(self, capsys):
+        # the skew graph is a Laurent build, specialized at q = 1 for ring z;
+        # Gessel-Viennot: its cokernel is that of the Jacobi-Trudi matrix at q = 1
+        code, out, _ = run_cli(["coker", "--family", "skew-shape", "--lam", "3,1",
+                                "--mu", "1", "--a", "3"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["group"] == "Z/3 + Z/6"
+        want = cokernel_of(jacobi_trudi((3, 1), (1,), 3).specialize_q(1))
+        assert (data["free_rank"], data["torsion"]) == (
+            want.free_rank, [str(t) for t in want.torsion])
 
     def test_console_script_help(self):
         out = subprocess.run(
