@@ -829,6 +829,12 @@ def transit_free_resolution(g):
     weight -1 edge; the matchings of the resulting bipartite planar graph
     are bijective with the disjoint path families of g.
 
+    The faces of the reduced graph are traced from its coordinates, and a
+    `_Surgeon` built on the traced vertices, edges and walks makes every
+    split with `split_off`; no graph is built in between.  A split keeps
+    V - E + F, the two face sides of every edge, closed walks and the
+    component count, so the output's `validate()` checks the trace too.
+
     Vertex ids in the output: sources (left endpoints in order, then the
     split source-copies) take 0..B-1, sinks take B..B+W-1, so the signed
     bipartite adjacency matrix equals the Gessel-Viennot matrix of the
@@ -901,19 +907,14 @@ def transit_free_resolution(g):
         faces.append([])
     if outer is None and faces:
         outer = 0
-    base = EmbeddedGraph(
-        [Vertex(v) for v in sorted(verts)],
-        [Edge(i, t, h, weight[i]) for i, t, h in plain_edges],
-        faces,
-        "sphere",
-        outer,
-        coords,
+    s = _Surgeon(
+        {v: Vertex(v) for v in sorted(verts)},
+        {i: Edge(i, t, h, weight[i]) for i, t, h in plain_edges},
+        faces, outer, coords,
     )
-    base.validate()
 
     # indeg and outdeg now count the edges kept
     transit = sorted(v for v in verts if indeg[v] > 0 and outdeg[v] > 0)
-    s = _Surgeon(base)
     source_copies = []
     for p in transit:
         corners = s.corners_at(p)

@@ -891,7 +891,11 @@ def rotation_at(G, vid):
 
 
 class _Surgeon:
-    """Mutable graph editor used by the resolution and quotient surgeries.
+    """Mutable graph editor used by the polygamy resolution, edge tripling
+    and the transit split of a Gessel-Viennot graph.  It edits the vertex
+    and edge maps, face walks and coordinates it is given, in place:
+    `copy_of(G)` gives it copies of a graph's, while the transit split
+    hands it the parts it has just traced, which nothing else holds.
 
     It keeps `edges_at[v]`, the ids of the edges at v, and
     `dart_at[dart]`, the face index of every face-walk entry (eid, fwd)
@@ -900,20 +904,32 @@ class _Surgeon:
     face.  Every change of a face walk goes through `insert_entries`,
     `set_face`, `add_face` or `delete_face`, which keep `dart_at` so."""
 
-    def __init__(self, G):
-        self.verts = {v.id: v.clone() for v in G.vertices}
-        self.edges = {e.id: e.clone() for e in G.edges}
-        self.faces = [list(w) for w in G.faces]
-        self.surface = G.surface
-        self.infinite = G.infinite_face
-        self.coords = dict(G.coords)
-        self.flags = dict(G.flags)
-        self.next_vid = max(self.verts, default=-1) + 1
-        self.next_eid = max(self.edges, default=-1) + 1
-        self.edges_at = {v: set(G.incident(v)) for v in self.verts}
+    def __init__(self, verts, edges, faces, infinite, coords, surface="sphere", flags=None):
+        """verts: id -> Vertex; edges: id -> Edge; faces: walks as lists;
+        all of them, and coords, become the surgeon's own."""
+        self.verts = verts
+        self.edges = edges
+        self.faces = faces
+        self.surface = surface
+        self.infinite = infinite
+        self.coords = coords
+        self.flags = flags if flags is not None else {}
+        self.next_vid = max(verts, default=-1) + 1
+        self.next_eid = max(edges, default=-1) + 1
+        self.edges_at = {v: set() for v in verts}
+        for e in edges.values():
+            self.edges_at[e.u].add(e.id)
+            self.edges_at[e.v].add(e.id)
         self.dart_at = {}
-        for fi in range(len(self.faces)):
+        for fi in range(len(faces)):
             self._index(fi)
+
+    @classmethod
+    def copy_of(cls, G):
+        """A surgeon on a copy of the graph G."""
+        return cls({v.id: v.clone() for v in G.vertices}, {e.id: e.clone() for e in G.edges},
+                   [list(w) for w in G.faces], G.infinite_face, dict(G.coords), G.surface,
+                   dict(G.flags))
 
     def _index(self, fi):
         """Record the position of every entry of face fi."""
@@ -1111,7 +1127,7 @@ def monogamous_resolution(G):
     preserved bijectively and the sphere embedding is maintained."""
     if G.surface != "sphere":
         raise DomainError("resolution implemented for sphere embeddings")
-    s = _Surgeon(G)
+    s = _Surgeon.copy_of(G)
     while True:
         poly = sorted(v for v, rec in s.verts.items() if rec.kind != MONO)
         if not poly:
@@ -1129,7 +1145,7 @@ def monogamous_resolution(G):
 def triple_edges(G):
     """Make a multigraph simple by replacing each extra parallel edge with a
     three-edge path; matchings correspond bijectively."""
-    s = _Surgeon(G)
+    s = _Surgeon.copy_of(G)
     classes = {}
     for e in G.edges:
         if e.is_loop():

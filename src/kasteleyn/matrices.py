@@ -68,6 +68,7 @@ from kasteleyn.rings import (
     GuardExceeded,
     LaurentPoly,
     RationalPoly,
+    _as_int,
     _divide_dense,
     format_laurent,
     parse_laurent,
@@ -92,15 +93,9 @@ class _IntRing:
     zero = 0
     one = 1
 
-    @staticmethod
-    def coerce(x):
-        """A plain int: bool and other int subclasses are stored as int, so
-        `is_zero` and `write_matrix` see canonical entries."""
-        if type(x) is int:
-            return x
-        if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
-            return int(x)
-        raise TypeError(f"not an integer entry: {x!r}")
+    # a plain int: bool and other int subclasses are stored as int, so
+    # `is_zero` and `write_matrix` see canonical entries
+    coerce = staticmethod(_as_int)
 
     is_zero = staticmethod(not_)
 
@@ -250,14 +245,14 @@ class _LaurentRing:
     @staticmethod
     def unit_and_normal(a):
         sign, exp, f = a.unit_normalize()
-        return LaurentPoly.q_power(exp, sign), f
+        return LaurentPoly._from_terms({exp: sign}), f
 
     @staticmethod
     def unit_inverse(u):
         sign, exp, f = u.unit_normalize()
         if not f.is_one():
             raise DomainError(f"not a unit: {u}")
-        return LaurentPoly.q_power(-exp, sign)
+        return LaurentPoly._from_terms({-exp: sign})
 
     @staticmethod
     def try_div(a, b):
@@ -660,21 +655,23 @@ class _Workspace:
 
     def clear_unit(self, k):
         """Clear row k and column k against a unit pivot p at (k, k): the
-        row steps row_i -= (a_ik / p) row_k, one for each other row of
-        column k, then the column steps col_j -= (a_kj / p) col_k.  Column
+        row steps row_i -= a_ik p^-1 row_k, one for each other row of
+        column k, then the column steps col_j -= a_kj p^-1 col_k.  Column
         k is clear by then, so the column steps only zero the rest of row k:
-        those entries are dropped (one operation each) and the quotients
-        are taken only for R."""
+        those entries are dropped (one operation each) and the multipliers
+        are taken only for R.  The quotient by a unit is exact, so each
+        multiplier is a product with -p^-1, formed once: no ring division."""
         A, R, ad = self.A, self.R, self.ad
         p = A[k][k]
+        t = -ad.unit_inverse(p)
         for i in [i for i in self.cols[k] if i != k]:
-            self.addmul_row(i, k, -ad.reduce(A[i][k], p)[0])
+            self.addmul_row(i, k, A[i][k] * t)
         for j, x in A[k].items():
             if j != k:
                 self.ops += 1
                 self.cols[j].discard(k)
                 if R is not None:
-                    _add_multiple(R[j], -ad.reduce(x, p)[0], R[k], ad.is_zero)
+                    _add_multiple(R[j], x * t, R[k], ad.is_zero)
         A[k] = {k: p}
 
     def block(self, k):

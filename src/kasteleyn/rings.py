@@ -26,6 +26,17 @@ class ExactDivisionError(ArithmeticError):
     """Division requested between elements that do not divide exactly."""
 
 
+def _as_int(c):
+    """c as a plain int: an int (a bool included) or a Fraction with
+    denominator 1.  TypeError for anything else, a float above all, whose
+    value is not exact."""
+    if type(c) is int:
+        return c
+    if isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1):
+        return int(c)
+    raise TypeError(f"not an integer: {c!r}")
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials over Z
 
@@ -45,7 +56,8 @@ class LaurentPoly:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
                 if not isinstance(e, int):
                     raise TypeError("exponents must be int")
-                c = int(c)
+                if type(c) is not int:
+                    c = _as_int(c)
                 if c:
                     clean[e] = clean.get(e, 0) + c
                     if not clean[e]:
@@ -73,11 +85,11 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        return LaurentPoly({0: int(c)})
+        return LaurentPoly({0: c})
 
     @staticmethod
     def q_power(e, coeff=1):
-        return LaurentPoly({int(e): int(coeff)})
+        return LaurentPoly({e: coeff})
 
     @staticmethod
     def coerce(x):
@@ -241,8 +253,14 @@ class LaurentPoly:
 
     def unit_normalize(self):
         """Return (sign, exp, f) with self = sign * q^exp * f, f having
-        minimum exponent 0 and positive leading coefficient."""
-        if self.is_zero():
+        minimum exponent 0 and positive leading coefficient.  A monomial
+        c q^e, every unit among them, is read off its one term."""
+        t = self._terms
+        if len(t) == 1:
+            ((e, c),) = t.items()
+            sign = 1 if c > 0 else -1
+            return sign, e, LaurentPoly._from_terms({0: sign * c})
+        if not t:
             return 1, 0, self
         k = self.min_exp
         sign = 1 if self.leading_coeff() > 0 else -1
@@ -605,6 +623,13 @@ def _exact_quotient(a, b):
     return f.numerator if f.denominator == 1 else f
 
 
+def _as_rational(c):
+    """Fraction(c); TypeError for a float, whose value is not exact."""
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    return Fraction(c)
+
+
 def _integral(cs):
     """cs with every integral Fraction replaced by its int."""
     return [c if type(c) is int or c.denominator != 1 else c.numerator for c in cs]
@@ -621,7 +646,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) in (int, Fraction) else _as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(_integral(cs))

@@ -6,7 +6,8 @@ step, Laurent long division, the Fourier duality matrix built from
 the witness transforms and rational inverses, the dense
 row-by-column matrix product and Kronecker product, the matching
 frontier program on frozenset states with LaurentPoly totals, and the
-dense Gauss-Jordan solve of a rational linear system."""
+dense Gauss-Jordan solve of a rational linear system, and the
+transit-free resolution through an intermediate embedded graph."""
 
 import cmath
 import math
@@ -15,9 +16,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import mul
 
-from kasteleyn.graphs import MONO, ODD
+from kasteleyn.graphs import (MONO, ODD, Edge, EmbeddedGraph, Vertex, _rotation, _Surgeon,
+                              trace_faces)
 from kasteleyn.matrices import ExactMatrix, determinant, ring_adapter, smith_normal_form
-from kasteleyn.rings import ExactDivisionError, GuardExceeded, LaurentPoly, q_integer
+from kasteleyn.rings import (DomainError, ExactDivisionError, GuardExceeded, LaurentPoly,
+                             q_integer)
 
 
 def plane_partitions(a, b, c):
@@ -581,3 +584,138 @@ def solve_rational_reference(rows, rhs, n):
     for i, cidx in enumerate(piv_cols):
         sol[cidx] = A[i][n]
     return sol
+
+
+def transit_free_resolution_reference(g):
+    """`families.transit_free_resolution` through an intermediate graph:
+    the traced faces first become an `EmbeddedGraph`, which is validated,
+    `_Surgeon.copy_of` copies it for the splits, and the output is
+    validated again.  The output must be the same graph."""
+    if not g.coords:
+        raise DomainError("transit-free resolution needs an embedded graph")
+    lefts, rights = list(g.lefts), list(g.rights)
+    lset, rset = set(lefts), set(rights)
+    # a coinciding left/right endpoint is forced onto the empty path in any
+    # disjoint family (another path through it would share the vertex):
+    # remove it with its edges, which is a unit deleted pivot on V
+    coincident = lset & rset
+    lefts = [v for v in lefts if v not in coincident]
+    rights = [v for v in rights if v not in coincident]
+    lset, rset = set(lefts), set(rights)
+    verts = set(g.vertices) - coincident
+    # reduction: edges into a left endpoint or out of a right endpoint are
+    # unusable; a vertex other than an endpoint left without an in-edge or
+    # without an out-edge dies with its edges, until none is left
+    edges = [
+        e for e in g.edges
+        if e[2] not in lset and e[1] not in rset
+        and e[1] not in coincident and e[2] not in coincident
+    ]
+    indeg = dict.fromkeys(verts, 0)
+    outdeg = dict.fromkeys(verts, 0)
+    succ = {v: [] for v in verts}
+    pred = {v: [] for v in verts}
+    for _, t, h, _ in edges:
+        indeg[h] += 1
+        outdeg[t] += 1
+        succ[t].append(h)
+        pred[h].append(t)
+    endpoints = lset | rset
+    dead = {v for v in verts if v not in endpoints and not (indeg[v] and outdeg[v])}
+    stack = list(dead)
+    while stack:
+        v = stack.pop()
+        for deg, nbrs in ((indeg, succ[v]), (outdeg, pred[v])):
+            for w in nbrs:
+                if w not in dead:
+                    deg[w] -= 1
+                    if not deg[w] and w not in endpoints:
+                        dead.add(w)
+                        stack.append(w)
+    verts -= dead
+    edges = [e for e in edges if e[1] in verts and e[2] in verts]
+    if len(lefts) != len(rights):
+        raise DomainError("endpoint counts differ after reduction")
+    if not verts:
+        out = EmbeddedGraph([], [], [], "sphere", None)
+        out.flags["n_endpoints"] = 0
+        return out
+
+    direction = {}
+    weight = {}
+    plain_edges = []
+    for i, (eid, t, h, w) in enumerate(sorted(edges)):
+        direction[i] = (t, h)
+        weight[i] = w
+        plain_edges.append((i, t, h))
+    coords = {v: g.coords[v] for v in verts}
+    if plain_edges:
+        faces, outer = trace_faces(coords, plain_edges)
+    else:
+        faces, outer = [], None
+    touched = {t for _, t, _ in plain_edges} | {h for _, _, h in plain_edges}
+    for v in sorted(verts - touched):
+        faces.append([])
+    if outer is None and faces:
+        outer = 0
+    base = EmbeddedGraph(
+        [Vertex(v) for v in sorted(verts)],
+        [Edge(i, t, h, weight[i]) for i, t, h in plain_edges],
+        faces,
+        "sphere",
+        outer,
+        coords,
+    )
+    base.validate()
+
+    # indeg and outdeg now count the edges kept
+    transit = sorted(v for v in verts if indeg[v] > 0 and outdeg[v] > 0)
+    s = _Surgeon.copy_of(base)
+    source_copies = []
+    for p in transit:
+        corners = s.corners_at(p)
+        rot = _rotation(corners, p)
+        is_out = [direction[eid][0] == p for eid in rot]
+        k = len(rot)
+        starts = [i for i in range(k) if is_out[i] and not is_out[i - 1]]
+        if len(starts) != 1:
+            raise DomainError(f"transit vertex {p} is not segregated")
+        st = starts[0]
+        out_run = []
+        i = st
+        while is_out[i % k]:
+            out_run.append(rot[i % k])
+            i += 1
+        r, m = s.split_off(p, corners, rot[st - 1], out_run, MONO, f"src({p})")
+        source_copies.append(r)
+        weight[m] = -1
+
+    sources = lefts + source_copies
+    sinks = rights + transit
+    source_set = set(sources)
+    if source_set | set(sinks) != set(s.verts):
+        raise DomainError("source/sink classification missed a vertex")
+    new_id = {}
+    for i, v in enumerate(sources):
+        new_id[v] = i
+    for j, v in enumerate(sinks):
+        new_id[v] = len(sources) + j
+    verts_out = []
+    for vid in sorted(s.verts):
+        color = "black" if vid in source_set else "white"
+        verts_out.append(Vertex(new_id[vid], MONO, color, s.verts[vid].label))
+    edges_out = []
+    for eid in sorted(s.edges):
+        e = s.edges[eid]
+        w = weight[eid]
+        sign = 1
+        if isinstance(w, int) and w < 0:
+            sign, w = -1, -w
+        edges_out.append(Edge(eid, new_id[e.u], new_id[e.v], w, sign))
+    out = EmbeddedGraph(
+        verts_out, edges_out, s.faces, "sphere", s.infinite,
+        {new_id[v]: s.coords[v] for v in s.coords if v in new_id},
+    )
+    out.flags["n_endpoints"] = len(lefts)
+    out.validate()
+    return out

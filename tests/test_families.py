@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 import pinned
 from oracles import (
     enumerate_matchings_reference,
@@ -13,8 +14,10 @@ from oracles import (
     pp_qgen_orbits,
     skew_tableaux_qgen,
     solve_rational_reference,
+    transit_free_resolution_reference,
 )
 
+from kasteleyn import families
 from kasteleyn.families import (
     FamilySpec,
     _solve_rational,
@@ -61,6 +64,7 @@ from kasteleyn.graphs import (
     kasteleyn_percus_sign,
     monogamous_resolution,
     reflection_quotient,
+    trace_faces,
     verify_flatness,
 )
 from kasteleyn.matrices import (
@@ -478,6 +482,15 @@ class TestGV:
         assert V == delannoy_matrix(4)
 
 
+def _jt_skew_graphs(ceiling):
+    """The skew path models of `verify_theorems("jt", ceiling)`, in its order."""
+    return [skew_gv_graph(Partition(lam), Partition(mu), a)
+            for lam in sorted(_partitions_upto(ceiling), key=lambda t: (sum(t), t))
+            for mu in _mu_candidates(lam, 2)
+            if Partition(lam).contains(Partition(mu))
+            for a in range(1, 5)]
+
+
 class TestTransitFreeResolution:
     def test_transit_free_input_unchanged_shape(self):
         g = GVGraph(
@@ -534,6 +547,38 @@ class TestTransitFreeResolution:
                          for n in range(1, 6))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "2df5dabaf31d3dfbe1f51f23bf2aa45bba448979cfb2418175337d49503a88ca")
+
+    # past the pinned verify jt 4 and Delannoy n <= 5 layouts: the graph of
+    # the build through an intermediate, validated graph
+    def test_resolution_equals_reference(self):
+        graphs = _jt_skew_graphs(7) + [delannoy_gv_graph(n) for n in range(1, 7)]
+        assert len(graphs) == 648 + 6
+        for g in graphs:
+            assert dump_graph(transit_free_resolution(g)) == dump_graph(
+                transit_free_resolution_reference(g))
+
+    # the output's validate() is the one check of the embedding: a trace
+    # with a face missing, or with a walk entry repeated, is refused by
+    # both builds
+    @pytest.mark.parametrize("corrupt", ["drop a face", "repeat an entry"])
+    def test_corrupted_trace_is_refused(self, monkeypatch, corrupt):
+        def bad_trace(coords, edges):
+            faces, outer = trace_faces(coords, edges)
+            if corrupt == "drop a face":
+                del faces[spot[0]]
+            else:
+                walk = faces[spot[0]]
+                walk.insert(spot[1], walk[spot[1]])
+            return faces, outer
+
+        monkeypatch.setattr(families, "trace_faces", bad_trace)
+        monkeypatch.setattr(oracles, "trace_faces", bad_trace)
+        g = skew_gv_graph(Partition((2, 2)), Partition((1,)), 3)    # five traced faces
+        spots = [(fi, pos) for fi in range(5) for pos in range(3)]
+        for spot in spots[::3] if corrupt == "drop a face" else spots:
+            for build in (transit_free_resolution, transit_free_resolution_reference):
+                with pytest.raises(DomainError):
+                    build(g)
 
 
 class TestAztec:

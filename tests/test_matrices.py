@@ -1,6 +1,8 @@
 import hashlib
 import random
+import re
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, prod
@@ -1375,6 +1377,104 @@ class TestUnitPhase:
                     k = M.rows - out.residual.rows
                     D = out.left * M * out.right
                     assert [row[k:] for row in D.entries[k:]] == list(out.residual.entries)
+
+
+def spy_unit_divisions(monkeypatch):
+    """Count the ring divisions made while `_Workspace.clear_unit` runs:
+    calls of `reduce` and `try_div` of the three ring adapters, of
+    `LaurentPoly.try_divide` and of `RationalPoly.divmod`.  Returns (seen,
+    cleared): seen["divisions"] is that count, cleared the clear_unit calls
+    by ring tag."""
+    seen = {"divisions": 0, "inside": False}
+    cleared = Counter()
+    clear = matrices._Workspace.clear_unit
+
+    def clearing(ws, k):
+        cleared[ws.ad.tag] += 1
+        seen["inside"] = True
+        try:
+            return clear(ws, k)
+        finally:
+            seen["inside"] = False
+
+    def spying(f):
+        def spy(*args):
+            seen["divisions"] += seen["inside"]
+            return f(*args)
+        return spy
+
+    monkeypatch.setattr(matrices._Workspace, "clear_unit", clearing)
+    for ring in (matrices.ring_adapter(tag) for tag in ("z", "qpoly", "laurent")):
+        for name in ("reduce", "try_div"):
+            monkeypatch.setattr(ring, name, staticmethod(spying(getattr(ring, name))))
+    monkeypatch.setattr(LaurentPoly, "try_divide", spying(LaurentPoly.try_divide))
+    monkeypatch.setattr(RationalPoly, "divmod", spying(RationalPoly.divmod))
+    return seen, cleared
+
+
+class TestUnitKernel:
+    """A unit pivot is cleared by products with the pivot's inverse, not by
+    ring divisions; the inverse of a Laurent unit is read off its one term
+    (`LaurentPoly.unit_normalize`)."""
+
+    def test_round_suite_attempts_divide_nothing_at_unit_pivots(self, monkeypatch):
+        seen, cleared = spy_unit_divisions(monkeypatch)
+        outcomes = Counter()
+        for _, spec, ring in harness._round_instances(8):
+            if ring != "laurent":
+                continue
+            try:
+                M = harness.family_matrix_for_ring(spec, ring)[0]
+            except DomainError:
+                continue
+            plain = laurent_smith_attempt(M, transforms=False)
+            full = laurent_smith_attempt(M, transforms=True)
+            assert (plain.outcome, plain.iterations) == (full.outcome, full.iterations)
+            outcomes[full.outcome] += 1
+            if full.success:
+                assert full.smith.verify(M)
+                assert plain.smith.diagonal == full.smith.diagonal
+        assert outcomes == {"success": 161, "witnessed": 6}
+        assert seen["divisions"] == 0 and cleared["laurent"] > 3000
+
+    def test_seeded_pid_forms_divide_nothing_at_unit_pivots(self, monkeypatch):
+        seen, cleared = spy_unit_divisions(monkeypatch)
+        rng = random.Random(3201)
+        for ring in ("z", "qpoly"):
+            for _ in range(80):
+                M = sparse_ring_matrix(rng, ring, rng.randint(0, 6), rng.randint(0, 6))
+                form = smith_normal_form(M, verify=True)
+                assert _smith_diagonal(M) == form.diagonal
+        assert seen["divisions"] == 0
+        assert cleared["z"] > 100 and cleared["qpoly"] > 100
+
+    def test_monomial_path_equals_the_general_rule(self):
+        def general(f):
+            # lowest exponent out, then the sign of the top coefficient
+            k, sign = f.min_exp, 1 if f.leading_coeff() > 0 else -1
+            return sign, k, LaurentPoly({e - k: sign * c for e, c in f.items()})
+
+        ring = matrices.ring_adapter("laurent")
+        rng = random.Random(3202)
+        monomials = units = 0
+        for _ in range(600):
+            f = LaurentPoly({rng.randint(-6, 6): rng.choice((1, -1, 1, -1, 2, -3, 7, -(1 << 80)))
+                             for _ in range(rng.choice((1, 1, 2, 3)))})
+            sign, exp, g = general(f)
+            assert f.unit_normalize() == (sign, exp, g) and f.normal() == g
+            assert ring.unit_and_normal(f) == (LaurentPoly.q_power(exp, sign), g)
+            monomials += len(f.items()) == 1
+            if g.is_one():
+                units += 1
+                inverse = ring.unit_inverse(f)
+                assert inverse == LaurentPoly.q_power(-exp, sign)
+                assert f * inverse == LaurentPoly.one()
+        assert monomials > 250 and units > 100
+
+    @pytest.mark.parametrize("text", ["0", "2*q^3", "1 + q"])
+    def test_non_units_are_refused(self, text):
+        with pytest.raises(DomainError, match=f"^not a unit: {re.escape(text)}$"):
+            matrices.ring_adapter("laurent").unit_inverse(parse_laurent(text))
 
 
 class TestDeterminantalDivisors:

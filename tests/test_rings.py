@@ -476,3 +476,46 @@ def test_integer_squarefree():
     assert not integer_squarefree(12)
     assert not integer_squarefree(0)
     assert integer_squarefree(-97)
+
+
+class TestExactCoefficients:
+    """The exact rings refuse a coefficient whose value they would have to
+    round: a float anywhere, a non-integral Fraction in Z[q, q^-1]."""
+
+    def test_laurent_refuses_inexact_coefficients(self):
+        for make in (lambda: LaurentPoly({0: Fraction(7, 2)}),
+                     lambda: LaurentPoly.const(Fraction(7, 2)),
+                     lambda: LaurentPoly.q_power(3, 2.9),
+                     lambda: LaurentPoly({0: 1e30}),
+                     lambda: LaurentPoly.const(2.0),
+                     lambda: LaurentPoly([(1, Fraction(1, 3))])):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_laurent_keeps_ints_bools_and_integral_fractions(self):
+        f = LaurentPoly({0: Fraction(6, 2), 1: True, 2: 10 ** 30, 3: False})
+        assert f.items() == [(0, 3), (1, 1), (2, 10 ** 30)]
+        assert all(type(c) is int for _, c in f.items())
+        assert LaurentPoly.const(Fraction(-4, 2)) == -2
+        assert LaurentPoly.q_power(3, Fraction(4, 2)) == L("2*q^3")
+        assert LaurentPoly.q_power(-1, True) == L("q^-1")
+
+    def test_rational_refuses_floats(self):
+        for make in (lambda: RationalPoly.const(0.1),
+                     lambda: RationalPoly([1, 0.5]),
+                     lambda: RationalPoly((Fraction(1, 3), 2.0))):
+            with pytest.raises(TypeError):
+                make()
+        p = RationalPoly((True, Fraction(4, 2), Fraction(1, 10)))
+        assert p.coeffs == (1, 2, Fraction(1, 10))
+        assert_stored_form(p)
+
+    def test_text_round_trip(self):
+        for text in ("1 - 2*q + q^3", "q^-1 + 1", "0", "-q", "3*q^-2 - 7 + 10*q^5",
+                     f"{10 ** 30}*q^-4 - 7"):
+            f = parse_laurent(text)
+            assert format_laurent(f) == text
+            assert parse_laurent(format_laurent(f, compact=True)) == f
+        for text in ("1/2 - 3*q^2", "0", "-3/4*q + q^7"):
+            p = RationalPoly.parse(text)
+            assert p.to_str() == text and RationalPoly.parse(p.to_str(compact=True)) == p
