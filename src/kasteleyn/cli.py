@@ -17,18 +17,14 @@ import sys
 from kasteleyn.families import _VARIANTS, FamilySpec, build_family_graph
 from kasteleyn.graphs import dump_graph, enumerate_matchings
 from kasteleyn.harness import (
+    RINGS,
     ReportRecord,
     conjecture_suite,
     family_matrix_for_ring,
     run_report,
     verify_theorems,
 )
-from kasteleyn.matrices import (
-    NormalFormFailure,
-    cokernel_of,
-    smith_report,
-    write_matrix,
-)
+from kasteleyn.matrices import cokernel_of, smith_report, write_matrix
 from kasteleyn.rings import DomainError
 
 
@@ -75,6 +71,11 @@ def _add_format(p, with_csv=False):
     p.add_argument("--format", default="json", choices=choices)
 
 
+def _add_ring(p):
+    p.add_argument("--ring", default="z", choices=RINGS)
+    p.add_argument("--q0", type=int, default=-1)
+
+
 def _add_seed(p):
     p.add_argument("--seed", type=int, default=0)
 
@@ -107,15 +108,13 @@ def build_parser():
     _add_family_args(p)
     _add_common(p)
     _add_seed(p)
-    p.add_argument("--ring", default="z", choices=["z", "laurent", "qpoly", "z@q0"])
-    p.add_argument("--q0", type=int, default=-1)
+    _add_ring(p)
 
     p = sub.add_parser("snf", help="Smith normal form report")
     _add_family_args(p)
     _add_common(p)
     _add_seed(p)
-    p.add_argument("--ring", default="z", choices=["z", "laurent", "qpoly", "z@q0"])
-    p.add_argument("--q0", type=int, default=-1)
+    _add_ring(p)
     p.add_argument("--transforms", action="store_true")
 
     p = sub.add_parser("coker", help="cokernel of the integer family matrix")
@@ -129,14 +128,13 @@ def build_parser():
     _add_family_args(p)
     _add_common(p)
     _add_format(p, with_csv=True)
-    p.add_argument("--ring", default="z", choices=["z", "laurent", "qpoly", "z@q0"])
-    p.add_argument("--q0", type=int, default=-1)
+    _add_ring(p)
 
     p = sub.add_parser("conjecture", help="run a conjecture probe suite")
     _add_common(p)
     _add_format(p, with_csv=True)
     p.add_argument("--id", required=True, choices=["round", "sqfree", "q-minus-one"])
-    p.add_argument("--ceiling", type=int, default=8)
+    p.add_argument("--ceiling", type=int, default=None)
 
     p = sub.add_parser("verify", help="verify a theorem suite")
     _add_common(p)
@@ -153,10 +151,7 @@ def build_parser():
 
 def _csv_text(columns, rows):
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(columns)
-    for row in rows:
-        w.writerow(row)
+    csv.writer(buf).writerows([columns, *rows])
     return buf.getvalue()
 
 
@@ -224,10 +219,7 @@ def run(args):
                                    sort_keys=True))
         return 0
     if args.command == "verify":
-        ceiling = args.ceiling
-        if ceiling is None:
-            ceiling = 4 if args.which == "aztec" else 6
-        summary, failures = verify_theorems(args.which, ceiling)
+        summary, failures = verify_theorems(args.which, args.ceiling)
         payload = {"summary": summary, "failures": failures}
         if args.format == "text":
             _emit(args, f"{summary['which']}: checked {summary['checked']}, "
@@ -236,10 +228,7 @@ def run(args):
             _emit(args, json.dumps(payload, indent=1, sort_keys=True))
         return 0 if summary["failed"] == 0 else 1
     if args.command == "oracle":
-        spec = _spec_from_args(args)
-        if spec.variant == "delannoy":
-            raise DomainError("the Delannoy family has no matching oracle")
-        G = build_family_graph(spec)
+        G = build_family_graph(_spec_from_args(args))
         ms = enumerate_matchings(G, count_guard=G.n_vertices)
         payload = {"count": ms.count, "total_weight": str(ms.total_weight)}
         if args.format == "text":
@@ -259,7 +248,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return run(args)
-    except (NormalFormFailure, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

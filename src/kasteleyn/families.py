@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
+from math import comb, floor
 
 from kasteleyn.graphs import (
     MONO,
@@ -263,7 +265,6 @@ def hexagon_minus_triangle_tris(a, b, c, d, e):
     cy = Fraction(S1 + S2 + 2 * Y - X, 6)
 
     def rnd(t):
-        from math import floor
         return floor(t + Fraction(1, 2))
 
     removed = set()
@@ -783,18 +784,16 @@ class GVGraph:
         for eid, t, h, w in self.edges:
             indeg[h] += 1
             outs[t].append((eid, h, w))
+        # a sorted list is a heap
         ready = sorted(v for v in self.vertices if indeg[v] == 0)
         order = []
-        import heapq
-
-        heapq.heapify(ready)
         while ready:
-            v = heapq.heappop(ready)
+            v = heappop(ready)
             order.append(v)
             for _, h, _ in outs[v]:
                 indeg[h] -= 1
                 if indeg[h] == 0:
-                    heapq.heappush(ready, h)
+                    heappush(ready, h)
         if len(order) != len(self.vertices):
             raise DomainError("Gessel-Viennot graph has a directed cycle")
         return order, outs
@@ -1096,16 +1095,12 @@ def aztec_reflection_maps(G):
 
 
 def binomial_matrix(n):
-    from math import comb
-
     return ExactMatrix.from_rows(
         [[comb(i, j) for j in range(n)] for i in range(n)], "z"
     )
 
 
 def binomial_matrix_inverse(n):
-    from math import comb
-
     return ExactMatrix.from_rows(
         [[(-1) ** ((i - j) % 2) * comb(i, j) for j in range(n)] for i in range(n)], "z"
     )
@@ -1167,8 +1162,6 @@ def delannoy_matrix(n):
 
 
 def delannoy_closed_form(n):
-    from math import comb
-
     return ExactMatrix.from_rows(
         [
             [sum(comb(i, k) * comb(j, k) * 2 ** k for k in range(min(i, j) + 1)) for j in range(n)]

@@ -13,11 +13,14 @@ import random
 from functools import cmp_to_key
 from itertools import combinations
 
-from kasteleyn.matrices import ExactMatrix, _kronecker_unpack, ring_adapter
+from kasteleyn.matrices import ExactMatrix, ring_adapter
 from kasteleyn.rings import (
     DomainError,
     GuardExceeded,
     LaurentPoly,
+    _kronecker_pack,
+    _kronecker_unpack,
+    _kronecker_width,
     format_laurent,
     parse_laurent,
 )
@@ -707,15 +710,15 @@ def enumerate_matchings(G, count_guard=_ORACLE_GUARD):
     small graphs.
 
     Over Z the totals are ints.  Over Z[q, q^-1] every total is an int too,
-    its value at q = 2^b (Kronecker substitution, as in `_kronecker_pack`):
+    its value at q = 2^b (the Kronecker codec of `rings`, as for `determinant`):
     a move is one int product and one shift (a monomial c q^k packs to
     c << b k), a merge one int sum.  Each vertex's move weights are first
     divided by q^lo_v, lo_v the least exponent over all its moves in both
     bit cases; every matching takes one move per vertex, so each total is
     shifted by the constant sum of the lo_v.  The L1 norm of every total
     is at most the product over v of the larger of its two sums of
-    move-weight L1 norms, and b leaves room for that bound and a sign, so
-    totals are read back as signed base-2^b digits.
+    move-weight L1 norms, and b is the codec width `_kronecker_width` for
+    that bound, so `_kronecker_unpack` reads every total back exactly.
 
     Raises GuardExceeded above `count_guard` vertices.
     """
@@ -765,7 +768,6 @@ def enumerate_matchings(G, count_guard=_ORACLE_GUARD):
                     options[bit].append((0, flips, weight, 0))
         table.append(options)
     if laurent:
-        shift = 0
         bound = 1
         los = []
         for options in table:
@@ -784,16 +786,15 @@ def enumerate_matchings(G, count_guard=_ORACLE_GUARD):
                 norm = max(norm, l1)
             lo = 0 if lo is None else lo
             los.append(lo)
-            shift += lo
             bound *= norm
-        b = max(bound, 1).bit_length() + 1
+        b = _kronecker_width(bound)
 
         def pack(t, lo):
             """(f, s) with f << s the value at q = 2^b of t / q^lo."""
             if not t:
                 return 0, 0
             m = min(t)
-            return sum(c << b * (e - m) for e, c in t.items()), b * (m - lo)
+            return _kronecker_pack(t, b, m), b * (m - lo)
 
     states = {0: [1, 1]}
     for i, options in enumerate(table):
@@ -818,7 +819,7 @@ def enumerate_matchings(G, count_guard=_ORACLE_GUARD):
         states = nxt
     count, total = states.get(0, (0, 0))
     if laurent:
-        total = LaurentPoly._from_terms(_kronecker_unpack(total, b, shift))
+        total = LaurentPoly._from_terms(_kronecker_unpack(total, b, sum(los)))
     return MatchingSet(count, total)
 
 

@@ -8,7 +8,7 @@ standalone.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from math import prod
 
@@ -40,7 +40,6 @@ from kasteleyn.rings import (
     ExactDivisionError,
     GuardExceeded,
     LaurentPoly,
-    RationalPoly,
     factor_q_round,
     smooth_factor,
 )
@@ -143,9 +142,9 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
     wants_q = ring in ("laurent", "qpoly", "z@q0")
     spec2 = spec
     if wants_q and spec.q_mode == "none" and spec.variant != "skew-shape" and spec.variant != "aztec":
-        spec2 = FamilySpec(**{**spec.to_json(), "q_mode": "cube"})
+        spec2 = replace(spec, q_mode="cube")
     if not wants_q and spec.q_mode != "none":
-        spec2 = FamilySpec(**{**spec.to_json(), "q_mode": "none"})
+        spec2 = replace(spec, q_mode="none")
     M, kind, G = _decorated_matrix(build_family_graph(spec2), spec2.variant, tree_seed)
     if ring == "z" and M.ring == "laurent":
         M = M.specialize_q(1)
@@ -281,9 +280,10 @@ def run_report(spec, ring, q0=-1):
         if inv.ring == "z":
             checks.append(roundness_of_integer(f, bound))
         else:
-            # a normalized Q[q] factor has no q-power, so it is square-free
-            # over Q[q] iff its Laurent image is
-            lf = f if isinstance(f, LaurentPoly) else RationalPoly.coerce(f).primitive_integer_form().to_laurent()
+            # a normalized Q[q] factor is a primitive integer polynomial
+            # without a q-power, so it is square-free over Q[q] iff its
+            # Laurent image is
+            lf = f if isinstance(f, LaurentPoly) else f.to_laurent()
             checks.append(roundness_of_poly(lf, bound))
     round_v = "holds" if all(c[0] for c in checks) else "fails"
     sqfree_v = "holds" if all(c[1] for c in checks) else "fails"
@@ -425,17 +425,22 @@ def _round_instances(ceiling):
     return out
 
 
-def _check_ceiling(ceiling):
-    """A suite's ceiling must be at least 1: below it there is no instance,
-    and a suite that checks nothing would read as a success."""
+def _suite_ceiling(ceiling, default):
+    """`ceiling`, or the suite's `default` when it is None.  It must be at
+    least 1: below it there is no instance, and a suite that checks nothing
+    would read as a success."""
+    if ceiling is None:
+        return default
     if ceiling < 1:
         raise DomainError(f"ceiling {ceiling} is below 1: the suite would check nothing")
+    return ceiling
 
 
-def conjecture_suite(which, ceiling=8):
+def conjecture_suite(which, ceiling=None):
     """The verdicts of conjecture suite `which` on its instances up to
-    `ceiling`; DomainError for an unknown id or a ceiling below 1."""
-    _check_ceiling(ceiling)
+    `ceiling` (8 when None); DomainError for an unknown id or a ceiling
+    below 1."""
+    ceiling = _suite_ceiling(ceiling, 8)
     if which == "round":
         return _report_verdicts("round", _round_instances(ceiling),
                                 "round_verdict", _round_witness)
@@ -566,14 +571,14 @@ def _mu_candidates(lam, max_size=2):
     return sorted(cands)
 
 
-def verify_theorems(which, ceiling=6):
-    """Returns (summary dict, failures list); DomainError for an unknown
-    theorem id or a ceiling below 1."""
-    _check_ceiling(ceiling)
+def verify_theorems(which, ceiling=None):
+    """Returns (summary dict, failures list) of theorem suite `which` up to
+    `ceiling` (when None, 6 for "jt" and 4 for "aztec"); DomainError for an
+    unknown theorem id or a ceiling below 1."""
     if which == "jt":
-        return _verify_jt(ceiling)
+        return _verify_jt(_suite_ceiling(ceiling, 6))
     if which == "aztec":
-        return _verify_aztec(ceiling)
+        return _verify_aztec(_suite_ceiling(ceiling, 4))
     raise DomainError(f"unknown theorem id {which!r}")
 
 

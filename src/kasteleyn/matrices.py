@@ -37,7 +37,9 @@ entries.  A row or column that empties stays in that block, where Bareiss
 reads det = 0; singular input takes no other path.  An integer matrix
 goes in as it is (`_int_det`, which also gives the modular finish its
 modulus); Laurent and Q[q] entries go in by Kronecker substitution
-(`_packed_units`).  The stable invariants over Q[q] read the same packed
+(`_packed_units`, with the codec `_kronecker_width`, `_kronecker_pack`
+and `_kronecker_unpack` of `rings`, which the matching oracle of `graphs`
+shares).  The stable invariants over Q[q] read the same packed
 elimination: its +-1 pivots are units, so only the block left is finished,
 from its determinantal divisors when it has at most two rows or columns
 and by `_smith` otherwise, and one call gives a matrix both its
@@ -70,17 +72,12 @@ from kasteleyn.rings import (
     RationalPoly,
     _as_int,
     _divide_dense,
+    _kronecker_pack,
+    _kronecker_unpack,
+    _kronecker_width,
     format_laurent,
     parse_laurent,
 )
-
-
-class NormalFormFailure(RuntimeError):
-    """Raised when a Laurent normal-form attempt did not produce a SmithForm."""
-
-    def __init__(self, attempt):
-        self.attempt = attempt
-        super().__init__(f"laurent normal form attempt failed: {attempt.outcome}")
 
 
 # ---------------------------------------------------------------------------
@@ -1598,22 +1595,19 @@ def _normalize_factor(d, ring_tag):
         f = d.normal()
         return None if f.is_one() else f
     if ring_tag == "qpoly":
-        coeffs = list(d.coeffs)
-        v = 0
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            v += 1
-        f = RationalPoly(coeffs).primitive_integer_form()
+        # d is nonzero; its q-power goes with its leading zero coefficients
+        k = next(i for i, c in enumerate(d.coeffs) if c)
+        f = RationalPoly(d.coeffs[k:]).primitive_integer_form()
         return None if f.degree() <= 0 else f
     raise DomainError(f"unknown ring {ring_tag}")
 
 
 def _laurent_form(M, transforms=False):
     """The Laurent normal form of M, with its transforms only if asked for;
-    NormalFormFailure when the attempt fails."""
+    DomainError when the attempt fails (a stuck heuristic is a refusal)."""
     attempt = laurent_smith_attempt(M, transforms=transforms)
     if not attempt.success:
-        raise NormalFormFailure(attempt)
+        raise DomainError(f"laurent normal form attempt failed: {attempt.outcome}")
     return attempt.smith
 
 
@@ -1811,21 +1805,22 @@ def _int_bareiss(rows):
     return -d if sign < 0 else d
 
 
-def _kronecker_pack(rows, width):
+def _pack_rows(rows, width):
     """(packed, b, shift) for a matrix of integer polynomials, given as rows
     of `width` entries, each a map exponent -> nonzero int, no row zero.
 
     Each row is shifted to start at q^0 (shift is the sum of the row
-    shifts) and every entry is packed into one integer, its value at
-    q = 2^b, so integer elimination on the packed rows runs the polynomial
-    one at q = 2^b.  The shift packs every entry +-q^e, e the row's lowest
-    exponent, to +-1, so such a unit stays a +-1 pivot.  The coefficients
-    of a minor are bounded in absolute value by its L1 norm, which is at
-    most the product of the L1 norms of its rows (or columns), hence of all
-    nonzero rows (columns); b leaves room for that bound and a sign, so
-    every minor, the determinant and each entry left by +-1 pivots among
-    them, is read back exactly as signed base-2^b digits, and a packed
-    entry is +-1 only if its polynomial is."""
+    shifts) and every entry is packed into one integer by the Kronecker
+    codec of `rings`, its value at q = 2^b, so integer elimination on the
+    packed rows runs the polynomial one at q = 2^b.  The shift packs every
+    entry +-q^e, e the row's lowest exponent, to +-1, so such a unit stays
+    a +-1 pivot.  The coefficients of a minor are bounded in absolute value
+    by its L1 norm, which is at most the product of the L1 norms of its
+    rows (or columns), hence of all nonzero rows (columns); b is the codec
+    width for that bound, so every minor, the determinant and each entry
+    left by +-1 pivots among them, is read back exactly by
+    `_kronecker_unpack`, and a packed entry is +-1 only if its polynomial
+    is."""
     shifts = []
     row_norms = []
     col_norms = [0] * width
@@ -1842,38 +1837,10 @@ def _kronecker_pack(rows, width):
                 col_norms[j] += s
         shifts.append(lo)
         row_norms.append(norm)
-    b = min(prod(row_norms), prod(filter(None, col_norms))).bit_length() + 1
-    packed = []
-    for row, lo in zip(rows, shifts):
-        out = []
-        for t in row:
-            v = 0
-            for e, c in t.items():
-                v += c << (b * (e - lo))
-            out.append(v)
-        packed.append(out)
+    b = _kronecker_width(min(prod(row_norms), prod(filter(None, col_norms))))
+    packed = [[_kronecker_pack(t, b, lo) if t else 0 for t in row]
+              for row, lo in zip(rows, shifts)]
     return packed, b, sum(shifts)
-
-
-def _kronecker_unpack(value, b, e):
-    """The integer polynomial whose value at q = 2^b is `value`, times q^e,
-    as a map exponent -> nonzero int: `value` read as signed base-2^b
-    digits, lowest first, each in [-2^(b-1), 2^(b-1)).  Needs b >= 2 (with
-    b = 1 the digits -1 and 0 reach no positive value)."""
-    full = 1 << b
-    half = full >> 1
-    mask = full - 1
-    terms = {}
-    while value:
-        d = value & mask
-        value >>= b
-        if d >= half:
-            d -= full
-            value += 1
-        if d:
-            terms[e] = d
-        e += 1
-    return terms
 
 
 def determinant(M):
@@ -1925,14 +1892,14 @@ def _ring_value(ring, terms, scale=1):
 
 def _packed_units(M):
     """The +-1 elimination `_unit_pivots` of a "laurent", "qpoly" or "z"
-    matrix M packed by `_kronecker_pack`:
+    matrix M packed by `_pack_rows`:
     (sign, block, pivots, b, shift, scale).  Zero rows are left out of the
     packing (sign is then 0), so only the `pivots` +-1 pivots and the block
     of packed entries left (its rows and columns those of M that took no
     pivot, less the zero rows) stand for M."""
     rows, scale = _kronecker_rows(M)
     nonzero = [row for row in rows if any(row)]
-    packed, b, shift = _kronecker_pack(nonzero, M.cols)
+    packed, b, shift = _pack_rows(nonzero, M.cols)
     sign, block = _unit_pivots(packed, M.cols)
     if len(nonzero) < M.rows:
         sign = 0

@@ -333,6 +333,47 @@ def _divide_dense(num, den):
 
 
 # ---------------------------------------------------------------------------
+# Kronecker codec: a term map (exponent -> nonzero int) packed into one int,
+# its value at q = 2^b, so int arithmetic on packed values runs the
+# polynomial one; a value whose coefficients are at most `bound` in absolute
+# value is read back exactly with b = `_kronecker_width(bound)`.
+
+
+def _kronecker_width(bound):
+    """Room for `bound` and a sign, and b >= 2 (with b = 1 the digits -1 and
+    0 reach no positive value)."""
+    return max(bound, 1).bit_length() + 1
+
+
+def _kronecker_pack(terms, b, lo):
+    """The value at q = 2^b of `terms` / q^lo, lo at most every exponent."""
+    # a loop: a generator under sum() costs more on maps of one to three terms
+    v = 0
+    for e, c in terms.items():
+        v += c << b * (e - lo)
+    return v
+
+
+def _kronecker_unpack(value, b, e):
+    """The term map of q^e times `value` read as signed base-2^b digits,
+    lowest first, each in [-2^(b-1), 2^(b-1))."""
+    full = 1 << b
+    half = full >> 1
+    mask = full - 1
+    terms = {}
+    while value:
+        d = value & mask
+        value >>= b
+        if d >= half:
+            d -= full
+            value += 1
+        if d:
+            terms[e] = d
+        e += 1
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # Text form, one codec for Z[q, q^-1] and Q[q]: signed terms `c`, `c*q^e` and
 # `q^e` in ascending exponent, with c an integer n or a fraction n/d.
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import pinned
 from kasteleyn import harness, matrices
 from kasteleyn.cli import main
@@ -14,9 +16,9 @@ from kasteleyn.harness import (
     run_report,
     verify_theorems,
 )
-from kasteleyn.graphs import load_graph
+from kasteleyn.graphs import MatchingSet, load_graph
 from kasteleyn.matrices import ExactMatrix, StableInvariants, cokernel_of, parse_matrix
-from kasteleyn.rings import RationalPoly, parse_laurent, q_integer
+from kasteleyn.rings import DomainError, RationalPoly, parse_laurent, q_integer
 
 
 class TestRunReport:
@@ -42,6 +44,12 @@ class TestRunReport:
         assert rec.round_verdict == "holds"
         assert rec.squarefree_verdict == "holds"
         assert rec.oracle_check == "holds"
+
+    def test_oracle_skipped_above_its_guard(self):
+        # the box 4x4x4 has 96 vertices, above the 64 the report's oracle counts
+        rec = run_report(FamilySpec(variant="ppbox", a=4, b=4, c=4), "z")
+        assert (rec.rows, rec.oracle_check, rec.oracle_count) == (48, "skipped", None)
+        assert rec.round_verdict == "holds"
 
     def test_impossible_oracle(self):
         spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2,
@@ -333,6 +341,84 @@ class TestVerify:
         summary, failures = verify_theorems("jt", 3)
         assert summary["failed"] == 0
 
+    def test_unknown_suite_ids_are_refused(self):
+        for run in (lambda: verify_theorems("nope"), lambda: verify_theorems("nope", 3),
+                    lambda: conjecture_suite("nope"), lambda: conjecture_suite("nope", 3)):
+            with pytest.raises(DomainError, match="unknown .* id 'nope'"):
+                run()
+
+    def test_the_cli_reads_the_harness_ceilings(self, monkeypatch, capsys):
+        # verify aztec checks orders 1..4 and conjecture suites run to 8,
+        # from the harness and from the CLI alike
+        assert verify_theorems("aztec")[0]["checked"] == 4
+        code, out, _ = run_cli(["verify", "--which", "aztec"], capsys)
+        assert code == 0 and json.loads(out)["summary"]["checked"] == 4
+        seen = []
+        monkeypatch.setattr(harness, "_round_instances", lambda c: seen.append(c) or [])
+        assert conjecture_suite("round") == []
+        assert run_cli(["conjecture", "--id", "round"], capsys)[:2] == (0, "[]\n")
+        assert seen == [8, 8]
+
+
+def _wrong_on_skew_graphs(monkeypatch, wrong):
+    """Make `_det_and_qpoly_invariants` return wrong(det, inv) for every
+    skew-graph matrix M of the Jacobi-Trudi suite; J and D keep theirs."""
+    skew = []
+    adjacency, kernel = harness.adjacency_matrix, harness._det_and_qpoly_invariants
+
+    def marked(*args):
+        skew.append(adjacency(*args))
+        return skew[-1]
+
+    def patched(X):
+        det, inv = kernel(X)
+        return wrong(det, inv) if any(X is M for M in skew) else (det, inv)
+
+    monkeypatch.setattr(harness, "adjacency_matrix", marked)
+    monkeypatch.setattr(harness, "_det_and_qpoly_invariants", patched)
+
+
+class TestVerifyFailures:
+    """Each failure record of the theorem suites, forced by one wrong kernel
+    result, and the exit status 1 of `verify` on it."""
+
+    @staticmethod
+    def failures_and_exit(capsys, which, ceiling):
+        summary, failures = verify_theorems(which, ceiling)
+        assert summary["failed"] == len(failures) > 0
+        code, out, _ = run_cli(["verify", "--which", which, "--ceiling", str(ceiling)], capsys)
+        assert code == 1 and json.loads(out)["summary"] == summary
+        return failures
+
+    def test_jt_determinant(self, monkeypatch, capsys):
+        _wrong_on_skew_graphs(monkeypatch, lambda det, inv: (det * 2, inv))
+        failures = self.failures_and_exit(capsys, "jt", 2)
+        for f in failures:
+            assert f["kind"] == "determinant"
+            J, D, M = map(parse_laurent, f["values"])
+            assert J.normal() == D.normal() and M.normal() == (2 * J).normal()
+
+    def test_jt_invariants(self, monkeypatch, capsys):
+        _wrong_on_skew_graphs(monkeypatch, lambda det, inv: (
+            det, StableInvariants(inv.ring, inv.free_rank + 1, inv.factors)))
+        failures = self.failures_and_exit(capsys, "jt", 2)
+        for f in failures:
+            assert f["kind"] == "invariants" and f["J"] == f["D"]
+            assert f["M"] == (f["J"][0] + 1, f["J"][1])
+
+    def test_aztec_every_kind(self, monkeypatch, capsys):
+        # orders 1 and 2 fail each check: the closed form and the geometric
+        # graph read a wrong invariant, the determinant and the count are 0
+        monkeypatch.setattr(harness, "stable_invariants", lambda M: StableInvariants("z", 0, (3,)))
+        monkeypatch.setattr(harness, "determinant", lambda M: 0)
+        monkeypatch.setattr(harness, "enumerate_matchings",
+                            lambda G, count_guard: MatchingSet(0, 0))
+        failures = self.failures_and_exit(capsys, "aztec", 2)
+        assert failures == [
+            {"n": n, **rec} for n in (1, 2)
+            for rec in ({"kind": "closed-form", "got": ["3"]}, {"kind": "determinant"},
+                        {"kind": "geometric", "got": ["3"]}, {"kind": "count"})]
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -371,6 +457,16 @@ class TestCli:
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run_cli(["snf", "--ring", "bogus"], capsys)
         assert code == 2
+
+    def test_refusals_exit_two(self, capsys):
+        # the builder refuses a Delannoy graph, and a stuck Laurent attempt
+        # is a DomainError too
+        code, out, err = run_cli(["oracle", "--family", "delannoy", "--n", "3"], capsys)
+        assert (code, out) == (2, "") and err == "error: delannoy is a matrix family; use delannoy_matrix\n"
+        code, out, err = run_cli(["snf", "--family", "ppbox-impossible", "--a", "2", "--b", "2",
+                                  "--c", "2", "--group", "tau", "--q-mode", "cube",
+                                  "--wrong-parity", "--ring", "laurent"], capsys)
+        assert (code, out) == (2, "") and err == "error: laurent normal form attempt failed: witnessed\n"
 
     def test_options_only_where_read(self, capsys):
         # snf ignores --format and report ignores --seed, so neither takes it

@@ -21,7 +21,7 @@ from oracles import (
     pfaffian_reference,
 )
 
-from kasteleyn import harness, matrices
+from kasteleyn import harness, matrices, rings
 from kasteleyn.families import (
     FamilySpec,
     apply_q_weights,
@@ -37,7 +37,6 @@ from kasteleyn.matrices import (
     ExactDivisionError,
     ExactMatrix,
     GuardExceeded,
-    NormalFormFailure,
     SmithForm,
     _lattice_step,
     _smith_diagonal,
@@ -653,7 +652,7 @@ class TestPackedQpolyInvariants:
             _, block, pivots, b, _, _ = matrices._packed_units(M)
             assert (pivots, len(block)) == (1, 3)
             bits = max(abs(c).bit_length() for row in block for x in row
-                       for c in matrices._kronecker_unpack(x, b, 0).values())
+                       for c in rings._kronecker_unpack(x, b, 0).values())
             assert bits >= 80
             got = stable_invariants(M)
             assert (got.free_rank, got.factors) == qpoly_invariants_reference(M)

@@ -12,6 +12,9 @@ from kasteleyn.rings import (
     ExactDivisionError,
     LaurentPoly,
     RationalPoly,
+    _kronecker_pack,
+    _kronecker_unpack,
+    _kronecker_width,
     cyclotomic,
     factor_q_round,
     format_laurent,
@@ -519,3 +522,35 @@ class TestExactCoefficients:
         for text in ("1/2 - 3*q^2", "0", "-3/4*q + q^7"):
             p = RationalPoly.parse(text)
             assert p.to_str() == text and RationalPoly.parse(p.to_str(compact=True)) == p
+
+
+class TestKroneckerCodec:
+    """The one Kronecker codec of the packed determinant and the matching
+    oracle: a term map packed at q = 2^b reads back exactly, and so does a
+    product of packed values when b is the width for its L1 bound."""
+
+    @staticmethod
+    def terms(rng, bits):
+        return {e: c for e, c in ((rng.randint(-5, 5), rng.randint(-(1 << bits), 1 << bits))
+                                  for _ in range(rng.randint(0, 6))) if c}
+
+    def test_width_leaves_room_for_a_sign(self):
+        assert [_kronecker_width(n) for n in (0, 1, 2, 3, 4, 255, 256)] == [2, 2, 3, 3, 4, 9, 10]
+
+    def test_round_trip(self):
+        rng = random.Random(3301)
+        for _ in range(300):
+            t = self.terms(rng, rng.choice((1, 8, 70)))
+            lo = min(t, default=0) - rng.randint(0, 3)
+            b = _kronecker_width(max(map(abs, t.values()), default=0))
+            assert _kronecker_unpack(_kronecker_pack(t, b, lo), b, lo) == t
+
+    def test_products_read_back(self):
+        rng = random.Random(3302)
+        for _ in range(200):
+            f, g = (LaurentPoly(self.terms(rng, rng.choice((1, 20)))) for _ in range(2))
+            lf, lg = (min(x._terms, default=0) for x in (f, g))
+            bound = sum(map(abs, f._terms.values())) * sum(map(abs, g._terms.values()))
+            b = _kronecker_width(bound)
+            value = _kronecker_pack(f._terms, b, lf) * _kronecker_pack(g._terms, b, lg)
+            assert LaurentPoly._from_terms(_kronecker_unpack(value, b, lf + lg)) == f * g
