@@ -30,7 +30,6 @@ from kasteleyn.graphs import (
     adjacency_matrix,
     trace_faces,
     _cut_and_tie,
-    _cut_components,
     _rotation,
     _Surgeon,
 )
@@ -216,7 +215,7 @@ def triangle_region_graph(tris, exclude_edges=()):
     corners = [_tri_corners(t) for t in order]
     points = []
     for fi, walk in enumerate(faces):
-        if fi == outer:
+        if fi == outer or not walk:
             points.append(None)
             continue
         common = set.intersection(*(corners[v] for v in G.walk_vertices(walk)))
@@ -500,7 +499,7 @@ def tie_quotient(G, bisected, wrong_parity=False):
     vertex id, and tie its cut stubs to one polygamous vertex (parity per the
     even-total rule, flipped by wrong_parity)."""
     bis = set(bisected)
-    comp = _cut_components(G, bis)
+    comp = G._components(bis)
     kept_root = min(comp.values())
     kept = {v for v, r in comp.items() if r == kept_root}
     if all((G.edge(eid).u in kept) == (G.edge(eid).v in kept) for eid in bis):
@@ -897,15 +896,7 @@ def transit_free_resolution(g):
         weight[i] = w
         plain_edges.append((i, t, h))
     coords = {v: g.coords[v] for v in verts}
-    if plain_edges:
-        faces, outer = trace_faces(coords, plain_edges)
-    else:
-        faces, outer = [], None
-    touched = {t for _, t, _ in plain_edges} | {h for _, _, h in plain_edges}
-    for v in sorted(verts - touched):
-        faces.append([])
-    if outer is None and faces:
-        outer = 0
+    faces, outer = trace_faces(coords, plain_edges)
     s = _Surgeon(
         {v: Vertex(v) for v in sorted(verts)},
         {i: Edge(i, t, h, weight[i]) for i, t, h in plain_edges},

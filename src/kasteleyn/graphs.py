@@ -128,9 +128,6 @@ class EmbeddedGraph:
     def edge(self, eid):
         return self._emap[eid]
 
-    def incident(self, vid):
-        return self._adj[vid]
-
     @property
     def n_vertices(self):
         return len(self.vertices)
@@ -150,25 +147,27 @@ class EmbeddedGraph:
                 return False
         return True
 
-    def _n_components(self):
+    def _components(self, cut=()):
+        """Component root (its smallest vertex id) of every vertex, with the
+        edges whose ids are in `cut` removed."""
         emap, adj = self._emap, self._adj
-        seen = set()
-        out = 0
-        for start in self._vmap:
-            if start in seen:
+        root = {}
+        for start in sorted(self._vmap):
+            if start in root:
                 continue
-            out += 1
+            root[start] = start
             stack = [start]
-            seen.add(start)
             while stack:
                 v = stack.pop()
                 for eid in adj[v]:
+                    if eid in cut:
+                        continue
                     e = emap[eid]
                     w = e.v if e.u == v else e.u
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in root:
+                        root[w] = start
                         stack.append(w)
-        return out
+        return root
 
     def is_bipartite(self):
         """Two-colorability test, ignoring stored colors."""
@@ -228,7 +227,7 @@ class EmbeddedGraph:
         if self.surface == "sphere":
             # every component carries its own face walks (an isolated vertex
             # contributes one empty walk), so V - E + F = 2 per component
-            target = 2 * self._n_components()
+            target = 2 * len(set(self._components().values()))
         else:
             target = 1
         if euler != target:
@@ -390,7 +389,9 @@ def trace_faces(coords, edge_list):
     implicit constant scale; only angle comparisons are used).
     edge_list: (edge_id, u, v) triples; parallel directions at a vertex are
     rejected.  Returns (faces, outer_index) with faces as walks of
-    (edge_id, forward) entries; the outer face is the clockwise one.
+    (edge_id, forward) entries; the outer face is the clockwise one, face 0
+    when nothing was traced.  Each vertex without edges adds one empty walk
+    after the traced ones, in vertex id order.
     """
     out_darts = {v: [] for v in coords}
     vec = {}
@@ -438,12 +439,14 @@ def trace_faces(coords, edge_list):
                 break
         faces.append(walk)
 
-    if len(faces) == 1:
-        return faces, 0
     # the outer face is the most-clockwise walk (holes and the outer walks of
     # other components are also clockwise but enclose less area)
-    area = [sum(cross[dart] for dart in walk) for walk in faces]
-    outer = min(range(len(faces)), key=lambda i: (area[i], faces[i][0]))
+    outer = 0
+    if len(faces) > 1:
+        area = [sum(cross[dart] for dart in walk) for walk in faces]
+        outer = min(range(len(faces)), key=lambda i: (area[i], faces[i][0]))
+    # a vertex without edges is a component of its own, with one empty walk
+    faces += [[] for v in sorted(coords) if not out_darts[v]]
     return faces, outer
 
 
@@ -1186,28 +1189,6 @@ def triple_edges(G):
 # cut-and-tie quotients (reflections with bisected edges)
 
 
-def _cut_components(G, bisected):
-    """Component root (its smallest vertex id) of every vertex of G minus
-    the bisected edges."""
-    bis = set(bisected)
-    comp = {}
-    for start in sorted(v.id for v in G.vertices):
-        if start in comp:
-            continue
-        comp[start] = start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in G.incident(x):
-                if eid in bis:
-                    continue
-                y = G.edge(eid).other(x)
-                if y not in comp:
-                    comp[y] = start
-                    stack.append(y)
-    return comp
-
-
 def _cut_and_tie(G, kept, bisected, wrong_parity=False):
     """Keep the vertices in `kept`, tie every bisected edge with exactly one
     kept end to one new polygamous vertex omega (added only when there are
@@ -1317,7 +1298,7 @@ def reflection_quotient(G, vertex_map, edge_map, bisected, wrong_parity=False):
 
     # components of G minus the bisected edges pair up under the reflection;
     # keep the one with the smaller root of each pair
-    comp = _cut_components(G, bis)
+    comp = G._components(bis)
     kept_roots = set()
     for r in set(comp.values()):
         mirror = comp[vertex_map[r]]

@@ -613,10 +613,6 @@ def _verify_jt(ceiling):
                 invs = []
                 dets = []
                 for X in (J, D, M):
-                    if X.rows == 0:
-                        invs.append((0, ()))
-                        dets.append(LaurentPoly.one())
-                        continue
                     det, inv = _det_and_qpoly_invariants(X)
                     invs.append((inv.free_rank, inv.factor_strings()))
                     dets.append(LaurentPoly.coerce(det))

@@ -895,16 +895,19 @@ def _clear_pivot(ws, ring, k, max_steps):
             p = A[k][k]
             if ring.is_unit(p):
                 return None
-            bad = next(
-                (i for i in range(k + 1, ws.m)
-                 if any(ring.try_div(x, p) is None for x in A[i].values())),
-                None,
-            )
+            bad = _undivided_row(ring, A, k + 1, ws.m, p)
             if bad is None:
                 return None
             ws.addmul_row(k, bad, ring.one)
         if ws.ops == ops:
             return "witnessed", stuck
+
+
+def _undivided_row(ring, A, start, stop, p):
+    """The first row i in start..stop-1 with an entry that the pivot p does
+    not divide, or None."""
+    return next((i for i in range(start, stop)
+                 if any(ring.try_div(x, p) is None for x in A[i].values())), None)
 
 
 def _reduce_entry(ring, p, k, i, b, addmul, mix, swap):
@@ -1270,8 +1273,7 @@ def _alternating_blocks(ws):
                 a = A[k][k + 1]
                 if ring.is_unit(a):
                     break
-                bad = next((i for i in range(k + 2, n) if any(x % a for x in A[i].values())),
-                           None)
+                bad = _undivided_row(ring, A, k + 2, n, a)
                 if bad is None:
                     break
                 addmul(k, bad, 1)

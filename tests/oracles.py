@@ -649,15 +649,7 @@ def transit_free_resolution_reference(g):
         weight[i] = w
         plain_edges.append((i, t, h))
     coords = {v: g.coords[v] for v in verts}
-    if plain_edges:
-        faces, outer = trace_faces(coords, plain_edges)
-    else:
-        faces, outer = [], None
-    touched = {t for _, t, _ in plain_edges} | {h for _, _, h in plain_edges}
-    for v in sorted(verts - touched):
-        faces.append([])
-    if outer is None and faces:
-        outer = 0
+    faces, outer = trace_faces(coords, plain_edges)
     base = EmbeddedGraph(
         [Vertex(v) for v in sorted(verts)],
         [Edge(i, t, h, weight[i]) for i, t, h in plain_edges],

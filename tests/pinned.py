@@ -1,6 +1,6 @@
 """Records of the Smith driver's and the family builders' outputs, pinned
 by SHA-256 in `test_matrices.py`, `test_families.py`, `test_graphs.py`
-and in the CI job that runs without pytest: every Laurent attempt of the
+and `test_harness_cli.py`: every Laurent attempt of the
 round suite at ceiling 6, and at ceiling 8 without transforms, the PID
 normal forms of three boxes, a seeded fuzz of random small matrices over
 every ring, and the graphs and matrices of the round suite at ceiling 8,
@@ -18,8 +18,7 @@ The text of the integer transforms L and R is hashed apart from
 everything else (diagonals, `verify`, `_smith_diagonal`, Q[q] transforms,
 Laurent attempts): a change of elimination route may change those
 witnesses, and must leave the rest as it is.  Each builder returns a list
-of JSON-ready records; `digest` hashes one.  This module imports nothing
-from pytest."""
+of JSON-ready records; `digest` hashes one."""
 
 import hashlib
 import json

@@ -811,8 +811,7 @@ class TestBuildersPinned:
     round suite at ceiling 8 and of the q = -1 sides at ceiling 10, with
     and without q-weights, and of the skew graphs of `verify jt 6`.  A
     faster builder must return the same graphs bit for bit.  The records
-    are built in `pinned.py`, which the CI job without pytest checks
-    too."""
+    are built in `pinned.py`."""
 
     def test_builders(self):
         records = pinned.builder_records()

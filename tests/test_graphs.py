@@ -31,7 +31,12 @@ from kasteleyn.graphs import (
     triple_edges,
     verify_flatness,
 )
-from kasteleyn.families import FamilySpec, build_aztec_graph, build_family_graph
+from kasteleyn.families import (
+    FamilySpec,
+    build_aztec_graph,
+    build_family_graph,
+    triangle_region_graph,
+)
 from kasteleyn.matrices import determinant, pfaffian
 from kasteleyn.rings import LaurentPoly
 
@@ -123,15 +128,37 @@ class TestTraceFaces:
         ends.insert(slot, (0, 7))
         with pytest.raises(DomainError, match="parallel edge directions at vertex 0"):
             trace_faces(coords, [(i, u, v) for i, (u, v) in enumerate(ends)])
-        # the same edge list without the second east edge traces
+        # the same edge list without the second east edge traces one face,
+        # and vertex 7, left without edges, one empty walk
         faces, _ = trace_faces(coords, [(i, 0, i + 1) for i in range(6)])
-        assert len(faces) == 1
+        assert [len(walk) for walk in faces] == [12, 0]
 
     def test_parallel_directions_at_the_head_rejected(self):
         # both edges point west into vertex 0
         coords = {0: (0, 0), 1: (2, 0), 2: (4, 0), 3: (0, 2)}
         with pytest.raises(DomainError, match="parallel edge directions at vertex 0"):
             trace_faces(coords, [(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+
+    def test_vertices_without_edges_get_empty_walks(self):
+        # one empty walk per vertex without edges, in id order after the
+        # traced walks; face 0 is the outer face when nothing is traced
+        assert trace_faces({0: (0, 0)}, []) == ([[]], 0)
+        assert trace_faces({3: (0, 0), 1: (4, 4)}, []) == ([[], []], 0)
+        coords = {9: (5, 5), 0: (0, 0), 1: (2, 0), 2: (2, 2), 3: (0, 2), 4: (7, 7)}
+        G = build_from_coords(coords, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert [len(walk) for walk in G.faces] == [4, 4, 0, 0]
+        # the outer face is still picked among the traced walks: the clockwise one
+        assert G.walk_vertices(G.faces[G.infinite_face]) == [1, 0, 3, 2]
+
+    def test_triangle_regions_with_a_lone_triangle(self):
+        # a lone triangle is a vertex without edges: an empty walk, which
+        # has no face lattice point
+        for tris, shape in (({("U", 0, 0)}, (1, 0, 1)),
+                            ({("U", 0, 0), ("D", 0, 0), ("U", 5, 5)}, (3, 1, 2))):
+            G = triangle_region_graph(tris)
+            assert (G.n_vertices, G.n_edges, len(G.faces), G.infinite_face) == (*shape, 0)
+            assert G.flags["face_points"] == [None] * len(G.faces)
+            assert G.validate()
 
 
 class TestValidation:
@@ -243,8 +270,7 @@ class TestPinnedDecorations:
     """The decorated graphs of the round suite at ceiling 6 at tree seeds
     1-3, whose dual spanning trees are shuffled, and of the projective cube
     quotient at seeds 0-3, pinned by SHA-256: a change of the propagation
-    must flip the same edges.  The records are built in `pinned.py`, which
-    the CI job without pytest checks too."""
+    must flip the same edges.  The records are built in `pinned.py`."""
 
     def test_seeded_decorations(self):
         records = pinned.decoration_records()

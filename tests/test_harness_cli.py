@@ -29,6 +29,11 @@ class TestRunReport:
         assert rec.oracle_check == "holds"
         assert rec.oracle_count == 20
         assert rec.round_verdict == "holds"
+        # the tau quotient, through the split surgery: an alternating matrix
+        # whose invariant factors multiply to the square of its 10 matchings
+        rec = run_report(FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="tau"), "z")
+        assert (rec.invariant_factors, rec.oracle_check, rec.oracle_count) == (
+            ["10", "10"], "holds", 10)
 
     def test_aztec_4(self):
         rec = run_report(FamilySpec(variant="aztec", n=4), "z")
@@ -36,14 +41,15 @@ class TestRunReport:
         assert rec.oracle_check == "holds"
 
     def test_box_222_laurent(self):
-        rec = run_report(FamilySpec(variant="ppbox", a=2, b=2, c=2), "laurent")
         two_q2 = q_integer(2).substitute_q_power(2)
-        assert [parse_laurent(s) for s in rec.invariant_factors] == [
-            two_q2, two_q2 * q_integer(5)
-        ]
-        assert rec.round_verdict == "holds"
-        assert rec.squarefree_verdict == "holds"
-        assert rec.oracle_check == "holds"
+        for q_mode in ("none", "cube"):
+            rec = run_report(FamilySpec(variant="ppbox", a=2, b=2, c=2, q_mode=q_mode), "laurent")
+            assert [parse_laurent(s) for s in rec.invariant_factors] == [
+                two_q2, two_q2 * q_integer(5)
+            ]
+            assert rec.round_verdict == "holds"
+            assert rec.squarefree_verdict == "holds"
+            assert rec.oracle_check == "holds"
 
     def test_oracle_skipped_above_its_guard(self):
         # the box 4x4x4 has 96 vertices, above the 64 the report's oracle counts
@@ -239,8 +245,7 @@ class TestReportPin:
     """Every report of the round suite at ceiling 8 (free rank, factors and
     their diagnostics, both verdicts, the oracle check and count, notes),
     and the message of each instance the report refuses, pinned by SHA-256.
-    The records are built in `pinned.py`, which the CI job without pytest
-    checks too."""
+    The records are built in `pinned.py`."""
 
     def test_round8_reports(self):
         records = pinned.report_records()
@@ -334,8 +339,9 @@ class TestReportDeterminism:
 
 class TestVerify:
     def test_aztec_base_case(self):
-        summary, failures = verify_theorems("aztec", 1)
-        assert summary["failed"] == 0 and failures == []
+        for ceiling in (1, 6):
+            summary, failures = verify_theorems("aztec", ceiling)
+            assert (summary["checked"], summary["failed"], failures) == (ceiling, 0, [])
 
     def test_jt_small(self):
         summary, failures = verify_theorems("jt", 3)

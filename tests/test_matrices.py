@@ -480,9 +480,9 @@ class TestDeterminant:
         # every J, D and M whose determinant verify_theorems("jt", 4) takes;
         # the Q[q] Bareiss quotients are integral, so no Fraction survives
         summary, seen = spy_jt_suite(monkeypatch, 4)
-        # three matrices per check, less the three that are 0 x 0
+        # three matrices per check, three of them 0 x 0
         assert summary == {"which": "jt", "checked": 144, "failed": 0}
-        assert len(seen) == 3 * 144 - 3
+        assert len(seen) == 3 * 144 and sum(X.rows == 0 for X in seen) == 3
         for X in seen:
             dq = list(determinant(X.to_qpoly()).coeffs)
             assert all(type(c) is int for c in dq)
@@ -627,7 +627,7 @@ class TestPackedQpolyInvariants:
         # one packed elimination gives each J, D and M of verify jt 4 its
         # determinant and its Q[q] invariants, exactly as the separate calls
         summary, seen = spy_jt_suite(monkeypatch, 4)
-        assert summary["failed"] == 0 and len(seen) == 3 * 144 - 3
+        assert summary["failed"] == 0 and len(seen) == 3 * 144
         for X in seen:
             det, inv = matrices._det_and_qpoly_invariants(X)
             want = determinant(X)
@@ -878,12 +878,14 @@ class TestSparseDeterminantKernel:
             assert determinant(Z([[x]])) == x
 
     def test_box_reaches_the_dense_finish_only_with_a_small_block(self, monkeypatch):
-        M, _ = family_matrix(FamilySpec("ppbox", 8, 8, 8))
         sizes = spy_dense_finish(monkeypatch)
-        macmahon = prod(Fraction(i + j + k - 1, i + j + k - 2)
-                        for i in range(1, 9) for j in range(1, 9) for k in range(1, 9))
-        assert abs(determinant(M)) == macmahon
-        assert M.rows == 192 and len(sizes) == 1 and sizes[0] <= 16
+        for n, rows in ((8, 192), (12, 432)):
+            M, _ = family_matrix(FamilySpec("ppbox", n, n, n))
+            sizes.clear()
+            macmahon = prod(Fraction(i + j + k - 1, i + j + k - 2) for i in range(1, n + 1)
+                            for j in range(1, n + 1) for k in range(1, n + 1))
+            assert abs(determinant(M)) == macmahon
+            assert M.rows == rows and len(sizes) == 1 and sizes[0] <= 16
 
 
 class TestPfaffian:
@@ -996,8 +998,7 @@ class TestAlternatingPinned:
     at ceiling 8 and of the kappa quotients of boxes 6 and 8, pinned by
     SHA-256.  Both are invariants of the matrix, so a change to the
     congruence elimination must leave them as they are; the transform B
-    is not pinned.  The records are built in `pinned.py`, which the CI job
-    without pytest checks too."""
+    is not pinned.  The records are built in `pinned.py`."""
 
     def test_alternating_forms_and_pfaffians(self):
         records = pinned.alternating_records()
@@ -1165,15 +1166,17 @@ class TestLaurentAttempt:
 
     def test_box_333_witness_pinned(self):
         M, _ = family_matrix(FamilySpec("ppbox", 3, 3, 3, q_mode="cube"))
-        out = laurent_smith_attempt(M)
-        assert out.outcome == "witnessed"
-        assert out.iterations == 173
-        assert [str(w) for w in out.witness] == [
-            "-52 - 23*q - 22*q^2 - 20*q^3 - 45*q^4 + 10*q^5 + 10*q^6 + 62*q^7"
-            " + 33*q^8 + 32*q^9 + 30*q^10 + 55*q^11",
-            "25 - 28*q - 28*q^2 - 28*q^3 - 28*q^4 - 80*q^5 - 53*q^6 - 77*q^7"
-            " - 24*q^8 - 24*q^9 - 24*q^10 - 24*q^11 + 28*q^12 + q^13",
-        ]
+        for transforms in (True, False):
+            out = laurent_smith_attempt(M, transforms=transforms)
+            assert out.outcome == "witnessed"
+            assert out.iterations == 173
+            assert [str(w) for w in out.witness] == [
+                "-52 - 23*q - 22*q^2 - 20*q^3 - 45*q^4 + 10*q^5 + 10*q^6 + 62*q^7"
+                " + 33*q^8 + 32*q^9 + 30*q^10 + 55*q^11",
+                "25 - 28*q - 28*q^2 - 28*q^3 - 28*q^4 - 80*q^5 - 53*q^6 - 77*q^7"
+                " - 24*q^8 - 24*q^9 - 24*q^10 - 24*q^11 + 28*q^12 + q^13",
+            ]
+            assert (out.left is None) == (out.right is None) == (not transforms)
 
     def test_tau_impossible_222_witness_pinned(self):
         spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group="tau",
@@ -1264,7 +1267,7 @@ class TestSmithDriverPinned:
     decides the Laurent verdicts, so a change to the elimination must leave
     all of these as they are, with one exception: the integer transforms,
     pinned apart, change only with the route that builds them.  The records
-    are built in `pinned.py`, which the CI job without pytest checks too."""
+    are built in `pinned.py`."""
 
     def test_laurent_attempts(self):
         records = pinned.laurent_attempt_records()
@@ -1560,6 +1563,7 @@ class TestFourier:
                 U = fourier_duality_matrix(S)
                 assert len(U) == abs(determinant(S))
                 assert U == fourier_reference(S)
+                assert unitarity_defect(U) < 1e-9
 
     def test_matches_reference_small_sizes(self):
         U = fourier_duality_matrix(Z([]))
