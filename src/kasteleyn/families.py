@@ -67,9 +67,6 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def size(self):
-        return sum(self.parts)
-
     def contains(self, other):
         other = other if isinstance(other, Partition) else Partition(other)
         return all(other[i] <= self[i] for i in range(len(other)))
@@ -696,8 +693,6 @@ def _weight_by_face_system(Z, spec, mode):
         rows.append({j: x for j, x in row.items() if x})
         rhs.append(delta)
     sol = _solve_rational(rows, rhs, len(eids))
-    if sol is None:
-        sol = _solve_rational(rows, [-d for d in rhs], len(eids))
     if sol is None:
         raise DomainError("face exponent system is insoluble")
     out = Z.clone()

@@ -1007,10 +1007,10 @@ class _Surgeon:
     def remove_vertex(self, vid):
         del self.verts[vid], self.edges_at[vid]
 
-    def new_edge(self, u, v, weight=1):
+    def new_edge(self, u, v):
         eid = self.next_eid
         self.next_eid += 1
-        self.edges[eid] = Edge(eid, u, v, weight)
+        self.edges[eid] = Edge(eid, u, v)
         self.edges_at[u].add(eid)
         self.edges_at[v].add(eid)
         return eid
@@ -1161,15 +1161,13 @@ def triple_edges(G):
             continue
         for eid in sorted(eids)[1:]:
             e = s.edges[eid]
-            u, v, w = e.u, e.v, e.weight
+            u, v = e.u, e.v
             x = s.new_vertex(MONO, _opposite(s.verts[u].color), None)
             y = s.new_vertex(MONO, s.verts[u].color, None)
             e_mid = s.new_edge(x, y)
             e_end = s.new_edge(y, v)
             # reuse eid for the u-x stub, keeping its weight
             s.reattach(eid, v, x)
-            s.edges[e_mid].weight = 1
-            s.edges[e_end].weight = 1
             for fi in sorted({s.dart_at[eid, fwd][0] for fwd in (True, False)}):
                 new_walk = []
                 for ent_eid, fwd in s.faces[fi]:

@@ -481,10 +481,7 @@ def _round_witness(rep):
     bad = [d for d in rep.factor_diagnostics
            # an integer factor's residual is an int, a Laurent factor's a string
            if d.get("residual") not in (None, 1, "1") or d.get("residual_cofactor", 1) != 1]
-    witness = {"factors": rep.invariant_factors, "diagnostics": bad}
-    if rep.notes:
-        witness["normal_form"] = rep.notes
-    return witness
+    return {"factors": rep.invariant_factors, "diagnostics": bad}
 
 
 # Conjecture q-minus-one: (identity, its (G, G') pairs, lhs, rhs, relation).
@@ -558,16 +555,14 @@ def _run_q_minus_one(ceiling):
 # theorem verification
 
 
-def _mu_candidates(lam, max_size=2):
+def _mu_candidates(lam):
+    """The partitions mu of size at most _JT_MAX_MU, with at most two parts,
+    that fit in the first two rows of lam, sorted."""
     lam = Partition(lam)
-    cands = {()}
-    for m1 in range(0, min(lam[0], max_size) + 1):
-        if m1 == 0:
-            continue
-        cands.add((m1,))
-        for m2 in range(1, min(lam[1], m1, max_size - m1) + 1):
-            if m1 + m2 <= max_size:
-                cands.add((m1, m2))
+    cands = [()]
+    for m1 in range(1, min(lam[0], _JT_MAX_MU) + 1):
+        cands.append((m1,))
+        cands.extend((m1, m2) for m2 in range(1, min(lam[1], m1, _JT_MAX_MU - m1) + 1))
     return sorted(cands)
 
 
@@ -600,9 +595,7 @@ def _verify_jt(ceiling):
     checked = 0
     failures = []
     for lam in sorted(_partitions_upto(ceiling), key=lambda t: (sum(t), t)):
-        for mu in _mu_candidates(lam, _JT_MAX_MU):
-            if not Partition(lam).contains(Partition(mu)):
-                continue
+        for mu in _mu_candidates(lam):
             for a in range(1, _JT_MAX_A + 1):
                 checked += 1
                 inst = {"lam": list(lam), "mu": list(mu), "a": a}

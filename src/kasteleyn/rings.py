@@ -646,11 +646,6 @@ def smooth_factor(n, bound):
     return SmoothFactorization(sign, primes, n, bound)
 
 
-def specialize(f, q0):
-    """Evaluate a Laurent polynomial exactly at q0 (int or Fraction)."""
-    return LaurentPoly.coerce(f).evaluate(q0)
-
-
 # ---------------------------------------------------------------------------
 # Dense polynomials over Q (the Euclidean-domain fallback for q-matrices)
 

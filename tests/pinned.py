@@ -270,9 +270,7 @@ def builder_records():
         records.append([key, _graph_text(G), None if R is G else _graph_text(R), decorated,
                         kind, write_matrix(M)])
     for lam in harness._partitions_upto(6):
-        for mu in harness._mu_candidates(lam, harness._JT_MAX_MU):
-            if not harness.Partition(lam).contains(harness.Partition(mu)):
-                continue
+        for mu in harness._mu_candidates(lam):
             for a in range(1, harness._JT_MAX_A + 1):
                 Z = build_skew_graph(lam, mu, a)
                 records.append([list(lam), list(mu), a, _graph_text(Z),
@@ -318,9 +316,7 @@ def jt_records(ceiling=6):
     its Q[q] free rank and factor strings."""
     records = []
     for lam in sorted(harness._partitions_upto(ceiling), key=lambda t: (sum(t), t)):
-        for mu in harness._mu_candidates(lam, harness._JT_MAX_MU):
-            if not harness.Partition(lam).contains(harness.Partition(mu)):
-                continue
+        for mu in harness._mu_candidates(lam):
             for a in range(1, harness._JT_MAX_A + 1):
                 Z = build_skew_graph(harness.Partition(lam), harness.Partition(mu), a)
                 matrices = {"J": jacobi_trudi(lam, mu, a),

@@ -77,7 +77,7 @@ from kasteleyn.matrices import (
     stable_invariants,
 )
 from kasteleyn.harness import _mu_candidates, _partitions_upto, _round_instances
-from kasteleyn.rings import DomainError, LaurentPoly, q_integer, specialize
+from kasteleyn.rings import DomainError, LaurentPoly, q_integer
 
 
 class TestPartition:
@@ -150,7 +150,7 @@ class TestQWeights:
         for e in Z.edges:
             w = e.weight
             if isinstance(w, LaurentPoly):
-                assert specialize(w, 1) == 1
+                assert w.evaluate(1) == 1
             else:
                 assert w == 1
 
@@ -486,8 +486,7 @@ def _jt_skew_graphs(ceiling):
     """The skew path models of `verify_theorems("jt", ceiling)`, in its order."""
     return [skew_gv_graph(Partition(lam), Partition(mu), a)
             for lam in sorted(_partitions_upto(ceiling), key=lambda t: (sum(t), t))
-            for mu in _mu_candidates(lam, 2)
-            if Partition(lam).contains(Partition(mu))
+            for mu in _mu_candidates(lam)
             for a in range(1, 5)]
 
 
@@ -535,8 +534,7 @@ class TestTransitFreeResolution:
     def test_skew_layout_pinned(self):
         dumps = [dump_graph(build_skew_graph(Partition(lam), Partition(mu), a))
                  for lam in sorted(_partitions_upto(4), key=lambda t: (sum(t), t))
-                 for mu in _mu_candidates(lam, 2)
-                 if Partition(lam).contains(Partition(mu))
+                 for mu in _mu_candidates(lam)
                  for a in range(1, 5)]
         assert len(dumps) == 144                   # the verify jt 4 instances
         assert hashlib.sha256("\n".join(dumps).encode()).hexdigest() == (

@@ -23,7 +23,6 @@ from kasteleyn.rings import (
     parse_laurent,
     q_integer,
     smooth_factor,
-    specialize,
 )
 
 
@@ -53,7 +52,7 @@ class TestQInteger:
     def test_product_at_one(self):
         for m in range(1, 7):
             for n in range(1, 7):
-                assert specialize(q_integer(m) * q_integer(n), 1) == m * n
+                assert (q_integer(m) * q_integer(n)).evaluate(1) == m * n
 
 
 class TestGaussianBinomial:
@@ -72,7 +71,7 @@ class TestGaussianBinomial:
     def test_specializes_to_binomial(self):
         for n in range(0, 9):
             for k in range(0, n + 1):
-                assert specialize(gaussian_binomial(n, k), 1) == comb(n, k)
+                assert gaussian_binomial(n, k).evaluate(1) == comb(n, k)
 
     def test_pascal_recurrence(self):
         q = LaurentPoly.q_power(1)
@@ -146,22 +145,22 @@ class TestLaurentArithmetic:
 
 class TestSpecialize:
     def test_examples(self):
-        assert specialize(q_integer(3), 1) == 3
-        assert specialize(q_integer(2), -1) == 0
-        assert specialize(L("q^-1 + q"), -1) == -2
+        assert q_integer(3).evaluate(1) == 3
+        assert q_integer(2).evaluate(-1) == 0
+        assert L("q^-1 + q").evaluate(-1) == -2
 
     def test_coefficient_sum(self):
         rng = random.Random(99)
         for _ in range(50):
             f = random_laurent(rng)
-            assert specialize(f, 1) == sum(c for _, c in f.items())
+            assert f.evaluate(1) == sum(c for _, c in f.items())
 
     def test_zero_with_negative_exponents(self):
         with pytest.raises(DomainError):
-            specialize(L("q^-1 + 1"), 0)
+            L("q^-1 + 1").evaluate(0)
 
     def test_rational_point(self):
-        assert specialize(L("q^-1 + q"), Fraction(1, 2)) == Fraction(5, 2)
+        assert L("q^-1 + q").evaluate(Fraction(1, 2)) == Fraction(5, 2)
 
     def test_integer_point_matches_fraction_formula(self):
         # evaluation at an integer runs on ints; the value and its type
