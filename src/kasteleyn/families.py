@@ -148,10 +148,6 @@ class FamilySpec:
     def to_json(self):
         return asdict(self)
 
-    @staticmethod
-    def from_json(data):
-        return FamilySpec(**data)
-
 
 def _needs_rho(group):
     return any("r" in word for word in _GROUPS[group])
@@ -1187,48 +1183,6 @@ def delannoy_gv_graph(n):
     lefts = [ids[0, kk] for kk in range(n + 1)]
     rights = [ids[kk, 0] for kk in range(n + 1)]
     return GVGraph(sorted(ids.values()), edges, lefts, rights, coords)
-
-
-# ---------------------------------------------------------------------------
-# fixtures: the antipodal cube quotient on the projective plane
-
-
-def cube_graph():
-    """The 3-cube drawn as nested squares; bipartite by coordinate parity."""
-    pts = {
-        0: (-3, -3), 1: (3, -3), 2: (3, 3), 3: (-3, 3),
-        4: (-1, -1), 5: (1, -1), 6: (1, 1), 7: (-1, 1),
-    }
-    bits = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 1, 0), 3: (0, 1, 0),
-            4: (0, 0, 1), 5: (1, 0, 1), 6: (1, 1, 1), 7: (0, 1, 1)}
-    colors = {v: ("black" if sum(b) % 2 == 0 else "white") for v, b in bits.items()}
-    edge_specs = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
-                  (0, 4), (1, 5), (2, 6), (3, 7)]
-    verts = [Vertex(v, MONO, colors[v]) for v in sorted(pts)]
-    edges = [Edge(i, u, v) for i, (u, v) in enumerate(edge_specs)]
-    faces, outer = trace_faces(pts, [(e.id, e.u, e.v) for e in edges])
-    G = EmbeddedGraph(verts, edges, faces, "sphere", outer, pts)
-    G.flags["antipode"] = {0: 6, 6: 0, 1: 7, 7: 1, 2: 4, 4: 2, 3: 5, 5: 3}
-    G.validate()
-    return G
-
-
-def antipodal_cube_quotient():
-    """K4 on the projective plane: the quotient of the 3-cube by the
-    antipodal map, the locally-but-not-globally-bipartite fixture."""
-    verts = [Vertex(i, MONO) for i in range(4)]
-    # vertex i of K4 = antipodal pair {i, antipode(i)} of the cube
-    edge_specs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    edges = [Edge(i, u, v) for i, (u, v) in enumerate(edge_specs)]
-    e = {tuple(sorted(p)): i for i, p in enumerate(edge_specs)}
-    faces = [
-        [(e[0, 1], True), (e[1, 2], True), (e[2, 3], True), (e[0, 3], False)],
-        [(e[0, 1], True), (e[1, 3], True), (e[2, 3], False), (e[0, 2], False)],
-        [(e[0, 2], True), (e[1, 2], False), (e[1, 3], True), (e[0, 3], False)],
-    ]
-    G = EmbeddedGraph(verts, edges, faces, "projective", None)
-    G.validate()
-    return G
 
 
 # ---------------------------------------------------------------------------

@@ -361,10 +361,6 @@ def dump_graph(G):
     return json.dumps(graph_to_json(G), indent=1, sort_keys=True)
 
 
-def load_graph(text):
-    return graph_from_json(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # face tracing from integer coordinates
 
@@ -509,28 +505,36 @@ def _agree_count(G, walk):
     return agree
 
 
-def _percus_flat(G, walk):
+def _percus_rule(sides, minus):
     """Percus rule: an odd number of minus signs iff the face has 4k sides."""
-    return (_face_minus_count(G, walk) % 2 == 1) == (len(walk) % 4 == 0)
+    return (minus % 2 == 1) == (sides % 4 == 0)
 
 
-def _kasteleyn_flat(G, walk):
+def _kasteleyn_rule(sides, agree):
     """Kasteleyn rule: an odd number of edges agreeing with the walk."""
-    return _agree_count(G, walk) % 2 == 1
+    return agree % 2 == 1
 
 
-def _flatten(G, flat, root, tree_seed, sign=None, orient=None):
+# a face rule: the count it reads off a face walk, and the verdict on
+# (number of sides, count)
+_PERCUS = (_face_minus_count, _percus_rule)
+_KASTELEYN = (_agree_count, _kasteleyn_rule)
+
+
+def _flatten(G, rule, root, tree_seed, sign=None, orient=None):
     """A clone of G with every edge's sign and orient set to the given
     values, then flattened along the dual spanning tree from root: leaf to
-    root, each face that fails the rule `flat` flips the decorated value of
+    root, each face that fails the face rule flips the decorated value of
     the edge to its parent face.  An odd vertex count is flagged
     (`flags["odd_vertex_count"]`)."""
+    count, flat = rule
     out = G.clone()
     for e in out.edges:
         e.sign = sign
         e.orient = orient
     for f, parent, eid in reversed(_dual_tree_order(out, root, tree_seed)):
-        if parent is not None and not flat(out, out.faces[f]):
+        walk = out.faces[f]
+        if parent is not None and not flat(len(walk), count(out, walk)):
             e = out.edge(eid)
             if sign:
                 e.sign = -e.sign
@@ -550,10 +554,9 @@ def kasteleyn_percus_sign(G, tree_seed=0):
         raise DomainError("resolve polygamous vertices before signing")
     if not G.is_bipartite_colored():
         raise DomainError("Percus signing needs a properly 2-colored graph")
-    out = _flatten(G, _percus_flat, G.infinite_face, tree_seed, sign=1)
-    for fi, walk in enumerate(out.faces):
-        if fi != out.infinite_face and not _percus_flat(out, walk):
-            raise AssertionError("sign propagation failed to flatten a finite face")
+    out = _flatten(G, _PERCUS, G.infinite_face, tree_seed, sign=1)
+    if not verify_flatness(out)[1]:
+        raise AssertionError("sign propagation failed to flatten a finite face")
     return out
 
 
@@ -571,10 +574,9 @@ def kasteleyn_orient(G, tree_seed=0):
     if any(v.kind != MONO for v in G.vertices):
         raise DomainError("resolve polygamous vertices before orienting")
     if G.surface == "sphere":
-        out = _flatten(G, _kasteleyn_flat, G.infinite_face, tree_seed, orient=1)
-        for fi, walk in enumerate(out.faces):
-            if fi != out.infinite_face and not _kasteleyn_flat(out, walk):
-                raise AssertionError("orientation propagation failed on a finite face")
+        out = _flatten(G, _KASTELEYN, G.infinite_face, tree_seed, orient=1)
+        if not verify_flatness(out)[1]:
+            raise AssertionError("orientation propagation failed on a finite face")
         return out
 
     # projective plane
@@ -584,10 +586,10 @@ def kasteleyn_orient(G, tree_seed=0):
     if G.is_bipartite():
         raise DomainError("projective rule needs a non-bipartite (locally-only) graph")
     G.validate()
-    out = _flatten(G, _kasteleyn_flat, 0, tree_seed, orient=1)
+    out = _flatten(G, _KASTELEYN, 0, tree_seed, orient=1)
     # every edge lies on two face sides, so a flip changes the parity of an
     # even number of faces and cannot flatten face 0 alone
-    bad = [fi for fi, walk in enumerate(out.faces) if not _kasteleyn_flat(out, walk)]
+    bad = [rep.face for rep in verify_flatness(out)[0] if not rep.ok]
     if bad:
         out.flags["not_flat_faces"] = bad
     return out
@@ -606,23 +608,24 @@ class FaceReport:
 
 
 def verify_flatness(G):
-    """Per-face flatness reports; overall verdict skips the infinite face
-    when the vertex count is odd."""
+    """Per-face flatness reports and the overall verdict.  The verdict skips
+    the infinite face of a sphere graph with an odd vertex count: the face
+    conditions of a connected sphere graph sum to V mod 2, so all its faces
+    can be flat only when V is even."""
     signed = all(e.sign is not None for e in G.edges)
     oriented = all(e.orient is not None for e in G.edges)
     if not signed and not oriented:
         raise DomainError("no decoration to verify")
     rule = "percus" if signed else "kasteleyn" if G.surface == "sphere" else "projective"
+    count, flat = _PERCUS if signed else _KASTELEYN
     reports = []
     for fi, walk in enumerate(G.faces):
-        if signed:
-            value, ok = _face_minus_count(G, walk), _percus_flat(G, walk)
-        else:
-            # projective: odd in each direction, an odd agreeing count on an
-            # even face
-            value, ok = _agree_count(G, walk), _kasteleyn_flat(G, walk)
-            ok = ok and (rule == "kasteleyn" or len(walk) % 2 == 0)
-        reports.append(FaceReport(fi, len(walk), value, ok, rule))
+        sides = len(walk)
+        value = count(G, walk)
+        # projective: odd in each direction, an odd agreeing count on an
+        # even face
+        ok = flat(sides, value) and (rule != "projective" or sides % 2 == 0)
+        reports.append(FaceReport(fi, sides, value, ok, rule))
     skip = G.infinite_face if G.surface == "sphere" and G.n_vertices % 2 == 1 else None
     overall = all(rep.ok for rep in reports if rep.face != skip)
     return reports, overall
@@ -826,25 +829,6 @@ def enumerate_matchings(G, count_guard=_ORACLE_GUARD):
     return MatchingSet(count, total)
 
 
-def is_valid_matching(G, edge_ids):
-    deg = {v.id: 0 for v in G.vertices}
-    for eid in edge_ids:
-        e = G.edge(eid)
-        if e.is_loop():
-            return False
-        deg[e.u] += 1
-        deg[e.v] += 1
-    for v in G.vertices:
-        d = deg[v.id]
-        if v.kind == MONO and d != 1:
-            return False
-        if v.kind == ODD and d % 2 != 1:
-            return False
-        if v.kind == EVEN and d % 2 != 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # rotation/corner machinery for surgeries
 
@@ -879,15 +863,6 @@ def _rotation(corners, vid):
     if len(cycle) != len(corners):
         raise DomainError(f"rotation at vertex {vid} is not a single cycle")
     return cycle
-
-
-def rotation_at(G, vid):
-    """Cyclic edge order around a vertex recovered from the face corners."""
-    edges = G._emap
-    arrivals = [(fi, pos) for fi, walk in enumerate(G.faces)
-                for pos, (eid, fwd) in enumerate(walk)
-                if (edges[eid].v if fwd else edges[eid].u) == vid]
-    return _rotation(_corners_at(edges, G.faces, vid, arrivals), vid)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,6 @@ def run_report(spec, ring, q0=-1):
     that its check reads "skipped"."""
     t0 = time.perf_counter()
     M, kind, G = family_matrix_for_ring(spec, ring, q0)
-    notes = {}
     form = None
     if ring == "laurent":
         attempt = laurent_smith_attempt(M, transforms=False)
@@ -291,7 +290,7 @@ def run_report(spec, ring, q0=-1):
     return ReportRecord(
         spec.to_json(), ring, kind, M.rows, M.cols, inv.free_rank,
         list(inv.factor_strings()), [c[2] for c in checks], round_v, sqfree_v, oracle,
-        time.perf_counter() - t0, count, notes,
+        time.perf_counter() - t0, count,
     )
 
 

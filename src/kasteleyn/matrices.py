@@ -1652,7 +1652,7 @@ def _invariants(ring, rows, diagonal):
 
 
 # ---------------------------------------------------------------------------
-# pivots, determinants, Pfaffians, determinantal divisors
+# pivots, determinants, Pfaffians
 
 
 def deleted_pivot(M, i, j):
@@ -2001,48 +2001,6 @@ def pfaffian(M):
         raise DomainError("pfaffian of a non-alternating matrix")
     entries, det = _alternating_blocks(_Workspace(M, transforms=False))
     return det * prod(entries)
-
-
-def determinantal_divisors(M, max_dim=6):
-    """d_k = gcd of all k x k minors, by exhaustive minor expansion with
-    memoization.  An independent oracle for the Smith normal form; refuses
-    matrices beyond the guard because minor enumeration is exponential."""
-    if M.ring != "z":
-        raise DomainError("determinantal divisors implemented over the integers")
-    if max(M.rows, M.cols) > max_dim:
-        raise GuardExceeded(
-            f"matrix {M.rows}x{M.cols} exceeds the minor-enumeration guard {max_dim}"
-        )
-    ent = M.entries
-    memo = {}
-
-    def minor(rows, cols):
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        r0 = rows[0]
-        rest = rows[1:]
-        total = 0
-        for pos, c in enumerate(cols):
-            a = ent[r0][c]
-            if a:
-                sub = minor(rest, cols[:pos] + cols[pos + 1 :])
-                total += a * sub if pos % 2 == 0 else -a * sub
-        memo[key] = total
-        return total
-
-    out = []
-    for k in range(1, min(M.rows, M.cols) + 1):
-        g = 0
-        for rows in combinations(range(M.rows), k):
-            for cols in combinations(range(M.cols), k):
-                g = gcd(g, abs(minor(rows, cols)))
-        if g == 0:
-            break
-        out.append(g)
-    return out
 
 
 # ---------------------------------------------------------------------------

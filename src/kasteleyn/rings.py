@@ -292,12 +292,6 @@ class LaurentPoly:
             total += c * q0 ** e
         return int(total) if total.denominator == 1 else total
 
-    def substitute_q_power(self, k):
-        """Return f(q^k) for a positive integer k."""
-        if k <= 0:
-            raise DomainError("power substitution needs k >= 1")
-        return LaurentPoly({e * k: c for e, c in self._terms.items()})
-
     # -- text form
 
     def __str__(self):

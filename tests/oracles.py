@@ -5,9 +5,12 @@ ring-generic Bareiss determinant, the row expansion of a Pfaffian, a candidate-b
 step, Laurent long division, the Fourier duality matrix built from
 the witness transforms and rational inverses, the dense
 row-by-column matrix product and Kronecker product, the matching
-frontier program on frozenset states with LaurentPoly totals, and the
-dense Gauss-Jordan solve of a rational linear system, and the
-transit-free resolution through an intermediate embedded graph."""
+frontier program on frozenset states with LaurentPoly totals, the
+dense Gauss-Jordan solve of a rational linear system, the
+transit-free resolution through an intermediate embedded graph, the
+determinantal divisors by minor expansion, the degree check of a
+matching, the rotation at a vertex read off the face walks, and the
+projective fixture: the 3-cube and its antipodal quotient."""
 
 import cmath
 import math
@@ -16,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import mul
 
-from kasteleyn.graphs import (MONO, ODD, Edge, EmbeddedGraph, Vertex, _rotation, _Surgeon,
-                              trace_faces)
+from kasteleyn.graphs import (EVEN, MONO, ODD, Edge, EmbeddedGraph, Vertex, _corners_at,
+                              _rotation, _Surgeon, trace_faces)
 from kasteleyn.matrices import ExactMatrix, determinant, ring_adapter, smith_normal_form
 from kasteleyn.rings import (DomainError, ExactDivisionError, GuardExceeded, LaurentPoly,
                              q_integer)
@@ -711,3 +714,118 @@ def transit_free_resolution_reference(g):
     out.flags["n_endpoints"] = len(lefts)
     out.validate()
     return out
+
+
+# minor enumeration is exponential: no matrix beyond 6 x 6
+DIVISORS_MAX_DIM = 6
+
+
+def determinantal_divisors(M):
+    """d_k = gcd of all k x k minors of an integer matrix, by exhaustive
+    minor expansion with memoization, up to the first zero; refuses
+    matrices beyond `DIVISORS_MAX_DIM`."""
+    if M.ring != "z":
+        raise DomainError("determinantal divisors implemented over the integers")
+    if max(M.rows, M.cols) > DIVISORS_MAX_DIM:
+        raise GuardExceeded(f"matrix {M.rows}x{M.cols} exceeds the minor-enumeration "
+                            f"guard {DIVISORS_MAX_DIM}")
+    ent = M.entries
+    memo = {}
+
+    def minor(rows, cols):
+        if len(rows) == 1:
+            return ent[rows[0]][cols[0]]
+        key = (rows, cols)
+        if key in memo:
+            return memo[key]
+        r0 = rows[0]
+        rest = rows[1:]
+        total = 0
+        for pos, c in enumerate(cols):
+            a = ent[r0][c]
+            if a:
+                sub = minor(rest, cols[:pos] + cols[pos + 1 :])
+                total += a * sub if pos % 2 == 0 else -a * sub
+        memo[key] = total
+        return total
+
+    out = []
+    for k in range(1, min(M.rows, M.cols) + 1):
+        g = 0
+        for rows in combinations(range(M.rows), k):
+            for cols in combinations(range(M.cols), k):
+                g = math.gcd(g, abs(minor(rows, cols)))
+        if g == 0:
+            break
+        out.append(g)
+    return out
+
+
+def is_valid_matching(G, edge_ids):
+    """Whether the edges meet every vertex by its kind: once at a
+    monogamous vertex, an odd number of times at an odd one, an even number
+    at an even one; a loop is never in a matching."""
+    deg = {v.id: 0 for v in G.vertices}
+    for eid in edge_ids:
+        e = G.edge(eid)
+        if e.is_loop():
+            return False
+        deg[e.u] += 1
+        deg[e.v] += 1
+    for v in G.vertices:
+        d = deg[v.id]
+        if v.kind == MONO and d != 1:
+            return False
+        if v.kind == ODD and d % 2 != 1:
+            return False
+        if v.kind == EVEN and d % 2 != 0:
+            return False
+    return True
+
+
+def rotation_at(G, vid):
+    """Cyclic edge order around a vertex, recovered from the face corners
+    by the surgeon's own readers."""
+    edges = G._emap
+    arrivals = [(fi, pos) for fi, walk in enumerate(G.faces)
+                for pos, (eid, fwd) in enumerate(walk)
+                if (edges[eid].v if fwd else edges[eid].u) == vid]
+    return _rotation(_corners_at(edges, G.faces, vid, arrivals), vid)
+
+
+def cube_graph():
+    """The 3-cube drawn as nested squares; bipartite by coordinate parity."""
+    pts = {
+        0: (-3, -3), 1: (3, -3), 2: (3, 3), 3: (-3, 3),
+        4: (-1, -1), 5: (1, -1), 6: (1, 1), 7: (-1, 1),
+    }
+    bits = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 1, 0), 3: (0, 1, 0),
+            4: (0, 0, 1), 5: (1, 0, 1), 6: (1, 1, 1), 7: (0, 1, 1)}
+    colors = {v: ("black" if sum(b) % 2 == 0 else "white") for v, b in bits.items()}
+    edge_specs = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                  (0, 4), (1, 5), (2, 6), (3, 7)]
+    verts = [Vertex(v, MONO, colors[v]) for v in sorted(pts)]
+    edges = [Edge(i, u, v) for i, (u, v) in enumerate(edge_specs)]
+    faces, outer = trace_faces(pts, [(e.id, e.u, e.v) for e in edges])
+    G = EmbeddedGraph(verts, edges, faces, "sphere", outer, pts)
+    G.flags["antipode"] = {0: 6, 6: 0, 1: 7, 7: 1, 2: 4, 4: 2, 3: 5, 5: 3}
+    G.validate()
+    return G
+
+
+def antipodal_cube_quotient():
+    """K4 on the projective plane: the quotient of the 3-cube by the
+    antipodal map, the locally-but-not-globally-bipartite fixture."""
+    verts = [Vertex(i, MONO) for i in range(4)]
+    # vertex i of K4 = antipodal pair {i, antipode(i)} of the cube
+    edge_specs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = [Edge(i, u, v) for i, (u, v) in enumerate(edge_specs)]
+    e = {tuple(sorted(p)): i for i, p in enumerate(edge_specs)}
+    faces = [
+        [(e[0, 1], True), (e[1, 2], True), (e[2, 3], True), (e[0, 3], False)],
+        [(e[0, 1], True), (e[1, 3], True), (e[2, 3], False), (e[0, 2], False)],
+        [(e[0, 2], True), (e[1, 2], False), (e[1, 3], True), (e[0, 3], False)],
+    ]
+    G = EmbeddedGraph(verts, edges, faces, "projective", None)
+    G.validate()
+    return G

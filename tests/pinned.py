@@ -26,10 +26,11 @@ import random
 from fractions import Fraction
 from functools import cache
 
+from oracles import antipodal_cube_quotient
+
 from kasteleyn import FamilySpec, harness
 from kasteleyn.families import (
     _decorated_matrix,
-    antipodal_cube_quotient,
     build_family_graph,
     build_skew_graph,
     jacobi_trudi,

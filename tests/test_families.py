@@ -6,6 +6,8 @@ import pytest
 import oracles
 import pinned
 from oracles import (
+    antipodal_cube_quotient,
+    cube_graph,
     enumerate_matchings_reference,
     invariant_pps,
     plane_partitions,
@@ -23,7 +25,6 @@ from kasteleyn.families import (
     _solve_rational,
     GVGraph,
     Partition,
-    antipodal_cube_quotient,
     apply_q_weights,
     aztec_matrix_closed_form,
     aztec_matrix_reduced,
@@ -37,7 +38,6 @@ from kasteleyn.families import (
     build_hexagon_graph,
     build_hex_minus_triangle,
     build_skew_graph,
-    cube_graph,
     delannoy_closed_form,
     delannoy_gv_graph,
     delannoy_matrix,
@@ -77,7 +77,7 @@ from kasteleyn.matrices import (
     stable_invariants,
 )
 from kasteleyn.harness import _mu_candidates, _partitions_upto, _round_instances
-from kasteleyn.rings import DomainError, LaurentPoly, q_integer
+from kasteleyn.rings import DomainError, LaurentPoly, parse_laurent, q_integer
 
 
 class TestPartition:
@@ -162,11 +162,15 @@ class TestQWeights:
         signed = kasteleyn_percus_sign(Z)
         M = adjacency_matrix(signed, "bipartite")
         d = determinant(M)
-        expected = q_integer(2).substitute_q_power(2) ** 2 * q_integer(5)
+        expected = parse_laurent("1 + q^2") ** 2 * q_integer(5)
         assert polys_equal_up_to_unit(d, expected)
 
 
 class TestQuotients:
+    def test_trivial_group_is_the_hexagon(self):
+        spec = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="1")
+        assert dump_graph(symmetry_quotient(spec)) == dump_graph(build_hexagon_graph(2, 2, 2))
+
     def test_rho_2_2_2(self):
         spec = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="rho")
         Q = symmetry_quotient(spec)
@@ -714,6 +718,9 @@ class TestDelannoy:
     def test_v2(self):
         assert delannoy_matrix(2).to_lists() == [[1, 1], [1, 3]]
 
+    def test_family_matrix(self):
+        assert family_matrix(FamilySpec("delannoy", n=4)) == (delannoy_matrix(4), "M")
+
     def test_recurrence_equals_closed_form(self):
         for n in range(1, 9):
             assert delannoy_matrix(n) == delannoy_closed_form(n)
@@ -785,7 +792,7 @@ class TestFamilyDispatch:
 
     def test_spec_json_roundtrip(self):
         spec = FamilySpec(variant="skew-shape", a=3, lam=(2, 1), mu=(1,))
-        assert FamilySpec.from_json(spec.to_json()) == spec
+        assert FamilySpec(**spec.to_json()) == spec
 
     def test_possible_hex_minus_triangle(self):
         # d = e: a tilable region, which the round suite never builds

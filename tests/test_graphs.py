@@ -1,10 +1,12 @@
 import hashlib
+import json
 import random
 
 import pytest
 
 import pinned
-from oracles import enumerate_matchings_reference, macmahon_box_qgen, polys_equal_up_to_unit
+from oracles import (enumerate_matchings_reference, is_valid_matching, macmahon_box_qgen,
+                     polys_equal_up_to_unit, rotation_at)
 
 from kasteleyn.graphs import (
     EVEN,
@@ -20,13 +22,10 @@ from kasteleyn.graphs import (
     enumerate_matchings,
     graph_from_json,
     graph_to_json,
-    is_valid_matching,
     kasteleyn_orient,
     kasteleyn_percus_sign,
-    load_graph,
     monogamous_resolution,
     reflection_quotient,
-    rotation_at,
     trace_faces,
     triple_edges,
     verify_flatness,
@@ -601,6 +600,18 @@ class TestResolution:
         assert graph_to_json(got) == graph_to_json(monogamous_resolution(cycle(False)))
         assert enumerate_matchings(got).count == enumerate_matchings(cycle(True)).count
 
+    def test_isolated_odd_vertex_becomes_monogamous(self):
+        G = EmbeddedGraph([Vertex(0, ODD)], [], [[]], "sphere", 0)
+        out = monogamous_resolution(G)
+        assert [v.kind for v in out.vertices] == [MONO]
+        assert enumerate_matchings(G).count == enumerate_matchings(out).count == 0
+
+    def test_lone_even_vertex_dropped_with_the_infinite_face(self):
+        G = EmbeddedGraph([Vertex(0, EVEN)], [], [[]], "sphere", 0)
+        out = monogamous_resolution(G)
+        assert out.n_vertices == 0 and out.faces == [] and out.infinite_face is None
+        assert enumerate_matchings(G).count == enumerate_matchings(out).count == 1
+
     def test_high_valence_split(self):
         # 6-star with odd-polygamous center
         coords = {0: (0, 0)}
@@ -683,6 +694,6 @@ class TestJson:
     def test_roundtrip(self):
         G = kasteleyn_percus_sign(grid_graph(3, 2))
         data = dump_graph(G)
-        H = load_graph(data)
+        H = graph_from_json(json.loads(data))
         assert dump_graph(H) == data
         assert graph_to_json(graph_from_json(graph_to_json(G))) == graph_to_json(G)

@@ -3,11 +3,13 @@
 One index parses every .py file under src/kasteleyn, tests and bench once;
 each rule reads it and lists its offenders as "path:line: ...".  Each rule is
 also run on a small source that breaks it, so a rule that stops flagging
-anything fails here too.
+anything fails here too.  README "Library use" is the registry of public
+definitions that only tests call, and its example block runs here.
 """
 
 import ast
 import pathlib
+import re
 from textwrap import dedent
 
 import pytest
@@ -80,12 +82,22 @@ def unreferenced_private(index):
             if name not in used]
 
 
-def unreferenced_public(index):
-    """A public module-level function or class of the library that nothing in
-    the index reads as a name or an attribute, and a public method of a
-    library class that nothing reads as an attribute (`x.name`): a local
-    variable of the same name does not reference a method."""
-    defs, names, attrs = [], set(), set()
+def library_use():
+    """The text of README's "Library use" section."""
+    return (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
+
+
+def unreferenced_public(index, documented=None):
+    """A public module-level function or class of the library that neither
+    the library nor bench/ reads as a name or an attribute, unless README
+    "Library use" (or `documented`) names it; a reference from tests/ alone
+    does not count.  A public method of a library class that nothing in the
+    index reads as an attribute (`x.name`): a local variable of the same
+    name does not reference a method."""
+    if documented is None:
+        # the names the section writes in single backquotes, `name`
+        documented = set(re.findall(r"(?<!`)`([A-Za-z_]\w*)`(?!`)", library_use()))
+    defs, outside, attrs = [], set(), set()
     for path, tree in _library(index):
         for top in tree.body:
             if isinstance(top, (*_FUNCS, ast.ClassDef)) and not top.name.startswith("_"):
@@ -94,14 +106,23 @@ def unreferenced_public(index):
                 defs += [(f"{path}:{node.lineno}: {top.name}.{node.name}", node.name, True)
                          for node in top.body
                          if isinstance(node, _FUNCS) and not node.name.startswith("_")]
-    for tree in index.values():
+    for path, tree in index.items():
+        tests = path.startswith("tests/")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-    return [f"{where} is public but never referenced" for where, name, method in defs
-            if name not in attrs and (method or name not in names)]
+                if not tests:
+                    outside.add(node.attr)
+            elif isinstance(node, ast.Name) and not tests:
+                outside.add(node.id)
+    bad = []
+    for where, name, method in defs:
+        if method and name not in attrs:
+            bad.append(f"{where} is public but never referenced")
+        elif not method and name not in outside | documented:
+            bad.append(f"{where} is public, but neither the library nor bench/ reads it "
+                       "and README \"Library use\" does not name it")
+    return bad
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +141,20 @@ def test_no_runtime_dependencies():
 def test_library_passes(index, rule):
     bad = rule(index)
     assert not bad, "\n".join(bad)
+
+
+def test_library_use_example():
+    # the fenced block of README "Library use" runs, and its bare
+    # expressions give the values its comments state
+    block = library_use().split("```python\n")[1].split("```")[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert values == [20, "Z/2 + Z/10",
+                      ["1 + q^2", "1 + q + 2*q^2 + 2*q^3 + 2*q^4 + q^5 + q^6"]]
 
 
 def test_dependency_rule_flags_a_dependency():
@@ -169,3 +204,20 @@ def test_dependency_rule_flags_a_dependency():
 ])
 def test_rule_flags_its_violation(rule, source, flagged):
     assert rule({LIBRARY + "fake.py": ast.parse(dedent(source))}) == flagged
+
+
+def test_public_rule_flags_a_definition_only_tests_read():
+    index = {LIBRARY + "fake.py": ast.parse(dedent("""
+                 def helper():
+                     return 1
+
+                 def used():
+                     return 2
+
+                 print(used())
+                 """)),
+             "tests/test_fake.py": ast.parse("from kasteleyn.fake import helper\nhelper()\n")}
+    assert unreferenced_public(index, documented=set()) == [
+        'src/kasteleyn/fake.py:2: helper is public, but neither the library nor bench/ '
+        'reads it and README "Library use" does not name it']
+    assert unreferenced_public(index, documented={"helper"}) == []

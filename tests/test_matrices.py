@@ -13,6 +13,7 @@ import pinned
 from oracles import (
     bareiss_reference,
     dense_product,
+    determinantal_divisors,
     fourier_reference,
     kron_reference,
     lattice_step_reference,
@@ -44,7 +45,6 @@ from kasteleyn.matrices import (
     cokernel_of,
     deleted_pivot,
     determinant,
-    determinantal_divisors,
     fourier_duality_matrix,
     laurent_smith_attempt,
     parse_matrix,
@@ -1238,6 +1238,10 @@ class TestLaurentAttempt:
             want = stable_invariants(M)
             assert got.free_rank == want.free_rank, M.entries
             assert list(got.factors) == [LaurentPoly.coerce(f) for f in want.factors], M.entries
+        # an integer matrix given as it is: the attempt maps it itself
+        out = laurent_smith_attempt(Z([[2, 0], [0, 3]]))
+        assert out.success
+        assert out.smith.diagonal == (LaurentPoly.one(), LaurentPoly.const(6))
 
     def test_iteration_limit(self):
         # the pivot (2)_q does not divide (3)_q: the interior absorb and the
