@@ -176,7 +176,7 @@ def run(args):
             "schema_version": 1,
             "matrix_kind": kind,
             "free_rank": c.free_rank,
-            "torsion": [str(t) for t in c.torsion],
+            "torsion": c.torsion_strings(),
             "group": c.group_str(),
         }, indent=1, sort_keys=True))
         return 0

@@ -267,13 +267,16 @@ class EmbeddedGraph:
 def _weight_str(w):
     if isinstance(w, LaurentPoly):
         return format_laurent(w, compact=True)
-    return str(w)
+    return ring_adapter("z").to_str(w)
 
 
 def _weight_parse(s):
     try:
         return int(s)
-    except ValueError:
+    except ValueError:      # Laurent text, or an int past the str -> int digit limit
+        digits = s.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return ring_adapter("z").parse(s)
         return parse_laurent(s)
 
 
@@ -555,7 +558,7 @@ def kasteleyn_percus_sign(G, tree_seed=0):
     if not G.is_bipartite_colored():
         raise DomainError("Percus signing needs a properly 2-colored graph")
     out = _flatten(G, _PERCUS, G.infinite_face, tree_seed, sign=1)
-    if not verify_flatness(out)[1]:
+    if verify_flatness(out):
         raise AssertionError("sign propagation failed to flatten a finite face")
     return out
 
@@ -575,7 +578,7 @@ def kasteleyn_orient(G, tree_seed=0):
         raise DomainError("resolve polygamous vertices before orienting")
     if G.surface == "sphere":
         out = _flatten(G, _KASTELEYN, G.infinite_face, tree_seed, orient=1)
-        if not verify_flatness(out)[1]:
+        if verify_flatness(out):
             raise AssertionError("orientation propagation failed on a finite face")
         return out
 
@@ -589,46 +592,28 @@ def kasteleyn_orient(G, tree_seed=0):
     out = _flatten(G, _KASTELEYN, 0, tree_seed, orient=1)
     # every edge lies on two face sides, so a flip changes the parity of an
     # even number of faces and cannot flatten face 0 alone
-    bad = [rep.face for rep in verify_flatness(out)[0] if not rep.ok]
+    bad = verify_flatness(out)
     if bad:
         out.flags["not_flat_faces"] = bad
     return out
 
 
-class FaceReport:
-    def __init__(self, face, sides, value, ok, rule):
-        self.face = face
-        self.sides = sides
-        self.value = value
-        self.ok = ok
-        self.rule = rule
-
-    def __repr__(self):
-        return f"<Face {self.face}: {self.rule} sides={self.sides} value={self.value} ok={self.ok}>"
-
-
 def verify_flatness(G):
-    """Per-face flatness reports and the overall verdict.  The verdict skips
-    the infinite face of a sphere graph with an odd vertex count: the face
-    conditions of a connected sphere graph sum to V mod 2, so all its faces
-    can be flat only when V is even."""
+    """The faces of a decorated graph that fail their face rule, in face
+    order.  The infinite face of a sphere graph with an odd vertex count is
+    skipped: the face conditions of a connected sphere graph sum to V mod
+    2, so all its faces can be flat only when V is even."""
     signed = all(e.sign is not None for e in G.edges)
     oriented = all(e.orient is not None for e in G.edges)
     if not signed and not oriented:
         raise DomainError("no decoration to verify")
-    rule = "percus" if signed else "kasteleyn" if G.surface == "sphere" else "projective"
     count, flat = _PERCUS if signed else _KASTELEYN
-    reports = []
-    for fi, walk in enumerate(G.faces):
-        sides = len(walk)
-        value = count(G, walk)
-        # projective: odd in each direction, an odd agreeing count on an
-        # even face
-        ok = flat(sides, value) and (rule != "projective" or sides % 2 == 0)
-        reports.append(FaceReport(fi, sides, value, ok, rule))
+    # projective: odd in each direction, an odd agreeing count on an even face
+    projective = not signed and G.surface != "sphere"
     skip = G.infinite_face if G.surface == "sphere" and G.n_vertices % 2 == 1 else None
-    overall = all(rep.ok for rep in reports if rep.face != skip)
-    return reports, overall
+    return [fi for fi, walk in enumerate(G.faces)
+            if fi != skip and not (flat(len(walk), count(G, walk))
+                                   and (not projective or len(walk) % 2 == 0))]
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ from kasteleyn.rings import (
     LaurentPoly,
     RationalPoly,
     _as_int,
+    _decimal_text,
+    _decimal_value,
     _divide_dense,
     _kronecker_pack,
     _kronecker_unpack,
@@ -156,34 +158,6 @@ class _IntRing:
             raise DomainError(f"bad integer {s!r}")
         value = _decimal_value(digits)
         return -value if s[0] == "-" else value
-
-
-# CPython 3.10.7+ refuses int <-> str conversions past a digit limit (4300
-# by default, 640 at the least; `sys.set_int_max_str_digits`).  Matrix text
-# stays exact at any size, without touching that process-wide setting, by
-# converting in pieces of at most this many digits.
-_DIGITS = 600
-
-
-def _decimal_text(a):
-    """str(a) for an int a of any size: split at a power of ten near half
-    its digits, each half converted the same way.  str() itself only sees
-    ints of at most 3 * _DIGITS bits, which have at most 542 digits."""
-    if a < 0:
-        return "-" + _decimal_text(-a)
-    if a.bit_length() <= 3 * _DIGITS:
-        return str(a)
-    half = a.bit_length() * 3 // 20       # about half of log10(a)
-    hi, lo = divmod(a, 10 ** half)
-    return _decimal_text(hi) + _decimal_text(lo).zfill(half)
-
-
-def _decimal_value(digits):
-    """int(digits) for a string of ASCII digits of any length."""
-    if len(digits) <= _DIGITS:
-        return int(digits)
-    half = len(digits) // 2
-    return _decimal_value(digits[:-half]) * 10 ** half + _decimal_value(digits[-half:])
 
 
 class _QPolyRing:
@@ -327,14 +301,6 @@ class ExactMatrix:
         if not rows:
             return ExactMatrix(0, 0, ring, [])
         return ExactMatrix(len(rows), len(rows[0]), ring, rows)
-
-    @staticmethod
-    def identity(n, ring="z"):
-        ad = ring_adapter(ring)
-        return ExactMatrix._of_ring_elements(
-            n, n, ring,
-            [[ad.one if i == j else ad.zero for j in range(n)] for i in range(n)],
-        )
 
     @staticmethod
     def diagonal(values, ring="z", shape=None):
@@ -732,11 +698,6 @@ class SmithForm:
         self.diagonal = tuple(diagonal)
         self.left = left
         self.right = right
-
-    @property
-    def rank(self):
-        ad = ring_adapter(self.ring)
-        return sum(0 if ad.is_zero(d) else 1 for d in self.diagonal)
 
     def diagonal_matrix(self):
         return ExactMatrix.diagonal(self.diagonal, self.ring, shape=self.shape)
@@ -1539,11 +1500,15 @@ class CokernelDescriptor:
             out *= f
         return out
 
+    def torsion_strings(self):
+        """The decimal text of each torsion order, of any size."""
+        return [_IntRing.to_str(f) for f in self.torsion]
+
     def group_str(self):
         parts = []
         if self.free_rank:
             parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
-        parts.extend(f"Z/{f}" for f in self.torsion)
+        parts.extend(f"Z/{t}" for t in self.torsion_strings())
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -2007,7 +1972,11 @@ def pfaffian(M):
 # Fourier duality matrix (the sole floating-point surface)
 
 
-def fourier_duality_matrix(M, guard=64):
+# the largest |det M| whose |det M| x |det M| Fourier matrix is built
+_FOURIER_GUARD = 64
+
+
+def fourier_duality_matrix(M):
     """The discrete-Fourier unitary between coker M and coker M^T for a
     nonsingular integer matrix: U[x, y] = exp(2 pi i Y^T M^-1 X) / sqrt(|det M|)
     over coset representatives X of coker M and Y of coker M^T.
@@ -2028,8 +1997,9 @@ def fourier_duality_matrix(M, guard=64):
     D = abs(prod(diagonal))
     if D == 0:
         raise DomainError("fourier duality needs a nonsingular matrix")
-    if D > guard:
-        raise GuardExceeded(f"|det| = {D} exceeds the cokernel enumeration guard {guard}")
+    if D > _FOURIER_GUARD:
+        raise GuardExceeded(
+            f"|det| = {D} exceeds the cokernel enumeration guard {_FOURIER_GUARD}")
     ds = [d for d in diagonal if d > 1]
     e = ds[-1] if ds else 1
     scale = 1.0 / math.sqrt(D)

@@ -107,9 +107,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self._terms
 
-    def coeff(self, e):
-        return self._terms.get(e, 0)
-
     @property
     def min_exp(self):
         if not self._terms:
@@ -371,6 +368,33 @@ def _kronecker_unpack(value, b, e):
 # Text form, one codec for Z[q, q^-1] and Q[q]: signed terms `c`, `c*q^e` and
 # `q^e` in ascending exponent, with c an integer n or a fraction n/d.
 
+# CPython 3.10.7+ refuses int <-> str conversions past a digit limit (4300
+# by default, 640 at the least; `sys.set_int_max_str_digits`).  Number text
+# stays exact at any size, without touching that process-wide setting, by
+# converting in pieces of at most this many digits.
+_DIGITS = 600
+
+
+def _decimal_text(a):
+    """str(a) for an int a of any size: split at a power of ten near half
+    its digits, each half converted the same way.  str() itself only sees
+    ints of at most 3 * _DIGITS bits, which have at most 542 digits."""
+    if a < 0:
+        return "-" + _decimal_text(-a)
+    if a.bit_length() <= 3 * _DIGITS:
+        return str(a)
+    half = a.bit_length() * 3 // 20       # about half of log10(a)
+    hi, lo = divmod(a, 10 ** half)
+    return _decimal_text(hi) + _decimal_text(lo).zfill(half)
+
+
+def _decimal_value(digits):
+    """int(digits) for a string of ASCII digits of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _decimal_value(digits[:-half]) * 10 ** half + _decimal_value(digits[-half:])
+
 
 def _format_terms(pairs, compact=False):
     """Text of ascending (exponent, nonzero int or Fraction) pairs:
@@ -378,7 +402,11 @@ def _format_terms(pairs, compact=False):
     plus, minus = ("+", "-") if compact else (" + ", " - ")
     out = []
     for e, c in pairs:
-        c = str(c)
+        try:
+            c = str(c)
+        except ValueError:      # past the interpreter's int -> str digit limit
+            c = (_decimal_text(c) if type(c) is int else
+                 f"{_decimal_text(c.numerator)}/{_decimal_text(c.denominator)}")
         if c[0] == "-":
             c = c[1:]
             out.append(minus if out else "-")
@@ -417,9 +445,12 @@ def _parse_terms(text):
         m = _SIGNED_TERM.fullmatch(term)
         if m is None or not (m["num"] or m["q"]):
             raise DomainError(f"bad polynomial term {term!r} in {text!r}")
-        c = int(m["num"] or 1)
+        try:
+            c = int(m["num"] or 1)
+        except ValueError:      # past the interpreter's str -> int digit limit
+            c = _decimal_value(m["num"])
         if m["den"]:
-            c = Fraction(c, int(m["den"]))
+            c = Fraction(c, _decimal_value(m["den"]))
         if m["sign"] == "-":
             c = -c
         e = int(m["exp"] or 1) if m["q"] else 0
@@ -515,15 +546,9 @@ class QRoundFactorization:
     def success(self):
         return self.residual.is_one()
 
-    def rebuild(self):
-        out = LaurentPoly.q_power(self.exp, self.sign)
-        for _tag, _n, poly in self.factors:
-            out = out * poly
-        return out * self.residual
-
     def factor_names(self):
         return tuple(f"({n})_q" if tag == "q-integer" else f"Phi_{n}"
-                     for tag, n, _ in self.factors)
+                     for tag, n in self.factors)
 
     def is_squarefree(self):
         """Square-free over Q[q], up to units and powers of q: no Phi_d twice,
@@ -532,7 +557,7 @@ class QRoundFactorization:
         span, so the residual has no cyclotomic factor and needs the gcd
         with its derivative only when it is not constant."""
         seen = set()
-        for tag, n, _ in self.factors:
+        for tag, n in self.factors:
             for d in (range(2, n + 1) if tag == "q-integer" else (n,)):
                 if n % d == 0:
                     if d in seen:
@@ -561,7 +586,7 @@ def factor_q_round(f):
             continue
         quot = g.try_divide(q_integer(n))
         if quot is not None:
-            factors.append(("q-integer", n, q_integer(n)))
+            factors.append(("q-integer", n))
             g = quot
         else:
             n -= 1
@@ -575,7 +600,7 @@ def factor_q_round(f):
                 quot = g.try_divide(cyclotomic(d))
                 if quot is None:
                     break
-                factors.append(("cyclotomic", d, cyclotomic(d)))
+                factors.append(("cyclotomic", d))
                 g = quot
             if g.span == 0:
                 break
@@ -601,12 +626,6 @@ class SmoothFactorization:
         """No prime repeats: none up to the bound twice, and a square-free
         residual, whose primes are all above the bound."""
         return len(set(self.primes)) == len(self.primes) and integer_squarefree(self.residual)
-
-    def rebuild(self):
-        out = self.sign
-        for p in self.primes:
-            out *= p
-        return out * self.residual
 
     def __repr__(self):
         state = "smooth" if self.success else f"residual={self.residual}"

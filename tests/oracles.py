@@ -2,7 +2,8 @@
 partitions as cube sets, symmetry actions on cubes, skew tableaux,
 Schur specializations, the permutation expansion of a determinant, a
 ring-generic Bareiss determinant, the row expansion of a Pfaffian, a candidate-by-candidate Laurent lattice
-step, Laurent long division, the Fourier duality matrix built from
+step, Laurent long division, the products rebuilt from a q-round and a smooth
+factorization, the Fourier duality matrix built from
 the witness transforms and rational inverses, the dense
 row-by-column matrix product and Kronecker product, the matching
 frontier program on frozenset states with LaurentPoly totals, the
@@ -23,7 +24,7 @@ from kasteleyn.graphs import (EVEN, MONO, ODD, Edge, EmbeddedGraph, Vertex, _cor
                               _rotation, _Surgeon, trace_faces)
 from kasteleyn.matrices import ExactMatrix, determinant, ring_adapter, smith_normal_form
 from kasteleyn.rings import (DomainError, ExactDivisionError, GuardExceeded, LaurentPoly,
-                             q_integer)
+                             cyclotomic, q_integer)
 
 
 def plane_partitions(a, b, c):
@@ -332,10 +333,11 @@ def lattice_step_reference(r, p):
     (c q^s, r - c q^s p) for the first strictly smallest candidate by
     (span, |lead|, |trail|, L1 norm) if it is smaller than r, else None."""
     pp = sum(c * c for _, c in p.items())
+    rt = dict(r.items())
     base = _laurent_size(r)
     best = None
     for s in range(r.min_exp - p.max_exp, r.max_exp - p.min_exp + 1):
-        c0 = _centered(sum(c * r.coeff(e + s) for e, c in p.items()), pp)
+        c0 = _centered(sum(c * rt.get(e + s, 0) for e, c in p.items()), pp)
         for c in {c0, c0 + 1, c0 - 1} - {0}:
             f = LaurentPoly.q_power(s, c)
             r2 = r - f * p
@@ -420,6 +422,21 @@ def laurent_divide_reference(f, g):
             else:
                 rem.pop(d + s, None)
     return LaurentPoly(quot)
+
+
+def q_round_rebuild(out):
+    """sign * q^exp * (the product of the factors) * residual of a
+    `factor_q_round` outcome, each factor rebuilt from its tag."""
+    f = LaurentPoly.q_power(out.exp, out.sign)
+    for tag, n in out.factors:
+        f = f * (q_integer(n) if tag == "q-integer" else cyclotomic(n))
+    return f * out.residual
+
+
+def smooth_rebuild(out):
+    """sign * (the product of the primes) * residual of a `smooth_factor`
+    outcome."""
+    return out.sign * math.prod(out.primes) * out.residual
 
 
 def _fraction_inverse(M):

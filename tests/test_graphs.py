@@ -185,8 +185,7 @@ class TestPercusSign:
         finite = [w for i, w in enumerate(G.faces) if i != G.infinite_face][0]
         minus = sum(1 for eid, _ in finite if G.edge(eid).sign == -1)
         assert minus % 2 == 1
-        reports, ok = verify_flatness(G)
-        assert ok
+        assert verify_flatness(G) == []
 
     def test_det_counts_matchings_grid(self):
         for (w, h) in [(2, 2), (3, 2), (4, 2), (3, 3)]:
@@ -195,9 +194,16 @@ class TestPercusSign:
             M = adjacency_matrix(G, "bipartite")
             if w * h % 2 == 0:
                 assert abs(determinant(M)) == ms.count
-            reports, ok = verify_flatness(G)
-            if w * h % 2 == 0:
-                assert ok
+            assert verify_flatness(G) == []
+
+    def test_odd_vertex_count_skips_the_infinite_face(self):
+        # V = 9: the infinite face has 8 sides and an even number of minus
+        # signs, so it fails the Percus rule, and it is the one face skipped
+        G = kasteleyn_percus_sign(grid_graph(3, 3))
+        walk = G.faces[G.infinite_face]
+        minus = sum(1 for eid, _ in walk if G.edge(eid).sign == -1)
+        assert len(walk) % 4 == 0 and minus % 2 == 0
+        assert verify_flatness(G) == []
 
     def test_term_signs_uniform(self):
         G = kasteleyn_percus_sign(grid_graph(3, 2))
@@ -697,3 +703,14 @@ class TestJson:
         H = graph_from_json(json.loads(data))
         assert dump_graph(H) == data
         assert graph_to_json(graph_from_json(graph_to_json(G))) == graph_to_json(G)
+
+    def test_weights_past_the_digit_limit(self):
+        # 5000-digit int and Laurent weights keep their value and their type
+        big = 10 ** 5000 + 7
+        G = grid_graph(2, 2)
+        weights = [big, -big, LaurentPoly({0: big, 1: -1}), 1]
+        for e, w in zip(G.edges, weights):
+            e.weight = w
+        H = graph_from_json(json.loads(dump_graph(G)))
+        assert [e.weight for e in H.edges] == weights
+        assert [type(e.weight) for e in H.edges] == [int, int, LaurentPoly, int]

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import pinned
-from kasteleyn import harness, matrices
+from kasteleyn import cli, harness, matrices
 from kasteleyn.cli import main
 from kasteleyn.families import FamilySpec, jacobi_trudi
 from kasteleyn.harness import (
@@ -17,7 +18,8 @@ from kasteleyn.harness import (
     verify_theorems,
 )
 from kasteleyn.graphs import MatchingSet, graph_from_json
-from kasteleyn.matrices import ExactMatrix, StableInvariants, cokernel_of, parse_matrix
+from kasteleyn.matrices import (CokernelDescriptor, ExactMatrix, StableInvariants, cokernel_of,
+                                parse_matrix)
 from kasteleyn.rings import DomainError, RationalPoly, parse_laurent, q_integer
 
 
@@ -598,6 +600,16 @@ class TestCli:
         want = cokernel_of(jacobi_trudi((3, 1), (1,), 3).specialize_q(1))
         assert (data["free_rank"], data["torsion"]) == (
             want.free_rank, [str(t) for t in want.torsion])
+
+    def test_coker_torsion_past_the_digit_limit(self, capsys, monkeypatch):
+        big = 10 ** 5000 + 1
+        monkeypatch.setattr(cli, "cokernel_of", lambda M: CokernelDescriptor(0, (2, 2 * big)))
+        code, out, _ = run_cli(["coker", "--family", "ppbox", "--a", "1", "--b", "1",
+                                "--c", "1"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["torsion"] == ["2", str(Decimal(2 * big))]
+        assert data["group"] == f"Z/2 + Z/{Decimal(2 * big)}"
 
     def test_console_script_help(self):
         out = subprocess.run(

@@ -87,42 +87,43 @@ def library_use():
     return (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
 
 
+def documented_names(text):
+    """The names `text` writes in single backquotes: `name` or `Class.name`."""
+    return set(re.findall(r"(?<!`)`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`(?!`)", text))
+
+
 def unreferenced_public(index, documented=None):
     """A public module-level function or class of the library that neither
-    the library nor bench/ reads as a name or an attribute, unless README
-    "Library use" (or `documented`) names it; a reference from tests/ alone
-    does not count.  A public method of a library class that nothing in the
-    index reads as an attribute (`x.name`): a local variable of the same
-    name does not reference a method."""
+    the library nor bench/ reads as a name or an attribute, or a public
+    method or property of a library class that neither reads as an
+    attribute (`x.name`: a local variable of the same name does not
+    reference a method), unless README "Library use" (or `documented`)
+    names it, a method as `Class.name`.  A reference from tests/ alone
+    does not count."""
     if documented is None:
-        # the names the section writes in single backquotes, `name`
-        documented = set(re.findall(r"(?<!`)`([A-Za-z_]\w*)`(?!`)", library_use()))
-    defs, outside, attrs = [], set(), set()
+        documented = documented_names(library_use())
+    defs, names, attrs = [], set(), set()
     for path, tree in _library(index):
         for top in tree.body:
             if isinstance(top, (*_FUNCS, ast.ClassDef)) and not top.name.startswith("_"):
-                defs.append((f"{path}:{top.lineno}: {top.name}", top.name, False))
+                defs.append((f"{path}:{top.lineno}", top.name, top.name, names))
             if isinstance(top, ast.ClassDef):
-                defs += [(f"{path}:{node.lineno}: {top.name}.{node.name}", node.name, True)
+                defs += [(f"{path}:{node.lineno}", f"{top.name}.{node.name}", node.name, attrs)
                          for node in top.body
                          if isinstance(node, _FUNCS) and not node.name.startswith("_")]
     for path, tree in index.items():
-        tests = path.startswith("tests/")
+        if path.startswith("tests/"):
+            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-                if not tests:
-                    outside.add(node.attr)
-            elif isinstance(node, ast.Name) and not tests:
-                outside.add(node.id)
-    bad = []
-    for where, name, method in defs:
-        if method and name not in attrs:
-            bad.append(f"{where} is public but never referenced")
-        elif not method and name not in outside | documented:
-            bad.append(f"{where} is public, but neither the library nor bench/ reads it "
-                       "and README \"Library use\" does not name it")
-    return bad
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return [f"{where}: {qualname} is public, but neither the library nor bench/ reads it "
+            "and README \"Library use\" does not name it"
+            for where, qualname, name, read in defs
+            if name not in read and qualname not in documented]
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +201,8 @@ def test_dependency_rule_flags_a_dependency():
             return area
 
         total([Box()])
-        """, ["src/kasteleyn/fake.py:3: Box.area is public but never referenced"]),
+        """, ["src/kasteleyn/fake.py:3: Box.area is public, but neither the library nor "
+              'bench/ reads it and README "Library use" does not name it']),
 ])
 def test_rule_flags_its_violation(rule, source, flagged):
     assert rule({LIBRARY + "fake.py": ast.parse(dedent(source))}) == flagged
@@ -221,3 +223,24 @@ def test_public_rule_flags_a_definition_only_tests_read():
         'src/kasteleyn/fake.py:2: helper is public, but neither the library nor bench/ '
         'reads it and README "Library use" does not name it']
     assert unreferenced_public(index, documented={"helper"}) == []
+
+
+def test_public_rule_flags_a_method_only_tests_read():
+    index = {LIBRARY + "fake.py": ast.parse(dedent("""
+                 class Box:
+                     def area(self):
+                         return 1
+
+                     def volume(self):
+                         return 2
+
+                 print(Box().volume())
+                 """)),
+             "tests/test_fake.py": ast.parse("from kasteleyn.fake import Box\nBox().area()\n")}
+    flagged = ['src/kasteleyn/fake.py:3: Box.area is public, but neither the library nor '
+               'bench/ reads it and README "Library use" does not name it']
+    assert unreferenced_public(index, documented=set()) == flagged
+    # the bare method name does not document it; `Class.method` does
+    assert unreferenced_public(index, documented={"area"}) == flagged
+    assert unreferenced_public(index, documented=documented_names(
+        "- A box has an area: `Box.area` (`test_area`).")) == []

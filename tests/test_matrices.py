@@ -55,7 +55,7 @@ from kasteleyn.matrices import (
     unitarity_defect,
     write_matrix,
 )
-from kasteleyn.rings import LaurentPoly, RationalPoly, parse_laurent, q_integer
+from kasteleyn.rings import LaurentPoly, RationalPoly, format_laurent, parse_laurent, q_integer
 
 
 def Z(rows):
@@ -102,7 +102,7 @@ class TestSmithNormalForm:
 
     def test_identity(self):
         for n in (1, 3, 5):
-            form = smith_normal_form(ExactMatrix.identity(n), verify=True)
+            form = smith_normal_form(ExactMatrix.diagonal([1] * n), verify=True)
             assert form.diagonal == tuple([1] * n)
 
     def test_oracle_small_random(self):
@@ -113,8 +113,9 @@ class TestSmithNormalForm:
             M = random_int_matrix(rng, m, n)
             form = smith_normal_form(M, verify=True)
             dd = determinantal_divisors(M)
-            assert len(dd) == form.rank
-            for k in range(1, form.rank + 1):
+            rank = sum(1 for d in form.diagonal if d)
+            assert len(dd) == rank
+            for k in range(1, rank + 1):
                 assert prod(form.diagonal[:k]) == dd[k - 1]
 
     def test_nonsquare_and_zero(self):
@@ -404,7 +405,7 @@ class TestDeletedPivot:
 
 class TestDeterminant:
     def test_small(self):
-        assert determinant(ExactMatrix.identity(3)) == 1
+        assert determinant(ExactMatrix.diagonal([1] * 3)) == 1
         assert determinant(Z([[1, 2], [3, 4]])) == -2
         M = ExactMatrix.diagonal([q_integer(2), q_integer(5)], "laurent")
         assert determinant(M) == q_integer(2) * q_integer(5)
@@ -1486,11 +1487,11 @@ class TestUnitKernel:
 class TestDeterminantalDivisors:
     def test_examples(self):
         assert determinantal_divisors(Z([[2, 0], [0, 6]])) == [2, 12]
-        assert determinantal_divisors(ExactMatrix.identity(2)) == [1, 1]
+        assert determinantal_divisors(ExactMatrix.diagonal([1] * 2)) == [1, 1]
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
-            determinantal_divisors(ExactMatrix.identity(7))
+            determinantal_divisors(ExactMatrix.diagonal([1] * 7))
 
     def test_matches_snf_products(self):
         rng = random.Random(21)
@@ -1540,7 +1541,9 @@ class TestFourier:
             fourier_duality_matrix(Z([[1, 2], [2, 4]]))
         with pytest.raises(GuardExceeded,
                            match=r"^\|det\| = 100 exceeds the cokernel enumeration guard 64$"):
-            fourier_duality_matrix(Z([[100]]), guard=64)
+            fourier_duality_matrix(Z([[100]]))
+        with pytest.raises(GuardExceeded, match=r"^\|det\| = 65 exceeds"):
+            fourier_duality_matrix(Z([[65]]))
         assert len(fourier_duality_matrix(Z([[2, 1], [0, -4]]))) == 8
         assert len(fourier_duality_matrix(aztec_matrix_closed_form(3))) == 64
         assert calls == []
@@ -1667,6 +1670,39 @@ class TestTextFormat:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_polynomials_and_groups_past_the_digit_limit(self):
+        # 5000 digits: Decimal writes them without the int <-> str limit
+        big = random.Random(1706).randrange(10 ** 4999, 10 ** 5000)
+        text = str(Decimal(big))
+        f = LaurentPoly({0: big, 1: 1})
+        assert format_laurent(f) == f"{text} + q"
+        assert parse_laurent(f"{text} + q") == f
+        p = RationalPoly([Fraction(3 * big + 1, 3), Fraction(1, big), -big])
+        assert p.to_str() == f"{Decimal(3 * big + 1)}/3 + 1/{text}*q - {text}*q^2"
+        assert RationalPoly.parse(p.to_str()) == p
+        for M in (ExactMatrix.from_rows([[f, -f]], "laurent"),
+                  ExactMatrix.from_rows([[p, 1]], "qpoly")):
+            assert parse_matrix(write_matrix(M)) == M
+        c = cokernel_of(Z([[big]]))
+        assert c.torsion_strings() == [text]
+        assert c.group_str() == f"Z/{text}"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter has no int <-> str digit limit")
+    def test_every_ring_under_the_least_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            x = random.Random(1707).randrange(10 ** 4999, 10 ** 5000)
+            for M in (Z([[x, 1], [-x, 0]]),
+                      ExactMatrix.from_rows([[LaurentPoly({-1: x, 2: -x}), 1]], "laurent"),
+                      ExactMatrix.from_rows(
+                          [[RationalPoly([Fraction(7 * x + 1, 7), 0, Fraction(-1, x)]), x]],
+                          "qpoly")):
+                assert parse_matrix(write_matrix(M)) == M
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_transforms_past_the_digit_limit(self):
         # a unimodular matrix whose witness must carry its 45,000-digit entry
         big = random.Random(1705).randrange(10 ** 44999, 10 ** 45000)
@@ -1746,7 +1782,7 @@ def assert_as_validated(P):
 
 
 class TestProducersWithoutCoerce:
-    """transpose, negation, sum, product, kron, identity, diagonal, the
+    """transpose, negation, sum, product, kron, diagonal, the
     workspace transforms, `map_ring`, the adjacency matrices and the row
     shifts of `harness._without_negative_exponents` skip `coerce` (or
     coerce only nonzero images); their entries must still be the canonical
@@ -1762,7 +1798,6 @@ class TestProducersWithoutCoerce:
             B = random_ring_matrix(rng, ring, k, n)
             C = random_ring_matrix(rng, ring, m, k)
             products = [A.transpose(), -A, A + C, A - C, A * B, A.kron(B),
-                        ExactMatrix.identity(m, ring),
                         ExactMatrix.diagonal([ad.one, ad.zero, A[0, 0] if m and k else 7][:min(m, n)],
                                              ring, shape=(m, n))]
             ws = matrices._Workspace(random_ring_matrix(rng, ring, m, m))
@@ -1917,7 +1952,7 @@ class TestForgedWitnesses:
         form, so det D = 0 there: with M = I, L = I and R = diag(1, 0),
         L * M * R is the padded form of (1,), and R is singular."""
         ad = matrices.ring_adapter(ring)
-        I = ExactMatrix.identity(2, ring)
+        I = ExactMatrix.diagonal([1] * 2, ring)
         R = ExactMatrix.diagonal([ad.one, ad.zero], ring)
         fake = SmithForm(ring, (2, 2), [ad.one], I, R)
         assert I * I * R == fake.diagonal_matrix()
@@ -1982,5 +2017,5 @@ class TestForgedWitnesses:
         with pytest.raises(AssertionError, match="not unimodular"):
             fake.verify(A)
         # short block entries with a unimodular B still pass
-        assert matrices.AltSmithForm("z", 4, [1], ExactMatrix.identity(4, "z")).verify(
+        assert matrices.AltSmithForm("z", 4, [1], ExactMatrix.diagonal([1] * 4)).verify(
             A * ExactMatrix.diagonal([1, 1, 0, 0], "z"))

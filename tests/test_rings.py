@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from oracles import laurent_divide_reference
+from oracles import laurent_divide_reference, q_round_rebuild, smooth_rebuild
 
 from kasteleyn.matrices import ring_adapter
 from kasteleyn.rings import (
@@ -180,7 +180,7 @@ class TestSpecialize:
                 assert type(got) is type(want) and got == want
                 fractional += type(got) is Fraction
             if f.is_zero() or f.min_exp >= 0:
-                assert f.evaluate(0) == f.coeff(0)
+                assert f.evaluate(0) == dict(f.items()).get(0, 0)
             else:
                 with pytest.raises(DomainError):
                     f.evaluate(0)
@@ -251,14 +251,14 @@ class TestFactorQRound:
         out = factor_q_round(f)
         assert out.success
         assert sorted(out.factor_names()) == ["(2)_q", "(2)_q", "(5)_q"]
-        assert out.rebuild() == f
+        assert q_round_rebuild(out) == f
 
     def test_unit_extraction(self):
         f = (q_integer(3) * LaurentPoly.q_power(-2, -1))
         out = factor_q_round(f)
         assert out.success
         assert (out.sign, out.exp) == (-1, -2)
-        assert out.rebuild() == f
+        assert q_round_rebuild(out) == f
 
     def test_non_round_witness(self):
         f = L("1 + q + q^3")
@@ -270,7 +270,7 @@ class TestFactorQRound:
         out = factor_q_round(f)
         assert not out.success
         assert out.residual == f
-        assert out.rebuild() == f
+        assert q_round_rebuild(out) == f
 
     def test_rebuild_random_products(self):
         rng = random.Random(7)
@@ -283,7 +283,7 @@ class TestFactorQRound:
                 f = -f
             out = factor_q_round(f)
             assert out.success
-            assert out.rebuild() == f
+            assert q_round_rebuild(out) == f
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -324,7 +324,7 @@ class TestSmoothFactor:
             if n == 0:
                 continue
             out = smooth_factor(n, 30)
-            assert out.rebuild() == n
+            assert smooth_rebuild(out) == n
             assert all(p <= 30 for p in out.primes)
 
     def test_zero_rejected(self):
