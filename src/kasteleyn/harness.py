@@ -141,7 +141,8 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
         return delannoy_matrix(spec.n), "M", None
     wants_q = ring in ("laurent", "qpoly", "z@q0")
     spec2 = spec
-    if wants_q and spec.q_mode == "none" and spec.variant != "skew-shape" and spec.variant != "aztec":
+    # the builder q-weights only the box variants and ignores q_mode elsewhere
+    if wants_q and spec.q_mode == "none":
         spec2 = replace(spec, q_mode="cube")
     if not wants_q and spec.q_mode != "none":
         spec2 = replace(spec, q_mode="none")

@@ -1,12 +1,14 @@
 """Dense exact matrices and their normal forms.
 
 Rings are tagged: "z" (integers), "laurent" (Z[q, q^-1]), "qpoly" (Q[q]).
-One Smith elimination driver, `_smith`, serves all three; each ring adapter
-supplies the `reduce` step of an entry against the pivot.  Over the two PIDs
-("z", "qpoly") a remainder is resolved by a Bezout step and the Smith normal
-form is computed constructively; over the Laurent ring, which is not a PID,
-the centered reduction makes it a heuristic that either succeeds, exhibits a
-blocking pair, or gives up at an iteration limit.
+One Smith elimination driver, `_smith`, serves all three, and one entry
+step, `_reduce_entry`, serves every elimination: over the two PIDs ("z",
+"qpoly") an exact multiple of the pivot is subtracted, else a determinant-1
+Bezout mix puts the gcd at the pivot, so the Smith normal form is computed
+constructively; over the Laurent ring, which is not a PID, the centered
+reduction makes it a heuristic that either succeeds, exhibits a blocking
+pair, or gives up at an iteration limit.  The one unit rule is the
+adapter's `unit_and_normal(a)`: the unit u that normalizes a, and u * a.
 
 The driver works on one sparse copy of the matrix (`_Workspace`): rows,
 L and R (by columns) are maps from index to nonzero entry.  A lozenge
@@ -104,23 +106,13 @@ class _IntRing:
 
     @staticmethod
     def unit_and_normal(a):
-        """a = unit * normal with canonical normal (nonnegative)."""
+        """(u, u * a) for the unit u that makes a nonnegative."""
         return (-1, -a) if a < 0 else (1, a)
-
-    @staticmethod
-    def unit_inverse(u):
-        return u
 
     @staticmethod
     def try_div(a, b):
         q, r = divmod(a, b)
         return q if r == 0 else None
-
-    @staticmethod
-    def reduce(b, a):
-        """(t, r) with r = b - t * a: the exact quotient, else t = 0, r = b."""
-        q, r = divmod(b, a)
-        return (q, 0) if r == 0 else (0, b)
 
     @staticmethod
     def gcdext(a, b):
@@ -172,23 +164,10 @@ class _QPolyRing:
 
     @staticmethod
     def unit_and_normal(a):
-        """a = unit * normal with monic normal."""
-        if a.is_zero():
-            return RationalPoly.one(), a
-        lead = a.leading_coeff()
-        return RationalPoly.const(lead), a.monic()
-
-    @staticmethod
-    def unit_inverse(u):
-        return RationalPoly.const(Fraction(1) / u.coeffs[0])
+        """(u, u * a) for the unit u that makes a nonzero a monic."""
+        return RationalPoly.const(Fraction(1) / a.leading_coeff()), a.monic()
 
     try_div = staticmethod(RationalPoly.try_divide)
-
-    @staticmethod
-    def reduce(b, a):
-        """(t, r) with r = b - t * a: the exact quotient, else t = 0, r = b."""
-        t = b.try_divide(a)
-        return (RationalPoly.zero(), b) if t is None else (t, RationalPoly.zero())
 
     gcdext = staticmethod(RationalPoly.gcdext)
 
@@ -215,25 +194,14 @@ class _LaurentRing:
 
     @staticmethod
     def unit_and_normal(a):
+        """(u, u * a) for the unit u = +-q^k that takes a to `a.normal()`."""
         sign, exp, f = a.unit_normalize()
-        return LaurentPoly._from_terms({exp: sign}), f
-
-    @staticmethod
-    def unit_inverse(u):
-        sign, exp, f = u.unit_normalize()
-        if not f.is_one():
-            raise DomainError(f"not a unit: {u}")
-        return LaurentPoly._from_terms({-exp: sign})
+        return LaurentPoly._from_terms({-exp: sign}), f
 
     @staticmethod
     def try_div(a, b):
         # not bound: a counter patched on LaurentPoly.try_divide sees these calls
         return a.try_divide(b)
-
-    @staticmethod
-    def reduce(b, a):
-        """(t, r) with r = b - t * a, by centered reduction."""
-        return _laurent_reduce(b, a)
 
     @staticmethod
     def size_key(a):
@@ -626,7 +594,7 @@ class _Workspace:
         multiplier is a product with -p^-1, formed once: no ring division."""
         A, R, ad = self.A, self.R, self.ad
         p = A[k][k]
-        t = -ad.unit_inverse(p)
+        t = -ad.unit_and_normal(p)[0]
         for i in [i for i in self.cols[k] if i != k]:
             self.addmul_row(i, k, A[i][k] * t)
         for j, x in A[k].items():
@@ -819,7 +787,7 @@ def _smith(ws, max_steps=None):
             return failure + (k,)
         u, normal = ring.unit_and_normal(A[k][k])
         if A[k][k] != normal:
-            ws.scale_row(k, ring.unit_inverse(u))
+            ws.scale_row(k, u)
     return None
 
 
@@ -872,27 +840,33 @@ def _undivided_row(ring, A, start, stop, p):
 
 
 def _reduce_entry(ring, p, k, i, b, addmul, mix, swap):
-    """Reduce the nonzero entry b at (i, k) against the pivot p at (k, k):
-    subtract t * pivot row with (t, r) = ring.reduce(b, p), then resolve a
-    nonzero remainder r.  Over a PID a determinant-1 Bezout mix puts
-    gcd(p, r) at (k, k); over the Laurent ring r is swapped in as the pivot
-    when it is smaller, and otherwise (p, r) is returned as stuck.  Called
-    with the column operations, b sits at (k, i) instead; called by
-    `_alternating_blocks` with congruence steps, p sits at (row, k) and b
-    at (row, i) for a row of the pivot block."""
-    t, r = ring.reduce(b, p)
+    """Reduce the nonzero entry b at (i, k) against the pivot p at (k, k)
+    by the two moves of every elimination here.  Over a PID: subtract the
+    exact multiple b/p of the pivot row, else apply the determinant-1
+    Bezout mix that puts g = gcd(p, b) at (k, k).  Over the Laurent ring:
+    subtract the multiple of the centered reduction (`_laurent_reduce`),
+    then swap a smaller remainder r in as the pivot, or return (p, r) as
+    stuck.  Called with the column operations, b sits at (k, i) instead;
+    called by `_alternating_blocks` with congruence steps, p sits at
+    (row, k) and b at (row, i) for a row of the pivot block; called by
+    `_clear_first_column`, the steps act on residues modulo a determinant."""
+    if ring.pid:
+        t = ring.try_div(b, p)
+        if t is not None:
+            addmul(i, k, -t)
+        else:
+            g, x, y = ring.gcdext(p, b)
+            mix(k, i, x, y, -ring.try_div(b, g), ring.try_div(p, g))
+        return None
+    t, r = _laurent_reduce(b, p)
     if not ring.is_zero(t):
         addmul(i, k, -t)
     if ring.is_zero(r):
         return None
-    if ring.pid:
-        g, x, y = ring.gcdext(p, r)
-        mix(k, i, x, y, -ring.try_div(r, g), ring.try_div(p, g))
-    elif ring.size_key(r) < ring.size_key(p):
+    if ring.size_key(r) < ring.size_key(p):
         swap(k, i)
-    else:
-        return p, r
-    return None
+        return None
+    return p, r
 
 
 def _finish_modulo_det(ws, k):
@@ -1006,30 +980,27 @@ class _RowSteps:
         W[j] = [x * b - y * a for a, b in zip(p, q)]
 
 
-def _clear_first_column(B, residue, steps=None, at=0):
-    """Zero B[1:][0] by unimodular row steps on the residue matrix B: an
-    exact multiple of the pivot B[0][0] is subtracted, otherwise a Bezout
-    mix puts gcd(pivot, entry) at (0, 0).  With `steps`, each step on rows
-    (0, i) of B is applied to its rows (at, at + i) too."""
-    gcdext = _IntRing.gcdext
-    top = B[0]
-    for i in range(1, len(B)):
-        b, row = B[i][0], B[i]
-        if not b:
-            continue
-        t, r = divmod(b, top[0])
-        if not r:
-            B[i] = [residue(d - t * c) for c, d in zip(top, row)]
-            if steps is not None:
-                steps.addmul(at + i, at, -t)
-            continue
-        g, x, y = gcdext(top[0], b)
-        u, v = -b // g, top[0] // g
-        top, B[i] = ([residue(x * c + y * d) for c, d in zip(top, row)],
-                     [residue(u * c + v * d) for c, d in zip(top, row)])
+def _clear_first_column(B, residue, steps, at):
+    """Zero B[1:][0] by the unimodular row steps of `_reduce_entry` on the
+    residue matrix B, each row taken back to its residues.  With `steps`,
+    each step on rows (i, j) of B is applied to its rows (at + i, at + j)
+    too."""
+
+    def addmul(i, j, c):
+        B[i] = [residue(a + c * b) for a, b in zip(B[i], B[j])]
         if steps is not None:
-            steps.mix(at, at + i, x, y, u, v)
-    B[0] = top
+            steps.addmul(at + i, at + j, c)
+
+    def mix(i, j, x, y, u, v):
+        p, q = B[i], B[j]
+        B[i] = [residue(x * a + y * b) for a, b in zip(p, q)]
+        B[j] = [residue(u * a + v * b) for a, b in zip(p, q)]
+        if steps is not None:
+            steps.mix(at + i, at + j, x, y, u, v)
+
+    for i in range(1, len(B)):
+        if B[i][0]:
+            _reduce_entry(_IntRing, B[0][0], 0, i, B[i][0], addmul, mix, None)
 
 
 def _modular_transforms(ws, k, block, steps, factors):
@@ -1457,7 +1428,7 @@ def laurent_smith_attempt(M, max_steps=10000, transforms=True):
     ws = _Workspace(M, transforms)
     for i, row in enumerate(M.entries):
         lead = next((x for x in row if not x.is_zero()), ring.one)
-        u = ring.unit_inverse(ring.unit_and_normal(lead)[0])
+        u = ring.unit_and_normal(lead)[0]
         if u != ring.one:
             ws.scale_row(i, u)
     failure = _smith(ws, max_steps)
@@ -1630,8 +1601,8 @@ def deleted_pivot(M, i, j):
         raise DomainError(f"pivot entry ({i},{j}) is zero")
     grid = M.to_lists()
     if ring.is_unit(p):
-        inv = ring.unit_inverse(p)
-        grid[i] = [inv * x for x in grid[i]]
+        u = ring.unit_and_normal(p)[0]
+        grid[i] = [u * x for x in grid[i]]
         p = grid[i][j]
     for jj in range(M.cols):
         if ring.try_div(grid[i][jj], p) is None:

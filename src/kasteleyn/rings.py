@@ -415,7 +415,7 @@ def _format_terms(pairs, compact=False):
         if e == 0:
             out.append(c)
         else:
-            qpart = "q" if e == 1 else f"q^{e}"
+            qpart = "q" if e == 1 else f"q^{_decimal_text(e)}"
             out.append(qpart if c == "1" else f"{c}*{qpart}")
     return "".join(out) or "0"
 
@@ -445,15 +445,13 @@ def _parse_terms(text):
         m = _SIGNED_TERM.fullmatch(term)
         if m is None or not (m["num"] or m["q"]):
             raise DomainError(f"bad polynomial term {term!r} in {text!r}")
-        try:
-            c = int(m["num"] or 1)
-        except ValueError:      # past the interpreter's str -> int digit limit
-            c = _decimal_value(m["num"])
+        c = _decimal_value(m["num"] or "1")
         if m["den"]:
             c = Fraction(c, _decimal_value(m["den"]))
         if m["sign"] == "-":
             c = -c
-        e = int(m["exp"] or 1) if m["q"] else 0
+        exp = (m["exp"] or "1") if m["q"] else "0"
+        e = -_decimal_value(exp[1:]) if exp[0] == "-" else _decimal_value(exp)
         terms[e] = terms.get(e, 0) + c
     return terms
 
@@ -916,8 +914,8 @@ class RationalPoly:
         if min(terms) < 0:
             raise DomainError(f"negative exponents are not in Q[q]: {text!r}")
         if max(terms) > _QPOLY_TEXT_DEGREE:
-            raise GuardExceeded(f"exponent {max(terms)} in Q[q] text is above "
-                                f"the limit {_QPOLY_TEXT_DEGREE}")
+            raise GuardExceeded(f"exponent {_decimal_text(max(terms))} in Q[q] text "
+                                f"is above the limit {_QPOLY_TEXT_DEGREE}")
         return RationalPoly([terms.get(e, 0) for e in range(max(terms) + 1)])
 
     def to_str(self, compact=False):

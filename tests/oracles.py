@@ -11,7 +11,8 @@ dense Gauss-Jordan solve of a rational linear system, the
 transit-free resolution through an intermediate embedded graph, the
 determinantal divisors by minor expansion, the degree check of a
 matching, the rotation at a vertex read off the face walks, and the
-projective fixture: the 3-cube and its antipodal quotient."""
+projective fixtures: the 3-cube and its antipodal quotient, that quotient
+with face 0 split, and the Moebius ladders."""
 
 import cmath
 import math
@@ -843,6 +844,42 @@ def antipodal_cube_quotient():
         [(e[0, 1], True), (e[1, 3], True), (e[2, 3], False), (e[0, 2], False)],
         [(e[0, 2], True), (e[1, 2], False), (e[1, 3], True), (e[0, 3], False)],
     ]
+    G = EmbeddedGraph(verts, edges, faces, "projective", None)
+    G.validate()
+    return G
+
+
+def split_antipodal_quotient():
+    """`antipodal_cube_quotient` with face 0 split by a path 0 - 4 - 2
+    (edges 6 = (0, 4) and 7 = (4, 2)) into the walks 0 1 2 4 and 0 4 2 3:
+    every face is even, but V = 5 and no orientation flattens face 0."""
+    K4 = antipodal_cube_quotient()
+    verts = K4.vertices + [Vertex(4, MONO)]
+    edges = K4.edges + [Edge(6, 0, 4), Edge(7, 4, 2)]
+    e01, e12, e23, e03 = (e for e, _ in K4.faces[0])
+    faces = [
+        [(e01, True), (e12, True), (7, False), (6, False)],
+        [(6, True), (7, True), (e23, True), (e03, False)],
+    ] + K4.faces[1:]
+    G = EmbeddedGraph(verts, edges, faces, "projective", None)
+    G.validate()
+    return G
+
+
+def mobius_ladder(k):
+    """The Moebius ladder M_2k on the projective plane: the ring 0..2k-1
+    (edge i = (i, i + 1 mod 2k)) with the chords j to j + k (edge 2k + j);
+    the faces are the ring's 2k-gon and the k squares i, i + 1, i + 1 + k,
+    i + k.  M_4 is K4."""
+    n = 2 * k
+    verts = [Vertex(i, MONO) for i in range(n)]
+    edges = ([Edge(i, i, (i + 1) % n) for i in range(n)]
+             + [Edge(n + j, j, j + k) for j in range(k)])
+    faces = [[(i, True) for i in range(n)]]
+    for i in range(k):
+        # the chord from i + 1 runs forward, except i + 1 = k: chord 0 backward
+        up = (n + i + 1, True) if i + 1 < k else (n, False)
+        faces.append([(i, True), up, (i + k, False), (n + i, False)])
     G = EmbeddedGraph(verts, edges, faces, "projective", None)
     G.validate()
     return G

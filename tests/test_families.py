@@ -10,12 +10,14 @@ from oracles import (
     cube_graph,
     enumerate_matchings_reference,
     invariant_pps,
+    mobius_ladder,
     plane_partitions,
     polys_equal_up_to_unit,
     pp_qgen_cubes,
     pp_qgen_orbits,
     skew_tableaux_qgen,
     solve_rational_reference,
+    split_antipodal_quotient,
     transit_free_resolution_reference,
 )
 
@@ -766,6 +768,40 @@ class TestProjectiveFixture:
             e.orient = -e.orient
             assert verify_flatness(out) == sides[e.id] and len(set(sides[e.id])) == 2
             e.orient = -e.orient
+
+    def test_split_quotient_leaves_face_0_not_flat(self):
+        G = split_antipodal_quotient()
+        for seed in range(6):
+            out = kasteleyn_orient(G, seed)
+            assert out.flags["not_flat_faces"] == verify_flatness(out) == [0]
+        assert enumerate_matchings(G).count == 0
+
+    @pytest.mark.parametrize("k, count", [(2, 3), (4, 7), (6, 18), (8, 47)])
+    def test_mobius_ladders_are_flat(self, k, count):
+        G = mobius_ladder(k)
+        assert enumerate_matchings(G).count == count
+        for seed in range(4):
+            out = kasteleyn_orient(G, seed)
+            assert verify_flatness(out) == [] and "not_flat_faces" not in out.flags
+            assert abs(pfaffian(adjacency_matrix(out, "alternating"))) == count
+
+    def test_face_0_is_flat_iff_t_plus_v_is_odd(self):
+        # T counts the edges whose two face sides run the same way.  A flip
+        # keeps the total agreeing count over all faces at E - T mod 2, the
+        # faces are all flat only if that total is F mod 2, and V - E + F = 1
+        graphs = [antipodal_cube_quotient(), split_antipodal_quotient()]
+        graphs += [mobius_ladder(k) for k in (4, 6, 8)]
+        found = []
+        for G in graphs:
+            sides = {}
+            for walk in G.faces:
+                for eid, forward in walk:
+                    sides.setdefault(eid, []).append(forward)
+            t = sum(a == b for a, b in sides.values())
+            found.append(t + G.n_vertices)
+            flat = verify_flatness(kasteleyn_orient(G)) == []
+            assert flat == ((t + G.n_vertices) % 2 == 1)
+        assert found == [7, 8, 13, 19, 25]
 
     def test_sphere_rule_rejects_odd_faces(self):
         from kasteleyn.graphs import EmbeddedGraph, Vertex, Edge

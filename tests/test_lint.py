@@ -92,10 +92,24 @@ def documented_names(text):
     return set(re.findall(r"(?<!`)`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`(?!`)", text))
 
 
+def _methods(cls):
+    """(line, name) of each method in a class body: a `def`, or a name bound
+    as `name = staticmethod(f)` or `name = classmethod(f)`."""
+    for node in cls.body:
+        if isinstance(node, _FUNCS):
+            yield node.lineno, node.name
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+              and node.value.func.id in ("staticmethod", "classmethod")):
+            yield node.lineno, node.targets[0].id
+
+
 def unreferenced_public(index, documented=None):
     """A public module-level function or class of the library that neither
     the library nor bench/ reads as a name or an attribute, or a public
-    method or property of a library class that neither reads as an
+    method or property of a library class (a `def`, or a name bound to
+    `staticmethod(f)` or `classmethod(f)`) that neither reads as an
     attribute (`x.name`: a local variable of the same name does not
     reference a method), unless README "Library use" (or `documented`)
     names it, a method as `Class.name`.  A reference from tests/ alone
@@ -108,9 +122,8 @@ def unreferenced_public(index, documented=None):
             if isinstance(top, (*_FUNCS, ast.ClassDef)) and not top.name.startswith("_"):
                 defs.append((f"{path}:{top.lineno}", top.name, top.name, names))
             if isinstance(top, ast.ClassDef):
-                defs += [(f"{path}:{node.lineno}", f"{top.name}.{node.name}", node.name, attrs)
-                         for node in top.body
-                         if isinstance(node, _FUNCS) and not node.name.startswith("_")]
+                defs += [(f"{path}:{line}", f"{top.name}.{name}", name, attrs)
+                         for line, name in _methods(top) if not name.startswith("_")]
     for path, tree in index.items():
         if path.startswith("tests/"):
             continue
@@ -244,3 +257,19 @@ def test_public_rule_flags_a_method_only_tests_read():
     assert unreferenced_public(index, documented={"area"}) == flagged
     assert unreferenced_public(index, documented=documented_names(
         "- A box has an area: `Box.area` (`test_area`).")) == []
+
+
+def test_public_rule_flags_a_member_bound_by_staticmethod():
+    # `side` is data, not a method, and is not checked
+    index = {LIBRARY + "fake.py": ast.parse(dedent("""
+                 class Box:
+                     side = 3
+                     area = staticmethod(abs)
+                     volume = classmethod(len)
+
+                 print(Box.volume)
+                 """)),
+             "tests/test_fake.py": ast.parse("from kasteleyn.fake import Box\nBox.area(-1)\n")}
+    assert unreferenced_public(index, documented=set()) == [
+        'src/kasteleyn/fake.py:4: Box.area is public, but neither the library nor '
+        'bench/ reads it and README "Library use" does not name it']

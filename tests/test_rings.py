@@ -423,8 +423,8 @@ class TestRationalPoly:
         g, x, y = a.gcdext(b)
         assert g == RationalPoly((1, 1))
         assert x * a + y * b == g
-        inverse = ring_adapter("qpoly").unit_inverse
-        third, two = inverse(RationalPoly.const(3)), inverse(RationalPoly.const(Fraction(1, 2)))
+        unit = ring_adapter("qpoly").unit_and_normal
+        third, two = unit(RationalPoly.const(3))[0], unit(RationalPoly.const(Fraction(1, 2)))[0]
         assert third.coeffs == (Fraction(1, 3),) and two.coeffs == (2,)
         for f in (p, m, q, r, g, x, y, third, two, q * b + r):
             assert_stored_form(f)
