@@ -24,14 +24,21 @@ from kasteleyn.harness import (
     run_report,
     verify_theorems,
 )
-from kasteleyn.matrices import cokernel_of, smith_report, write_matrix
+from kasteleyn.matrices import cokernel_of, ring_adapter, smith_report, write_matrix
 from kasteleyn.rings import DomainError
 
 
-def _parse_partition(text):
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(",") if p.strip())
+def _integer(text):
+    """An integer option, read as `_IntRing.parse` reads integer text."""
+    try:
+        return ring_adapter("z").parse(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _partition(text):
+    """Comma-separated `_integer` parts, each stripped; empty ones are skipped."""
+    return tuple(_integer(p.strip()) for p in text.split(",") if p.strip())
 
 
 def _spec_from_args(args):
@@ -41,25 +48,25 @@ def _spec_from_args(args):
         group=args.group,
         q_mode=args.q_mode,
         wrong_parity=args.wrong_parity,
-        lam=_parse_partition(args.lam),
-        mu=_parse_partition(args.mu),
+        lam=args.lam,
+        mu=args.mu,
     )
 
 
 def _add_family_args(p):
     p.add_argument("--family", default="ppbox", choices=_VARIANTS)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--c", type=int, default=0)
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--e", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--a", type=_integer, default=0)
+    p.add_argument("--b", type=_integer, default=0)
+    p.add_argument("--c", type=_integer, default=0)
+    p.add_argument("--d", type=_integer, default=0)
+    p.add_argument("--e", type=_integer, default=0)
+    p.add_argument("--n", type=_integer, default=0)
     p.add_argument("--group", default="1")
     p.add_argument("--q-mode", dest="q_mode", default="none",
                    choices=["none", "cube", "orbit"])
     p.add_argument("--wrong-parity", dest="wrong_parity", action="store_true")
-    p.add_argument("--lam", default="")
-    p.add_argument("--mu", default="")
+    p.add_argument("--lam", type=_partition, default=())
+    p.add_argument("--mu", type=_partition, default=())
 
 
 def _add_common(p):
@@ -73,11 +80,11 @@ def _add_format(p, with_csv=False):
 
 def _add_ring(p):
     p.add_argument("--ring", default="z", choices=RINGS)
-    p.add_argument("--q0", type=int, default=-1)
+    p.add_argument("--q0", type=_integer, default=-1)
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
 
 
 def _emit(args, text):
@@ -121,7 +128,7 @@ def build_parser():
     _add_family_args(p)
     _add_common(p)
     _add_seed(p)
-    p.add_argument("--q0", type=int, default=-1)
+    p.add_argument("--q0", type=_integer, default=-1)
     p.add_argument("--ring", default="z", choices=["z", "z@q0"])
 
     p = sub.add_parser("report", help="full report record for one instance")
@@ -134,13 +141,13 @@ def build_parser():
     _add_common(p)
     _add_format(p, with_csv=True)
     p.add_argument("--id", required=True, choices=["round", "sqfree", "q-minus-one"])
-    p.add_argument("--ceiling", type=int, default=None)
+    p.add_argument("--ceiling", type=_integer, default=None)
 
     p = sub.add_parser("verify", help="verify a theorem suite")
     _add_common(p)
     _add_format(p)
     p.add_argument("--which", required=True, choices=["jt", "aztec"])
-    p.add_argument("--ceiling", "--max-n", dest="ceiling", type=int, default=None)
+    p.add_argument("--ceiling", "--max-n", dest="ceiling", type=_integer, default=None)
 
     p = sub.add_parser("oracle", help="matching count (frontier dynamic program)")
     _add_family_args(p)

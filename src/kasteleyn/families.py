@@ -1217,19 +1217,20 @@ def family_matrix(spec):
     """The family's Kasteleyn-Percus matrix M (bipartite monogamous cases)
     or Kasteleyn matrix A (after monogamous resolution); returns
     (matrix, kind) with kind "M" or "A"."""
+    return _family_matrix(spec)[:2]
+
+
+def _family_matrix(spec, tree_seed=0):
+    """(matrix, kind, G): the Delannoy matrix with G None, or the matrix of
+    the family's graph G, resolved when polygamous.  A G signed on every
+    edge (as the transit-free resolution builds it) is read as it is, any
+    other is signed (2-colored) or oriented along the dual tree of tree_seed."""
     if spec.variant == "delannoy":
-        return delannoy_matrix(spec.n), "M"
-    M, kind, _ = _decorated_matrix(build_family_graph(spec), spec.variant)
-    return M, kind
-
-
-def _decorated_matrix(G, variant, tree_seed=0):
-    """Resolve polygamy, then sign (bipartite) or orient G along the dual
-    spanning tree chosen by tree_seed; returns (matrix, kind, resolved G)."""
+        return delannoy_matrix(spec.n), "M", None
+    G = build_family_graph(spec)
     if any(v.kind != MONO for v in G.vertices):
         G = monogamous_resolution(G)
-    if variant == "skew-shape":
-        # the transit-free resolution already carries a flat signing
+    if all(e.sign is not None for e in G.edges):
         return adjacency_matrix(G, "bipartite"), "M", G
     if G.is_bipartite_colored():
         return adjacency_matrix(kasteleyn_percus_sign(G, tree_seed), "bipartite"), "M", G

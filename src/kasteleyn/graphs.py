@@ -270,14 +270,15 @@ def _weight_str(w):
     return ring_adapter("z").to_str(w)
 
 
-def _weight_parse(s):
+def _weight_parse(value, where):
+    """An edge weight from JSON: an integer as `_json_int` reads it, else
+    Laurent text."""
     try:
-        return int(s)
-    except ValueError:      # Laurent text, or an int past the str -> int digit limit
-        digits = s.removeprefix("-")
-        if digits.isascii() and digits.isdigit():
-            return ring_adapter("z").parse(s)
-        return parse_laurent(s)
+        return _json_int(value, where)
+    except DomainError:
+        if isinstance(value, str):
+            return parse_laurent(value)
+        raise
 
 
 def graph_to_json(G):
@@ -316,14 +317,16 @@ def _json_field(record, key, where):
 
 
 def _json_int(value, where):
-    """An integer id from JSON; bools and text other than an integer are
-    refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DomainError(f"graph JSON: {where} is not an integer: {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise DomainError(f"graph JSON: {where} is not an integer: {value!r}") from None
+    """An integer id from JSON: a JSON integer, or text that `_IntRing.parse`
+    reads (an optional sign and ASCII digits); bools are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return ring_adapter("z").parse(value)
+        except DomainError:
+            pass
+    raise DomainError(f"graph JSON: {where} is not an integer: {value!r}")
 
 
 def graph_from_json(data):
@@ -342,8 +345,8 @@ def graph_from_json(data):
                 for end in ("u", "v"))
         if u not in vids or v not in vids:
             raise DomainError(f"graph JSON: edge {eid} ends at an unknown vertex")
-        edges.append(Edge(eid, u, v, _weight_parse(e.get("weight", "1")),
-                          e.get("sign"), e.get("orientation")))
+        weight = _weight_parse(e.get("weight", "1"), f"edge {eid} weight")
+        edges.append(Edge(eid, u, v, weight, e.get("sign"), e.get("orientation")))
     faces = []
     for fi, walk in enumerate(_json_field(data, "faces", "the graph")):
         entries = []
@@ -351,12 +354,18 @@ def graph_from_json(data):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise DomainError(f"graph JSON: an entry of face {fi} is not an "
                                   f"[edge id, forward] pair: {entry!r}")
+            if type(entry[1]) not in (bool, int) or entry[1] not in (0, 1):
+                raise DomainError(f"graph JSON: a direction of face {fi} is not a "
+                                  f"boolean: {entry[1]!r}")
             entries.append((_json_int(entry[0], f"an edge id of face {fi}"), bool(entry[1])))
         faces.append(entries)
-    coords = {int(k): tuple(v) for k, v in data.get("coords", {}).items()}
+    coords = {_json_int(k, "a coordinate key"): tuple(v)
+              for k, v in data.get("coords", {}).items()}
+    infinite = data.get("infinite_face")
     return EmbeddedGraph(
         verts, edges, faces, data.get("surface", "sphere"),
-        data.get("infinite_face"), coords, data.get("flags"),
+        infinite if infinite is None else _json_int(infinite, "the infinite face"),
+        coords, data.get("flags"),
     )
 
 

@@ -15,22 +15,16 @@ from math import prod
 from kasteleyn.families import (
     FamilySpec,
     Partition,
-    _decorated_matrix,
-    build_family_graph,
-    delannoy_matrix,
+    _family_matrix,
     aztec_matrix_closed_form,
-    build_aztec_graph,
-    build_skew_graph,
+    family_matrix,
     jacobi_trudi,
 )
-from kasteleyn.graphs import (
-    adjacency_matrix,
-    enumerate_matchings,
-    kasteleyn_percus_sign,
-)
+from kasteleyn.graphs import enumerate_matchings
 from kasteleyn.matrices import (
     ExactMatrix,
     _det_and_qpoly_invariants,
+    _invariants,
     determinant,
     laurent_smith_attempt,
     stable_invariants,
@@ -135,18 +129,13 @@ def family_matrix_for_ring(spec, ring, q0=-1, tree_seed=0):
     stable invariants are seed-independent (Proposition-style check)."""
     if ring not in RINGS:
         raise DomainError(f"unknown report ring {ring!r}")
-    if spec.variant == "delannoy":
-        if ring != "z":
-            raise DomainError("the Delannoy family is an integer matrix family")
-        return delannoy_matrix(spec.n), "M", None
+    if spec.variant == "delannoy" and ring != "z":
+        raise DomainError("the Delannoy family is an integer matrix family")
     wants_q = ring in ("laurent", "qpoly", "z@q0")
-    spec2 = spec
     # the builder q-weights only the box variants and ignores q_mode elsewhere
-    if wants_q and spec.q_mode == "none":
-        spec2 = replace(spec, q_mode="cube")
-    if not wants_q and spec.q_mode != "none":
-        spec2 = replace(spec, q_mode="none")
-    M, kind, G = _decorated_matrix(build_family_graph(spec2), spec2.variant, tree_seed)
+    if wants_q == (spec.q_mode == "none"):
+        spec = replace(spec, q_mode="cube" if wants_q else "none")
+    M, kind, G = _family_matrix(spec, tree_seed)
     if ring == "z" and M.ring == "laurent":
         M = M.specialize_q(1)
     # a build without q-weights (no finite face) is an integer matrix, its
@@ -254,7 +243,6 @@ def run_report(spec, ring, q0=-1):
     that its check reads "skipped"."""
     t0 = time.perf_counter()
     M, kind, G = family_matrix_for_ring(spec, ring, q0)
-    form = None
     if ring == "laurent":
         attempt = laurent_smith_attempt(M, transforms=False)
         if not attempt.success:
@@ -266,8 +254,9 @@ def run_report(spec, ring, q0=-1):
                 {"normal_form": attempt.outcome,
                  "witness": [str(w) for w in (attempt.witness or ())]},
             )
-        form = attempt.smith
-    inv = stable_invariants(M, form)
+        inv = _invariants(ring, M.rows, attempt.smith.diagonal)
+    else:
+        inv = stable_invariants(M)
     # over a PID the invariant factors of an alternating matrix come in
     # equal pairs; the Laurent ring is not a PID
     if kind == "A" and ring != "laurent" and inv.factors[0::2] != inv.factors[1::2]:
@@ -601,8 +590,7 @@ def _verify_jt(ceiling):
                 inst = {"lam": list(lam), "mu": list(mu), "a": a}
                 J = jacobi_trudi(lam, mu, a)
                 D = jacobi_trudi(lam, mu, a, dual=True)
-                Z = build_skew_graph(Partition(lam), Partition(mu), a)
-                M = adjacency_matrix(Z, "bipartite")
+                M, _ = family_matrix(FamilySpec(variant="skew-shape", a=a, lam=lam, mu=mu))
                 invs = []
                 dets = []
                 for X in (J, D, M):
@@ -636,8 +624,7 @@ def _verify_aztec(max_n):
             failures.append({"n": n, "kind": "determinant"})
         if n > _AZTEC_GEOMETRIC_MAX:
             continue
-        Z = build_aztec_graph(n)
-        Mg = adjacency_matrix(kasteleyn_percus_sign(Z), "bipartite")
+        Mg, _, Z = _family_matrix(FamilySpec(variant="aztec", n=n))
         invg = stable_invariants(Mg)
         if invg.factors != expect or invg.free_rank != 0:
             failures.append({"n": n, "kind": "geometric",

@@ -1523,21 +1523,16 @@ class StableInvariants:
         return f"<StableInvariants free={self.free_rank} {list(self.factor_strings())}>"
 
 
-def _normalize_factor(d, ring_tag):
-    """Canonical representative modulo units (and modulo q-powers for the
-    polynomial rings, absorbing monomials in normalization); None if unit."""
-    if ring_tag == "z":
-        a = abs(d)
-        return None if a == 1 else a
-    if ring_tag == "laurent":
-        f = d.normal()
-        return None if f.is_one() else f
-    if ring_tag == "qpoly":
+def _normalize_factor(ad, d):
+    """The canonical representative of a nonzero factor d (None for a unit):
+    `ad.unit_and_normal`, except over Q[q], read modulo q-powers too, where
+    it is the primitive integer form of d without its power of q."""
+    if ad.tag == "qpoly":
         # d is nonzero; its q-power goes with its leading zero coefficients
         k = next(i for i, c in enumerate(d.coeffs) if c)
         f = RationalPoly(d.coeffs[k:]).primitive_integer_form()
         return None if f.degree() <= 0 else f
-    raise DomainError(f"unknown ring {ring_tag}")
+    return None if ad.is_unit(d) else ad.unit_and_normal(d)[1]
 
 
 def _laurent_form(M, transforms=False):
@@ -1549,22 +1544,20 @@ def _laurent_form(M, transforms=False):
     return attempt.smith
 
 
-def stable_invariants(M, form=None):
+def stable_invariants(M):
     """Unit-free invariant description used for stable-equivalence checks.
 
-    `form` is a finished normal form of M, reused as is.  Without one, the
-    Laurent ring runs `laurent_smith_attempt`; over "z" the Smith diagonal
-    is computed alone (`_smith_diagonal`, modulo the determinant once the
-    unit pivots run out, if the block left is square and nonsingular); over
-    "qpoly" the rows are packed into integers as for `determinant`, +-1
-    pivots clear them down to a block without +-1 entries, and only that
-    block, read back as polynomials, is finished: from its determinantal
-    divisors when it has at most two rows or at most two columns, else by
-    `_smith_diagonal` (`_packed_units`, `_packed_qpoly_invariants`).  None
-    builds witness transforms."""
-    if form is not None:
-        diagonal = form.diagonal
-    elif M.ring == "laurent":
+    The Laurent ring runs `laurent_smith_attempt`; over "z" the Smith
+    diagonal is computed alone (`_smith_diagonal`, modulo the determinant
+    once the unit pivots run out, if the block left is square and
+    nonsingular); over "qpoly" the rows are packed into integers as for
+    `determinant`, +-1 pivots clear them down to a block without +-1
+    entries, and only that block, read back as polynomials, is finished:
+    from its determinantal divisors when it has at most two rows or at most
+    two columns, else by `_smith_diagonal` (`_packed_units`,
+    `_packed_qpoly_invariants`).  None builds witness transforms; a finished
+    Smith diagonal is read through `_invariants`."""
+    if M.ring == "laurent":
         diagonal = _laurent_form(M).diagonal
     elif M.ring == "qpoly":
         _, block, pivots, b, _, _ = _packed_units(M)
@@ -1581,7 +1574,7 @@ def _invariants(ring, rows, diagonal):
     nonzero = [d for d in diagonal if not ad.is_zero(d)]
     factors = []
     for d in nonzero:
-        f = _normalize_factor(d, ring)
+        f = _normalize_factor(ad, d)
         if f is not None:
             factors.append(f)
     return StableInvariants(ring, rows - len(nonzero), factors)
@@ -2005,12 +1998,13 @@ def smith_report(M, include_transforms=False):
     """SmithForm / cokernel JSON-ready report.  Witness transforms are built
     only for include_transforms, and the invariants are read off that same
     form; otherwise `stable_invariants` alone runs."""
-    form = None
     if include_transforms:
         form = (_laurent_form(M, transforms=True) if M.ring == "laurent"
                 else smith_normal_form(M))
+        inv = _invariants(M.ring, M.rows, form.diagonal)
+    else:
+        inv = stable_invariants(M)
     ad = ring_adapter(M.ring)
-    inv = stable_invariants(M, form)
     report = {
         "schema_version": 1,
         "ring": M.ring,

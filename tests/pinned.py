@@ -30,7 +30,7 @@ from oracles import antipodal_cube_quotient
 
 from kasteleyn import FamilySpec, harness
 from kasteleyn.families import (
-    _decorated_matrix,
+    _family_matrix,
     build_family_graph,
     build_skew_graph,
     jacobi_trudi,
@@ -261,14 +261,15 @@ def builder_records():
     for key, spec in _builder_specs():
         try:
             G = build_family_graph(spec)
-            M, kind, R = _decorated_matrix(G, spec.variant)
+            M, kind, R = _family_matrix(spec)
         except DomainError as exc:
             records.append([key, "DomainError", str(exc)])
             continue
+        polygamous = any(v.kind != MONO for v in G.vertices)
         decorated = None
         if spec.variant != "skew-shape":
             decorated = _graph_text(kasteleyn_percus_sign(R) if kind == "M" else kasteleyn_orient(R))
-        records.append([key, _graph_text(G), None if R is G else _graph_text(R), decorated,
+        records.append([key, _graph_text(G), _graph_text(R) if polygamous else None, decorated,
                         kind, write_matrix(M)])
     for lam in harness._partitions_upto(6):
         for mu in harness._mu_candidates(lam):

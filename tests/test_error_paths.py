@@ -90,16 +90,23 @@ def test_stable_invariants_propagates_laurent_failure():
         stable_invariants(M)
 
 
+def _drop_first_factor(monkeypatch):
+    """Every report of the harness loses its first invariant factor, whether
+    read by `stable_invariants` or off the Laurent attempt's diagonal."""
+    stable, invariants = harness.stable_invariants, harness._invariants
+
+    def unpaired(inv):
+        return StableInvariants(inv.ring, inv.free_rank, inv.factors[1:])
+
+    monkeypatch.setattr(harness, "stable_invariants", lambda M: unpaired(stable(M)))
+    monkeypatch.setattr(harness, "_invariants", lambda *args: unpaired(invariants(*args)))
+
+
 def test_alternating_report_with_unpaired_factors_raises(monkeypatch):
     # the factors of A_kappa(2,2,2) pair up over every ring: (4, 4) over Z and
     # at q = -1, (1+q^2, 1+q^2) over Q[q]; drop one and only the PIDs object
     spec = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="kappa")
-
-    def unpaired(M, form=None):
-        inv = stable_invariants(M, form)
-        return StableInvariants(inv.ring, inv.free_rank, inv.factors[1:])
-
-    monkeypatch.setattr(harness, "stable_invariants", unpaired)
+    _drop_first_factor(monkeypatch)
     for ring in ("z", "qpoly", "z@q0"):
         with pytest.raises(ExactDivisionError, match=r"kappa.* over %s do not pair up" % ring):
             run_report(spec, ring)
@@ -109,11 +116,7 @@ def test_alternating_report_with_unpaired_factors_raises(monkeypatch):
 def test_cli_reports_an_arithmetic_fault_with_exit_three(monkeypatch, capsys):
     # a library fault must not read as a failed verdict (exit 1) or escape
     # as a traceback
-    def unpaired(M, form=None):
-        inv = stable_invariants(M, form)
-        return StableInvariants(inv.ring, inv.free_rank, inv.factors[1:])
-
-    monkeypatch.setattr(harness, "stable_invariants", unpaired)
+    _drop_first_factor(monkeypatch)
     code = main(["report", "--family", "ppbox-quotient", "--a", "2", "--b", "2",
                  "--c", "2", "--group", "kappa"])
     captured = capsys.readouterr()
@@ -264,6 +267,18 @@ def _set(path, value):
     (_set(("edges", 0, "id"), "a"), "edge id"),
     (_set(("edges", 0, "u"), 9), "unknown vertex"),
     (_set(("vertices", 2, "id"), 2.5), "vertex id"),
+    # integer text is read as the matrix text reads it: no `1_0`, no
+    # non-ASCII digit, no surrounding space
+    (_set(("vertices", 0, "id"), "0_0"), "vertex id is not an integer: '0_0'"),
+    (_set(("vertices", 0, "id"), "\u0660"), "vertex id is not an integer: '\u0660'"),
+    (_set(("edges", 0, "u"), " 0"), "edge 0 end u"),
+    (_set(("edges", 0, "weight"), "1_0"), "bad polynomial term '1_0'"),
+    (_set(("coords", "0_0"), [1, 1]), "coordinate key"),
+    (_set(("infinite_face",), "0_0"), "infinite face"),
+    # a direction is a boolean (or 1 or 0): the text "false" is truthy, and
+    # read as forward it would fail validate() far from its cause
+    (_set(("faces", 0, 0, 1), "false"), "direction of face 0 is not a boolean: 'false'"),
+    (_set(("faces", 1, 0, 1), 2), "direction of face 1 is not a boolean: 2"),
 ])
 def test_malformed_graph_json_raises_domain_error(edit, field):
     # each malformed field is named, not met as a bare KeyError, IndexError

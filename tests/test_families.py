@@ -24,6 +24,7 @@ from oracles import (
 from kasteleyn import families
 from kasteleyn.families import (
     FamilySpec,
+    _family_matrix,
     _solve_rational,
     GVGraph,
     Partition,
@@ -78,7 +79,13 @@ from kasteleyn.matrices import (
     smith_normal_form,
     stable_invariants,
 )
-from kasteleyn.harness import _mu_candidates, _partitions_upto, _round_instances
+from kasteleyn.harness import (
+    _mu_candidates,
+    _partitions_upto,
+    _round_instances,
+    family_matrix_for_ring,
+    run_report,
+)
 from kasteleyn.rings import DomainError, LaurentPoly, parse_laurent, q_integer
 
 
@@ -832,6 +839,29 @@ class TestFamilyDispatch:
         assert A.is_alternating()
         inv = invariant_pps("tau", 2, 2, 2)
         assert abs(pfaffian(A)) == len(inv)
+
+    def test_one_builder_keeps_its_cases(self):
+        # a skew shape whose resolution is empty, and one of two vertices
+        # and no edge: its signing is read off the graph, vacuously
+        M, kind, G = _family_matrix(FamilySpec(variant="skew-shape", a=1, lam=(1,), mu=(1,)))
+        assert (M.rows, M.cols, kind, G.n_vertices) == (0, 0, "M", 0)
+        M, kind, G = _family_matrix(FamilySpec(variant="skew-shape", a=1, lam=(1, 1)))
+        assert (M.to_lists(), kind, G.n_vertices, G.n_edges) == ([[0]], "M", 2, 0)
+        # the Delannoy matrix has no graph, and is an integer family only
+        spec = FamilySpec("delannoy", n=3)
+        assert _family_matrix(spec) == (delannoy_matrix(3), "M", None)
+        assert family_matrix_for_ring(spec, "z") == (delannoy_matrix(3), "M", None)
+        with pytest.raises(DomainError, match="integer matrix family"):
+            family_matrix_for_ring(spec, "laurent")
+        # a polygamous quotient: the graph returned is its resolution, and
+        # the report's oracle counts that graph
+        spec = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="tau")
+        build = build_family_graph(spec)
+        assert any(v.kind != MONO for v in build.vertices)
+        A, kind, G = _family_matrix(spec)
+        assert dump_graph(G) == dump_graph(monogamous_resolution(build))
+        assert (kind, A.rows) == ("A", G.n_vertices)
+        assert run_report(spec, "z").oracle_count == enumerate_matchings(G).count > 0
 
     def test_spec_json_roundtrip(self):
         spec = FamilySpec(variant="skew-shape", a=3, lam=(2, 1), mu=(1,))

@@ -192,17 +192,28 @@ class TestOracle:
 
     def test_dropped_or_repeated_factor_fails(self, monkeypatch):
         # the oracle must see a normal form that loses or repeats a factor
-        # (a pair of them for an alternating matrix)
-        real = harness.stable_invariants
+        # (a pair of them for an alternating matrix), whether it reads them
+        # through `stable_invariants` or off the Laurent attempt's diagonal
+        build, stable, invariants = (harness.family_matrix_for_ring,
+                                     harness.stable_invariants, harness._invariants)
+        kinds = []
+
+        def recording(*args, **kwargs):
+            out = build(*args, **kwargs)
+            kinds.append(out[1])
+            return out
+
+        monkeypatch.setattr(harness, "family_matrix_for_ring", recording)
         for edit in ("drop", "repeat"):
-            def tampered(M, form=None, edit=edit):
-                inv = real(M, form)
-                k = 2 if M.is_alternating() else 1
+            def tampered(inv, edit=edit):
+                k = 2 if kinds[-1] == "A" else 1
                 factors = list(inv.factors)
                 factors = factors[:-k] if edit == "drop" else factors + factors[-k:]
                 return StableInvariants(inv.ring, inv.free_rank, factors)
 
-            monkeypatch.setattr(harness, "stable_invariants", tampered)
+            monkeypatch.setattr(harness, "stable_invariants", lambda M: tampered(stable(M)))
+            monkeypatch.setattr(harness, "_invariants",
+                                lambda *args: tampered(invariants(*args)))
             for spec, ring, q0 in ((self.BOX222, "z", -1), (self.BOX222, "laurent", -1),
                                    (self.BOX222, "z@q0", 2), (self.TAU222, "z@q0", 2),
                                    (self.TAU222, "laurent", -1)):
@@ -283,8 +294,8 @@ class TestConjectureSuites:
         # bound, so the verdict fails and the witness names that factor only
         real = harness.stable_invariants
 
-        def padded(M, form=None):
-            inv = real(M, form)
+        def padded(M):
+            inv = real(M)
             if inv.ring != "z":
                 return inv
             k = 2 if M.is_alternating() else 1
@@ -370,19 +381,21 @@ class TestVerify:
 
 def _wrong_on_skew_graphs(monkeypatch, wrong):
     """Make `_det_and_qpoly_invariants` return wrong(det, inv) for every
-    skew-graph matrix M of the Jacobi-Trudi suite; J and D keep theirs."""
+    skew-graph matrix M of the Jacobi-Trudi suite, which `family_matrix`
+    builds; J and D keep theirs."""
     skew = []
-    adjacency, kernel = harness.adjacency_matrix, harness._det_and_qpoly_invariants
+    build, kernel = harness.family_matrix, harness._det_and_qpoly_invariants
 
-    def marked(*args):
-        skew.append(adjacency(*args))
-        return skew[-1]
+    def marked(spec):
+        M, kind = build(spec)
+        skew.append(M)
+        return M, kind
 
     def patched(X):
         det, inv = kernel(X)
         return wrong(det, inv) if any(X is M for M in skew) else (det, inv)
 
-    monkeypatch.setattr(harness, "adjacency_matrix", marked)
+    monkeypatch.setattr(harness, "family_matrix", marked)
     monkeypatch.setattr(harness, "_det_and_qpoly_invariants", patched)
 
 
@@ -475,6 +488,19 @@ class TestCli:
                                   "--c", "2", "--group", "tau", "--q-mode", "cube",
                                   "--wrong-parity", "--ring", "laurent"], capsys)
         assert (code, out) == (2, "") and err == "error: laurent normal form attempt failed: witnessed\n"
+
+    def test_integer_options_are_plain_integers(self, capsys):
+        # an integer option or a partition part is read as the matrix text
+        # reads an integer: no `1_0`, no non-ASCII digit; the space around
+        # a part is stripped
+        base = ["report", "--family", "skew-shape", "--a", "1", "--mu", "1"]
+        assert run_cli([*base, "--lam", " 2 , 1 "], capsys)[0] == 0
+        for option, value, bad in (("--lam", "3,1_0", "1_0"), ("--lam", "3,\u0661", "\u0661"),
+                                   ("--a", "1_0", "1_0"), ("--a", "\u0662", "\u0662"),
+                                   ("--a", " 2", " 2")):
+            code, out, err = run_cli([*base, option, value], capsys)
+            assert (code, out) == (2, ""), (option, value)
+            assert f"argument {option}: bad integer {bad!r}" in err, (option, value)
 
     def test_options_only_where_read(self, capsys):
         # snf ignores --format and report ignores --seed, so neither takes it

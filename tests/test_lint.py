@@ -66,17 +66,21 @@ def noop_ifs(index):
 
 def unreferenced_private(index):
     """A private module-level function, or private method of a module-level
-    class, whose name the library never reads as a name or an attribute."""
+    class (see `_methods`), whose name the library never reads as a name or
+    an attribute.  A binding is not a read: only names and attributes
+    loaded count."""
     defs, used = [], set()
     for path, tree in _library(index):
-        for body in [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]:
-            defs += [(f"{path}:{node.lineno}: {node.name}", node.name) for node in body
-                     if isinstance(node, _FUNCS)
-                     and node.name.startswith("_") and not node.name.endswith("__")]
+        members = [(node.lineno, node.name) for node in tree.body if isinstance(node, _FUNCS)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members += _methods(cls)
+        defs += [(f"{path}:{line}: {name}", name) for line, name in members
+                 if name.startswith("_") and not name.endswith("__")]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     return [f"{where} is defined but never referenced" for where, name in defs
             if name not in used]
@@ -201,6 +205,15 @@ def test_dependency_rule_flags_a_dependency():
 
         print(_used())
         """, ["src/kasteleyn/fake.py:2: _unused is defined but never referenced"]),
+    # a member bound by staticmethod is a method too, and its own binding
+    # does not read it
+    (unreferenced_private, """
+        class Box:
+            _side = staticmethod(abs)
+            _area = staticmethod(len)
+
+        print(Box._area)
+        """, ["src/kasteleyn/fake.py:3: _side is defined but never referenced"]),
     # `area` is read only as a local name, which does not reference Box.area
     (unreferenced_public, """
         class Box:

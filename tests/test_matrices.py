@@ -172,12 +172,17 @@ class TestSmithDiagonal:
     def test_witness_verifies_after_unit_pivot_shortcut(self):
         assert smith_normal_form(shuffled_binomial(10, 0), verify=True)
 
-    def test_stable_invariants_reuses_form(self):
+    def test_invariants_read_off_a_finished_form(self):
+        # a caller that holds a finished form (smith_report with transforms,
+        # the Laurent attempt of run_report) reads its invariants through
+        # `_invariants`, and they are those `stable_invariants` computes
         laurent = ExactMatrix.diagonal([q_integer(2), q_integer(2) * q_integer(3)], "laurent")
         for M in self.cases():
-            assert stable_invariants(M, smith_normal_form(M)) == stable_invariants(M)
+            diagonal = smith_normal_form(M).diagonal
+            assert matrices._invariants(M.ring, M.rows, diagonal) == stable_invariants(M)
         form = laurent_smith_attempt(laurent).smith
-        assert stable_invariants(laurent, form) == stable_invariants(laurent)
+        assert (matrices._invariants("laurent", laurent.rows, form.diagonal)
+                == stable_invariants(laurent))
 
     def modular_cases(self):
         """Integer matrices whose Smith diagonal is finished modulo the
@@ -511,7 +516,7 @@ def qpoly_invariants_reference(M):
     """(free rank, factors) of a Q[q] matrix read off `_smith_diagonal`,
     the generic Smith elimination of the whole matrix."""
     diagonal = [d for d in _smith_diagonal(M) if not d.is_zero()]
-    factors = [matrices._normalize_factor(d, "qpoly") for d in diagonal]
+    factors = [matrices._normalize_factor(matrices.ring_adapter("qpoly"), d) for d in diagonal]
     return M.rows - len(diagonal), tuple(f for f in factors if f is not None)
 
 
@@ -1234,7 +1239,7 @@ class TestLaurentAttempt:
             ML = M.map_ring("laurent", LaurentPoly.coerce)
             out = laurent_smith_attempt(ML)
             assert out.success, M.entries
-            got = stable_invariants(ML, out.smith)
+            got = matrices._invariants("laurent", ML.rows, out.smith.diagonal)
             want = stable_invariants(M)
             assert got.free_rank == want.free_rank, M.entries
             assert list(got.factors) == [LaurentPoly.coerce(f) for f in want.factors], M.entries
