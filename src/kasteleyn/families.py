@@ -41,11 +41,20 @@ from kasteleyn.rings import DomainError, LaurentPoly, gaussian_binomial
 # partitions
 
 
+def _plain_int(value, field):
+    """`value` when it is a plain int, else DomainError naming `field`: a
+    bool, a float or text is refused, not read by `int()`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{field} must be an integer: {value!r}")
+
+
 class Partition:
-    """Weakly decreasing nonnegative parts; trailing zeros are dropped."""
+    """Weakly decreasing nonnegative integer parts; trailing zeros are
+    dropped."""
 
     def __init__(self, parts=()):
-        ps = [int(p) for p in parts]
+        ps = [_plain_int(p, "a partition part") for p in parts]
         while ps and ps[-1] == 0:
             ps.pop()
         if any(p < 0 for p in ps):
@@ -138,6 +147,11 @@ class FamilySpec:
             raise DomainError(f"unknown q_mode {self.q_mode!r}")
         self.lam = tuple(self.lam)
         self.mu = tuple(self.mu)
+        for name in ("a", "b", "c", "d", "e", "n"):
+            _plain_int(getattr(self, name), name)
+        for name in ("lam", "mu"):
+            for part in getattr(self, name):
+                _plain_int(part, f"a part of {name}")
         if min(self.a, self.b, self.c, self.n, 0) < 0:
             raise DomainError("parameters must be nonnegative")
         if _needs_rho(self.group) and not (self.a == self.b == self.c):
@@ -492,7 +506,7 @@ def tie_quotient(G, bisected, wrong_parity=False):
     vertex id, and tie its cut stubs to one polygamous vertex (parity per the
     even-total rule, flipped by wrong_parity)."""
     bis = set(bisected)
-    comp = G._components(bis)
+    comp = G._components(bis)[0]
     kept_root = min(comp.values())
     kept = {v for v, r in comp.items() if r == kept_root}
     if all((G.edge(eid).u in kept) == (G.edge(eid).v in kept) for eid in bis):
@@ -610,20 +624,17 @@ def symmetry_quotient(spec):
 
 
 def impossible_variant(spec):
-    """The deliberately-matchless variants: all-odd kappa quotients, the
-    flipped central-edge conventions Z'_kappa, wrong-parity polygamous
-    quotients Z'_G, and hexagons minus an off-size triangle."""
+    """The deliberately-matchless quotients: all-odd kappa quotients, the
+    flipped central-edge conventions Z'_kappa and the wrong-parity quotients
+    Z'_G of the groups holding tau itself, whose cut has a tie to flip; no
+    other group has one."""
     a, b, c, g = spec.a, spec.b, spec.c, spec.group
-    if spec.variant == "hex-minus-triangle":
-        if spec.d == spec.e:
-            raise DomainError("d = e is the possible variant, not an impossible one")
-        return build_hex_minus_triangle(a, b, c, spec.d, spec.e)
     if g == "kappa":
         # without a central edge (all dimensions odd, or all even) this is
         # the plain quotient; all-odd has odd vertex count, the impossible
         # enumeration
         return _kappa_quotient(a, b, c, flipped=True)
-    if g == "rho,kappa" or _needs_tau(g):
+    if "t" in _GROUPS[g]:
         return symmetry_quotient(replace(spec, wrong_parity=True))
     raise DomainError(f"no impossible variant for group {g!r}")
 

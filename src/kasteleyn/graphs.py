@@ -148,14 +148,15 @@ class EmbeddedGraph:
         return True
 
     def _components(self, cut=()):
-        """Component root (its smallest vertex id) of every vertex, with the
-        edges whose ids are in `cut` removed."""
+        """(root, parity): the component root (its smallest vertex id) of
+        every vertex and its depth parity, 0 or 1, in the search tree from
+        that root, with the edges whose ids are in `cut` removed."""
         emap, adj = self._emap, self._adj
-        root = {}
+        root, parity = {}, {}
         for start in sorted(self._vmap):
             if start in root:
                 continue
-            root[start] = start
+            root[start], parity[start] = start, 0
             stack = [start]
             while stack:
                 v = stack.pop()
@@ -165,31 +166,15 @@ class EmbeddedGraph:
                     e = emap[eid]
                     w = e.v if e.u == v else e.u
                     if w not in root:
-                        root[w] = start
+                        root[w], parity[w] = start, parity[v] ^ 1
                         stack.append(w)
-        return root
+        return root, parity
 
     def is_bipartite(self):
-        """Two-colorability test, ignoring stored colors."""
-        color = {}
-        for start in sorted(self._vmap):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for eid in self._adj[v]:
-                    e = self._emap[eid]
-                    if e.is_loop():
-                        return False
-                    w = e.other(v)
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return False
-        return True
+        """Two-colorability test, ignoring stored colors: no edge, a loop
+        included, joins two vertices of one search-tree parity."""
+        parity = self._components()[1]
+        return all(parity[e.u] != parity[e.v] for e in self.edges)
 
     def walk_vertices(self, walk):
         """Vertex sequence visited by a face walk (start vertex of each entry)."""
@@ -227,7 +212,7 @@ class EmbeddedGraph:
         if self.surface == "sphere":
             # every component carries its own face walks (an isolated vertex
             # contributes one empty walk), so V - E + F = 2 per component
-            target = 2 * len(set(self._components().values()))
+            target = 2 * len(set(self._components()[0].values()))
         else:
             target = 1
         if euler != target:
@@ -329,28 +314,56 @@ def _json_int(value, where):
     raise DomainError(f"graph JSON: {where} is not an integer: {value!r}")
 
 
+def _json_array(value, where):
+    """`value` when it is a JSON array, else DomainError naming `where`."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise DomainError(f"graph JSON: {where} is not an array: {value!r}")
+
+
+def _json_object(value, where):
+    """`value` when it is a JSON object or absent (None gives {}), else
+    DomainError naming `where`."""
+    if value is None or isinstance(value, dict):
+        return value or {}
+    raise DomainError(f"graph JSON: {where} is not an object: {value!r}")
+
+
+def _json_unit(value, where):
+    """A sign or orientation from JSON: null, or 1 or -1 as `_json_int`
+    reads it."""
+    if value is None:
+        return None
+    unit = _json_int(value, where)
+    if unit not in (1, -1):
+        raise DomainError(f"graph JSON: {where} is not 1, -1 or null: {value!r}")
+    return unit
+
+
 def graph_from_json(data):
     """The graph of `graph_to_json`; malformed data raises DomainError
     naming the field."""
     verts = [
         Vertex(_json_int(_json_field(v, "id", "a vertex"), "vertex id"),
                v.get("kind", MONO), v.get("color"), v.get("label"))
-        for v in _json_field(data, "vertices", "the graph")
+        for v in _json_array(_json_field(data, "vertices", "the graph"), "vertices")
     ]
     vids = {v.id for v in verts}
     edges = []
-    for e in _json_field(data, "edges", "the graph"):
+    for e in _json_array(_json_field(data, "edges", "the graph"), "edges"):
         eid = _json_int(_json_field(e, "id", "an edge"), "edge id")
         u, v = (_json_int(_json_field(e, end, f"edge {eid}"), f"edge {eid} end {end}")
                 for end in ("u", "v"))
         if u not in vids or v not in vids:
             raise DomainError(f"graph JSON: edge {eid} ends at an unknown vertex")
         weight = _weight_parse(e.get("weight", "1"), f"edge {eid} weight")
-        edges.append(Edge(eid, u, v, weight, e.get("sign"), e.get("orientation")))
+        sign, orient = (_json_unit(e.get(key), f"edge {eid} {key}")
+                        for key in ("sign", "orientation"))
+        edges.append(Edge(eid, u, v, weight, sign, orient))
     faces = []
-    for fi, walk in enumerate(_json_field(data, "faces", "the graph")):
+    for fi, walk in enumerate(_json_array(_json_field(data, "faces", "the graph"), "faces")):
         entries = []
-        for entry in walk:
+        for entry in _json_array(walk, f"face {fi}"):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise DomainError(f"graph JSON: an entry of face {fi} is not an "
                                   f"[edge id, forward] pair: {entry!r}")
@@ -359,13 +372,18 @@ def graph_from_json(data):
                                   f"boolean: {entry[1]!r}")
             entries.append((_json_int(entry[0], f"an edge id of face {fi}"), bool(entry[1])))
         faces.append(entries)
-    coords = {_json_int(k, "a coordinate key"): tuple(v)
-              for k, v in data.get("coords", {}).items()}
+    coords = {}
+    for k, xy in _json_object(data.get("coords"), "coords").items():
+        vid = _json_int(k, "a coordinate key")
+        if len(_json_array(xy, f"the coordinate pair of vertex {vid}")) != 2:
+            raise DomainError(f"graph JSON: the coordinate pair of vertex {vid} "
+                              f"has not two entries: {xy!r}")
+        coords[vid] = tuple(_json_int(x, f"a coordinate of vertex {vid}") for x in xy)
     infinite = data.get("infinite_face")
     return EmbeddedGraph(
         verts, edges, faces, data.get("surface", "sphere"),
         infinite if infinite is None else _json_int(infinite, "the infinite face"),
-        coords, data.get("flags"),
+        coords, _json_object(data.get("flags"), "flags"),
     )
 
 
@@ -1265,7 +1283,7 @@ def reflection_quotient(G, vertex_map, edge_map, bisected, wrong_parity=False):
 
     # components of G minus the bisected edges pair up under the reflection;
     # keep the one with the smaller root of each pair
-    comp = G._components(bis)
+    comp = G._components(bis)[0]
     kept_roots = set()
     for r in set(comp.values()):
         mirror = comp[vertex_map[r]]

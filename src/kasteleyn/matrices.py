@@ -1052,36 +1052,38 @@ def _int_adjugate(rows):
     return prev, [row[n:] for row in A]
 
 
-def _pid_smith(M, transforms):
-    """`_smith` over a PID ("z" or "qpoly"); returns the finished workspace."""
+def _smith_form(M, transforms):
+    """The finished SmithForm of M over any ring tag, transforms only if
+    asked: `_smith` on a workspace over "z" and "qpoly", `laurent_smith_attempt`
+    over "laurent", where a stuck attempt is a refusal (DomainError)."""
     if M.ring == "laurent":
-        raise DomainError("laurent matrices go through laurent_smith_attempt")
+        attempt = laurent_smith_attempt(M, transforms=transforms)
+        if not attempt.success:
+            raise DomainError(f"laurent normal form attempt failed: {attempt.outcome}")
+        return attempt.smith
     ws = _Workspace(M, transforms)
     _smith(ws)
-    return ws
+    return SmithForm(M.ring, (ws.m, ws.n), ws.diagonal(), *ws.transforms())
 
 
 def smith_normal_form(M, verify=False):
-    """Smith normal form over a PID ring tag ("z" or "qpoly"), with
-    unit-determinant witness transforms L, R (L * M * R = diagonal).  Only
-    callers that read L or R need this; `cokernel_of`, `stable_invariants`
-    and `fourier_duality_matrix` compute the same diagonal without them
-    (`_smith_diagonal`).  Over "z" a square nonsingular block left without
-    units is finished modulo its determinant here too, so the entries of L
-    and R stay bounded by that route (`_finish_modulo_det`)."""
-    ws = _pid_smith(M, transforms=True)
-    form = SmithForm(M.ring, (ws.m, ws.n), ws.diagonal(), *ws.transforms())
+    """Smith normal form of M over any ring tag, with unit-determinant
+    witness transforms L, R (L * M * R = diagonal); over "laurent" a stuck
+    attempt is refused (`_smith_form`).  Only callers that read L or R need
+    this; the others take the same diagonal without them (`_smith_diagonal`).
+    Over "z" a square nonsingular block left without units is finished
+    modulo its determinant here too, so L and R stay bounded by that route
+    (`_finish_modulo_det`)."""
+    form = _smith_form(M, transforms=True)
     if verify:
         form.verify(M)
     return form
 
 
 def _smith_diagonal(M):
-    """The Smith diagonal of `smith_normal_form(M)`, without building L, R:
-    the same unit pivots, and over "z" the same finish modulo the
-    determinant of a square nonsingular block left without units
-    (`_finish_modulo_det`), any other block by the same elimination."""
-    return tuple(_pid_smith(M, transforms=False).diagonal())
+    """The diagonal of `smith_normal_form(M)` by the same elimination,
+    without building L and R."""
+    return _smith_form(M, transforms=False).diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -1535,36 +1537,19 @@ def _normalize_factor(ad, d):
     return None if ad.is_unit(d) else ad.unit_and_normal(d)[1]
 
 
-def _laurent_form(M, transforms=False):
-    """The Laurent normal form of M, with its transforms only if asked for;
-    DomainError when the attempt fails (a stuck heuristic is a refusal)."""
-    attempt = laurent_smith_attempt(M, transforms=transforms)
-    if not attempt.success:
-        raise DomainError(f"laurent normal form attempt failed: {attempt.outcome}")
-    return attempt.smith
-
-
 def stable_invariants(M):
-    """Unit-free invariant description used for stable-equivalence checks.
-
-    The Laurent ring runs `laurent_smith_attempt`; over "z" the Smith
-    diagonal is computed alone (`_smith_diagonal`, modulo the determinant
-    once the unit pivots run out, if the block left is square and
-    nonsingular); over "qpoly" the rows are packed into integers as for
-    `determinant`, +-1 pivots clear them down to a block without +-1
+    """Unit-free invariant description used for stable-equivalence checks:
+    the Smith diagonal without witness transforms (`_smith_diagonal`) read
+    through `_invariants`.  Over "qpoly" the rows are packed into integers
+    as for `determinant`, +-1 pivots clear them down to a block without +-1
     entries, and only that block, read back as polynomials, is finished:
-    from its determinantal divisors when it has at most two rows or at most
-    two columns, else by `_smith_diagonal` (`_packed_units`,
-    `_packed_qpoly_invariants`).  None builds witness transforms; a finished
-    Smith diagonal is read through `_invariants`."""
-    if M.ring == "laurent":
-        diagonal = _laurent_form(M).diagonal
-    elif M.ring == "qpoly":
+    from its determinantal divisors when it has at most two rows or
+    columns, else by `_smith_diagonal` (`_packed_units`,
+    `_packed_qpoly_invariants`)."""
+    if M.ring == "qpoly":
         _, block, pivots, b, _, _ = _packed_units(M)
         return _packed_qpoly_invariants(M, block, pivots, b)
-    else:
-        diagonal = _smith_diagonal(M)
-    return _invariants(M.ring, M.rows, diagonal)
+    return _invariants(M.ring, M.rows, _smith_diagonal(M))
 
 
 def _invariants(ring, rows, diagonal):
@@ -1999,8 +1984,7 @@ def smith_report(M, include_transforms=False):
     only for include_transforms, and the invariants are read off that same
     form; otherwise `stable_invariants` alone runs."""
     if include_transforms:
-        form = (_laurent_form(M, transforms=True) if M.ring == "laurent"
-                else smith_normal_form(M))
+        form = smith_normal_form(M)
         inv = _invariants(M.ring, M.rows, form.diagonal)
     else:
         inv = stable_invariants(M)

@@ -223,20 +223,12 @@ class LaurentPoly:
         return q
 
     def try_divide(self, other):
+        """self / other by the long division `_divide_dense`, or None."""
         other = LaurentPoly.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        if len(other._terms) == 1:
-            # by a monomial c0 q^e0: divide term by term and shift
-            ((e0, c0),) = other._terms.items()
-            terms = {}
-            for e, c in self._terms.items():
-                if c % c0:
-                    return None
-                terms[e - e0] = c // c0
-            return LaurentPoly._from_terms(terms)
         lo_n, num = self._dense()
         lo_d, den = other._dense()
         quot = _divide_dense(num, den)

@@ -279,6 +279,21 @@ def _set(path, value):
     # read as forward it would fail validate() far from its cause
     (_set(("faces", 0, 0, 1), "false"), "direction of face 0 is not a boolean: 'false'"),
     (_set(("faces", 1, 0, 1), 2), "direction of face 1 is not a boolean: 2"),
+    # a field of the wrong JSON type is named, not met as a bare TypeError
+    # or AttributeError, and a sign or orientation is 1, -1 or null, never
+    # the bool true (which equals 1)
+    (_set(("coords",), {"0": 5}), "coordinate pair of vertex 0 is not an array: 5"),
+    (_set(("coords",), [1]), "coords is not an object"),
+    (_set(("coords", "0"), [1, 2, 3]), "coordinate pair of vertex 0 has not two entries"),
+    (_set(("coords", "0"), [1, 0.5]), "a coordinate of vertex 0 is not an integer"),
+    (_set(("flags",), [1]), "flags is not an object"),
+    (_set(("vertices",), 3), "vertices is not an array"),
+    (_set(("edges",), 3), "edges is not an array"),
+    (_set(("faces",), 3), "faces is not an array"),
+    (_set(("faces", 0), 3), "face 0 is not an array"),
+    (_set(("edges", 0, "sign"), True), "edge 0 sign is not an integer: True"),
+    (_set(("edges", 0, "orientation"), True), "edge 0 orientation is not an integer: True"),
+    (_set(("edges", 0, "sign"), 2), "edge 0 sign is not 1, -1 or null: 2"),
 ])
 def test_malformed_graph_json_raises_domain_error(edit, field):
     # each malformed field is named, not met as a bare KeyError, IndexError

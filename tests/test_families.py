@@ -21,7 +21,7 @@ from oracles import (
     transit_free_resolution_reference,
 )
 
-from kasteleyn import families
+from kasteleyn import cli, families
 from kasteleyn.families import (
     FamilySpec,
     _family_matrix,
@@ -395,13 +395,15 @@ class TestHexMinusTriangle:
 
     def test_impossible_variant_unbalanced(self):
         spec = FamilySpec(variant="hex-minus-triangle", a=2, b=2, c=2, d=1, e=-1)
-        Z = impossible_variant(spec)
+        Z = build_family_graph(spec)
         blacks = sum(1 for v in Z.vertices if v.color == "black")
         whites = Z.n_vertices - blacks
         assert blacks != whites
         assert enumerate_matchings(Z).count == 0
 
     def test_d_equals_e_rejected_as_impossible(self):
+        # the impossible variants are quotients: no hexagon-minus-triangle
+        # spec, d = e or not, names one
         spec = FamilySpec(variant="hex-minus-triangle", a=2, b=2, c=2, d=1, e=1)
         with pytest.raises(DomainError):
             impossible_variant(spec)
@@ -878,9 +880,38 @@ class TestFamilyDispatch:
             assert (G.n_vertices, enumerate_matchings(G).count) == (n_vertices, count)
 
     def test_impossible_rho_kappa_is_the_quotient(self):
-        spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group="rho,kappa")
-        quotient = FamilySpec(variant="ppbox-quotient", a=2, b=2, c=2, group="rho,kappa")
-        assert dump_graph(impossible_variant(spec)) == dump_graph(build_family_graph(quotient))
+        # wrong parity flips only the tie of a tau cut: a group without tau
+        # itself would build its possible quotient (one tiling at (2,2,2)
+        # for rho,kappa), so it has no impossible variant
+        for group in ("rho,kappa", "rho", "kappa-tau", "kappa-tau,rho", "1"):
+            spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group=group)
+            with pytest.raises(DomainError, match=f"no impossible variant for group '{group}'"):
+                build_family_graph(spec)
+        argv = ["coker", "--family", "ppbox-impossible", "--a", "2", "--b", "2", "--c", "2",
+                "--group", "rho,kappa"]
+        assert cli.main(argv) == 2
+        for group in ("tau", "tau,kappa", "tau,rho", "tau,rho,kappa"):
+            spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group=group)
+            assert enumerate_matchings(build_family_graph(spec)).count == 0
+
+    def test_spec_integers_are_plain(self):
+        # a float part was read by int() (lam = (2.9, 1) built (2, 1)), text
+        # and True read as integers, and a float dimension met range()
+        for kwargs, field in (
+            (dict(variant="skew-shape", a=2, lam=(2.9, 1)), "a part of lam"),
+            (dict(variant="skew-shape", a=2, lam=(2, 1), mu=("1",)), "a part of mu"),
+            (dict(variant="skew-shape", a=2, lam=(2, True)), "a part of lam"),
+            (dict(a=2.0, b=2, c=2), "a"),
+            (dict(a=True, b=1, c=1), "a"),
+            (dict(variant="hex-minus-triangle", a=1, b=1, c=1, d=0, e=-1.0), "e"),
+            (dict(variant="aztec", n="2"), "n"),
+        ):
+            with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+                FamilySpec(**kwargs)
+        for parts in (["3", True], [2.0], [3, False]):
+            with pytest.raises(DomainError, match="a partition part must be an integer"):
+                Partition(parts)
+        assert Partition([3, 1, 0]).parts == (3, 1)
 
 
 class TestBuildersPinned:

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import pinned
-from oracles import (enumerate_matchings_reference, is_valid_matching, macmahon_box_qgen,
-                     polys_equal_up_to_unit, rotation_at)
+from oracles import (antipodal_cube_quotient, enumerate_matchings_reference, is_valid_matching,
+                     macmahon_box_qgen, mobius_ladder, polys_equal_up_to_unit, rotation_at,
+                     split_antipodal_quotient)
 
 from kasteleyn.graphs import (
     EVEN,
@@ -36,6 +37,7 @@ from kasteleyn.families import (
     build_family_graph,
     triangle_region_graph,
 )
+from kasteleyn.harness import _round_instances
 from kasteleyn.matrices import determinant, pfaffian
 from kasteleyn.rings import LaurentPoly
 
@@ -173,6 +175,35 @@ class TestValidation:
         # one face listing the edge twice: V-E+F = 2 for the connected path
         G = EmbeddedGraph(verts, edges, [[(0, True), (0, False)]], "sphere", 0)
         assert G.validate()
+
+
+class TestBipartite:
+    """`is_bipartite` reads the parity of one search (`_components`)."""
+
+    def test_agrees_with_the_stored_colors(self):
+        colored = 0
+        for _, spec, _ in _round_instances(6):
+            try:
+                G = build_family_graph(spec)
+            except DomainError:     # the Delannoy matrices, off-size triangles
+                continue
+            if G.is_bipartite_colored():
+                colored += 1
+                assert G.is_bipartite()
+        assert colored == 97
+
+    def test_odd_cycles_and_loops(self):
+        triangle = build_from_coords({0: (0, 0), 1: (2, 0), 2: (0, 2)}, [(0, 1), (1, 2), (2, 0)])
+        assert not triangle.is_bipartite()
+        assert square_cycle(colors=False).is_bipartite()
+        loop = EmbeddedGraph([Vertex(0), Vertex(1)], [Edge(0, 0, 1), Edge(1, 1, 1)],
+                             [[(0, True), (1, True), (0, False)], [(1, False)]], "sphere", 0)
+        assert not loop.is_bipartite()
+        # the Moebius ladder M_2k is bipartite iff k is odd (M_6 = K_{3,3})
+        for k in range(2, 9):
+            assert mobius_ladder(k).is_bipartite() == (k % 2 == 1)
+        assert not antipodal_cube_quotient().is_bipartite()
+        assert not split_antipodal_quotient().is_bipartite()
 
 
 class TestPercusSign:

@@ -4,15 +4,20 @@ One index parses every .py file under src/kasteleyn, tests and bench once;
 each rule reads it and lists its offenders as "path:line: ...".  Each rule is
 also run on a small source that breaks it, so a rule that stops flagging
 anything fails here too.  README "Library use" is the registry of public
-definitions that only tests call, and its example block runs here.
+definitions that only tests call, and its example block runs here, as does
+the command block of README "CLI".
 """
 
 import ast
+import json
 import pathlib
 import re
+import shlex
 from textwrap import dedent
 
 import pytest
+
+from kasteleyn import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY = "src/kasteleyn/"
@@ -86,9 +91,14 @@ def unreferenced_private(index):
             if name not in used]
 
 
+def readme_section(title):
+    """The text of README's section `## title`."""
+    return (ROOT / "README.md").read_text().split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
 def library_use():
     """The text of README's "Library use" section."""
-    return (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
+    return readme_section("Library use")
 
 
 def documented_names(text):
@@ -173,6 +183,29 @@ def test_library_use_example():
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     assert values == [20, "Z/2 + Z/10",
                       ["1 + q^2", "1 + q + 2*q^2 + 2*q^3 + 2*q^4 + q^5 + q^6"]]
+
+
+def test_cli_example(capsys):
+    # each `kasteleyn ...` line of the README "CLI" block runs through
+    # `cli.main` and exits 0, and a `# -> ` comment under it holds: a JSON
+    # object (`...` standing for the other keys) is a part of the output,
+    # any other text a line of it
+    block = readme_section("CLI").split("```sh\n")[1].split("```")[0]
+    runs = 0
+    for line in block.splitlines():
+        if line.startswith("kasteleyn "):
+            argv = shlex.split(line.split("#")[0])[1:]
+            capsys.readouterr()
+            assert cli.main(argv) == 0, line
+            out = capsys.readouterr().out
+            runs += 1
+        elif line.startswith("# -> {"):
+            want = json.loads(line[len("# -> "):].replace(", ...}", "}"))
+            got = json.loads(out)
+            assert {k: got[k] for k in want} == want, argv
+        elif line.startswith("# -> "):
+            assert line[len("# -> "):] in out.splitlines(), argv
+    assert runs == 11
 
 
 def test_dependency_rule_flags_a_dependency():

@@ -133,8 +133,22 @@ class TestSmithNormalForm:
         assert form.diagonal[1].monic() == form.diagonal[1]
 
     def test_laurent_rejected(self):
-        with pytest.raises(DomainError):
-            smith_normal_form(LQ([["q"]]))
+        # over the Laurent ring the form is a finished attempt's, for
+        # M(1,1,2;q) and for a unit matrix; a stuck attempt is refused as
+        # `stable_invariants` refuses it
+        box = FamilySpec(variant="ppbox", a=1, b=1, c=2, q_mode="cube")
+        M, _, _ = harness.family_matrix_for_ring(box, "laurent")
+        for M in (M, LQ([["1", "0"], ["0", "-q^3"]])):
+            form = smith_normal_form(M, verify=True)
+            assert form.diagonal == laurent_smith_attempt(M).smith.diagonal == _smith_diagonal(M)
+            assert smith_report(M, include_transforms=True)["invariant_factors"] == \
+                smith_report(M)["invariant_factors"]
+        spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group="tau",
+                          q_mode="cube", wrong_parity=True)
+        M, _, _ = harness.family_matrix_for_ring(spec, "laurent")
+        for route in (smith_normal_form, stable_invariants):
+            with pytest.raises(DomainError, match="laurent normal form attempt failed: witnessed"):
+                route(M)
 
 
 def signed_box(d, seed):
