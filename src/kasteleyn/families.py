@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from heapq import heappop, heappush
 from math import comb, floor
 
@@ -30,8 +29,10 @@ from kasteleyn.graphs import (
     adjacency_matrix,
     trace_faces,
     _cut_and_tie,
+    _edge_perm_from_vertex_perm,
     _rotation,
     _Surgeon,
+    _swapped_edges,
 )
 from kasteleyn.matrices import ExactMatrix
 from kasteleyn.rings import DomainError, LaurentPoly, gaussian_binomial
@@ -70,7 +71,8 @@ class Partition:
         return self.parts[i] if i < len(self.parts) else 0
 
     def __eq__(self, other):
-        other = Partition(other) if not isinstance(other, Partition) else other
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self.parts == other.parts
 
     def __hash__(self):
@@ -145,13 +147,15 @@ class FamilySpec:
             raise DomainError(f"unknown group {self.group!r}")
         if self.q_mode not in ("none", "cube", "orbit"):
             raise DomainError(f"unknown q_mode {self.q_mode!r}")
-        self.lam = tuple(self.lam)
-        self.mu = tuple(self.mu)
+        if not isinstance(self.wrong_parity, bool):
+            raise DomainError(f"wrong_parity must be a bool: {self.wrong_parity!r}")
         for name in ("a", "b", "c", "d", "e", "n"):
             _plain_int(getattr(self, name), name)
         for name in ("lam", "mu"):
-            for part in getattr(self, name):
-                _plain_int(part, f"a part of {name}")
+            parts = getattr(self, name)
+            if not isinstance(parts, (list, tuple)):
+                raise DomainError(f"{name} must be a list or tuple of parts: {parts!r}")
+            setattr(self, name, tuple(_plain_int(p, f"a part of {name}") for p in parts))
         if min(self.a, self.b, self.c, self.n, 0) < 0:
             raise DomainError("parameters must be nonnegative")
         if _needs_rho(self.group) and not (self.a == self.b == self.c):
@@ -233,22 +237,22 @@ def triangle_region_graph(tris, exclude_edges=()):
     return G
 
 
-def _band_tris(X, Y, S1, S2):
-    """Triangles of the box 0 <= x <= X, 0 <= y <= Y whose corners all lie
-    in the band S1 <= x + y <= S2."""
+def _convex_tris(xs, ys, ss):
+    """The unit triangles whose corners (x, y) all satisfy xs[0] <= x <= xs[1],
+    ys[0] <= y <= ys[1] and ss[0] <= x + y <= ss[1]."""
     tris = set()
-    for x in range(X):
-        for y in range(Y):
-            if S1 <= x + y <= S2 - 1:
+    for x in range(xs[0], xs[1]):
+        for y in range(ys[0], ys[1]):
+            if ss[0] <= x + y < ss[1]:
                 tris.add(("U", x, y))
-            if S1 - 1 <= x + y <= S2 - 2:
+            if ss[0] <= x + y + 1 < ss[1]:
                 tris.add(("D", x, y))
     return tris
 
 
 def hexagon_tris(a, b, c):
     """Triangles of the (a, b, c) semiregular hexagon."""
-    return _band_tris(b + c, a + c, c, a + b + c)
+    return _convex_tris((0, b + c), (0, a + c), (c, a + b + c))
 
 
 def build_hexagon_graph(a, b, c):
@@ -264,36 +268,16 @@ def hexagon_minus_triangle_tris(a, b, c, d, e):
     if min(a, b, c) < 1 or d < 0:
         raise DomainError("bad hexagon-minus-triangle parameters")
     X, Y, S1, S2 = a + b + d, b + c + d, b, a + b + c + d
-    tris = _band_tris(X, Y, S1, S2)
+    tris = _convex_tris((0, X), (0, Y), (S1, S2))
     if e == 0:
         return tris
-    cx = Fraction(S1 + S2 + 2 * X - Y, 6)
-    cy = Fraction(S1 + S2 + 2 * Y - X, 6)
-
-    def rnd(t):
-        return floor(t + Fraction(1, 2))
-
-    removed = set()
-    if e > 0:
-        x0 = rnd(cx - Fraction(e, 3))
-        y0 = rnd(cy - Fraction(e, 3))
-        for x in range(x0, x0 + e):
-            for y in range(y0, y0 + e):
-                if x + y <= x0 + y0 + e - 1:
-                    removed.add(("U", x, y))
-                if x + y <= x0 + y0 + e - 2:
-                    removed.add(("D", x, y))
-    else:
-        m = -e
-        x0 = rnd(cx + Fraction(m, 3))
-        y0 = rnd(cy + Fraction(m, 3))
-        s0 = x0 + y0 - m
-        for x in range(x0 - m, x0):
-            for y in range(y0 - m, y0):
-                if x + y >= s0:
-                    removed.add(("U", x, y))
-                if x + y >= s0 - 1:
-                    removed.add(("D", x, y))
+    # (x0, y0) rounds the corner that puts the hole's centroid
+    # (x0 + e/3, y0 + e/3) at the hexagon's centre: the hole's lowest corner
+    # when e > 0, its highest when e < 0
+    x0 = floor(Fraction(S1 + S2 + 2 * X - Y - 2 * e, 6) + Fraction(1, 2))
+    y0 = floor(Fraction(S1 + S2 + 2 * Y - X - 2 * e, 6) + Fraction(1, 2))
+    removed = _convex_tris(sorted((x0, x0 + e)), sorted((y0, y0 + e)),
+                           sorted((x0 + y0, x0 + y0 + e)))
     if not removed <= tris:
         raise DomainError("removed triangle does not fit inside the hexagon")
     return tris - removed
@@ -304,57 +288,52 @@ def build_hex_minus_triangle(a, b, c, d, e):
 
 
 # ---------------------------------------------------------------------------
-# symmetry maps on triangles and lattice points
+# symmetry maps: integer affine maps p -> A p + t of the lattice, each an
+# (A, t) pair, read on lattice points and on triangles
 
 
-def tri_map_rho(a):
+def _generators(a, b, c):
+    """rho, kappa and tau of the (a, b, c) hexagon by their letters r, k, t."""
+    return {"r": (((-1, -1), (1, 0)), (3 * a, 0)),
+            "k": (((-1, 0), (0, -1)), (b + c, a + c)),
+            "t": (((-1, 0), (1, 1)), (2 * b, -b))}
+
+
+def _apply(m, p):
+    """The image A p + t of the lattice point p under m = (A, t)."""
+    (A, t), (x, y) = m, p
+    return (A[0][0] * x + A[0][1] * y + t[0], A[1][0] * x + A[1][1] * y + t[1])
+
+
+def _word_maps(words, a, b, c):
+    """The affine maps spelled by words over r = rho, k = kappa and t = tau;
+    the rightmost letter acts first."""
+    gens = _generators(a, b, c)
+    out = []
+    for w in words:
+        A, t = ((1, 0), (0, 1)), (0, 0)
+        for g in w:
+            # (A, t) after (B, u) is (A B, A u + t)
+            B, u = gens[g]
+            A, t = (tuple(tuple(r[0] * B[0][k] + r[1] * B[1][k] for k in (0, 1))
+                          for r in A),
+                    _apply((A, t), u))
+        out.append((A, t))
+    return out
+
+
+def _tri_map(m):
+    """The triangle map of the affine map m, read off three times the
+    centroid: U(x, y) at (3x+1, 3y+1), D(x, y) at (3x+2, 3y+2)."""
+    ((p, q), (r, s)), (u, v) = m
+
     def f(tri):
         k, x, y = tri
-        if k == "U":
-            return ("U", 3 * a - x - y - 1, x)
-        return ("D", 3 * a - x - y - 2, x)
+        o = 1 if k == "U" else 2
+        X = p * (3 * x + o) + q * (3 * y + o) + 3 * u
+        Y = r * (3 * x + o) + s * (3 * y + o) + 3 * v
+        return ("U" if X % 3 == 1 else "D", X // 3, Y // 3)
     return f
-
-
-def pt_map_rho(a):
-    return lambda p: (3 * a - p[0] - p[1], p[0])
-
-
-def tri_map_kappa(a, b, c):
-    def f(tri):
-        k, x, y = tri
-        if k == "U":
-            return ("D", b + c - 1 - x, a + c - 1 - y)
-        return ("U", b + c - 1 - x, a + c - 1 - y)
-    return f
-
-
-def pt_map_kappa(a, b, c):
-    return lambda p: (b + c - p[0], a + c - p[1])
-
-
-def tri_map_tau(a, b):
-    def f(tri):
-        k, x, y = tri
-        if k == "U":
-            return ("D", 2 * b - 1 - x, x + y - b)
-        return ("U", 2 * b - 1 - x, x + y - b + 1)
-    return f
-
-
-def pt_map_tau(a, b):
-    return lambda p: (2 * b - p[0], p[0] + p[1] - b)
-
-
-def _compose(f, g):
-    return lambda t: f(g(t))
-
-
-def _word_maps(words, rho, kappa, tau):
-    """The maps spelled by words over r = rho, k = kappa and t = tau; the
-    rightmost letter acts first."""
-    gens = {"r": rho, "k": kappa, "t": tau}
-    return [reduce(_compose, [gens[g] for g in w]) if w else (lambda x: x) for w in words]
 
 
 def _group_words(group):
@@ -365,40 +344,20 @@ def _group_words(group):
 
 def group_tri_maps(group, a, b, c):
     """All elements of the symmetry group as triangle maps (identity first)."""
-    return _word_maps(_group_words(group), tri_map_rho(a), tri_map_kappa(a, b, c),
-                      tri_map_tau(a, b))
-
-
-def group_pt_maps(group, a, b, c):
-    """The elements of group_tri_maps, in the same order, as lattice-point maps."""
-    return _word_maps(_group_words(group), pt_map_rho(a), pt_map_kappa(a, b, c),
-                      pt_map_tau(a, b))
+    return [_tri_map(m) for m in _word_maps(_group_words(group), a, b, c)]
 
 
 def _tau_conjugates(group, a, b, c):
     """The reflections of the group whose axes bisect edges: tau, and for
     groups with rho also its two conjugates by rho."""
     words = ("t", "rtrr", "rrtr") if _needs_rho(group) else ("t",)
-    return _word_maps(words, tri_map_rho(a), tri_map_kappa(a, b, c), tri_map_tau(a, b))
+    return [_tri_map(m) for m in _word_maps(words, a, b, c)]
 
 
 def _vertex_perm_from_tri_map(G, tri_map):
     """Vertex permutation induced on a triangle-region graph."""
     vid_of = {t: i for i, t in G.flags["triangles"].items()}
     return {vid_of[t]: vid_of[img] for t, img in _tri_images(vid_of, tri_map)}
-
-
-def _edge_perm_from_vertex_perm(G, vperm):
-    by_pair = {}
-    for e in G.edges:
-        by_pair[frozenset((e.u, e.v))] = e.id
-    out = {}
-    for e in G.edges:
-        key = frozenset((vperm[e.u], vperm[e.v]))
-        if key not in by_pair:
-            raise DomainError("vertex permutation is not a graph automorphism")
-        out[e.id] = by_pair[key]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +473,6 @@ def tie_quotient(G, bisected, wrong_parity=False):
     return _cut_and_tie(G, kept, bis, wrong_parity)
 
 
-def _fixed_edges(G, tri_map):
-    """Edges mapped to themselves with endpoints swapped (bisected)."""
-    vperm = _vertex_perm_from_tri_map(G, tri_map)
-    out = []
-    for e in G.edges:
-        if vperm[e.u] == e.v and vperm[e.v] == e.u:
-            out.append(e.id)
-    return out
-
-
 def _tri_images(tris, tri_map):
     """The pairs (t, tri_map(t)) over a region of triangles; the map must
     send the region into itself."""
@@ -540,7 +489,8 @@ def _central_pair(a, b, c):
     """The two triangles of the (a, b, c) hexagon whose shared side, the
     central edge of Z(a, b, c), the half-turn maps to itself; None if
     there is no such side."""
-    pairs = [(t, img) for t, img in _tri_images(hexagon_tris(a, b, c), tri_map_kappa(a, b, c))
+    kappa = group_tri_maps("kappa", a, b, c)[1]
+    pairs = [(t, img) for t, img in _tri_images(hexagon_tris(a, b, c), kappa)
              if t[0] == "U" and img in _tri_neighbors(t)]
     if len(pairs) > 1:
         raise DomainError("more than one central edge")
@@ -599,7 +549,7 @@ def symmetry_quotient(spec):
         Z = build_hexagon_graph(a, b, c)
         bis = set()
         for f in _tau_conjugates(g, a, b, c):
-            bis.update(_fixed_edges(Z, f))
+            bis.update(_swapped_edges(Z, _vertex_perm_from_tri_map(Z, f)))
         return tie_quotient(Z, bis, spec.wrong_parity)
     if g in ("kappa-tau", "kappa-tau,rho", "tau,kappa", "tau,rho,kappa"):
         # cut along the points fixed by the kappa-tau elements; keep a sector
@@ -614,7 +564,7 @@ def symmetry_quotient(spec):
         # the kept sector is bisected by exactly one conjugate of tau
         for cand in _tau_conjugates(g, a, b, c):
             try:
-                bis = _fixed_edges(sub, cand)
+                bis = _swapped_edges(sub, _vertex_perm_from_tri_map(sub, cand))
             except DomainError:
                 continue
             if bis:
@@ -678,7 +628,7 @@ def _weight_by_face_system(Z, spec, mode):
     pts = Z.flags.get("face_points")
     if pts is None:
         raise DomainError("quotient lacks face lattice points; cannot q-weight")
-    pmaps = group_pt_maps(spec.group, spec.a, spec.b, spec.c)
+    maps = _word_maps(_group_words(spec.group), spec.a, spec.b, spec.c)
     eids = sorted(e.id for e in Z.edges)
     col = {eid: i for i, eid in enumerate(eids)}
     rows = []
@@ -690,7 +640,7 @@ def _weight_by_face_system(Z, spec, mode):
             p = pts[fi]
             if p is None:
                 raise DomainError("face without a lattice point cannot be q-weighted")
-            delta = len({f(p) for f in pmaps})
+            delta = len({_apply(m, p) for m in maps})
         else:
             delta = 1
         row = {}
@@ -1078,13 +1028,11 @@ def build_aztec_graph(n):
     return G
 
 
-def aztec_reflection_maps(G):
-    """Vertical-mirror data for Z_A(n): vertex map, edge map, bisected edges."""
+def aztec_mirror(G):
+    """The vertex map of the vertical mirror of Z_A(n)."""
     squares = G.flags["squares"]
     vid = {sq: k for k, sq in squares.items()}
-    vmap = {k: vid[(-1 - sq[0], sq[1])] for k, sq in squares.items()}
-    bisected = [e.id for e in G.edges if vmap[e.u] == e.v]
-    return vmap, _edge_perm_from_vertex_perm(G, vmap), bisected
+    return {k: vid[(-1 - sq[0], sq[1])] for k, sq in squares.items()}
 
 
 def binomial_matrix(n):

@@ -1254,32 +1254,40 @@ def _cut_and_tie(G, kept, bisected, wrong_parity=False):
     return out
 
 
-def reflection_quotient(G, vertex_map, edge_map, bisected, wrong_parity=False):
-    """Quotient by an involutive reflection whose axis bisects the given
-    edges; the bisected edges are tied to a single polygamous vertex whose
-    parity makes (odd-polygamous + monogamous) even, unless wrong_parity
-    deliberately flips it."""
-    bis = set(bisected)
-    if set(vertex_map) != {v.id for v in G.vertices}:
-        raise DomainError("vertex map does not cover exactly the graph's vertices")
-    if set(edge_map) != {e.id for e in G.edges}:
-        raise DomainError("edge map does not cover exactly the graph's edges")
-    if not bis <= set(edge_map):
-        raise DomainError("a bisected edge is not an edge of the graph")
-    for v, w in vertex_map.items():
-        if vertex_map.get(w) != v:
-            raise DomainError("vertex map is not an involution")
-    for e, f in edge_map.items():
-        if edge_map.get(f) != e:
-            raise DomainError("edge map is not an involution")
-    for eid in bis:
-        e = G.edge(eid)
-        if edge_map[eid] != eid or vertex_map.get(e.u) != e.v:
-            raise DomainError(f"edge {eid} is not bisected by the reflection")
+def _edge_perm_from_vertex_perm(G, vperm):
+    """The edge map that the vertex map `vperm` induces; DomainError if it
+    carries an edge onto no edge."""
+    by_pair = {}
     for e in G.edges:
-        img = G.edge(edge_map[e.id])
-        if {vertex_map[e.u], vertex_map[e.v]} != {img.u, img.v}:
-            raise DomainError("edge map does not follow the vertex map")
+        by_pair[e.u, e.v] = by_pair[e.v, e.u] = e.id
+    out = {}
+    for e in G.edges:
+        img = by_pair.get((vperm[e.u], vperm[e.v]))
+        if img is None:
+            raise DomainError("vertex permutation is not a graph automorphism")
+        out[e.id] = img
+    return out
+
+
+def _swapped_edges(G, vmap):
+    """The edges whose two ends the involutive automorphism `vmap` swaps,
+    which are the edges a reflection's axis bisects; DomainError unless
+    vmap maps exactly the graph's vertices, is an involution and carries
+    edges onto edges."""
+    if set(vmap) != {v.id for v in G.vertices}:
+        raise DomainError("vertex map does not cover exactly the graph's vertices")
+    if any(vmap.get(w) != v for v, w in vmap.items()):
+        raise DomainError("vertex map is not an involution")
+    _edge_perm_from_vertex_perm(G, vmap)
+    return [e.id for e in G.edges if vmap[e.u] == e.v]
+
+
+def reflection_quotient(G, vertex_map, wrong_parity=False):
+    """Quotient by an involutive reflection, given by its vertex map.  The
+    edges whose ends it swaps are the ones its axis bisects; they are tied
+    to a single polygamous vertex whose parity makes (odd-polygamous +
+    monogamous) even, unless wrong_parity deliberately flips it."""
+    bis = set(_swapped_edges(G, vertex_map))
 
     # components of G minus the bisected edges pair up under the reflection;
     # keep the one with the smaller root of each pair

@@ -63,7 +63,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import add, mul, not_, sub
 
 from kasteleyn.rings import (
@@ -1573,6 +1573,9 @@ def deleted_pivot(M, i, j):
     """Pivot at (i, j) (0-based) then delete row i and column j.  The pivot
     must divide every entry in its row and column; a unit pivot is first
     normalized to 1."""
+    for name, k, n in (("i", i, M.rows), ("j", j, M.cols)):
+        if type(k) is not int or not 0 <= k < n:
+            raise DomainError(f"pivot index {name} must be an int in [0, {n}): {k!r}")
     ring = ring_adapter(M.ring)
     p = M[i, j]
     if ring.is_zero(p):
@@ -1730,30 +1733,32 @@ def _pack_rows(rows, width):
     codec of `rings`, its value at q = 2^b, so integer elimination on the
     packed rows runs the polynomial one at q = 2^b.  The shift packs every
     entry +-q^e, e the row's lowest exponent, to +-1, so such a unit stays
-    a +-1 pivot.  The coefficients of a minor are bounded in absolute value
-    by its L1 norm, which is at most the product of the L1 norms of its
-    rows (or columns), hence of all nonzero rows (columns); b is the codec
-    width for that bound, so every minor, the determinant and each entry
-    left by +-1 pivots among them, is read back exactly by
-    `_kronecker_unpack`, and a packed entry is +-1 only if its polynomial
-    is."""
+    a +-1 pivot.  The coefficients of a minor are its Fourier coefficients
+    on |q| = 1, so each is at most the minor's largest absolute value
+    there, which by Hadamard is at most the product of its rows' L2 norms;
+    a row's norm at any such q is at most sqrt(sum_j ||a_ij||_1^2), which
+    is at least 1 for a nonzero row.  So the product of those square roots
+    over all nonzero rows (or columns) bounds every minor; b is the codec
+    width for it, so every minor, the determinant and each entry left by
+    +-1 pivots among them, is read back exactly by `_kronecker_unpack`,
+    and a packed entry is +-1 only if its polynomial is."""
     shifts = []
-    row_norms = []
-    col_norms = [0] * width
+    row_squares = []
+    col_squares = [0] * width
     for row in rows:
         lo = None
-        norm = 0
+        square = 0
         for j, t in enumerate(row):
             if t:
                 m = min(t)
                 if lo is None or m < lo:
                     lo = m
-                s = sum(abs(c) for c in t.values())
-                norm += s
-                col_norms[j] += s
+                s = sum(abs(c) for c in t.values()) ** 2
+                square += s
+                col_squares[j] += s
         shifts.append(lo)
-        row_norms.append(norm)
-    b = _kronecker_width(min(prod(row_norms), prod(filter(None, col_norms))))
+        row_squares.append(square)
+    b = _kronecker_width(isqrt(min(prod(row_squares), prod(filter(None, col_squares)))) + 1)
     packed = [[_kronecker_pack(t, b, lo) if t else 0 for t in row]
               for row, lo in zip(rows, shifts)]
     return packed, b, sum(shifts)

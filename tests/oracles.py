@@ -10,7 +10,9 @@ frontier program on frozenset states with LaurentPoly totals, the
 dense Gauss-Jordan solve of a rational linear system, the
 transit-free resolution through an intermediate embedded graph, the
 determinantal divisors by minor expansion, the degree check of a
-matching, the rotation at a vertex read off the face walks, and the
+matching, the rotation at a vertex read off the face walks, the hexagon
+symmetries rho, kappa and tau spelled by hand on triangles and on lattice
+points, the band and hole loops of the hexagon minus a triangle, and the
 projective fixtures: the 3-cube and its antipodal quotient, that quotient
 with face 0 split, and the Moebius ladders."""
 
@@ -809,6 +811,102 @@ def rotation_at(G, vid):
                 for pos, (eid, fwd) in enumerate(walk)
                 if (edges[eid].v if fwd else edges[eid].u) == vid]
     return _rotation(_corners_at(edges, G.faces, vid, arrivals), vid)
+
+
+def symmetry_generators_reference(a, b, c):
+    """rho, kappa and tau of the (a, b, c) hexagon, each written out by hand
+    twice: {letter: (triangle map, lattice-point map)}."""
+    def rho(tri):
+        k, x, y = tri
+        if k == "U":
+            return ("U", 3 * a - x - y - 1, x)
+        return ("D", 3 * a - x - y - 2, x)
+
+    def kappa(tri):
+        k, x, y = tri
+        if k == "U":
+            return ("D", b + c - 1 - x, a + c - 1 - y)
+        return ("U", b + c - 1 - x, a + c - 1 - y)
+
+    def tau(tri):
+        k, x, y = tri
+        if k == "U":
+            return ("D", 2 * b - 1 - x, x + y - b)
+        return ("U", 2 * b - 1 - x, x + y - b + 1)
+
+    return {"r": (rho, lambda p: (3 * a - p[0] - p[1], p[0])),
+            "k": (kappa, lambda p: (b + c - p[0], a + c - p[1])),
+            "t": (tau, lambda p: (2 * b - p[0], p[0] + p[1] - b))}
+
+
+def word_maps_reference(words, a, b, c):
+    """(triangle map, point map) of each word over r, k and t, the rightmost
+    letter acting first, by applying the hand-written generators in turn."""
+    gens = symmetry_generators_reference(a, b, c)
+
+    def spell(word, i):
+        def f(x):
+            for g in reversed(word):
+                x = gens[g][i](x)
+            return x
+        return f
+
+    return [(spell(w, 0), spell(w, 1)) for w in words]
+
+
+def band_tris_reference(X, Y, S1, S2):
+    """Triangles of the box 0 <= x <= X, 0 <= y <= Y whose corners all lie
+    in the band S1 <= x + y <= S2."""
+    tris = set()
+    for x in range(X):
+        for y in range(Y):
+            if S1 <= x + y <= S2 - 1:
+                tris.add(("U", x, y))
+            if S1 - 1 <= x + y <= S2 - 2:
+                tris.add(("D", x, y))
+    return tris
+
+
+def hexagon_minus_triangle_reference(a, b, c, d, e):
+    """The hexagon with sides (a, b+d, c, a+d, b, c+d) minus a centered
+    triangle of size |e|, with a hand-written loop for each orientation of
+    the hole."""
+    if min(a, b, c) < 1 or d < 0:
+        raise DomainError("bad hexagon-minus-triangle parameters")
+    X, Y, S1, S2 = a + b + d, b + c + d, b, a + b + c + d
+    tris = band_tris_reference(X, Y, S1, S2)
+    if e == 0:
+        return tris
+    cx = Fraction(S1 + S2 + 2 * X - Y, 6)
+    cy = Fraction(S1 + S2 + 2 * Y - X, 6)
+
+    def rnd(t):
+        return math.floor(t + Fraction(1, 2))
+
+    removed = set()
+    if e > 0:
+        x0 = rnd(cx - Fraction(e, 3))
+        y0 = rnd(cy - Fraction(e, 3))
+        for x in range(x0, x0 + e):
+            for y in range(y0, y0 + e):
+                if x + y <= x0 + y0 + e - 1:
+                    removed.add(("U", x, y))
+                if x + y <= x0 + y0 + e - 2:
+                    removed.add(("D", x, y))
+    else:
+        m = -e
+        x0 = rnd(cx + Fraction(m, 3))
+        y0 = rnd(cy + Fraction(m, 3))
+        s0 = x0 + y0 - m
+        for x in range(x0 - m, x0):
+            for y in range(y0 - m, y0):
+                if x + y >= s0:
+                    removed.add(("U", x, y))
+                if x + y >= s0 - 1:
+                    removed.add(("D", x, y))
+    if not removed <= tris:
+        raise DomainError("removed triangle does not fit inside the hexagon")
+    return tris - removed
 
 
 def cube_graph():

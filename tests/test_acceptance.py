@@ -31,7 +31,7 @@ from kasteleyn.families import (
     FamilySpec,
     Partition,
     aztec_matrix_closed_form,
-    aztec_reflection_maps,
+    aztec_mirror,
     binomial_matrix,
     build_aztec_graph,
     build_family_graph,
@@ -44,6 +44,7 @@ from kasteleyn.families import (
 )
 from kasteleyn.graphs import (
     MONO,
+    _edge_perm_from_vertex_perm,
     adjacency_matrix,
     enumerate_matchings,
     graph_from_json,
@@ -334,8 +335,9 @@ def test_criterion_8_polygamy_and_quotients():
     # reflection quotients match invariant-matching counts (Aztec <= 3)
     for n in (1, 2, 3):
         Z = build_aztec_graph(n)
-        vmap, emap, bisected = aztec_reflection_maps(Z)
-        Q = reflection_quotient(Z, vmap, emap, bisected)
+        vmap = aztec_mirror(Z)
+        emap = _edge_perm_from_vertex_perm(Z, vmap)
+        Q = reflection_quotient(Z, vmap)
         ms = enumerate_matchings_reference(Z)
         invariant = sum(
             1 for m in ms.matchings if frozenset(emap[e] for e in m) == m

@@ -210,7 +210,7 @@ def test_reflection_quotient_rejects_non_involution():
     G = EmbeddedGraph(verts, edges, faces, "sphere", 1)
     vmap = {0: 1, 1: 2, 2: 3, 3: 0}   # a 4-cycle, not an involution
     with pytest.raises(DomainError):
-        reflection_quotient(G, vmap, {0: 0, 1: 1, 2: 2, 3: 3}, [])
+        reflection_quotient(G, vmap)
 
 
 def test_family_spec_group_dimension_checks():

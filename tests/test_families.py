@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from kasteleyn.families import (
     apply_q_weights,
     aztec_matrix_closed_form,
     aztec_matrix_reduced,
-    aztec_reflection_maps,
+    aztec_mirror,
     aztec_x_block,
     aztec_y_block,
     binomial_matrix,
@@ -57,6 +58,8 @@ from kasteleyn.families import (
 )
 from kasteleyn.graphs import (
     MONO,
+    _edge_perm_from_vertex_perm,
+    _swapped_edges,
     Edge,
     EmbeddedGraph,
     Vertex,
@@ -104,6 +107,12 @@ class TestPartition:
         with pytest.raises(DomainError):
             Partition((1, 2))
 
+    def test_equals_only_partitions(self):
+        # a non-partition is not read as parts: None raised TypeError
+        assert (Partition((2, 1)) == None) is False
+        assert (Partition((2, 1)) == (2, 1)) is False
+        assert Partition((2, 1, 0)) == Partition([2, 1])
+
 
 class TestHexagon:
     def test_unit_hexagon(self):
@@ -135,6 +144,63 @@ class TestHexagon:
     def test_zero_dimension_rejected(self):
         with pytest.raises(DomainError):
             build_hexagon_graph(0, 1, 1)
+
+
+class TestSymmetryMaps:
+    """The affine generators and the convex-region rule against the
+    hand-written maps and loops of `oracles`."""
+
+    def test_group_maps_match_the_references(self):
+        checked = 0
+        for group, words in families._GROUPS.items():
+            conjugates = ("t", "rtrr", "rrtr") if families._needs_rho(group) else ("t",)
+            for a, b, c in itertools.product(range(1, 11), repeat=3):
+                if a + b + c > 12:
+                    continue
+                try:
+                    FamilySpec(variant="ppbox-quotient", a=a, b=b, c=c, group=group)
+                except DomainError:
+                    continue
+                tris = sorted(families.hexagon_tris(a, b, c))
+                points = [(x, y) for x in range(b + c + 1) for y in range(a + c + 1)
+                          if c <= x + y <= a + b + c]
+                refs = oracles.word_maps_reference(words, a, b, c)
+                got = list(zip(families.group_tri_maps(group, a, b, c),
+                               families._word_maps(words, a, b, c)))
+                assert len(got) == len(refs) == len(words)
+                for (tri_map, m), (tri_ref, pt_ref) in zip(got, refs):
+                    assert [tri_map(t) for t in tris] == [tri_ref(t) for t in tris]
+                    assert ([families._apply(m, p) for p in points]
+                            == [pt_ref(p) for p in points])
+                    checked += 1
+                if "t" in "".join(words):
+                    refs = oracles.word_maps_reference(conjugates, a, b, c)
+                    got = families._tau_conjugates(group, a, b, c)
+                    assert len(got) == len(refs)
+                    for f, (ref, _) in zip(got, refs):
+                        assert [f(t) for t in tris] == [ref(t) for t in tris]
+        assert checked > 1000
+
+    def test_regions_match_the_hole_loops(self):
+        seen = {"refused": 0, "up": 0, "down": 0}
+        for a, b, c in itertools.product(range(1, 5), repeat=3):
+            assert families.hexagon_tris(a, b, c) == oracles.band_tris_reference(
+                b + c, a + c, c, a + b + c)
+            for d in range(3):
+                for e in range(-4, 5):
+                    outcomes = []
+                    for build in (families.hexagon_minus_triangle_tris,
+                                  oracles.hexagon_minus_triangle_reference):
+                        try:
+                            outcomes.append(build(a, b, c, d, e))
+                        except DomainError as exc:
+                            outcomes.append(str(exc))
+                    assert outcomes[0] == outcomes[1]
+                    if isinstance(outcomes[0], str):
+                        seen["refused"] += 1
+                    elif e:
+                        seen["up" if e > 0 else "down"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestQWeights:
@@ -693,8 +759,9 @@ class TestAztec:
     def test_aztec_reflection_quotient(self):
         for n in (2, 3):
             Z = build_aztec_graph(n)
-            vmap, emap, bisected = aztec_reflection_maps(Z)
-            Q = reflection_quotient(Z, vmap, emap, bisected)
+            vmap = aztec_mirror(Z)
+            emap = _edge_perm_from_vertex_perm(Z, vmap)
+            Q = reflection_quotient(Z, vmap)
             Q.validate()
             invariant = 0
             ms = enumerate_matchings_reference(Z)
@@ -708,18 +775,18 @@ class TestAztec:
 
     def test_aztec_wrong_parity_quotient_is_matchless(self):
         Z = build_aztec_graph(3)
-        vmap, emap, bisected = aztec_reflection_maps(Z)
-        Q = reflection_quotient(Z, vmap, emap, bisected, wrong_parity=True)
+        Q = reflection_quotient(Z, aztec_mirror(Z), wrong_parity=True)
         assert enumerate_matchings(Q).count == 0
 
     def test_tie_quotient_is_the_reflection_quotient(self):
         # both keep the side of the smallest vertex id on the Aztec diamond
         for n in (1, 2, 3):
             Z = build_aztec_graph(n)
-            vmap, emap, bisected = aztec_reflection_maps(Z)
+            vmap = aztec_mirror(Z)
+            bisected = _swapped_edges(Z, vmap)
             for wrong_parity in (False, True):
                 assert dump_graph(tie_quotient(Z, bisected, wrong_parity)) == dump_graph(
-                    reflection_quotient(Z, vmap, emap, bisected, wrong_parity))
+                    reflection_quotient(Z, vmap, wrong_parity))
         with pytest.raises(DomainError):
             tie_quotient(build_aztec_graph(2), [])
 
@@ -893,6 +960,24 @@ class TestFamilyDispatch:
         for group in ("tau", "tau,kappa", "tau,rho", "tau,rho,kappa"):
             spec = FamilySpec(variant="ppbox-impossible", a=2, b=2, c=2, group=group)
             assert enumerate_matchings(build_family_graph(spec)).count == 0
+
+    def test_spec_wrong_parity_is_a_bool(self):
+        # "false" is truthy: it built the matchless wrong-parity quotient
+        for value in ("false", 1, 0, None):
+            with pytest.raises(DomainError, match="^wrong_parity must be a bool"):
+                FamilySpec(variant="ppbox-quotient", a=1, b=2, c=2, group="tau",
+                           wrong_parity=value)
+        spec = FamilySpec(variant="ppbox-quotient", a=1, b=2, c=2, group="tau")
+        assert run_report(spec, "z").oracle_count == 4
+
+    def test_spec_partitions_are_sequences(self):
+        # tuple(3) and tuple(None) raised a bare TypeError
+        for kwargs, field in ((dict(lam=3), "lam"), (dict(lam=None), "lam"),
+                              (dict(lam=(2, 1), mu=1), "mu"),
+                              (dict(lam="21"), "lam")):
+            with pytest.raises(DomainError, match=f"^{field} must be a list or tuple"):
+                FamilySpec(variant="skew-shape", a=2, **kwargs)
+        assert FamilySpec(variant="skew-shape", a=2, lam=[2, 1], mu=[1]).mu == (1,)
 
     def test_spec_integers_are_plain(self):
         # a float part was read by int() (lam = (2.9, 1) built (2, 1)), text

@@ -25,6 +25,8 @@ from kasteleyn.graphs import (
     graph_to_json,
     kasteleyn_orient,
     kasteleyn_percus_sign,
+    _edge_perm_from_vertex_perm,
+    _swapped_edges,
     monogamous_resolution,
     reflection_quotient,
     trace_faces,
@@ -687,8 +689,8 @@ class TestReflectionQuotient:
         # mirror swaps 0<->1 and 3<->2; edges 0 (bottom) and 2 (top) bisected
         G = square_cycle(colors=False)
         vmap = {0: 1, 1: 0, 2: 3, 3: 2}
-        emap = {0: 0, 1: 3, 2: 2, 3: 1}
-        out = reflection_quotient(G, vmap, emap, [0, 2])
+        emap = _edge_perm_from_vertex_perm(G, vmap)
+        out = reflection_quotient(G, vmap)
         out.validate()
         assert out.n_vertices == 3
         omega = [v for v in out.vertices if v.label == "omega"][0]
@@ -705,26 +707,39 @@ class TestReflectionQuotient:
     def test_wrong_parity_kills_matchings(self):
         G = square_cycle(colors=False)
         vmap = {0: 1, 1: 0, 2: 3, 3: 2}
-        emap = {0: 0, 1: 3, 2: 2, 3: 1}
-        out = reflection_quotient(G, vmap, emap, [0, 2], wrong_parity=True)
+        out = reflection_quotient(G, vmap, wrong_parity=True)
         assert enumerate_matchings(out).count == 0
 
     def test_edgeless(self):
         verts = [Vertex(0), Vertex(1)]
         G = EmbeddedGraph(verts, [], [[], []], "sphere", 0)
         G.validate()
-        out = reflection_quotient(G, {0: 1, 1: 0}, {}, [])
+        out = reflection_quotient(G, {0: 1, 1: 0})
         assert out.n_vertices == 1
         assert all(v.kind == MONO for v in out.vertices)
 
-    @pytest.mark.parametrize("vmap, emap, bisected", [
-        ({0: 1, 1: 0, 2: 3, 3: 2}, {0: 0, 2: 2}, [0, 2]),        # edges 1, 3 missing
-        ({0: 1, 1: 0}, {0: 0, 1: 3, 2: 2, 3: 1}, [0]),           # vertices 2, 3 missing
-        ({0: 1, 1: 0, 2: 3, 3: 2}, {0: 0, 1: 3, 2: 2, 3: 1}, [0, 7]),  # no edge 7
+    @pytest.mark.parametrize("vmap", [
+        {0: 1, 1: 0},                                            # vertices 2, 3 missing
+        {0: 1, 1: 0, 2: 3, 3: 2, 4: 4},                          # no vertex 4
     ])
-    def test_partial_maps_are_domain_errors(self, vmap, emap, bisected):
-        with pytest.raises(DomainError):
-            reflection_quotient(square_cycle(colors=False), vmap, emap, bisected)
+    def test_partial_maps_are_domain_errors(self, vmap):
+        with pytest.raises(DomainError, match="does not cover"):
+            reflection_quotient(square_cycle(colors=False), vmap)
+
+    def test_bisected_edges_are_derived(self):
+        # the vertical mirror swaps the ends of the bottom and top edges 0
+        # and 2, and only those, without being told
+        G = square_cycle(colors=False)
+        assert _swapped_edges(G, {0: 1, 1: 0, 2: 3, 3: 2}) == [0, 2]
+        assert _swapped_edges(G, {0: 0, 1: 3, 2: 2, 3: 1}) == []
+
+    @pytest.mark.parametrize("vmap, message", [
+        ({0: 1, 1: 0, 2: 2, 3: 3}, "not a graph automorphism"),  # edge 1-2 to 0-2
+        ({0: 1, 1: 2, 2: 3, 3: 0}, "not an involution"),         # the quarter turn
+    ])
+    def test_maps_that_are_no_reflection_are_domain_errors(self, vmap, message):
+        with pytest.raises(DomainError, match=message):
+            reflection_quotient(square_cycle(colors=False), vmap)
 
 
 class TestJson:

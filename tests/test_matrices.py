@@ -399,6 +399,16 @@ class TestDeletedPivot:
         with pytest.raises(DomainError, match="does not divide"):
             deleted_pivot(Z([[2, 1], [3, 4]]), 0, 0)
 
+    def test_index_guard(self):
+        # 2 raised a bare IndexError, -1 read the last row and True read 1
+        M = Z([[1, 2], [3, 4]])
+        for i, j, name in ((2, 0, "i"), (-1, 0, "i"), (True, 0, "i"), (0, 2, "j"),
+                           (0, -1, "j"), (0, 1.0, "j")):
+            with pytest.raises(DomainError, match=f"^pivot index {name} must be an int"):
+                deleted_pivot(M, i, j)
+        with pytest.raises(DomainError, match="^pivot index i"):
+            deleted_pivot(ExactMatrix.from_rows([[1]]), 2, 0)
+
     def test_unit_pivot_normalized(self):
         M = Z([[-1, 2], [3, 4]])
         assert deleted_pivot(M, 0, 0) == Z([[4 - 3 * (-2)]])
@@ -732,6 +742,12 @@ class TestKroneckerDeterminant:
             # a repeated column
             grid = [row[:-1] + [row[0]] for row in grid]
             assert self.check(LQ(grid)).is_zero()
+
+    def test_width_is_the_hadamard_bound(self):
+        # the product of the rows' L1 norms packed M(6,6,6;q) at b = 162;
+        # Hadamard's bound on |q| = 1 needs 82
+        M, _ = family_matrix(FamilySpec("ppbox", 6, 6, 6, q_mode="cube"))
+        assert matrices._packed_units(M)[3] <= 82
 
     def test_laurent_small_sizes(self):
         assert self.check(LQ([])) == LaurentPoly.one()
